@@ -118,7 +118,15 @@ def cmd_components(args: argparse.Namespace) -> int:
     dim = component_count_via_C(h)
     print(f"components: {count}, centroid signal dimension: {dim}")
     if count != dim:
-        print("internal error: component counts disagree", file=sys.stderr)
+        loose = h.n_vertices - len({v for e in h.edges for v in e})
+        if loose:
+            print(
+                f"component counts disagree because {loose} vertex(es) lie in no edge; "
+                f"each is one component but adds {h.ell} centroid signal dimensions",
+                file=sys.stderr,
+            )
+        else:
+            print("internal error: component counts disagree", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK
 

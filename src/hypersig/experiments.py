@@ -15,11 +15,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import DisconnectedError, DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError
 from .frames import frame
-from .hypergraph import Hypergraph, is_connected
+from .hypergraph import Hypergraph, _component_roots, is_connected
 from .linalg import Rational
 
 log = logging.getLogger(__name__)
@@ -50,24 +50,6 @@ def _sample_simple_edges(rng: random.Random, n: int, m: int, ell: int) -> set[tu
     return edges
 
 
-def _edges_connected(n: int, edges: Iterable[tuple[int, ...]]) -> bool:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges:
-        r = find(e[0])
-        for v in e[1:]:
-            rv = find(v)
-            if rv != r:
-                parent[rv] = r
-    return len({find(x) for x in range(n)}) == 1
-
-
 def random_hypergraph(n: int, m: int, ell: int, seed: int) -> Hypergraph:
     """Connected uniform hypergraph with exactly ``m`` edges, sampled
     uniformly from simple edges (no repeated vertex inside an edge).
@@ -95,7 +77,7 @@ def random_hypergraph(n: int, m: int, ell: int, seed: int) -> Hypergraph:
     rng = random.Random(stable_seed("hypergraph", n, m, ell, seed))
     for _ in range(_REJECTION_RETRIES):
         edges = _sample_simple_edges(rng, n, m, ell)
-        if _edges_connected(n, edges):
+        if len(set(_component_roots(n, edges))) == 1:
             break
     else:
         edges = _chained_instance(rng, n, m, ell)
@@ -133,11 +115,10 @@ def _chained_instance(
 
 def reduction_proportion(h: Hypergraph) -> Fraction:
     """Frame edge count over input edge count, exact, in (0, 1]. Equals 1
-    exactly on stable inputs."""
+    exactly on stable inputs. Raises DisconnectedError, through
+    :func:`frame`, on disconnected input."""
     if h.n_edges == 0:
         raise DomainError("reduction proportion is undefined without edges")
-    if not is_connected(h):
-        raise DisconnectedError("reduction proportion requires a connected hypergraph")
     return Fraction(frame(h).frame.n_edges, h.n_edges)
 
 

@@ -2,28 +2,29 @@
 constructive hypergraph families used as regression targets.
 
 Two vertices fuse when no admissible signal for the given map separates
-them on any axis. The frame is the quotient by that equivalence; taking
-the frame twice changes nothing, so the frame operator is a closure on
+them on any axis: the fusion partition is the common refinement of the
+level sets of every basis signal on every axis. :func:`frame` is the one
+frame routine. For any map, the coordinate-sum map included, it takes
+the quotient by that partition, so every frame goes through the same
+constraint assembly, nullspace and basis re-verification. Taking the
+frame twice changes nothing, so the frame operator is a closure on
 connected uniform hypergraphs.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .errors import DisconnectedError, DomainError
 from .hypergraph import (
     Hypergraph,
     Partition,
-    components,
     hypergraph_to_json,
     is_connected,
     quotient,
 )
-from .signals import LinearMap, generating_signal, signal_space
+from .signals import LinearMap, signal_space, universal_map
 
 
 @dataclass(frozen=True, eq=True)
@@ -54,45 +55,16 @@ def fusion(h: Hypergraph, t: LinearMap) -> Partition:
     return Partition.from_keys(keys)
 
 
-def _frame_from_partition(h: Hypergraph, part: Partition) -> FrameResult:
+def frame(h: Hypergraph, t: LinearMap | None = None) -> FrameResult:
+    """Frame of ``h`` under ``t`` (default: the coordinate-sum map): the
+    quotient by the fusion partition, with the label map from original to
+    frame vertices."""
+    part = fusion(h, universal_map(h.ell) if t is None else t)
     framed, part = quotient(h, part)
     class_map = {
         h.vertices[x]: framed.vertices[part.class_of[x]] for x in range(h.n_vertices)
     }
     return FrameResult(frame=framed, fusion=part, class_map=class_map)
-
-
-def frame(h: Hypergraph) -> FrameResult:
-    """Frame under the coordinate-sum map, via a generating signal: the
-    fusion classes are exactly the level sets of the signal's first axis."""
-    delta = generating_signal(h)  # raises on disconnected input
-    part = Partition.from_keys(delta.values[0])
-    return _frame_from_partition(h, part)
-
-
-def frame_general(h: Hypergraph, t: LinearMap) -> FrameResult:
-    """Frame under an arbitrary map, straight from the refinement
-    definition (no generating-signal shortcut)."""
-    return _frame_from_partition(h, fusion(h, t))
-
-
-def frame_per_component(h: Hypergraph) -> FrameResult:
-    """Convenience wrapper: frame each connected component independently
-    and reassemble. Extension beyond the connected-input contract of
-    :func:`frame`."""
-    comps = components(h)
-    blocks: list[tuple[int, ...]] = []
-    for comp in comps.classes:
-        local = {v: i for i, v in enumerate(comp)}
-        sub_edges = [
-            tuple(local[v] for v in e) for e in h.edges if e[0] in local
-        ]
-        sub = Hypergraph.build(h.ell, [h.vertices[v] for v in comp], sub_edges)
-        sub_result = frame(sub)
-        for block in sub_result.fusion.classes:
-            blocks.append(tuple(sorted(comp[i] for i in block)))
-    part = Partition.from_blocks(blocks, h.n_vertices)
-    return _frame_from_partition(h, part)
 
 
 def is_stable(h: Hypergraph) -> bool:
@@ -165,13 +137,6 @@ def mountain_range(n: int) -> Hypergraph:
     return Hypergraph.build(3, vertices, edges)
 
 
-def canonical_key(h: Hypergraph) -> tuple:
-    """Label-free structural key: arity, vertex count and the edge id
-    tuples. Equal keys mean equal hypergraphs up to the canonical vertex
-    order, which is how the regression families are compared."""
-    return (h.ell, h.n_vertices, h.edges)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -184,11 +149,3 @@ def frame_result_to_json(result: FrameResult, source: Hypergraph) -> dict:
         "class_map": dict(result.class_map),
     }
 
-
-def save_frame_result(
-    result: FrameResult, source: Hypergraph, path: str | Path
-) -> None:
-    Path(path).write_text(
-        json.dumps(frame_result_to_json(result, source), indent=2) + "\n",
-        encoding="utf-8",
-    )

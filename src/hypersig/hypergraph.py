@@ -11,13 +11,15 @@ position in the vertex list.
 from __future__ import annotations
 
 import json
-import warnings
+import logging
 from dataclasses import dataclass, field
 from itertools import permutations
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DomainError, FormatError
+
+log = logging.getLogger(__name__)
 
 MIN_ARITY = 3
 
@@ -98,15 +100,6 @@ class Hypergraph:
         except ValueError:
             raise DomainError(f"unknown vertex label {label!r}") from None
 
-    def canonicalize_edge(self, t: Sequence[int]) -> tuple[int, ...]:
-        """Sorted orbit representative of a tuple; idempotent."""
-        if len(t) != self.ell:
-            raise DomainError(f"tuple length {len(t)} != arity {self.ell}")
-        for v in t:
-            if not (0 <= v < self.n_vertices):
-                raise DomainError(f"unknown vertex id {v}")
-        return tuple(sorted(t))
-
     def edge_labels(self, e: Sequence[int]) -> tuple[str, ...]:
         return tuple(self.vertices[v] for v in e)
 
@@ -182,35 +175,30 @@ class Partition:
         return self.n_classes == self.n_elements
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _component_roots(n: int, edges: Iterable[Sequence[int]]) -> list[int]:
+    """Union-find over ``range(n)`` merging all vertices of each edge; the
+    root of every vertex, so equal roots mean one component."""
+    parent = list(range(n))
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    for e in edges:
+        r = find(e[0])
+        for v in e[1:]:
+            rv = find(v)
+            if rv != r:
+                parent[rv] = r
+    return [find(x) for x in range(n)]
 
 
 def components(h: Hypergraph) -> Partition:
-    """Connected components via union-find over edges.
-
-    All vertices sharing an edge are merged; isolated vertices end up in
-    singleton classes.
-    """
-    uf = _UnionFind(h.n_vertices)
-    for e in h.edges:
-        first = e[0]
-        for v in e[1:]:
-            uf.union(first, v)
-    return Partition.from_class_map([uf.find(x) for x in range(h.n_vertices)])
+    """Connected components: vertices sharing an edge are merged, and
+    isolated vertices end up in singleton classes."""
+    return Partition.from_class_map(_component_roots(h.n_vertices, h.edges))
 
 
 def is_connected(h: Hypergraph) -> bool:
@@ -241,7 +229,7 @@ def quotient(h: Hypergraph, p: Partition) -> tuple[Hypergraph, Partition]:
 # Schema shared by every CLI command:
 #   {"ell": int, "vertices": [str, ...], "edges": [[str, ...], ...]}
 # Edge member order is irrelevant; edges are canonicalized on load and
-# duplicate orbits are collapsed with a warning.
+# duplicate orbits are collapsed with a logged warning.
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:
@@ -261,14 +249,10 @@ def hypergraph_from_json(obj) -> Hypergraph:
         edges = obj["edges"]
     except KeyError as exc:
         raise FormatError(f"missing field {exc.args[0]!r}") from None
-    if not isinstance(ell, int):
+    if isinstance(ell, bool) or not isinstance(ell, int):
         raise FormatError("'ell' must be an integer")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise FormatError("'vertices' must be an array of strings")
-    if not vertices:
-        raise FormatError("'vertices' must be nonempty")
-    if len(set(vertices)) != len(vertices):
-        raise FormatError("'vertices' must be distinct")
     if not isinstance(edges, list):
         raise FormatError("'edges' must be an array")
     index = {lab: i for i, lab in enumerate(vertices)}
@@ -282,9 +266,8 @@ def hypergraph_from_json(obj) -> Hypergraph:
             raise FormatError(f"edge {e!r} references unknown vertex") from None
     distinct = set(id_edges)
     if len(distinct) != len(id_edges):
-        warnings.warn(
-            f"collapsed {len(id_edges) - len(distinct)} duplicate edge orbit(s)",
-            stacklevel=2,
+        log.warning(
+            "collapsed %d duplicate edge orbit(s)", len(id_edges) - len(distinct)
         )
     try:
         return Hypergraph(ell, tuple(vertices), tuple(sorted(distinct)))
@@ -300,9 +283,14 @@ def save_hypergraph(h: Hypergraph, path: str | Path) -> None:
     Path(path).write_text(dumps_hypergraph(h), encoding="utf-8")
 
 
-def load_hypergraph(path: str | Path) -> Hypergraph:
+def _read_json(path: str | Path):
+    """Parsed contents of a UTF-8 JSON file; malformed JSON is a
+    FormatError naming the file."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc
-    return hypergraph_from_json(obj)
+
+
+def load_hypergraph(path: str | Path) -> Hypergraph:
+    return hypergraph_from_json(_read_json(path))

@@ -103,37 +103,6 @@ class Basis:
         return len(self.vectors)
 
 
-def mat_vec(m: SparseMatrix, v: Sequence[Rational | int]) -> tuple[Fraction, ...]:
-    """Exact matrix-vector product ``m @ v``."""
-    if len(v) != m.ncols:
-        raise DomainError(f"vector length {len(v)} != column count {m.ncols}")
-    out = [Fraction(0)] * m.nrows
-    for r, c, val in m.entries:
-        out[r] += val * v[c]
-    return tuple(out)
-
-
-def dedupe_rows(m: SparseMatrix) -> SparseMatrix:
-    """Collapse byte-identical rows, preserving first-occurrence order.
-
-    The row multiset is reduced to distinct rows; the nullspace (and row
-    space) is unchanged.
-    """
-    rows = m.rows_as_dicts()
-    seen: dict[tuple[tuple[int, Fraction], ...], int] = {}
-    kept: list[dict[int, Fraction]] = []
-    for row in rows:
-        key = tuple(sorted(row.items()))
-        if key not in seen:
-            seen[key] = len(kept)
-            kept.append(row)
-    ents = []
-    for r, row in enumerate(kept):
-        for c, v in row.items():
-            ents.append((r, c, v))
-    return SparseMatrix(len(kept), m.ncols, tuple(sorted(ents)))
-
-
 def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:
     """Scale each row to a primitive integer row (content 1)."""
     out = []
@@ -276,5 +245,4 @@ def nullspace(m: SparseMatrix) -> Basis:
     deterministic and invariant under row permutation and row scaling of
     the input.
     """
-    ech = _echelonize(dedupe_rows(m))
-    return ech.kernel_basis(m.ncols)
+    return _echelonize(m).kernel_basis(m.ncols)

@@ -15,6 +15,7 @@ dumps are stable across runs.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import DisconnectedError, DomainError, FormatError, HypersigError, NotEngagedError
-from .hypergraph import MIN_ARITY, Hypergraph, arrangements, is_connected
+from .hypergraph import MIN_ARITY, Hypergraph, _read_json, arrangements, is_connected
 from .linalg import Basis, Rational, SparseMatrix, nullspace
 
 
@@ -336,18 +337,28 @@ def generating_signal(h: Hypergraph) -> Signal:
 # Signal files:
 #   {"vertices": [str, ...], "ell": int, "values": [[rational-str, ...], ...]}
 # with one value array per axis, aligned with the vertex order. Rationals
-# are strings like "3" or "-2/5".
+# are strings like "3" or "-2/5" (or JSON integers); floats, bools, signs
+# other than a leading "-", spaces and non-ASCII digits are rejected.
 #
 # Linear map files: JSON array of arrays of rational strings.
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _parse_rational(v) -> Fraction:
-    if isinstance(v, str) or isinstance(v, int):
+    """A JSON integer (not a bool), or a string ``"3"``, ``"-2/5"``
+    matching ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    if isinstance(v, str) and _RATIONAL.fullmatch(v):
         try:
             return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"invalid rational {v!r}") from exc
-    raise FormatError(f"invalid rational {v!r} (floats are not accepted)")
+        except ZeroDivisionError:
+            raise FormatError(f"invalid rational {v!r}: zero denominator") from None
+    raise FormatError(
+        f"invalid rational {v!r}: expected an integer or a string like \"-2/5\""
+    )
 
 
 def signal_to_json(h: Hypergraph, s: Signal) -> dict:
@@ -371,7 +382,9 @@ def signal_from_json(obj) -> tuple[tuple[str, ...], int, Signal]:
         raise FormatError(f"missing field {exc.args[0]!r}") from None
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise FormatError("'vertices' must be an array of strings")
-    if not isinstance(ell, int) or not isinstance(values, list) or len(values) != ell:
+    if isinstance(ell, bool) or not isinstance(ell, int):
+        raise FormatError("'ell' must be an integer")
+    if not isinstance(values, list) or len(values) != ell:
         raise FormatError("'values' must hold one array per axis")
     rows = []
     for row in values:
@@ -388,11 +401,7 @@ def save_signal(h: Hypergraph, s: Signal, path: str | Path) -> None:
 
 
 def load_signal(path: str | Path) -> tuple[tuple[str, ...], int, Signal]:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON in {path}: {exc}") from exc
-    return signal_from_json(obj)
+    return signal_from_json(_read_json(path))
 
 
 def linear_map_from_json(obj) -> LinearMap:
@@ -409,8 +418,4 @@ def linear_map_from_json(obj) -> LinearMap:
 
 
 def load_linear_map(path: str | Path) -> LinearMap:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON in {path}: {exc}") from exc
-    return linear_map_from_json(obj)
+    return linear_map_from_json(_read_json(path))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hypersig import Hypergraph, LinearMap, Signal, random_hypergraph
+from oracle import covers_all, edges_connected
 
 
 @pytest.fixture
@@ -65,6 +66,20 @@ def random_covered_instance(rng: random.Random, n_max: int = 12) -> Hypergraph:
     relabel = {v: i for i, v in enumerate(covered)}
     labels = [f"x{v}" for v in covered]
     return Hypergraph.build(3, labels, [tuple(relabel[v] for v in e) for e in edges])
+
+
+def random_multiset_instance(
+    rng: random.Random, ell: int, n_max: int = 6, m_max: int = 3
+) -> Hypergraph:
+    """Small random connected ``ell``-uniform hypergraph whose edges may
+    repeat a vertex, deterministic per rng. Every vertex lies in an edge."""
+    while True:
+        n = rng.randint(3, n_max)
+        m = rng.randint(1, m_max)
+        edges = {tuple(sorted(rng.choices(range(n), k=ell))) for _ in range(m)}
+        h = Hypergraph.build(ell, [f"x{i}" for i in range(n)], edges)
+        if covers_all(n, h.edges) and edges_connected(n, h.edges):
+            return h
 
 
 def random_engaged_map(rng: random.Random, ell: int = 3) -> LinearMap:

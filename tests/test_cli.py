@@ -16,6 +16,7 @@ from hypersig import (
     signal_from_json,
     Hypergraph,
 )
+from hypersig import cli
 from hypersig.cli import main, to_dot
 
 
@@ -125,6 +126,15 @@ def test_components_command_flags_uncovered_vertices(tmp_path, capsys):
     out = capsys.readouterr()
     assert "components: 2, centroid signal dimension: 4" in out.out
     assert "disagree" in out.err
+    assert "1 vertex(es) lie in no edge" in out.err
+    assert "internal error" not in out.err
+
+
+def test_components_command_reports_internal_error(tmp_path, fan_path, monkeypatch, capsys):
+    # a mismatch with every vertex covered is a bug, and is reported as one
+    monkeypatch.setattr(cli, "component_count_via_C", lambda h: 2)
+    assert main(["components", "--in", fan_path]) == 1
+    assert "internal error: component counts disagree" in capsys.readouterr().err
 
 
 def test_generate_fan(tmp_path, capsys):

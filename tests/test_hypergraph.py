@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -26,24 +27,28 @@ def two_triangles():
     )
 
 
+# Edges are canonicalized in one place, Hypergraph.build, which every
+# other constructor and the JSON reader go through.
+
+
 def test_canonicalize_edge_sorts(fan_five):
-    assert fan_five.canonicalize_edge((2, 0, 1)) == (0, 1, 2)
+    assert Hypergraph.build(3, fan_five.vertices, [(2, 0, 1)]).edges == ((0, 1, 2),)
 
 
 def test_canonicalize_edge_keeps_repetition(triangle):
-    assert triangle.canonicalize_edge((1, 1, 0)) == (0, 1, 1)
+    assert Hypergraph.build(3, triangle.vertices, [(1, 1, 0)]).edges == ((0, 1, 1),)
 
 
 def test_canonicalize_edge_idempotent(triangle):
-    once = triangle.canonicalize_edge((2, 1, 0))
-    assert triangle.canonicalize_edge(once) == once
+    once = Hypergraph.build(3, triangle.vertices, [(2, 1, 0)])
+    assert Hypergraph.build(3, once.vertices, once.edges) == once
 
 
 def test_canonicalize_edge_errors(triangle):
     with pytest.raises(DomainError):
-        triangle.canonicalize_edge((0, 1))
+        Hypergraph.build(3, triangle.vertices, [(0, 1)])
     with pytest.raises(DomainError):
-        triangle.canonicalize_edge((0, 1, 7))
+        Hypergraph.build(3, triangle.vertices, [(0, 1, 7)])
 
 
 @pytest.mark.parametrize(
@@ -144,15 +149,18 @@ def test_hypergraph_invariants():
     Hypergraph.build(3, ["a"])
 
 
-def test_duplicate_orbits_collapse_with_warning():
+def test_duplicate_orbits_collapse_with_warning(caplog):
     doc = {
         "ell": 3,
         "vertices": ["a", "b", "c"],
         "edges": [["a", "b", "c"], ["c", "b", "a"]],
     }
-    with pytest.warns(UserWarning, match="duplicate"):
+    with caplog.at_level(logging.WARNING, logger="hypersig.hypergraph"):
         h = hypergraph_from_json(doc)
     assert h.n_edges == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        "collapsed 1 duplicate edge orbit(s)"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -166,11 +174,19 @@ def test_duplicate_orbits_collapse_with_warning():
         {"ell": 3, "vertices": ["a", "b", "c"], "edges": [["a", "b", "nope"]]},
         {"ell": "3", "vertices": ["a"], "edges": []},
         {"ell": 2, "vertices": ["a", "b"], "edges": []},
+        {"ell": True, "vertices": ["a"], "edges": []},
+        {"ell": False, "vertices": ["a", "b", "c"], "edges": []},
+        {"ell": 3.0, "vertices": ["a", "b", "c"], "edges": []},
     ],
 )
 def test_json_format_errors(doc):
     with pytest.raises(FormatError):
         hypergraph_from_json(doc)
+
+
+def test_json_rejects_bool_arity():
+    with pytest.raises(FormatError, match="'ell' must be an integer"):
+        hypergraph_from_json({"ell": True, "vertices": ["a", "b", "c"], "edges": []})
 
 
 label_strategy = st.lists(

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersig import DomainError, SparseMatrix, dedupe_rows, mat_vec, nullspace, rank
+from hypersig import (
+    DomainError,
+    Hypergraph,
+    LinearMap,
+    SparseMatrix,
+    assemble_constraints,
+    nullspace,
+    rank,
+)
 from oracle import dense_kernel
 
 
@@ -32,35 +40,22 @@ def test_nullspace_rank_one_row():
     assert [list(v) for v in basis.vectors] == [[-1, 1, 0], [-1, 0, 1]]
 
 
-def test_mat_vec_identity():
-    v = (Fraction(1, 2), Fraction(-3))
-    assert mat_vec(identity(2), v) == v
-
-
-def test_mat_vec_zero_matrix():
-    assert mat_vec(SparseMatrix.from_entries(2, 3, []), [1, 2, 3]) == (0, 0)
-
-
-def test_mat_vec_kernel_member():
-    m = SparseMatrix.from_dense([[1, 1, 1]])
-    assert mat_vec(m, (-1, 1, 0)) == (0,)
-
-
-def test_mat_vec_dimension_mismatch():
-    with pytest.raises(DomainError):
-        mat_vec(identity(2), [1, 2, 3])
+# Row dedupe happens once, in constraint assembly; the echelon reduces any
+# duplicate row that still reaches nullspace to zero.
 
 
 def test_dedupe_collapses_identical_rows():
-    m = SparseMatrix.from_dense([[1, 1, 1], [1, 1, 1]])
-    d = dedupe_rows(m)
-    assert d.nrows == 1
-    assert d.entries == ((0, 0, 1), (0, 1, 1), (0, 2, 1))
+    # a map with two equal rows yields each arrangement's row once
+    h = Hypergraph.build(3, ["u", "v", "w"], [(0, 1, 2)])
+    m = assemble_constraints(h, LinearMap.from_rows([[1, 1, 1], [1, 1, 1]]))
+    assert m.nrows == 6
+    assert len({tuple(sorted(r.items())) for r in m.rows_as_dicts()}) == 6
 
 
 def test_dedupe_keeps_distinct_rows():
-    m = SparseMatrix.from_dense([[1, 0], [0, 1]])
-    assert dedupe_rows(m) == m
+    h = Hypergraph.build(3, ["u", "v", "w"], [(0, 1, 2)])
+    m = assemble_constraints(h, LinearMap.from_rows([[1, -1, 0], [0, 1, -1]]))
+    assert m.nrows == 12
 
 
 def test_sparse_matrix_rejects_bad_entries():
@@ -95,7 +90,10 @@ small_matrices = st.builds(
 def test_nullspace_vectors_lie_in_kernel(m):
     basis = nullspace(m)
     for v in basis.vectors:
-        assert mat_vec(m, v) == (Fraction(0),) * m.nrows
+        product = [Fraction(0)] * m.nrows
+        for r, c, val in m.entries:
+            product[r] += val * v[c]
+        assert product == [0] * m.nrows
 
 
 @given(small_matrices)
@@ -135,7 +133,6 @@ def test_nullspace_unchanged_by_dedupe(m):
     doubled = SparseMatrix.from_dense(
         [[row.get(c, Fraction(0)) for c in range(m.ncols)] for row in m.rows_as_dicts()] * 2
     )
-    assert nullspace(dedupe_rows(doubled)) == nullspace(m)
     assert nullspace(doubled) == nullspace(m)
 
 

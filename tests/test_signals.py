@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from hypersig import (
     constant_space,
     embed_to_universal,
     find_violation,
+    frame,
     generating_signal,
     is_engaged,
     linear_map_from_json,
@@ -218,13 +220,7 @@ def test_generating_signal_matches_basis_refinement_on_random_instances():
     for _ in range(200):
         h = random_connected_instance(rng, n_max=10, m_max=10)
         delta = generating_signal(h)
-        from_delta = Partition.from_keys(delta.values[0])
-        sigs = signal_space(h, universal_map(3)).signals()
-        keys = [
-            tuple(s.values[a][x] for s in sigs for a in range(3))
-            for x in range(h.n_vertices)
-        ]
-        assert from_delta == Partition.from_keys(keys)
+        assert Partition.from_keys(delta.values[0]) == frame(h).fusion
 
 
 def test_universal_basis_axes_differ_by_constants():
@@ -278,12 +274,30 @@ def test_signal_json_uses_rational_strings(triangle):
     assert doc["values"][0][0] == "1/2"
     assert doc["values"][2][0] == "-1/2"
     assert signal_from_json(doc)[2] == sig
+    # JSON integers and unreduced fractions are accepted too
+    doc["values"][1][:3] = [7, "-2/4", "0"]
+    assert signal_from_json(doc)[2].values[1] == (7, Fraction(-1, 2), 0)
 
 
-def test_signal_json_rejects_floats(triangle):
+@pytest.mark.parametrize(
+    "value",
+    [0.5, True, False, None, " 3 ", "1.5", "1e3", "+3", "3/", "/3", "1/-2", "1/0", "\u0663"],
+    ids=repr,
+)
+def test_signal_json_rejects_floats(triangle, value):
     doc = signal_to_json(triangle, Signal.zero(3, 3))
-    doc["values"][0][0] = 0.5
-    with pytest.raises(FormatError):
+    doc["values"][0][0] = value
+    with pytest.raises(FormatError, match=re.escape(repr(value))):
+        signal_from_json(doc)
+    with pytest.raises(FormatError, match=re.escape(repr(value))):
+        linear_map_from_json([["1", value, "1"]])
+
+
+def test_signal_json_rejects_bool_arity(triangle):
+    doc = signal_to_json(triangle, Signal.zero(3, 3))
+    doc["ell"] = True
+    doc["values"] = doc["values"][:1]
+    with pytest.raises(FormatError, match="'ell' must be an integer"):
         signal_from_json(doc)
 
 
