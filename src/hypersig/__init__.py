@@ -67,64 +67,3 @@ from .signals import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Basis",
-    "DisconnectedError",
-    "DomainError",
-    "FormatError",
-    "FrameResult",
-    "Hypergraph",
-    "HypersigError",
-    "InfeasibleError",
-    "LinearMap",
-    "NotEngagedError",
-    "Partition",
-    "Rational",
-    "Signal",
-    "SignalSpace",
-    "SparseMatrix",
-    "SweepConfig",
-    "SweepRow",
-    "arrangements",
-    "assemble_constraints",
-    "attach_simplex",
-    "centroid_map",
-    "component_count_via_C",
-    "components",
-    "constant_space",
-    "dumps_hypergraph",
-    "embed_to_universal",
-    "fan",
-    "find_violation",
-    "fold_pairs",
-    "frame",
-    "frame_result_to_json",
-    "fusion",
-    "generating_signal",
-    "hypergraph_from_json",
-    "hypergraph_to_json",
-    "is_connected",
-    "is_engaged",
-    "is_stable",
-    "linear_map_from_json",
-    "load_hypergraph",
-    "load_linear_map",
-    "load_signal",
-    "mountain_range",
-    "nullspace",
-    "quotient",
-    "random_hypergraph",
-    "rank",
-    "reduction_proportion",
-    "rows_to_csv",
-    "run_sweep",
-    "save_hypergraph",
-    "save_signal",
-    "signal_from_json",
-    "signal_space",
-    "signal_to_json",
-    "stable_seed",
-    "universal_map",
-    "verify_signal",
-]

@@ -20,7 +20,7 @@ from .errors import DisconnectedError, DomainError, FormatError
 from .experiments import DENSITY_MODES, SweepConfig, rows_to_csv, run_sweep
 from .frames import fan, frame, frame_result_to_json, mountain_range
 from .experiments import random_hypergraph
-from .hypergraph import Hypergraph, components, dumps_hypergraph, load_hypergraph
+from .hypergraph import Hypergraph, _write_text, components, dumps_hypergraph, load_hypergraph
 from .signals import (
     LinearMap,
     centroid_map,
@@ -55,7 +55,7 @@ def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_text(out, text)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def cmd_signals(args: argparse.Namespace) -> int:
     print(f"dim {space.dimension}, constant {const.dimension}")
     if args.out:
         docs = [signal_to_json(h, sig) for sig in space.signals()]
-        Path(args.out).write_text(json.dumps(docs, indent=2) + "\n", encoding="utf-8")
+        _write_text(args.out, json.dumps(docs, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -97,13 +97,12 @@ def cmd_frame(args: argparse.Namespace) -> int:
     frame_text = dumps_hypergraph(result.frame)
     classes_text = json.dumps(frame_result_to_json(result, h), indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(frame_text, encoding="utf-8")
-        classes_path = args.classes or _default_classes_path(args.out)
-        Path(classes_path).write_text(classes_text, encoding="utf-8")
+        _write_text(args.out, frame_text)
+        _write_text(args.classes or _default_classes_path(args.out), classes_text)
     else:
         sys.stdout.write(frame_text)
         if args.classes:
-            Path(args.classes).write_text(classes_text, encoding="utf-8")
+            _write_text(args.classes, classes_text)
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from itertools import permutations
 from pathlib import Path
@@ -127,14 +128,6 @@ class Partition:
     class_of: tuple[int, ...] = field(compare=False)
 
     @classmethod
-    def from_class_map(cls, class_of: Sequence[int]) -> "Partition":
-        groups: dict[int, list[int]] = {}
-        for x, c in enumerate(class_of):
-            groups.setdefault(c, []).append(x)
-        blocks = [tuple(sorted(g)) for g in groups.values()]
-        return cls.from_blocks(blocks, len(class_of))
-
-    @classmethod
     def from_blocks(cls, blocks: Iterable[Sequence[int]], n: int) -> "Partition":
         ordered = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
         class_of = [-1] * n
@@ -198,7 +191,7 @@ def _component_roots(n: int, edges: Iterable[Sequence[int]]) -> list[int]:
 def components(h: Hypergraph) -> Partition:
     """Connected components: vertices sharing an edge are merged, and
     isolated vertices end up in singleton classes."""
-    return Partition.from_class_map(_component_roots(h.n_vertices, h.edges))
+    return Partition.from_keys(_component_roots(h.n_vertices, h.edges))
 
 
 def is_connected(h: Hypergraph) -> bool:
@@ -280,7 +273,7 @@ def dumps_hypergraph(h: Hypergraph) -> str:
 
 
 def save_hypergraph(h: Hypergraph, path: str | Path) -> None:
-    Path(path).write_text(dumps_hypergraph(h), encoding="utf-8")
+    _write_text(path, dumps_hypergraph(h))
 
 
 def _read_json(path: str | Path):
@@ -290,6 +283,30 @@ def _read_json(path: str | Path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Replace the file at ``path`` with ``text`` (UTF-8) atomically, via a
+    temporary file in the same directory that ``os.replace`` renames over
+    the target and that is removed if anything fails. A pipe or device is
+    written through: there is no file to replace."""
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        path.write_text(text, encoding="utf-8")
+        return
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        f = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        # name the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_hypergraph(path: str | Path) -> Hypergraph:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -95,9 +95,6 @@ class Basis:
             if len(v) != self.dimension_ambient:
                 raise DomainError("basis vector of wrong length")
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
     @property
     def dimension(self) -> int:
         return len(self.vectors)
@@ -109,15 +106,9 @@ def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:
     for row in m.rows_as_dicts():
         if not row:
             continue
-        scale = 1
-        for v in row.values():
-            scale = scale * v.denominator // gcd(scale, v.denominator)
+        scale = lcm(*(v.denominator for v in row.values()))
         ints = {c: int(v * scale) for c, v in row.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-        if g > 1:
-            ints = {c: v // g for c, v in ints.items()}
+        _reduce_content(ints)
         out.append(ints)
     return out
 
@@ -133,78 +124,53 @@ def _reduce_content(row: dict[int, int]) -> None:
             row[c] //= g
 
 
+def _subtract(r: dict[int, int], c: int, p: dict[int, int]) -> None:
+    """Clear column ``c`` of ``r`` in place: ``r := p[c]*r - r[c]*p``,
+    then divide out the content."""
+    lead, x = p[c], r.pop(c)
+    if lead != 1:
+        for k in r:
+            r[k] *= lead
+    for k, v in p.items():
+        if k != c:
+            nv = r.get(k, 0) - x * v
+            if nv:
+                r[k] = nv
+            else:
+                del r[k]
+    _reduce_content(r)
+
+
 class _Echelon:
     """Incremental reduced echelon form over the rationals.
 
-    Rows are kept as primitive integer dicts; the rational echelon row for
-    pivot column ``c`` is ``rows[c] / rows[c][c]``. Row updates use
-    cross-multiplication followed by content reduction, so no Fraction
-    arithmetic happens in the elimination loop. The reduced echelon form
-    of a row space is unique, hence the result does not depend on
-    insertion order, row scaling, or row permutation of the input.
+    Rows are primitive integer dicts; the rational echelon row for pivot
+    column ``c`` is ``rows[c] / rows[c][c]``, and ``rows[c][c] > 0``.
+    Invariant: each pivot row is zero in every other pivot column, so
+    clearing one pivot column of a row (:func:`_subtract`, integer only)
+    neither creates nor clears another, and one pass over the pivot
+    columns a row hits reduces it fully. The reduced echelon form of a
+    row space is unique, hence the result does not depend on insertion
+    order, row scaling, or row permutation of the input.
     """
 
     def __init__(self) -> None:
         self.rows: dict[int, dict[int, int]] = {}
-        # col -> pivot cols of rows with a nonzero coefficient there
-        self.colindex: dict[int, set[int]] = {}
 
     def insert(self, row: dict[int, int]) -> None:
         r = dict(row)
-        while r:
-            hits = [c for c in r if c in self.rows]
-            if not hits:
-                break
-            c = min(hits)
-            p = self.rows[c]
-            lead, x = p[c], r.pop(c)
-            if lead != 1:
-                for k in list(r):
-                    r[k] *= lead
-            for k, v in p.items():
-                if k == c:
-                    continue
-                nv = r.get(k, 0) - x * v
-                if nv:
-                    r[k] = nv
-                elif k in r:
-                    del r[k]
-            _reduce_content(r)
+        for c in [c for c in r if c in self.rows]:
+            _subtract(r, c, self.rows[c])
         if not r:
             return
         c0 = min(r)
         if r[c0] < 0:
             for k in r:
                 r[k] = -r[k]
-        self._eliminate_column(c0, r)
+        for p in self.rows.values():
+            if c0 in p:
+                _subtract(p, c0, r)
         self.rows[c0] = r
-        for k in r:
-            if k != c0:
-                self.colindex.setdefault(k, set()).add(c0)
-
-    def _eliminate_column(self, c0: int, r: dict[int, int]) -> None:
-        owners = self.colindex.pop(c0, None)
-        if not owners:
-            return
-        lead = r[c0]
-        for pc in owners:
-            p = self.rows[pc]
-            x = p.pop(c0)
-            if lead != 1:
-                for k in list(p):
-                    p[k] *= lead
-            for k, v in r.items():
-                if k == c0:
-                    continue
-                nv = p.get(k, 0) - x * v
-                if nv:
-                    p[k] = nv
-                    self.colindex.setdefault(k, set()).add(pc)
-                else:
-                    if k in p:
-                        del p[k]
-                        self.colindex.get(k, set()).discard(pc)
-            _reduce_content(p)
 
     @property
     def rank(self) -> int:

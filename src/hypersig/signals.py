@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import DisconnectedError, DomainError, FormatError, HypersigError, NotEngagedError
-from .hypergraph import MIN_ARITY, Hypergraph, _read_json, arrangements, is_connected
+from .hypergraph import MIN_ARITY, Hypergraph, _read_json, _write_text, arrangements, is_connected
 from .linalg import Basis, Rational, SparseMatrix, nullspace
 
 
@@ -49,14 +49,6 @@ class LinearMap:
     def column(self, a: int) -> tuple[Fraction, ...]:
         """Image of the ``a``-th standard basis vector of axis space."""
         return tuple(self.entries[i][a] for i in range(self.r))
-
-    def apply(self, v: Sequence[Rational | int]) -> tuple[Fraction, ...]:
-        if len(v) != self.ell:
-            raise DomainError(f"vector length {len(v)} != {self.ell}")
-        return tuple(
-            sum((row[a] * v[a] for a in range(self.ell)), Fraction(0))
-            for row in self.entries
-        )
 
 
 def universal_map(ell: int) -> LinearMap:
@@ -127,10 +119,9 @@ class Signal:
 
 @dataclass(frozen=True)
 class SignalSpace:
-    """A space of admissible signals: hypergraph, map and an exact basis
-    over the ambient dimension ``ell * n_vertices``."""
+    """A space of admissible signals: map and an exact basis over the
+    ambient dimension ``ell * n_vertices``."""
 
-    hypergraph: Hypergraph | None
     linear_map: LinearMap
     basis: Basis
 
@@ -199,10 +190,9 @@ def find_violation(
         )
     for e in h.edges:
         for arr in arrangements(e):
-            pulled = tuple(s.values[a][arr[a]] for a in range(h.ell))
-            image = t.apply(pulled)
-            for i, v in enumerate(image):
-                if v != 0:
+            pulled = [s.values[a][arr[a]] for a in range(h.ell)]
+            for i, row in enumerate(t.entries):
+                if sum(c * v for c, v in zip(row, pulled) if c and v):
                     return e, arr, i
     return None
 
@@ -221,7 +211,7 @@ def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
     internal error and raises.
     """
     basis = nullspace(assemble_constraints(h, t))
-    space = SignalSpace(h, t, basis)
+    space = SignalSpace(t, basis)
     for sig in space.signals():
         witness = find_violation(h, t, sig)
         if witness is not None:
@@ -244,7 +234,7 @@ def constant_space(t: LinearMap, n_vertices: int) -> SignalSpace:
     for lam in kernel.vectors:
         sig = Signal.from_rows([[lam[a]] * n_vertices for a in range(t.ell)])
         vectors.append(sig.flatten())
-    return SignalSpace(None, t, Basis(t.ell * n_vertices, tuple(vectors)))
+    return SignalSpace(t, Basis(t.ell * n_vertices, tuple(vectors)))
 
 
 def component_count_via_C(h: Hypergraph) -> int:
@@ -395,9 +385,7 @@ def signal_from_json(obj) -> tuple[tuple[str, ...], int, Signal]:
 
 
 def save_signal(h: Hypergraph, s: Signal, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(signal_to_json(h, s), indent=2) + "\n", encoding="utf-8"
-    )
+    _write_text(path, json.dumps(signal_to_json(h, s), indent=2) + "\n")
 
 
 def load_signal(path: str | Path) -> tuple[tuple[str, ...], int, Signal]:

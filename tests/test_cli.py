@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import re
 
 import pytest
@@ -257,6 +259,38 @@ def test_exit_code_on_malformed_input(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["frame", "--in", str(path)]) == 2
     assert main(["signals", "--in", str(tmp_path / "missing.json")]) == 2
+
+
+def test_frame_out_keeps_old_file_when_replace_fails(tmp_path, fan_path, monkeypatch, capsys):
+    out = tmp_path / "framed.json"
+    out.write_bytes(b"old\n")
+
+    def fail(src, dst):
+        raise OSError(errno.EIO, "injected failure")
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert main(["frame", "--in", fan_path, "--out", str(out)]) == 2
+    assert out.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fan.json", "framed.json"]
+
+
+def test_out_to_a_pipe_writes_through(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["generate", "fan", "--n", "1", "--out", str(fifo)]) == 0
+        assert os.read(reader, 1 << 16) == dumps_hypergraph(fan(1)).encode()
+    finally:
+        os.close(reader)
+
+
+def test_write_into_missing_directory_names_target(tmp_path, capsys):
+    out = tmp_path / "missing" / "fan.json"
+    assert main(["generate", "fan", "--n", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.ENOENT}] No such file or directory: '{out}'\n"
+    )
 
 
 def test_roundtrip_via_cli_files(tmp_path, fan_five):

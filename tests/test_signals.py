@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_connected_instance, random_covered_instance, random_engaged_map
+from conftest import (
+    random_connected_instance,
+    random_covered_instance,
+    random_engaged_map,
+    random_multiset_instance,
+)
 from hypersig import (
     DisconnectedError,
     DomainError,
@@ -33,7 +38,7 @@ from hypersig import (
     universal_map,
     verify_signal,
 )
-from oracle import oracle_signal_dimension
+from oracle import oracle_signal_basis, oracle_signal_dimension
 
 
 def test_universal_map_matrix():
@@ -53,13 +58,12 @@ def test_universal_fixes_axis_indicators():
     for a in range(4):
         unit = [0] * 4
         unit[a] = 1
-        assert t.apply(unit) == (1,)
+        assert t.column(a) == (1,)
 
 
 def test_centroid_map_matrix():
     t = centroid_map(3)
     assert t.entries == ((1, -1, 0), (0, 1, -1))
-    assert t.apply((1, 1, 1)) == (0, 0)
     with pytest.raises(DomainError):
         centroid_map(2)
 
@@ -135,11 +139,25 @@ def test_verify_zero_signal(fan_five):
     assert verify_signal(fan_five, centroid_map(3), zero)
 
 
-def test_verify_rejects_indicator(triangle):
-    sig = Signal.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    assert not verify_signal(triangle, universal_map(3), sig)
-    witness = find_violation(triangle, universal_map(3), sig)
-    assert witness == ((0, 1, 2), (0, 1, 2), 0)
+@pytest.mark.parametrize(
+    "rows, values, witness",
+    [
+        ([[1, 1, 1]], [[1, 0, 0], [0, 0, 0], [0, 0, 0]], ((0, 1, 2), (0, 1, 2), 0)),
+        # map row 0 vanishes on every arrangement; map row 1 first fails at
+        # the fourth arrangement (1, 2, 0), the first that puts vertex 0 on
+        # the last axis
+        (
+            [[Fraction(1, 2), Fraction(-1, 2), 0], [Fraction(1, 2), 0, Fraction(-1, 3)]],
+            [[2, 2, 2], [2, 2, 2], [5, 3, 3]],
+            ((0, 1, 2), (1, 2, 0), 1),
+        ),
+    ],
+    ids=["universal", "two-row-rational"],
+)
+def test_verify_rejects_indicator(triangle, rows, values, witness):
+    t, sig = LinearMap.from_rows(rows), Signal.from_rows(values)
+    assert not verify_signal(triangle, t, sig)
+    assert find_violation(triangle, t, sig) == witness
 
 
 def test_verify_shape_mismatch(triangle):
@@ -252,11 +270,20 @@ def test_dimension_lower_bound_from_kernel():
 
 
 def test_sparse_dimension_matches_dense_oracle_on_random_maps():
+    """The whole canonical basis, not just its size, equals the dense
+    Gauss-Jordan oracle's, at ell 3 to 5 and under integer and rational
+    maps."""
     rng = random.Random(5153)
-    for _ in range(25):
-        h = random_connected_instance(rng, n_max=6, m_max=5)
-        t = random_engaged_map(rng)
-        assert signal_space(h, t).dimension == oracle_signal_dimension(h, t)
+    for i, ell in enumerate((3,) * 25 + (4,) * 6 + (5,) * 2):
+        if ell == 3:
+            h = random_connected_instance(rng, n_max=6, m_max=5)
+        else:
+            h = random_multiset_instance(rng, ell)
+        t = random_engaged_map(rng, ell)
+        if i % 2:
+            t = LinearMap.from_rows([[Fraction(v, rng.randint(2, 5)) for v in row] for row in t.entries])
+        basis = signal_space(h, t).basis.vectors
+        assert [list(v) for v in basis] == oracle_signal_basis(h, t)
 
 
 def test_signal_json_roundtrip(tmp_path, triangle, skew_signal):
