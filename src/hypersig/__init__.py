@@ -42,7 +42,7 @@ from .hypergraph import (
     quotient,
     save_hypergraph,
 )
-from .linalg import Basis, Rational, SparseMatrix, nullspace, rank
+from .linalg import Basis, SparseMatrix, nullspace
 from .signals import (
     LinearMap,
     Signal,

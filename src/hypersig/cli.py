@@ -11,16 +11,16 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import DisconnectedError, DomainError, FormatError
-from .experiments import DENSITY_MODES, SweepConfig, rows_to_csv, run_sweep
+from .experiments import DENSITY_MODES, SweepConfig, random_hypergraph, rows_to_csv, run_sweep
 from .frames import fan, frame, frame_result_to_json, mountain_range
-from .experiments import random_hypergraph
-from .hypergraph import Hypergraph, _write_text, components, dumps_hypergraph, load_hypergraph
+from .hypergraph import (
+    Hypergraph, _dumps, _write_text, components, dumps_hypergraph, load_hypergraph
+)
 from .signals import (
     LinearMap,
     centroid_map,
@@ -45,10 +45,7 @@ def _resolve_map(choice: str, ell: int) -> LinearMap:
         return universal_map(ell)
     if choice == "C":
         return centroid_map(ell)
-    t = load_linear_map(choice)
-    if t.ell != ell:
-        raise DomainError(f"map arity {t.ell} does not match hypergraph arity {ell}")
-    return t
+    return load_linear_map(choice)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -66,18 +63,18 @@ def _write_or_print(text: str, out: str | None) -> None:
 def cmd_signals(args: argparse.Namespace) -> int:
     h = load_hypergraph(args.infile)
     t = _resolve_map(args.map, h.ell)
+    space = signal_space(h, t)  # a map of the wrong arity fails here, before any warning
     if not is_engaged(t):
         print(
             "warning: map is not engaged (it has a zero column); "
             "the corresponding axis is unconstrained",
             file=sys.stderr,
         )
-    space = signal_space(h, t)
     const = constant_space(t, h.n_vertices)
     print(f"dim {space.dimension}, constant {const.dimension}")
     if args.out:
         docs = [signal_to_json(h, sig) for sig in space.signals()]
-        _write_text(args.out, json.dumps(docs, indent=2) + "\n")
+        _write_text(args.out, _dumps(docs))
     return EXIT_OK
 
 
@@ -95,7 +92,7 @@ def cmd_frame(args: argparse.Namespace) -> int:
     if h.n_edges:
         print(f"reduction proportion: {Fraction(result.frame.n_edges, h.n_edges)}")
     frame_text = dumps_hypergraph(result.frame)
-    classes_text = json.dumps(frame_result_to_json(result, h), indent=2) + "\n"
+    classes_text = _dumps(frame_result_to_json(result, h))
     if args.out:
         _write_text(args.out, frame_text)
         _write_text(args.classes or _default_classes_path(args.out), classes_text)
@@ -143,10 +140,21 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_list(flag: str, text: str, parse) -> tuple:
+    """Items of a comma-separated flag value; a bad item is a FormatError."""
+    items = []
+    for s in filter(None, text.split(",")):
+        try:
+            items.append(parse(s))
+        except (ValueError, ZeroDivisionError):
+            raise FormatError(f"invalid value {s!r} for {flag}") from None
+    return tuple(items)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = SweepConfig(
-        vertex_counts=tuple(int(s) for s in args.sizes.split(",") if s),
-        densities=tuple(Fraction(s) for s in args.densities.split(",") if s),
+        vertex_counts=_parse_list("--sizes", args.sizes, int),
+        densities=_parse_list("--densities", args.densities, Fraction),
         runs_per_cell=args.runs,
         seed=args.seed,
         ell=args.ell,

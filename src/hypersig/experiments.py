@@ -20,7 +20,6 @@ from typing import Sequence
 from .errors import DomainError, InfeasibleError
 from .frames import frame
 from .hypergraph import Hypergraph, _component_roots, is_connected
-from .linalg import Rational
 
 log = logging.getLogger(__name__)
 
@@ -198,7 +197,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
 CSV_HEADER = "n,m,density,runs,mean_reduction,stddev"
 
 
-def _decimal(value: Rational | Fraction) -> str:
+def _decimal(value: Fraction) -> str:
     return f"{float(value):.6f}"
 
 

@@ -60,7 +60,7 @@ def frame(h: Hypergraph, t: LinearMap | None = None) -> FrameResult:
     quotient by the fusion partition, with the label map from original to
     frame vertices."""
     part = fusion(h, universal_map(h.ell) if t is None else t)
-    framed, part = quotient(h, part)
+    framed = quotient(h, part)
     class_map = {
         h.vertices[x]: framed.vertices[part.class_of[x]] for x in range(h.n_vertices)
     }

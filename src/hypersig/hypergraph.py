@@ -152,10 +152,6 @@ class Partition:
             groups.setdefault(k, []).append(x)
         return cls.from_blocks(list(groups.values()), len(keys))
 
-    @classmethod
-    def singletons(cls, n: int) -> "Partition":
-        return cls(tuple((i,) for i in range(n)), tuple(range(n)))
-
     @property
     def n_elements(self) -> int:
         return len(self.class_of)
@@ -198,21 +194,20 @@ def is_connected(h: Hypergraph) -> bool:
     return components(h).n_classes == 1
 
 
-def quotient(h: Hypergraph, p: Partition) -> tuple[Hypergraph, Partition]:
+def quotient(h: Hypergraph, p: Partition) -> Hypergraph:
     """Quotient of ``h`` by the equivalence ``p``.
 
     Each class becomes one vertex, labelled by the original label of its
     smallest member; edges are mapped entrywise through the class map and
     canonicalized, with duplicate images collapsed (the quotient edge set
-    is a set of orbits). Returns the quotient and the partition used.
+    is a set of orbits).
     """
     if p.n_elements != h.n_vertices:
         raise DomainError(
             f"partition covers {p.n_elements} elements, hypergraph has {h.n_vertices}"
         )
     labels = tuple(h.vertices[block[0]] for block in p.classes)
-    mapped = {tuple(sorted(p.class_of[v] for v in e)) for e in h.edges}
-    return Hypergraph(h.ell, labels, tuple(sorted(mapped))), p
+    return Hypergraph.build(h.ell, labels, ([p.class_of[v] for v in e] for e in h.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -254,34 +249,38 @@ def hypergraph_from_json(obj) -> Hypergraph:
         if not isinstance(e, list) or len(e) != ell:
             raise FormatError(f"edge {e!r} must be an array of {ell} vertex labels")
         try:
-            id_edges.append(tuple(sorted(index[lab] for lab in e)))
+            id_edges.append([index[lab] for lab in e])
         except (KeyError, TypeError):
             raise FormatError(f"edge {e!r} references unknown vertex") from None
-    distinct = set(id_edges)
-    if len(distinct) != len(id_edges):
-        log.warning(
-            "collapsed %d duplicate edge orbit(s)", len(id_edges) - len(distinct)
-        )
     try:
-        return Hypergraph(ell, tuple(vertices), tuple(sorted(distinct)))
+        h = Hypergraph.build(ell, vertices, id_edges)
     except DomainError as exc:
         raise FormatError(str(exc)) from exc
+    if h.n_edges != len(id_edges):
+        log.warning("collapsed %d duplicate edge orbit(s)", len(id_edges) - h.n_edges)
+    return h
 
 
 def dumps_hypergraph(h: Hypergraph) -> str:
-    return json.dumps(hypergraph_to_json(h), indent=2) + "\n"
+    return _dumps(hypergraph_to_json(h))
 
 
 def save_hypergraph(h: Hypergraph, path: str | Path) -> None:
     _write_text(path, dumps_hypergraph(h))
 
 
+def _dumps(obj) -> str:
+    """JSON text as every file of this package is written: indent 2, newline."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
 def _read_json(path: str | Path):
-    """Parsed contents of a UTF-8 JSON file; malformed JSON is a
-    FormatError naming the file."""
+    """Parsed contents of a UTF-8 JSON file; a file that does not decode or
+    parse (too many digits and too deep nesting included) is a FormatError
+    naming the file."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc
 
 

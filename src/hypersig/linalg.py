@@ -1,9 +1,9 @@
 """Exact rational linear algebra: sparse matrices and nullspace bases.
 
-Scalars are ``fractions.Fraction`` values (exported as :data:`Rational`),
-so every result in this module is exact; no floating point appears
-anywhere. The central operation is :func:`nullspace`, which returns the
-canonical reduced-echelon kernel basis of a sparse rational matrix.
+Scalars are ``fractions.Fraction`` values, so every result in this module
+is exact; no floating point appears anywhere. The central operation is
+:func:`nullspace`, which returns the canonical reduced-echelon kernel
+basis of a sparse rational matrix.
 """
 
 from __future__ import annotations
@@ -11,13 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError
-
-# The scalar field: exact, arbitrary precision, always in lowest terms
-# with a positive denominator.
-Rational = Fraction
 
 Entry = tuple[int, int, Fraction]
 
@@ -49,16 +45,7 @@ class SparseMatrix:
             seen.add((r, c))
 
     @classmethod
-    def from_entries(
-        cls, nrows: int, ncols: int, entries: Iterable[tuple[int, int, Rational | int]]
-    ) -> "SparseMatrix":
-        ents = tuple(
-            sorted((r, c, Fraction(v)) for r, c, v in entries if v != 0)
-        )
-        return cls(nrows, ncols, ents)
-
-    @classmethod
-    def from_dense(cls, rows: Sequence[Sequence[Rational | int]]) -> "SparseMatrix":
+    def from_dense(cls, rows: Sequence[Sequence[Fraction | int]]) -> "SparseMatrix":
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
         ents = []
@@ -172,10 +159,6 @@ class _Echelon:
                 _subtract(p, c0, r)
         self.rows[c0] = r
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def kernel_basis(self, ncols: int) -> Basis:
         free = [c for c in range(ncols) if c not in self.rows]
         vectors = []
@@ -189,19 +172,6 @@ class _Echelon:
         return Basis(ncols, tuple(vectors))
 
 
-def _echelonize(m: SparseMatrix) -> _Echelon:
-    ech = _Echelon()
-    # insert sparse rows first; keeps intermediate fill-in low
-    for row in sorted(_integer_rows(m), key=lambda r: (len(r), sorted(r.items()))):
-        ech.insert(row)
-    return ech
-
-
-def rank(m: SparseMatrix) -> int:
-    """Rank of ``m``, read off the elimination."""
-    return _echelonize(m).rank
-
-
 def nullspace(m: SparseMatrix) -> Basis:
     """Canonical basis of ``{v : m @ v = 0}``.
 
@@ -211,4 +181,8 @@ def nullspace(m: SparseMatrix) -> Basis:
     deterministic and invariant under row permutation and row scaling of
     the input.
     """
-    return _echelonize(m).kernel_basis(m.ncols)
+    ech = _Echelon()
+    # insert sparse rows first; keeps intermediate fill-in low
+    for row in sorted(_integer_rows(m), key=lambda r: (len(r), sorted(r.items()))):
+        ech.insert(row)
+    return ech.kernel_basis(m.ncols)

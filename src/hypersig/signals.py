@@ -14,7 +14,6 @@ dumps are stable across runs.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,8 +22,10 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import DisconnectedError, DomainError, FormatError, HypersigError, NotEngagedError
-from .hypergraph import MIN_ARITY, Hypergraph, _read_json, _write_text, arrangements, is_connected
-from .linalg import Basis, Rational, SparseMatrix, nullspace
+from .hypergraph import (
+    MIN_ARITY, Hypergraph, _dumps, _read_json, _write_text, arrangements, is_connected
+)
+from .linalg import Basis, SparseMatrix, nullspace
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class LinearMap:
             raise DomainError("entry matrix shape mismatch")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Rational | int]]) -> "LinearMap":
+    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "LinearMap":
         ents = tuple(tuple(Fraction(v) for v in row) for row in rows)
         return cls(len(ents), len(ents[0]) if ents else 0, ents)
 
@@ -92,12 +93,8 @@ class Signal:
     values: tuple[tuple[Fraction, ...], ...]
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Rational | int]]) -> "Signal":
+    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "Signal":
         return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
-
-    @classmethod
-    def zero(cls, ell: int, n: int) -> "Signal":
-        return cls(tuple((Fraction(0),) * n for _ in range(ell)))
 
     @property
     def ell(self) -> int:
@@ -106,15 +103,6 @@ class Signal:
     @property
     def n_vertices(self) -> int:
         return len(self.values[0]) if self.values else 0
-
-    def flatten(self) -> tuple[Fraction, ...]:
-        return tuple(v for row in self.values for v in row)
-
-    @classmethod
-    def from_flat(cls, vec: Sequence[Fraction], ell: int, n: int) -> "Signal":
-        if len(vec) != ell * n:
-            raise DomainError("flat vector length mismatch")
-        return cls(tuple(tuple(vec[a * n : (a + 1) * n]) for a in range(ell)))
 
 
 @dataclass(frozen=True)
@@ -130,8 +118,9 @@ class SignalSpace:
         return self.basis.dimension
 
     def signals(self) -> list[Signal]:
-        n = self.basis.dimension_ambient // self.linear_map.ell
-        return [Signal.from_flat(v, self.linear_map.ell, n) for v in self.basis.vectors]
+        ell, vectors = self.linear_map.ell, self.basis.vectors
+        n = self.basis.dimension_ambient // ell
+        return [Signal(tuple(v[a * n : (a + 1) * n] for a in range(ell))) for v in vectors]
 
 
 def _check_arity(h: Hypergraph, t: LinearMap) -> None:
@@ -142,38 +131,21 @@ def _check_arity(h: Hypergraph, t: LinearMap) -> None:
 def assemble_constraints(h: Hypergraph, t: LinearMap) -> SparseMatrix:
     """Sparse constraint system whose nullspace is the signal space.
 
-    One row per (map row, edge, distinct arrangement); the row places
-    coefficient ``M[i][a]`` in column ``(a, arrangement[a])``, accumulating
-    when several contributions land on one column. Byte-identical rows are
-    deduplicated.
+    One row per (edge, distinct arrangement, map row), in that order: the
+    nonzero coefficients ``M[i][a]`` at columns ``(a, arrangement[a])``,
+    which strictly ascend with ``a``. Equal rows are kept once, at their
+    first position; a zero map row gives one empty row.
     """
     _check_arity(h, t)
     n = h.n_vertices
-    rows: list[dict[int, Fraction]] = []
-    seen: set[tuple[tuple[int, Fraction], ...]] = set()
-    for e in h.edges:
-        for arr in arrangements(e):
-            for i in range(t.r):
-                row: dict[int, Fraction] = {}
-                for a in range(t.ell):
-                    coeff = t.entries[i][a]
-                    if coeff == 0:
-                        continue
-                    col = a * n + arr[a]
-                    acc = row.get(col, Fraction(0)) + coeff
-                    if acc == 0:
-                        row.pop(col, None)
-                    else:
-                        row[col] = acc
-                key = tuple(sorted(row.items()))
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(row)
-    entries = []
-    for r_idx, row in enumerate(rows):
-        for col, v in row.items():
-            entries.append((r_idx, col, v))
-    return SparseMatrix(len(rows), t.ell * n, tuple(sorted(entries)))
+    rows = dict.fromkeys(
+        tuple((a * n + x, c) for a, (x, c) in enumerate(zip(arr, coeffs)) if c)
+        for e in h.edges
+        for arr in arrangements(e)
+        for coeffs in t.entries
+    )
+    entries = tuple((r, col, c) for r, row in enumerate(rows) for col, c in row)
+    return SparseMatrix(len(rows), t.ell * n, entries)
 
 
 def find_violation(
@@ -223,18 +195,11 @@ def constant_space(t: LinearMap, n_vertices: int) -> SignalSpace:
     """Signals that are constant on every axis, with axis values drawn
     from the kernel of the map. Admissible for every hypergraph of
     matching arity."""
-    kernel = nullspace(
-        SparseMatrix.from_entries(
-            t.r,
-            t.ell,
-            ((i, a, t.entries[i][a]) for i in range(t.r) for a in range(t.ell)),
-        )
+    kernel = nullspace(SparseMatrix.from_dense(t.entries))
+    vectors = tuple(
+        tuple(x for x in lam for _ in range(n_vertices)) for lam in kernel.vectors
     )
-    vectors = []
-    for lam in kernel.vectors:
-        sig = Signal.from_rows([[lam[a]] * n_vertices for a in range(t.ell)])
-        vectors.append(sig.flatten())
-    return SignalSpace(t, Basis(t.ell * n_vertices, tuple(vectors)))
+    return SignalSpace(t, Basis(t.ell * n_vertices, vectors))
 
 
 def component_count_via_C(h: Hypergraph) -> int:
@@ -346,6 +311,8 @@ def _parse_rational(v) -> Fraction:
             return Fraction(v)
         except ZeroDivisionError:
             raise FormatError(f"invalid rational {v!r}: zero denominator") from None
+        except ValueError:  # more digits than int() converts
+            raise FormatError(f"invalid rational {v!r}: too many digits") from None
     raise FormatError(
         f"invalid rational {v!r}: expected an integer or a string like \"-2/5\""
     )
@@ -385,7 +352,7 @@ def signal_from_json(obj) -> tuple[tuple[str, ...], int, Signal]:
 
 
 def save_signal(h: Hypergraph, s: Signal, path: str | Path) -> None:
-    _write_text(path, json.dumps(signal_to_json(h, s), indent=2) + "\n")
+    _write_text(path, _dumps(signal_to_json(h, s)))
 
 
 def load_signal(path: str | Path) -> tuple[tuple[str, ...], int, Signal]:

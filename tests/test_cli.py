@@ -61,8 +61,10 @@ def test_signals_command_warns_on_unengaged_map(tmp_path, fan_path, capsys):
 
 def test_signals_command_arity_mismatch(tmp_path, fan_path, capsys):
     map_path = tmp_path / "t.json"
-    map_path.write_text(json.dumps([["1", "1", "1", "1"]]))
+    # not engaged either: the arity error comes alone, without the warning
+    map_path.write_text(json.dumps([["1", "0", "1", "1"]]))
     assert main(["signals", "--in", fan_path, "--map", str(map_path)]) == 1
+    assert capsys.readouterr().err == "error: map arity 4 != hypergraph arity 3\n"
 
 
 def test_frame_command(tmp_path, fan_path, capsys):
@@ -185,6 +187,21 @@ def test_sweep_command(tmp_path, capsys):
     assert out.read_bytes() == first
 
 
+@pytest.mark.parametrize(
+    "flag, value, code",
+    [("--sizes", "abc", 2), ("--densities", "x", 2), ("--densities", "1/0", 2),
+     ("--sizes", "0", 1), ("--densities", "-1", 1)],
+)
+def test_sweep_rejects_bad_lists(flag, value, code, capsys):
+    # unparsable items are format errors; parsed but invalid ones stay
+    # domain errors
+    assert main(["sweep", "--runs", "1", flag, value]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if code == 2:
+        assert err == f"error: invalid value {value!r} for {flag}\n"
+
+
 def test_verify_command_pass(tmp_path, triangle, skew_map, skew_signal, capsys):
     hpath = write(tmp_path / "tri.json", triangle)
     spath = tmp_path / "sig.json"
@@ -198,7 +215,7 @@ def test_verify_command_pass(tmp_path, triangle, skew_map, skew_signal, capsys):
 def test_verify_command_zero_signal(tmp_path, triangle, capsys):
     hpath = write(tmp_path / "tri.json", triangle)
     spath = tmp_path / "sig.json"
-    save_signal(triangle, Signal.zero(3, 3), spath)
+    save_signal(triangle, Signal.from_rows([[0] * 3] * 3), spath)
     assert main(["verify", "--in", hpath, "--signal", str(spath)]) == 0
     assert capsys.readouterr().out.strip() == "pass"
 
@@ -223,7 +240,7 @@ def test_verify_command_locates_corruption(tmp_path, triangle, skew_map, skew_si
 def test_verify_command_vertex_mismatch(tmp_path, triangle, fan_five, capsys):
     hpath = write(tmp_path / "tri.json", triangle)
     spath = tmp_path / "sig.json"
-    save_signal(fan_five, Signal.zero(3, 5), spath)
+    save_signal(fan_five, Signal.from_rows([[0] * 5] * 3), spath)
     assert main(["verify", "--in", hpath, "--signal", str(spath)]) == 2
 
 
@@ -259,6 +276,27 @@ def test_exit_code_on_malformed_input(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["frame", "--in", str(path)]) == 2
     assert main(["signals", "--in", str(tmp_path / "missing.json")]) == 2
+
+
+UNREADABLE_JSON = {
+    "invalid-utf8": b'{"ell": 3, "vertices": ["\xff"], "edges": []}',
+    "too-many-digits": b"[" + b"9" * 5000 + b"]",
+    "too-deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["frame", "signals", "verify"])
+@pytest.mark.parametrize("content", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON.keys())
+def test_unreadable_json_exits_2(tmp_path, fan_path, command, content, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = {
+        "frame": ["frame", "--in", str(bad)],
+        "signals": ["signals", "--in", fan_path, "--map", str(bad)],
+        "verify": ["verify", "--in", fan_path, "--signal", str(bad)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid JSON in {bad}: ")
 
 
 def test_frame_out_keeps_old_file_when_replace_fails(tmp_path, fan_path, monkeypatch, capsys):

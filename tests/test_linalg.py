@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,13 @@ from hypersig import (
     SparseMatrix,
     assemble_constraints,
     nullspace,
-    rank,
 )
-from oracle import dense_kernel
+from conftest import random_engaged_map, random_multiset_instance
+from oracle import dense_constraint_rows, dense_kernel
 
 
 def identity(n):
-    return SparseMatrix.from_entries(n, n, [(i, i, 1) for i in range(n)])
+    return SparseMatrix.from_dense([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def test_nullspace_identity_is_trivial():
@@ -27,7 +28,7 @@ def test_nullspace_identity_is_trivial():
 
 
 def test_nullspace_zero_matrix_is_everything():
-    basis = nullspace(SparseMatrix.from_entries(2, 3, []))
+    basis = nullspace(SparseMatrix.from_dense([[0, 0, 0], [0, 0, 0]]))
     assert [list(v) for v in basis.vectors] == [
         [1, 0, 0],
         [0, 1, 0],
@@ -56,6 +57,43 @@ def test_dedupe_keeps_distinct_rows():
     h = Hypergraph.build(3, ["u", "v", "w"], [(0, 1, 2)])
     m = assemble_constraints(h, LinearMap.from_rows([[1, -1, 0], [0, 1, -1]]))
     assert m.nrows == 12
+
+
+def test_assembly_keeps_first_seen_row_order_and_the_empty_row():
+    # edge (u, u, v), arrangements (u,u,v), (u,v,u), (v,u,u); columns are
+    # 2a + x. Map row 2 repeats row 0, and the zero row 1 gives one empty
+    # row, kept where it first appears rather than sorted to the front.
+    h = Hypergraph.build(3, ["u", "v"], [(0, 0, 1)])
+    t = LinearMap.from_rows([[0, 1, 2], [0, 0, 0], [0, 1, 2], [1, 0, 0]])
+    m = assemble_constraints(h, t)
+    assert m.nrows == 6
+    assert m.entries == (
+        (0, 2, 1), (0, 5, 2),  # (u,u,v), map row 0
+        # row 1 is empty: (u,u,v), map row 1
+        (2, 0, 1),  # (u,u,v), map row 3
+        (3, 3, 1), (3, 4, 2),  # (u,v,u), map row 0
+        (4, 2, 1), (4, 4, 2),  # (v,u,u), map row 0
+        (5, 1, 1),  # (v,u,u), map row 3
+    )
+
+
+def test_assembly_rows_are_the_distinct_oracle_rows():
+    """The assembled rows are exactly the distinct rows of the dense
+    oracle system, each once, under maps with a duplicated row, a zero
+    row and rational entries, on edges that repeat vertices."""
+    rng = random.Random(4417)
+    for ell in (3,) * 12 + (4,) * 6 + (5,) * 3:
+        h = random_multiset_instance(rng, ell)
+        rows = [list(row) for row in random_engaged_map(rng, ell).entries]
+        rows += [rows[0], [0] * ell, [Fraction(v, rng.randint(1, 4)) for v in rows[-1]]]
+        rng.shuffle(rows)
+        t = LinearMap.from_rows(rows)
+        m = assemble_constraints(h, t)
+        dense = [
+            tuple(row.get(c, Fraction(0)) for c in range(m.ncols)) for row in m.rows_as_dicts()
+        ]
+        assert len(set(dense)) == m.nrows
+        assert set(dense) == set(map(tuple, dense_constraint_rows(h, t)))
 
 
 def test_sparse_matrix_rejects_bad_entries():
@@ -94,12 +132,6 @@ def test_nullspace_vectors_lie_in_kernel(m):
         for r, c, val in m.entries:
             product[r] += val * v[c]
         assert product == [0] * m.nrows
-
-
-@given(small_matrices)
-@settings(max_examples=120, deadline=None)
-def test_rank_nullity(m):
-    assert rank(m) + nullspace(m).dimension == m.ncols
 
 
 @given(small_matrices)

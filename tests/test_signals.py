@@ -134,7 +134,7 @@ def test_constant_signals_admissible_for_any_hypergraph(fan_five, skew_map):
 
 
 def test_verify_zero_signal(fan_five):
-    zero = Signal.zero(3, 5)
+    zero = Signal.from_rows([[0] * 5] * 3)
     assert verify_signal(fan_five, universal_map(3), zero)
     assert verify_signal(fan_five, centroid_map(3), zero)
 
@@ -162,7 +162,7 @@ def test_verify_rejects_indicator(triangle, rows, values, witness):
 
 def test_verify_shape_mismatch(triangle):
     with pytest.raises(DomainError):
-        verify_signal(triangle, universal_map(3), Signal.zero(3, 4))
+        verify_signal(triangle, universal_map(3), Signal.from_rows([[0] * 4] * 3))
 
 
 def test_component_count_examples(fan_five):
@@ -202,7 +202,7 @@ def test_embed_constant_signal_stays_constant(triangle, skew_map):
 
 def test_embed_requires_engaged(triangle):
     t = LinearMap.from_rows([[1, 0, 1]])
-    sig = Signal.zero(3, 3)
+    sig = Signal.from_rows([[0] * 3] * 3)
     with pytest.raises(NotEngagedError) as err:
         embed_to_universal(triangle, t, sig)
     assert err.value.axis == 1
@@ -308,11 +308,12 @@ def test_signal_json_uses_rational_strings(triangle):
 
 @pytest.mark.parametrize(
     "value",
-    [0.5, True, False, None, " 3 ", "1.5", "1e3", "+3", "3/", "/3", "1/-2", "1/0", "\u0663"],
+    [0.5, True, False, None, " 3 ", "1.5", "1e3", "+3", "3/", "/3", "1/-2", "1/0", "\u0663",
+     pytest.param("9" * 5000, id="'9'*5000")],
     ids=repr,
 )
 def test_signal_json_rejects_floats(triangle, value):
-    doc = signal_to_json(triangle, Signal.zero(3, 3))
+    doc = signal_to_json(triangle, Signal.from_rows([[0] * 3] * 3))
     doc["values"][0][0] = value
     with pytest.raises(FormatError, match=re.escape(repr(value))):
         signal_from_json(doc)
@@ -321,7 +322,7 @@ def test_signal_json_rejects_floats(triangle, value):
 
 
 def test_signal_json_rejects_bool_arity(triangle):
-    doc = signal_to_json(triangle, Signal.zero(3, 3))
+    doc = signal_to_json(triangle, Signal.from_rows([[0] * 3] * 3))
     doc["ell"] = True
     doc["values"] = doc["values"][:1]
     with pytest.raises(FormatError, match="'ell' must be an integer"):
