@@ -13,6 +13,7 @@ import hashlib
 import logging
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, sqrt
 from typing import Sequence
@@ -135,6 +136,14 @@ class SweepConfig:
             raise DomainError("vertex counts must be positive")
         if not self.densities or any(d <= 0 for d in self.densities):
             raise DomainError("densities must be positive")
+        for d in self.densities:
+            try:
+                float(d)
+            except OverflowError:
+                raise DomainError(
+                    f"density {Decimal(d.numerator) / d.denominator:.6g} is too large: "
+                    "the CSV renders densities as floats"
+                ) from None
         if self.runs_per_cell < 1:
             raise DomainError("runs per cell must be >= 1")
         if self.density_mode not in DENSITY_MODES:

@@ -4,16 +4,21 @@ constructive hypergraph families used as regression targets.
 Two vertices fuse when no admissible signal for the given map separates
 them on any axis: the fusion partition is the common refinement of the
 level sets of every basis signal on every axis. :func:`frame` is the one
-frame routine. For any map, the coordinate-sum map included, it takes
-the quotient by that partition, so every frame goes through the same
-constraint assembly, nullspace and basis re-verification. Taking the
-frame twice changes nothing, so the frame operator is a closure on
-connected uniform hypergraphs.
+frame routine: for any map it takes the quotient by the partition that
+:func:`fusion` returns. Under the coordinate-sum map and its nonzero
+multiples, :func:`fusion` solves the ``m x (n+1)`` edge-sum system
+instead of the arrangement system; every other map goes through the
+full constraint assembly of :func:`signal_space`. Either way each kernel
+signal is re-verified by :func:`find_violation` against every edge and
+arrangement. Taking the frame twice changes nothing, so the frame
+operator is a closure on connected uniform hypergraphs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import DisconnectedError, DomainError
@@ -24,7 +29,10 @@ from .hypergraph import (
     is_connected,
     quotient,
 )
-from .signals import LinearMap, signal_space, universal_map
+from .linalg import SparseMatrix, nullspace
+from .signals import (
+    LinearMap, Signal, _check_arity, _check_basis, signal_space, universal_map
+)
 
 
 @dataclass(frozen=True, eq=True)
@@ -41,18 +49,52 @@ class FrameResult:
 
 
 def fusion(h: Hypergraph, t: LinearMap) -> Partition:
-    """Fusion partition: x and y share a class iff every basis signal
-    agrees on x and y on every axis (the common refinement over basis
-    signals and axes)."""
+    """Fusion partition: x and y share a class iff every admissible
+    signal agrees on x and y on every axis (the common refinement over
+    basis signals and axes).
+
+    A map whose rows are all multiples of the all-ones row, at least one
+    of them nonzero, admits exactly the signals of the coordinate-sum
+    map. On connected input these are ``s_a(x) = f(x) + c_a``, where
+    ``(f, C)`` with ``C = c_0 + ... + c_(ell-1)`` solves the edge-sum
+    system: one row per edge, the multiplicity of each vertex in the edge
+    at its column and 1 at column ``n``. So fusion is given by the level
+    sets of ``f`` over that ``m x (n+1)`` kernel. Each kernel vector is
+    lifted to the signal ``s_0 = f + C``, ``s_a = f`` for ``a >= 1`` and
+    re-verified against every edge and arrangement under ``t``. Every
+    other map goes through the full constraint assembly of
+    :func:`signal_space`.
+    """
     if not is_connected(h):
         raise DisconnectedError("fusion requires a connected hypergraph")
-    space = signal_space(h, t)
-    sigs = space.signals()
-    keys = [
-        tuple(sig.values[a][x] for sig in sigs for a in range(h.ell))
-        for x in range(h.n_vertices)
+    if not _sums_coordinates(t):
+        sigs = signal_space(h, t).signals()
+        keys = [
+            tuple(sig.values[a][x] for sig in sigs for a in range(h.ell))
+            for x in range(h.n_vertices)
+        ]
+        return Partition.from_keys(keys)
+    _check_arity(h, t)
+    n = h.n_vertices
+    entries = tuple(
+        (r, col, Fraction(c))
+        for r, e in enumerate(h.edges)
+        for col, c in [*Counter(e).items(), (n, 1)]
+    )
+    kernel = nullspace(SparseMatrix(h.n_edges, n + 1, entries)).vectors
+    lifted = [
+        Signal((tuple(x + v[n] if x else v[n] for x in v[:n]),) + (v[:n],) * (h.ell - 1))
+        for v in kernel
     ]
-    return Partition.from_keys(keys)
+    _check_basis(h, t, lifted)
+    return Partition.from_keys([tuple(v[x] for v in kernel) for x in range(n)])
+
+
+def _sums_coordinates(t: LinearMap) -> bool:
+    """True iff every row of ``t`` is constant and some row is nonzero,
+    i.e. ``t`` has the kernel of the coordinate-sum map."""
+    rows = t.entries
+    return all(len(set(row)) == 1 for row in rows) and any(row[0] for row in rows)
 
 
 def frame(h: Hypergraph, t: LinearMap | None = None) -> FrameResult:

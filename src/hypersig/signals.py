@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from pathlib import Path
 from typing import Sequence
 
@@ -153,18 +154,32 @@ def find_violation(
 ) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
     """First (edge, arrangement, map row) whose constraint the signal
     violates, or None if the signal is admissible. Exhaustive and exact:
-    every edge, every distinct arrangement, no sampling."""
+    every edge, every distinct arrangement, no sampling.
+
+    Integer only: the signal is scaled by the lcm of all its value
+    denominators and each map row by the lcm of its own, which leaves
+    every constraint's zero set unchanged.
+    """
     _check_arity(h, t)
     if s.ell != h.ell or s.n_vertices != h.n_vertices:
         raise DomainError(
             f"signal shape {s.ell}x{s.n_vertices} does not match "
             f"hypergraph {h.ell}x{h.n_vertices}"
         )
+    scale = lcm(*(v.denominator for row in s.values for v in row if v))
+    values = [
+        [v.numerator * (scale // v.denominator) if v else 0 for v in row] for row in s.values
+    ]
+    rows = []
+    for row in t.entries:
+        k = lcm(*(c.denominator for c in row))
+        rows.append(
+            [(a, c.numerator * (k // c.denominator), values[a]) for a, c in enumerate(row) if c]
+        )
     for e in h.edges:
         for arr in arrangements(e):
-            pulled = [s.values[a][arr[a]] for a in range(h.ell)]
-            for i, row in enumerate(t.entries):
-                if sum(c * v for c, v in zip(row, pulled) if c and v):
+            for i, terms in enumerate(rows):
+                if sum(c * col[arr[a]] for a, c, col in terms):
                     return e, arr, i
     return None
 
@@ -182,13 +197,18 @@ def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
     constraints before being returned; a failure would indicate an
     internal error and raises.
     """
-    basis = nullspace(assemble_constraints(h, t))
-    space = SignalSpace(t, basis)
-    for sig in space.signals():
+    space = SignalSpace(t, nullspace(assemble_constraints(h, t)))
+    _check_basis(h, t, space.signals())
+    return space
+
+
+def _check_basis(h: Hypergraph, t: LinearMap, signals: Sequence[Signal]) -> None:
+    """Re-verify computed basis signals exhaustively with
+    :func:`find_violation`; a failure is an internal error and raises."""
+    for sig in signals:
         witness = find_violation(h, t, sig)
         if witness is not None:
             raise HypersigError(f"internal error: basis signal fails at {witness}")
-    return space
 
 
 def constant_space(t: LinearMap, n_vertices: int) -> SignalSpace:

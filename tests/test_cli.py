@@ -202,6 +202,13 @@ def test_sweep_rejects_bad_lists(flag, value, code, capsys):
         assert err == f"error: invalid value {value!r} for {flag}\n"
 
 
+def test_sweep_rejects_density_too_large_for_csv(capsys):
+    assert main(["sweep", "--sizes", "8", "--densities", "1e400", "--runs", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: density 1.00000e+400 is too large: the CSV renders densities as floats\n"
+    )
+
+
 def test_verify_command_pass(tmp_path, triangle, skew_map, skew_signal, capsys):
     hpath = write(tmp_path / "tri.json", triangle)
     spath = tmp_path / "sig.json"

@@ -83,6 +83,14 @@ def test_sweep_config_validation():
         SweepConfig((5,), (Fraction(1),), 1, 0, density_mode="nope")
 
 
+def test_sweep_config_rejects_density_beyond_float_range():
+    with pytest.raises(DomainError, match=r"density 1\.00000e\+400 is too large"):
+        SweepConfig((8,), (Fraction(1), Fraction(10) ** 400), 1, 0)
+    # the largest finite float still renders: an infeasible row, not a crash
+    cfg = SweepConfig((8,), (Fraction(10) ** 308,), 1, 0)
+    assert rows_to_csv(run_sweep(cfg)).splitlines()[1].endswith(",0,,")
+
+
 def test_edge_count_modes():
     cfg = SweepConfig((9,), (Fraction(3),), 1, 0)
     assert cfg.edge_count(9, Fraction(3)) == 27

@@ -1,13 +1,17 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from conftest import random_connected_instance, random_engaged_map, random_multiset_instance
+import hypersig.frames
 from hypersig import (
     DisconnectedError,
     DomainError,
     Hypergraph,
+    LinearMap,
+    Partition,
     attach_simplex,
     fan,
     fold_pairs,
@@ -17,6 +21,7 @@ from hypersig import (
     is_stable,
     mountain_range,
     centroid_map,
+    signal_space,
     universal_map,
 )
 from oracle import oracle_fusion_blocks, partition_blocks
@@ -114,6 +119,77 @@ def test_frame_matches_dense_oracle_at_higher_arity(ell, m_max, instances):
             for x, label in enumerate(h.vertices):
                 block = result.fusion.classes[result.fusion.class_of[x]]
                 assert result.class_map[label] == h.vertices[block[0]]
+
+
+def assembly_fusion(h, t):
+    """Fusion read off the full arrangement assembly: the level sets of
+    every basis signal of ``signal_space`` on every axis."""
+    sigs = signal_space(h, t).signals()
+    return Partition.from_keys(
+        [tuple(s.values[a][x] for s in sigs for a in range(h.ell)) for x in range(h.n_vertices)]
+    )
+
+
+def differential_instances():
+    rng = random.Random(327)
+    cases = [random_connected_instance(rng, n_max=7, m_max=6) for _ in range(6)]
+    for ell, count in ((3, 6), (4, 6), (5, 2)):
+        cases += [random_multiset_instance(rng, ell, n_max=6, m_max=3) for _ in range(count)]
+    cases += [Hypergraph.build(ell, ["x"], [(0,) * ell]) for ell in (3, 4, 5)]
+    return cases
+
+
+DIFFERENTIAL = differential_instances()
+
+
+@pytest.mark.parametrize(
+    "h", DIFFERENTIAL, ids=[f"{i}-ell{h.ell}-n{h.n_vertices}" for i, h in enumerate(DIFFERENTIAL)]
+)
+def test_reduced_fusion_matches_assembly_and_oracle(h, monkeypatch):
+    """Three-way check of fusion under coordinate-sum maps: the edge-sum
+    path, the level sets of signal_space(h, U) and the dense oracle. The
+    zero map must go through the full assembly."""
+    assembled = []
+    real = hypersig.frames.signal_space
+    monkeypatch.setattr(
+        hypersig.frames, "signal_space", lambda g, t: assembled.append(t) or real(g, t)
+    )
+    ell = h.ell
+    u_blocks = partition_blocks(assembly_fusion(h, universal_map(ell)).classes)
+    assert u_blocks == oracle_fusion_blocks(h, universal_map(ell))
+    for rows in ([[1] * ell], [[2] * ell], [[-1] * ell], [[0] * ell, [Fraction(-3, 2)] * ell]):
+        t = LinearMap.from_rows(rows)
+        part = fusion(h, t)
+        assert assembled == []
+        assert partition_blocks(part.classes) == u_blocks == oracle_fusion_blocks(h, t)
+    zero = LinearMap.from_rows([[0] * ell])
+    part = fusion(h, zero)
+    assert assembled == [zero]
+    assert partition_blocks(part.classes) == oracle_fusion_blocks(h, zero)
+    assert part.is_discrete()
+
+
+def test_reduced_fusion_checks_arity(triangle):
+    with pytest.raises(DomainError):
+        fusion(triangle, universal_map(4))
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_universal_fusion_invariant_under_relabelling(ell):
+    """Renumbering the vertex ids moves no vertex to another class."""
+    rng = random.Random(328 + ell)
+    for _ in range(8):
+        if ell == 3:
+            h = random_connected_instance(rng, n_max=12, m_max=14)
+        else:
+            h = random_multiset_instance(rng, ell, n_max=8, m_max=5)
+        order = list(range(h.n_vertices))
+        rng.shuffle(order)
+        new_id = {old: new for new, old in enumerate(order)}
+        g = Hypergraph.build(
+            ell, [h.vertices[old] for old in order], [[new_id[v] for v in e] for e in h.edges]
+        )
+        assert blocks(frame(g).fusion, g) == blocks(frame(h).fusion, h)
 
 
 def test_universal_fusion_refines_engaged_maps():
@@ -230,8 +306,10 @@ def test_frame_idempotent_on_named_instances(triangle, fan_five, folding_free_si
 
 def test_frame_idempotent_on_random_instances():
     rng = random.Random(325)
-    for _ in range(25):
-        h = random_connected_instance(rng, n_max=10, m_max=12)
+    instances = [random_connected_instance(rng, n_max=10, m_max=12) for _ in range(25)]
+    # the closure property at higher arity, with edges that repeat a vertex
+    instances += [random_multiset_instance(rng, ell, n_max=8, m_max=5) for ell in (4, 5) * 10]
+    for h in instances:
         first = frame(h).frame
         second = frame(first)
         assert second.fusion.is_discrete()

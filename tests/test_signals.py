@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -38,7 +39,7 @@ from hypersig import (
     universal_map,
     verify_signal,
 )
-from oracle import oracle_signal_basis, oracle_signal_dimension
+from oracle import dense_constraint_rows, oracle_signal_basis, oracle_signal_dimension
 
 
 def test_universal_map_matrix():
@@ -158,6 +159,63 @@ def test_verify_rejects_indicator(triangle, rows, values, witness):
     t, sig = LinearMap.from_rows(rows), Signal.from_rows(values)
     assert not verify_signal(triangle, t, sig)
     assert find_violation(triangle, t, sig) == witness
+
+
+def dense_witness(h, t, s):
+    """First violated (edge, arrangement, map row), in find_violation's
+    order, from the oracle's dense rows with Fraction arithmetic."""
+    flat = [v for row in s.values for v in row]
+    rows = iter(dense_constraint_rows(h, t))
+    violated = set()
+    for k, e in enumerate(h.edges):
+        for sigma in permutations(range(h.ell)):
+            arr = tuple(e[j] for j in sigma)
+            for i in range(t.r):
+                if sum(c * v for c, v in zip(next(rows), flat)):
+                    violated.add((k, arr, i))
+    if not violated:
+        return None
+    k, arr, i = min(violated)
+    return h.edges[k], arr, i
+
+
+def test_find_violation_matches_dense_fraction_loop():
+    """The integer verifier reports the same witness, or None, as a plain
+    Fraction loop over every dense constraint row: rational combinations of
+    basis signals, some perturbed at one or two coordinates, under
+    multi-row rational maps."""
+    rng = random.Random(5154)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    outcomes = set()
+    for ell in (3,) * 12 + (4,) * 6 + (5,) * 2:
+        if ell == 3 and rng.random() < 0.5:
+            h = random_connected_instance(rng, n_max=7, m_max=6)
+        else:
+            h = random_multiset_instance(rng, ell, n_max=5, m_max=3)
+        r = rng.choice((1, 2, 3))
+        t = LinearMap.from_rows([[rational() for _ in range(ell)] for _ in range(r)])
+        # signals admissible for the first map row alone make later rows
+        # report the witness
+        first_row = LinearMap(1, ell, t.entries[:1])
+        bases = [signal_space(h, t).signals(), signal_space(h, first_row).signals()]
+        for j in range(4):
+            basis = bases[j % 2]
+            values = [[Fraction(0)] * h.n_vertices for _ in range(ell)]
+            for sig in rng.sample(basis, min(len(basis), 2)):
+                c = rational()
+                for a in range(ell):
+                    for x in range(h.n_vertices):
+                        values[a][x] += c * sig.values[a][x]
+            for _ in range(rng.choice((0, 1, 2))):
+                values[rng.randrange(ell)][rng.randrange(h.n_vertices)] += rational()
+            s = Signal.from_rows(values)
+            witness = find_violation(h, t, s)
+            assert witness == dense_witness(h, t, s)
+            outcomes.add(witness is None)
+    assert outcomes == {True, False}
 
 
 def test_verify_shape_mismatch(triangle):
