@@ -19,7 +19,13 @@ from .errors import DisconnectedError, DomainError, FormatError
 from .experiments import DENSITY_MODES, SweepConfig, random_hypergraph, rows_to_csv, run_sweep
 from .frames import fan, frame, frame_result_to_json, mountain_range
 from .hypergraph import (
-    Hypergraph, _dumps, _write_text, components, dumps_hypergraph, load_hypergraph
+    Hypergraph,
+    _dumps,
+    _write_text,
+    _write_texts,
+    components,
+    dumps_hypergraph,
+    load_hypergraph,
 )
 from .signals import (
     LinearMap,
@@ -94,8 +100,8 @@ def cmd_frame(args: argparse.Namespace) -> int:
     frame_text = dumps_hypergraph(result.frame)
     classes_text = _dumps(frame_result_to_json(result, h))
     if args.out:
-        _write_text(args.out, frame_text)
-        _write_text(args.classes or _default_classes_path(args.out), classes_text)
+        classes = args.classes or _default_classes_path(args.out)
+        _write_texts([(args.out, frame_text), (classes, classes_text)])
     else:
         sys.stdout.write(frame_text)
         if args.classes:

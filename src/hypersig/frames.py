@@ -6,19 +6,21 @@ them on any axis: the fusion partition is the common refinement of the
 level sets of every basis signal on every axis. :func:`frame` is the one
 frame routine: for any map it takes the quotient by the partition that
 :func:`fusion` returns. Under the coordinate-sum map and its nonzero
-multiples, :func:`fusion` solves the ``m x (n+1)`` edge-sum system
-instead of the arrangement system; every other map goes through the
-full constraint assembly of :func:`signal_space`. Either way each kernel
-signal is re-verified by :func:`find_violation` against every edge and
-arrangement. Taking the frame twice changes nothing, so the frame
-operator is a closure on connected uniform hypergraphs.
+multiples, :func:`fusion` works on the ``m x (n+1)`` edge-sum system
+instead of the arrangement system, and needs only one kernel vector of
+it: the level sets of that vector are the candidate partition, its
+lifted signal is re-verified against every edge and arrangement, and a
+rank certificate (the system with the columns of each candidate class
+summed keeps the full nullity) proves that no admissible signal splits a
+class. Every other map goes through the full constraint assembly of
+:func:`signal_space`, whose basis signals are all re-verified. Taking
+the frame twice changes nothing, so the frame operator is a closure on
+connected uniform hypergraphs.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DisconnectedError, DomainError
@@ -29,10 +31,7 @@ from .hypergraph import (
     is_connected,
     quotient,
 )
-from .linalg import SparseMatrix, nullspace
-from .signals import (
-    LinearMap, Signal, _check_arity, _check_basis, signal_space, universal_map
-)
+from .signals import LinearMap, _certified_signal, signal_space, universal_map
 
 
 @dataclass(frozen=True, eq=True)
@@ -58,36 +57,26 @@ def fusion(h: Hypergraph, t: LinearMap) -> Partition:
     map. On connected input these are ``s_a(x) = f(x) + c_a``, where
     ``(f, C)`` with ``C = c_0 + ... + c_(ell-1)`` solves the edge-sum
     system: one row per edge, the multiplicity of each vertex in the edge
-    at its column and 1 at column ``n``. So fusion is given by the level
-    sets of ``f`` over that ``m x (n+1)`` kernel. Each kernel vector is
-    lifted to the signal ``s_0 = f + C``, ``s_a = f`` for ``a >= 1`` and
-    re-verified against every edge and arrangement under ``t``. Every
+    at its column and 1 at column ``n``. Fusion is then certified from a
+    single kernel vector of that system (see
+    :func:`~hypersig.signals._certified_signal`): its lifted signal
+    ``s_0 = f + C``, ``s_a = f`` is re-verified against every edge and
+    arrangement under ``t``, the level sets of ``f`` are the candidate,
+    and a rank comparison with the system whose columns are summed per
+    candidate class proves that no kernel vector splits a class. Every
     other map goes through the full constraint assembly of
     :func:`signal_space`.
     """
     if not is_connected(h):
         raise DisconnectedError("fusion requires a connected hypergraph")
-    if not _sums_coordinates(t):
-        sigs = signal_space(h, t).signals()
-        keys = [
-            tuple(sig.values[a][x] for sig in sigs for a in range(h.ell))
-            for x in range(h.n_vertices)
-        ]
-        return Partition.from_keys(keys)
-    _check_arity(h, t)
-    n = h.n_vertices
-    entries = tuple(
-        (r, col, Fraction(c))
-        for r, e in enumerate(h.edges)
-        for col, c in [*Counter(e).items(), (n, 1)]
-    )
-    kernel = nullspace(SparseMatrix(h.n_edges, n + 1, entries)).vectors
-    lifted = [
-        Signal((tuple(x + v[n] if x else v[n] for x in v[:n]),) + (v[:n],) * (h.ell - 1))
-        for v in kernel
+    if _sums_coordinates(t):
+        return _certified_signal(h, t)[1]
+    sigs = signal_space(h, t).signals()
+    keys = [
+        tuple(sig.values[a][x] for sig in sigs for a in range(h.ell))
+        for x in range(h.n_vertices)
     ]
-    _check_basis(h, t, lifted)
-    return Partition.from_keys([tuple(v[x] for v in kernel) for x in range(n)])
+    return Partition.from_keys(keys)
 
 
 def _sums_coordinates(t: LinearMap) -> bool:

@@ -285,26 +285,46 @@ def _read_json(path: str | Path):
 
 
 def _write_text(path: str | Path, text: str) -> None:
-    """Replace the file at ``path`` with ``text`` (UTF-8) atomically, via a
-    temporary file in the same directory that ``os.replace`` renames over
-    the target and that is removed if anything fails. A pipe or device is
-    written through: there is no file to replace."""
-    path = Path(path)
-    if path.exists() and not path.is_file():
-        path.write_text(text, encoding="utf-8")
-        return
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    """Replace the file at ``path`` with ``text`` (UTF-8) atomically; see
+    :func:`_write_texts`."""
+    _write_texts([(path, text)])
+
+
+def _write_texts(files: Sequence[tuple[str | Path, str]]) -> None:
+    """Replace each ``(path, text)`` file with its UTF-8 text, atomically
+    per file and all or nothing up to the renames: every text goes to a
+    temporary file in its target's directory before the first
+    ``os.replace`` renames one over its target, and the temporaries not
+    yet renamed are removed if anything fails. A pipe or device is
+    written through, in turn with the renames: there is no file to
+    replace."""
+    staged: list[tuple[Path, Path | None, str]] = []
     try:
-        f = open(tmp, "x", encoding="utf-8")
-    except OSError as exc:
-        # name the target, not the temporary file
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
-    try:
-        with f:
-            f.write(text)
-        os.replace(tmp, path)
+        for i, (path, text) in enumerate(files):
+            path = Path(path)
+            if path.exists() and not path.is_file():
+                staged.append((path, None, text))
+                continue
+            tmp = path.parent / f".{path.name}.{os.getpid()}.{i}.tmp"
+            try:
+                f = open(tmp, "x", encoding="utf-8")
+            except OSError as exc:
+                # name the target, not the temporary file
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
+            staged.append((path, tmp, text))
+            with f:
+                f.write(text)
+        while staged:
+            path, tmp, text = staged[0]
+            if tmp is None:
+                path.write_text(text, encoding="utf-8")
+            else:
+                os.replace(tmp, path)
+            del staged[0]
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for _, tmp, _ in staged:
+            if tmp is not None:
+                tmp.unlink(missing_ok=True)
         raise
 
 

@@ -3,7 +3,9 @@
 Scalars are ``fractions.Fraction`` values, so every result in this module
 is exact; no floating point appears anywhere. The central operation is
 :func:`nullspace`, which returns the canonical reduced-echelon kernel
-basis of a sparse rational matrix.
+basis of a sparse rational matrix. A forward, non-reduced echelon form
+with single-vector back-substitution serves callers that need the rank
+and one kernel vector, not a basis.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError
 
@@ -126,6 +128,60 @@ def _subtract(r: dict[int, int], c: int, p: dict[int, int]) -> None:
             else:
                 del r[k]
     _reduce_content(r)
+
+
+def _forward_echelon(
+    rows: Iterable[Iterable[tuple[int, int]]]
+) -> dict[int, dict[int, int]]:
+    """Forward, non-reduced echelon form of integer rows, each given as
+    its ``(column, value)`` pairs, fraction-free.
+
+    Maps each pivot column to its row, a primitive integer dict whose
+    smallest column is the pivot: a row is cleared at its smallest column
+    (:func:`_subtract`) while that column already has a pivot. The column
+    numbering is the pivot order, so callers relabel columns to choose it.
+    The number of pivots is the rank.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = dict(row)
+        while r:
+            c = min(r)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = r
+                break
+            _subtract(r, c, p)
+    return pivots
+
+
+def _kernel_vector(
+    pivots: dict[int, dict[int, int]], ncols: int, free: Iterable[int]
+) -> list[int]:
+    """Integer kernel vector of a :func:`_forward_echelon` system.
+
+    Back-substitution from the last column down: each free column takes
+    the next value of ``free`` (one per free column), each pivot column
+    is solved from its row. When a pivot does not divide its row's sum,
+    every coordinate set so far is multiplied by the missing factor, so
+    the vector stays integral.
+    """
+    v = [0] * ncols
+    draws = iter(free)
+    for c in range(ncols - 1, -1, -1):
+        p = pivots.get(c)
+        if p is None:
+            v[c] = next(draws)
+            continue
+        lead = p[c]
+        s = sum(x * v[k] for k, x in p.items() if k != c)
+        if s % lead:
+            scale = abs(lead) // gcd(s, lead)
+            for k in range(c + 1, ncols):
+                v[k] *= scale
+            s *= scale
+        v[c] = -s // lead
+    return v
 
 
 class _Echelon:

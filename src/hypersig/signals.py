@@ -4,8 +4,9 @@ A signal assigns a rational value to every (axis, vertex) pair. Given a
 linear map ``T`` on axis space, a signal is admissible when ``T`` kills
 the value tuple read off every edge in every arrangement. The admissible
 signals of a hypergraph form a vector space, computed exactly here as the
-nullspace of a sparse constraint matrix; a single "generating" signal
-whose first-axis level sets realize the fusion partition is built on top.
+nullspace of a sparse constraint matrix. Under the coordinate-sum map a
+single "generating" signal whose level sets realize the fusion partition
+is certified from one kernel vector of the smaller edge-sum system.
 
 Coordinate layout for flattened signals is fixed: coordinate ``(a, x)``
 lives at index ``a * n_vertices + x`` (axis-major), so bases and file
@@ -14,19 +15,28 @@ dumps are stable across runs.
 
 from __future__ import annotations
 
+import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DisconnectedError, DomainError, FormatError, HypersigError, NotEngagedError
 from .hypergraph import (
-    MIN_ARITY, Hypergraph, _dumps, _read_json, _write_text, arrangements, is_connected
+    MIN_ARITY,
+    Hypergraph,
+    Partition,
+    _dumps,
+    _read_json,
+    _write_text,
+    arrangements,
+    is_connected,
 )
-from .linalg import Basis, SparseMatrix, nullspace
+from .linalg import Basis, SparseMatrix, _forward_echelon, _kernel_vector, nullspace
 
 
 @dataclass(frozen=True)
@@ -161,6 +171,17 @@ def find_violation(
     every constraint's zero set unchanged.
     """
     _check_arity(h, t)
+    return _violation(h, t, s, ((e, arrangements(e)) for e in h.edges))
+
+
+def _violation(
+    h: Hypergraph,
+    t: LinearMap,
+    s: Signal,
+    arranged: Iterable[tuple[tuple[int, ...], list[tuple[int, ...]]]],
+) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+    """:func:`find_violation` over ``arranged``, the pairs (edge, its
+    distinct arrangements) of ``h`` in edge order."""
     if s.ell != h.ell or s.n_vertices != h.n_vertices:
         raise DomainError(
             f"signal shape {s.ell}x{s.n_vertices} does not match "
@@ -176,8 +197,8 @@ def find_violation(
         rows.append(
             [(a, c.numerator * (k // c.denominator), values[a]) for a, c in enumerate(row) if c]
         )
-    for e in h.edges:
-        for arr in arrangements(e):
+    for e, arrs in arranged:
+        for arr in arrs:
             for i, terms in enumerate(rows):
                 if sum(c * col[arr[a]] for a, c, col in terms):
                     return e, arr, i
@@ -203,10 +224,13 @@ def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
 
 
 def _check_basis(h: Hypergraph, t: LinearMap, signals: Sequence[Signal]) -> None:
-    """Re-verify computed basis signals exhaustively with
-    :func:`find_violation`; a failure is an internal error and raises."""
+    """Re-verify computed basis signals exhaustively, as
+    :func:`find_violation` does, with each edge's arrangements built once
+    for all of them; a failure is an internal error and raises."""
+    _check_arity(h, t)
+    arranged = [(e, arrangements(e)) for e in h.edges]
     for sig in signals:
-        witness = find_violation(h, t, sig)
+        witness = _violation(h, t, sig, arranged)
         if witness is not None:
             raise HypersigError(f"internal error: basis signal fails at {witness}")
 
@@ -272,37 +296,93 @@ def embed_to_universal(h: Hypergraph, t: LinearMap, s: Signal) -> Signal:
 
 
 def generating_signal(h: Hypergraph) -> Signal:
-    """Single admissible signal for the coordinate-sum map whose first-axis
-    level sets realize the full fusion partition.
-
-    Built by accumulating basis signals one at a time, each scaled by the
-    smallest positive integer that avoids every ratio
-    ``(delta1(x) - delta1(y)) / (beta1(y) - beta1(x))`` over vertex pairs
-    separated by the incoming basis signal; this preserves previously
-    established distinctions while adding the new ones. Comparisons happen
-    on the first axis only: for connected input the axes of an admissible
-    signal differ by constants, so every axis induces the same level sets.
-    """
+    """Single admissible signal for the coordinate-sum map whose level
+    sets, on every axis, realize the full fusion partition: the certified
+    signal of :func:`_certified_signal`, re-verified against every edge
+    and arrangement."""
     if not is_connected(h):
         raise DisconnectedError("generating signal requires a connected hypergraph")
-    space = signal_space(h, universal_map(h.ell))
+    return _certified_signal(h, universal_map(h.ell))[0]
+
+
+# Seed of the draws of kernel vectors. The certified partition does not
+# depend on it; only the number of draws does.
+_DRAW_SEED = 20251031
+
+# A draw fails only when some separable pair of the n vertices collides,
+# with probability below n^2 / 2^33 for 32-bit free values, so running
+# out of draws means the elimination is wrong.
+_MAX_DRAWS = 64
+
+
+def _draw(rng: random.Random, k: int) -> list[int]:
+    """Free values of one kernel vector: ``k`` seeded 32-bit integers."""
+    return [rng.getrandbits(32) for _ in range(k)]
+
+
+def _edge_sum_echelon(
+    edges: Sequence[tuple[int, ...]], group: Sequence[int], k: int
+) -> tuple[dict[int, dict[int, int]], list[int]]:
+    """Forward echelon of the edge-sum system with the vertex columns
+    summed per group: one row per edge, the number of the edge's vertices
+    in group ``g`` at the column of ``g`` and 1 at the last column ``k``
+    (``C``), each distinct row once. Groups take columns in order of
+    increasing degree (ties by group), ``C`` comes last. Returns the
+    echelon and each group's column."""
+    degree = Counter(group[v] for e in edges for v in e)
+    col = [0] * k
+    for i, g in enumerate(sorted(range(k), key=degree.__getitem__)):
+        col[g] = i
+    rows = {
+        tuple(sorted(Counter(col[group[v]] for v in e).items())) + ((k, 1),): None
+        for e in edges
+    }
+    return _forward_echelon(rows), col
+
+
+def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[Signal, Partition]:
+    """Fusion partition of connected ``h`` under ``t``, a map whose rows
+    are multiples of the all-ones row with some row nonzero, and one
+    re-verified admissible signal whose level sets on every axis realize
+    it.
+
+    The admissible signals are ``s_0 = f + C``, ``s_a = f`` (a >= 1) for
+    ``(f, C)`` in the kernel of the ``m x (n+1)`` edge-sum system of
+    :func:`_edge_sum_echelon`, so fusion is the common refinement of the
+    level sets of every such ``f``. Steps:
+
+    1. forward echelon of the edge-sum system, which gives its nullity;
+    2. one kernel vector, back-substituted from seeded random free values;
+    3. its lift to a signal, re-verified under ``t`` against every edge
+       and arrangement;
+    4. the level sets of its ``f`` as the candidate partition ``P``;
+    5. the certificate: ``P`` is discrete, or the system with the columns
+       of each block of ``P`` summed has the full system's nullity. Its
+       kernel vectors lift injectively to the full kernel vectors that
+       are constant on the blocks, so equal nullity means every kernel
+       vector is constant on the blocks and ``P`` is the fusion.
+
+    A rejected candidate is replaced by a fresh draw, never merged with
+    it, so the returned signal alone realizes the partition, and the
+    partition does not depend on the draws. ``_MAX_DRAWS`` rejections in
+    a row raise an internal error.
+    """
+    _check_arity(h, t)
     n = h.n_vertices
-    delta = [[Fraction(0)] * n for _ in range(h.ell)]
-    for beta in space.signals():
-        d1, b1 = delta[0], beta.values[0]
-        forbidden = set()
-        for x in range(n):
-            for y in range(x + 1, n):
-                if b1[x] != b1[y]:
-                    forbidden.add((d1[x] - d1[y]) / (b1[y] - b1[x]))
-        k = 1
-        while Fraction(k) in forbidden:
-            k += 1
-        for a in range(h.ell):
-            row, brow = delta[a], beta.values[a]
-            for x in range(n):
-                row[x] += k * brow[x]
-    return Signal(tuple(tuple(row) for row in delta))
+    echelon, col = _edge_sum_echelon(h.edges, range(n), n)
+    nullity = n + 1 - len(echelon)
+    rng = random.Random(_DRAW_SEED)
+    for _ in range(_MAX_DRAWS):
+        v = _kernel_vector(echelon, n + 1, _draw(rng, nullity))
+        f = [v[col[x]] for x in range(n)]
+        rest = tuple(map(Fraction, f))
+        sig = Signal((tuple(x + v[n] for x in rest),) + (rest,) * (h.ell - 1))
+        _check_basis(h, t, [sig])
+        part = Partition.from_keys(f)
+        k = part.n_classes
+        if k == n or k + 1 - len(_edge_sum_echelon(h.edges, part.class_of, k)[0]) == nullity:
+            return sig, part
+    raise HypersigError(f"internal error: no fusion certified in {_MAX_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------

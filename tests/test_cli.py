@@ -319,6 +319,21 @@ def test_frame_out_keeps_old_file_when_replace_fails(tmp_path, fan_path, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fan.json", "framed.json"]
 
 
+def test_frame_out_keeps_old_file_when_classes_target_fails(tmp_path, fan_path, capsys):
+    """Both files are staged before either replaces its target: a classes
+    file that cannot be created leaves the old --out file as it was."""
+    out = tmp_path / "framed.json"
+    out.write_bytes(b"old\n")
+    classes = tmp_path / "missing" / "c.json"
+    argv = ["frame", "--in", fan_path, "--out", str(out), "--classes", str(classes)]
+    assert main(argv) == 2
+    assert out.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fan.json", "framed.json"]
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.ENOENT}] No such file or directory: '{classes}'\n"
+    )
+
+
 def test_out_to_a_pipe_writes_through(tmp_path, capsys):
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -6,23 +7,30 @@ import pytest
 
 from conftest import random_connected_instance, random_engaged_map, random_multiset_instance
 import hypersig.frames
+import hypersig.signals
 from hypersig import (
     DisconnectedError,
     DomainError,
     Hypergraph,
+    HypersigError,
     LinearMap,
     Partition,
+    SparseMatrix,
     attach_simplex,
     fan,
     fold_pairs,
     frame,
     frame_result_to_json,
     fusion,
+    generating_signal,
     is_stable,
     mountain_range,
     centroid_map,
+    nullspace,
+    random_hypergraph,
     signal_space,
     universal_map,
+    verify_signal,
 )
 from oracle import oracle_fusion_blocks, partition_blocks
 
@@ -167,6 +175,75 @@ def test_reduced_fusion_matches_assembly_and_oracle(h, monkeypatch):
     assert assembled == [zero]
     assert partition_blocks(part.classes) == oracle_fusion_blocks(h, zero)
     assert part.is_discrete()
+
+
+def edge_sum_nullspace_fusion(h):
+    """Level sets of ``f`` over the full canonical kernel of the edge-sum
+    system (one row per edge: each vertex's multiplicity at its column, 1
+    at column n)."""
+    n = h.n_vertices
+    entries = tuple(
+        (r, col, Fraction(c))
+        for r, e in enumerate(h.edges)
+        for col, c in [*Counter(e).items(), (n, 1)]
+    )
+    kernel = nullspace(SparseMatrix(h.n_edges, n + 1, entries)).vectors
+    return Partition.from_keys([tuple(v[x] for v in kernel) for x in range(n)])
+
+
+def sweep_shaped_instances():
+    cases = [
+        random_hypergraph(50, round(d * 50 / 3), 3, 1000 * k + j)
+        for k, d in enumerate((Fraction(23, 10), Fraction(26, 10), Fraction(3)))
+        for j in range(14)
+    ]
+    return cases + [random_hypergraph(200, round(Fraction(13, 5) * 200 / 3), 3, s) for s in (7, 8)]
+
+
+def test_certified_fusion_matches_edge_sum_nullspace():
+    """The one-vector certified fusion under U gives the level sets of the
+    whole edge-sum kernel on sweep-shaped instances, collapsing ones
+    included."""
+    cases = sweep_shaped_instances()
+    collapsed = 0
+    for h in cases:
+        part = fusion(h, universal_map(3))
+        assert part == edge_sum_nullspace_fusion(h)
+        collapsed += not part.is_discrete()
+    assert collapsed >= len(cases) // 2
+
+
+def test_certificate_rejects_a_draw_that_merges_too_much(fan_five, monkeypatch):
+    """Free values all zero give the zero vector, whose one level set is
+    a wrong candidate: the rank certificate rejects it and a fresh draw
+    gives the canonical partition and a signal that realizes it."""
+    draws = []
+    real = hypersig.signals._draw
+
+    def draw(rng, k):
+        draws.append(k)
+        return [0] * k if len(draws) == 1 else real(rng, k)
+
+    monkeypatch.setattr(hypersig.signals, "_draw", draw)
+    part = fusion(fan_five, universal_map(3))
+    assert len(draws) == 2
+    assert part == edge_sum_nullspace_fusion(fan_five)
+    assert blocks(part, fan_five) == {
+        frozenset({"u"}), frozenset({"v", "x"}), frozenset({"w", "y"})
+    }
+    draws.clear()
+    delta = generating_signal(fan_five)
+    assert len(draws) == 2
+    assert Partition.from_keys(delta.values[0]) == part
+    assert verify_signal(fan_five, universal_map(3), delta)
+
+
+def test_certificate_never_accepts_a_wrong_candidate(fan_five, monkeypatch):
+    """Draws that all merge every vertex are all rejected, and running out
+    of draws is an internal error, not a wrong partition."""
+    monkeypatch.setattr(hypersig.signals, "_draw", lambda rng, k: [0] * k)
+    with pytest.raises(HypersigError, match="no fusion certified"):
+        fusion(fan_five, universal_map(3))
 
 
 def test_reduced_fusion_checks_arity(triangle):
