@@ -7,7 +7,7 @@ level sets of every basis signal on every axis. :func:`frame` is the one
 frame routine: for any map it takes the quotient by the partition that
 :func:`fusion` returns. Under the coordinate-sum map and its nonzero
 multiples, :func:`fusion` works on the ``m x (n+1)`` edge-sum system
-instead of the arrangement system, and needs only one kernel vector of
+instead of the full constraint system, and needs only one kernel vector of
 it: the level sets of that vector are the candidate partition, its
 lifted signal is re-verified against every edge and arrangement, and a
 rank certificate (the system with the columns of each candidate class

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError
 
-Entry = tuple[int, int, Fraction]
+Entry = tuple[int, int, Fraction | int]
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,9 @@ class SparseMatrix:
     """Immutable sparse rational matrix.
 
     ``entries`` holds one ``(row, col, value)`` triple per structurally
-    nonzero coefficient, sorted by ``(row, col)``. Zero values and
-    duplicate positions are rejected.
+    nonzero coefficient, sorted by ``(row, col)``; a value is a
+    ``Fraction`` or an ``int`` (constraint assembly emits integers only).
+    Zero values and duplicate positions are rejected.
     """
 
     nrows: int

@@ -4,7 +4,9 @@ A signal assigns a rational value to every (axis, vertex) pair. Given a
 linear map ``T`` on axis space, a signal is admissible when ``T`` kills
 the value tuple read off every edge in every arrangement. The admissible
 signals of a hypergraph form a vector space, computed exactly here as the
-nullspace of a sparse constraint matrix. Under the coordinate-sum map a
+nullspace of a sparse constraint matrix with ``(ell-1)^2 + 1`` rows per
+edge and map row, which span the same row space as the up to ``ell!``
+arrangement constraints. Under the coordinate-sum map a
 single "generating" signal whose level sets realize the fusion partition
 is certified from one kernel vector of the smaller edge-sum system.
 
@@ -23,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DisconnectedError, DomainError, FormatError, HypersigError, NotEngagedError
 from .hypergraph import (
@@ -139,22 +141,50 @@ def _check_arity(h: Hypergraph, t: LinearMap) -> None:
         raise DomainError(f"map arity {t.ell} != hypergraph arity {h.ell}")
 
 
-def assemble_constraints(h: Hypergraph, t: LinearMap) -> SparseMatrix:
-    """Sparse constraint system whose nullspace is the signal space.
+def _integer_rows(t: LinearMap) -> list[list[int]]:
+    """The map's rows, each scaled by the lcm of its own denominators to
+    integers; scaling a row changes no constraint's zero set."""
+    out = []
+    for row in t.entries:
+        k = lcm(*(c.denominator for c in row))
+        out.append([c.numerator * (k // c.denominator) for c in row])
+    return out
 
-    One row per (edge, distinct arrangement, map row), in that order: the
-    nonzero coefficients ``M[i][a]`` at columns ``(a, arrangement[a])``,
-    which strictly ascend with ``a``. Equal rows are kept once, at their
-    first position; a zero map row gives one empty row.
+
+def assemble_constraints(h: Hypergraph, t: LinearMap) -> SparseMatrix:
+    """Sparse integer constraint system whose nullspace is the signal space.
+
+    For edge ``e`` (a sorted tuple) and integer map row ``w`` (see
+    :func:`_integer_rows`), every arrangement constraint is a permutation
+    sum of the ``ell x ell`` matrix ``A[a][j] = w_a * s_a(e[j])``. The
+    permutation matrices span exactly the matrices whose row and column
+    sums are all equal (Birkhoff), so the same row space comes from
+    ``(ell-1)^2 + 1`` rows instead of up to ``ell!``:
+
+    - the trace row ``sum_a w_a * (a, e[a])``;
+    - for ``a, j >= 1`` with ``e[j] != e[0]``, the minor row
+      ``w_a*(a, e[j]) - w_a*(a, e[0]) - w_0*(0, e[j]) + w_0*(0, e[0])``
+      (with ``e[j] = e[0]`` it vanishes).
+
+    Rows run by edge, then map row, trace first, minors by ``(a, e[j])``;
+    columns ascend within a row. Equal rows are kept once, at their first
+    position; a zero map row gives one empty row.
     """
     _check_arity(h, t)
-    n = h.n_vertices
-    rows = dict.fromkeys(
-        tuple((a * n + x, c) for a, (x, c) in enumerate(zip(arr, coeffs)) if c)
-        for e in h.edges
-        for arr in arrangements(e)
-        for coeffs in t.entries
-    )
+    n, maps = h.n_vertices, _integer_rows(t)
+    rows: dict[tuple[tuple[int, int], ...], None] = {}
+    for e in h.edges:
+        x0, others = e[0], sorted(set(e) - {e[0]})
+        for w in maps:
+            w0 = w[0]
+            rows[tuple((a * n + x, c) for a, (x, c) in enumerate(zip(e, w)) if c)] = None
+            for a in range(1, t.ell):
+                wa, base = w[a], a * n
+                for x in others:
+                    row = ((x0, w0), (x, -w0)) if w0 else ()
+                    if wa:
+                        row += ((base + x0, -wa), (base + x, wa))
+                    rows[row] = None
     entries = tuple((r, col, c) for r, row in enumerate(rows) for col, c in row)
     return SparseMatrix(len(rows), t.ell * n, entries)
 
@@ -163,25 +193,28 @@ def find_violation(
     h: Hypergraph, t: LinearMap, s: Signal
 ) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
     """First (edge, arrangement, map row) whose constraint the signal
-    violates, or None if the signal is admissible. Exhaustive and exact:
-    every edge, every distinct arrangement, no sampling.
+    violates, in that order, or None if the signal is admissible. Exact:
+    every edge and map row is checked, no sampling.
+
+    Each (edge, map row) is decided by the sum-matrix test of
+    :func:`assemble_constraints`' rows: with ``A[a][j] = w_a * s_a(e[j])``,
+    every arrangement constraint holds iff the trace of ``A`` is zero and
+    ``A[a][j] - A[a][0] == A[0][j] - A[0][0]`` for all ``a, j >= 1``.
+    Only on the first edge that fails are its distinct arrangements
+    enumerated, to name the first violated (arrangement, map row).
 
     Integer only: the signal is scaled by the lcm of all its value
     denominators and each map row by the lcm of its own, which leaves
     every constraint's zero set unchanged.
     """
     _check_arity(h, t)
-    return _violation(h, t, s, ((e, arrangements(e)) for e in h.edges))
+    return _violation(h, _integer_rows(t), s)
 
 
 def _violation(
-    h: Hypergraph,
-    t: LinearMap,
-    s: Signal,
-    arranged: Iterable[tuple[tuple[int, ...], list[tuple[int, ...]]]],
+    h: Hypergraph, maps: Sequence[Sequence[int]], s: Signal
 ) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
-    """:func:`find_violation` over ``arranged``, the pairs (edge, its
-    distinct arrangements) of ``h`` in edge order."""
+    """:func:`find_violation` with the map given by its integer rows."""
     if s.ell != h.ell or s.n_vertices != h.n_vertices:
         raise DomainError(
             f"signal shape {s.ell}x{s.n_vertices} does not match "
@@ -191,16 +224,23 @@ def _violation(
     values = [
         [v.numerator * (scale // v.denominator) if v else 0 for v in row] for row in s.values
     ]
-    rows = []
-    for row in t.entries:
-        k = lcm(*(c.denominator for c in row))
-        rows.append(
-            [(a, c.numerator * (k // c.denominator), values[a]) for a, c in enumerate(row) if c]
-        )
-    for e, arrs in arranged:
-        for arr in arrs:
-            for i, terms in enumerate(rows):
-                if sum(c * col[arr[a]] for a, c, col in terms):
+    # per map row w, the pairs (w_a, s_a), so that A[a][j] = w_a * s_a(e[j])
+    terms = [list(zip(w, values)) for w in maps]
+    checks = [(row, *row[0], row[1:]) for row in terms]
+    for e in h.edges:
+        x0, tail = e[0], e[1:]
+        # the sum-matrix test: a zero trace, and for all a, j >= 1
+        # A[a][j] - A[a][0] == A[0][j] - A[0][0]
+        for row, c0, v0, rest in checks:
+            if sum(c * col[x] for (c, col), x in zip(row, e)) or any(
+                c * (col[x] - col[x0]) != c0 * (v0[x] - v0[x0]) for x in tail for c, col in rest
+            ):
+                break
+        else:
+            continue
+        for arr in arrangements(e):
+            for i, row in enumerate(terms):
+                if sum(c * col[x] for (c, col), x in zip(row, arr)):
                     return e, arr, i
     return None
 
@@ -224,13 +264,13 @@ def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
 
 
 def _check_basis(h: Hypergraph, t: LinearMap, signals: Sequence[Signal]) -> None:
-    """Re-verify computed basis signals exhaustively, as
-    :func:`find_violation` does, with each edge's arrangements built once
-    for all of them; a failure is an internal error and raises."""
+    """Re-verify computed basis signals exactly, by the sum-matrix test of
+    :func:`find_violation`, with the map's integer rows built once for all
+    of them; a failure is an internal error and raises."""
     _check_arity(h, t)
-    arranged = [(e, arrangements(e)) for e in h.edges]
+    maps = _integer_rows(t)
     for sig in signals:
-        witness = _violation(h, t, sig, arranged)
+        witness = _violation(h, maps, sig)
         if witness is not None:
             raise HypersigError(f"internal error: basis signal fails at {witness}")
 

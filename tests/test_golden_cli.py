@@ -34,6 +34,7 @@ CASES = {
     "signals-C": "signals --in {in}/fan5.json --map C --out {out}/basis.json",
     "signals-skew": "signals --in {in}/triangle.json --map {in}/skew.json --out {out}/basis.json",
     "signals-ell4": "signals --in {in}/ell4_repeat.json --out {out}/basis.json",
+    "signals-ell6": "signals --in {in}/ell6_repeat.json --map C --out {out}/basis.json",
     "frame-fan": "frame --in {in}/fan5.json --out {out}/frame.json",
     "frame-ell4": "frame --in {in}/ell4_repeat.json --out {out}/frame.json",
     "frame-random": "frame --in {in}/random12.json --out {out}/frame.json --classes {out}/classes.json",
@@ -51,6 +52,8 @@ CASES = {
     "--density-mode avg-degree --out {out}/sweep.csv",
     "verify-pass": "verify --in {in}/triangle.json --signal {in}/sig_pass.json --map {in}/skew.json",
     "verify-fail": "verify --in {in}/triangle.json --signal {in}/sig_fail.json --map {in}/skew.json",
+    "verify-fail-ell5": "verify --in {in}/ell5_repeat.json --signal {in}/sig_fail_ell5.json "
+    "--map {in}/two_row_ell5.json",
     "export-dot-ell4": "export-dot --in {in}/ell4_repeat.json",
     "export-dot-fan": "export-dot --in {in}/fan5.json --out {out}/fan.dot",
 }

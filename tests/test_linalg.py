@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -42,25 +44,30 @@ def test_nullspace_rank_one_row():
 
 
 # Row dedupe happens once, in constraint assembly; the echelon reduces any
-# duplicate row that still reaches nullspace to zero.
+# duplicate row that still reaches nullspace to zero. Assembly emits the
+# sum-matrix rows of each (edge, map row): the trace row, then the minor
+# rows (a, x) for axes a >= 1 and the edge's vertices x other than e[0].
 
 
 def test_dedupe_collapses_identical_rows():
-    # a map with two equal rows yields each arrangement's row once
+    # a map with two equal rows yields each of the five triangle rows once
     h = Hypergraph.build(3, ["u", "v", "w"], [(0, 1, 2)])
     m = assemble_constraints(h, LinearMap.from_rows([[1, 1, 1], [1, 1, 1]]))
-    assert m.nrows == 6
-    assert len({tuple(sorted(r.items())) for r in m.rows_as_dicts()}) == 6
+    assert m.nrows == 5
+    assert len({tuple(sorted(r.items())) for r in m.rows_as_dicts()}) == 5
 
 
 def test_dedupe_keeps_distinct_rows():
+    # C at ell 3: each map row gives its trace and four minors, and none of
+    # the ten rows repeats another
     h = Hypergraph.build(3, ["u", "v", "w"], [(0, 1, 2)])
     m = assemble_constraints(h, LinearMap.from_rows([[1, -1, 0], [0, 1, -1]]))
-    assert m.nrows == 12
+    assert m.nrows == 10
+    assert len({tuple(sorted(r.items())) for r in m.rows_as_dicts()}) == 10
 
 
 def test_assembly_keeps_first_seen_row_order_and_the_empty_row():
-    # edge (u, u, v), arrangements (u,u,v), (u,v,u), (v,u,u); columns are
+    # edge (u, u, v), the one vertex other than e[0] is v; columns are
     # 2a + x. Map row 2 repeats row 0, and the zero row 1 gives one empty
     # row, kept where it first appears rather than sorted to the front.
     h = Hypergraph.build(3, ["u", "v"], [(0, 0, 1)])
@@ -68,32 +75,88 @@ def test_assembly_keeps_first_seen_row_order_and_the_empty_row():
     m = assemble_constraints(h, t)
     assert m.nrows == 6
     assert m.entries == (
-        (0, 2, 1), (0, 5, 2),  # (u,u,v), map row 0
-        # row 1 is empty: (u,u,v), map row 1
-        (2, 0, 1),  # (u,u,v), map row 3
-        (3, 3, 1), (3, 4, 2),  # (u,v,u), map row 0
-        (4, 2, 1), (4, 4, 2),  # (v,u,u), map row 0
-        (5, 1, 1),  # (v,u,u), map row 3
+        (0, 2, 1), (0, 5, 2),  # map row 0: trace
+        (1, 2, -1), (1, 3, 1),  # map row 0: minor (1, v), w_0 = 0
+        (2, 4, -2), (2, 5, 2),  # map row 0: minor (2, v)
+        # row 3 is empty: map row 1, every row
+        (4, 0, 1),  # map row 3: trace
+        (5, 0, 1), (5, 1, -1),  # map row 3: minors (1, v) and (2, v), w_a = 0
     )
 
 
+def _dense(m):
+    """Dense Fraction rows; the assembled entries are ints, which the
+    oracle's Gauss-Jordan would divide into floats."""
+    return [tuple(Fraction(row.get(c, 0)) for c in range(m.ncols)) for row in m.rows_as_dicts()]
+
+
+def _maps_with_duplicate_zero_and_rational_rows(rng, ell):
+    rows = [list(row) for row in random_engaged_map(rng, ell).entries]
+    rows += [rows[0], [0] * ell, [Fraction(v, rng.randint(1, 4)) for v in rows[-1]]]
+    rng.shuffle(rows)
+    return LinearMap.from_rows(rows)
+
+
 def test_assembly_rows_are_the_distinct_oracle_rows():
-    """The assembled rows are exactly the distinct rows of the dense
-    oracle system, each once, under maps with a duplicated row, a zero
-    row and rational entries, on edges that repeat vertices."""
+    """The assembled rows are exactly the distinct rows built from the
+    dense oracle's arrangement rows of each (edge, map row), scaled by the
+    map row's lcm: the identity row (the trace), and for each minor (a, j)
+    the difference of two permutation rows P - Q with
+    P - Q = E[0][0] + E[a][j] - E[a][0] - E[0][j]. For a = j, P is the
+    identity and Q swaps 0 and a; for a != j, P swaps a and j and Q maps
+    0 -> j -> a -> 0. Minors with e[j] = e[0] vanish and are left out."""
     rng = random.Random(4417)
-    for ell in (3,) * 12 + (4,) * 6 + (5,) * 3:
-        h = random_multiset_instance(rng, ell)
-        rows = [list(row) for row in random_engaged_map(rng, ell).entries]
-        rows += [rows[0], [0] * ell, [Fraction(v, rng.randint(1, 4)) for v in rows[-1]]]
-        rng.shuffle(rows)
-        t = LinearMap.from_rows(rows)
+    for ell in (3,) * 12 + (4,) * 6 + (5,) * 3 + (6,) * 2:
+        h = random_multiset_instance(rng, ell, m_max=3 if ell < 6 else 2)
+        t = _maps_with_duplicate_zero_and_rational_rows(rng, ell)
         m = assemble_constraints(h, t)
-        dense = [
-            tuple(row.get(c, Fraction(0)) for c in range(m.ncols)) for row in m.rows_as_dicts()
-        ]
+        oracle = dense_constraint_rows(h, t)
+        index = {sigma: k for k, sigma in enumerate(permutations(range(ell)))}
+
+        def row(k, sigma, i):
+            return oracle[(k * len(index) + index[sigma]) * t.r + i]
+
+        expected = {}
+        for k, e in enumerate(h.edges):
+            for i, w in enumerate(t.entries):
+                scale = lcm(*(c.denominator for c in w))
+                identity = tuple(range(ell))
+                expected[tuple(scale * v for v in row(k, identity, i))] = None
+                for a in range(1, ell):
+                    for j in range(1, ell):
+                        if e[j] == e[0]:
+                            continue
+                        p, q = list(identity), list(identity)
+                        if a == j:
+                            q[0], q[a] = a, 0
+                        else:
+                            p[a], p[j] = j, a
+                            q[0], q[a], q[j] = j, 0, a
+                        diff = zip(row(k, tuple(p), i), row(k, tuple(q), i))
+                        expected[tuple(scale * (x - y) for x, y in diff)] = None
+        dense = _dense(m)
         assert len(set(dense)) == m.nrows
-        assert set(dense) == set(map(tuple, dense_constraint_rows(h, t)))
+        assert all(isinstance(c, int) for _, _, c in m.entries)
+        assert set(dense) == set(expected)
+
+
+def test_assembly_spans_the_oracle_row_space():
+    """Two-way row-space check against the dense arrangement rows at ell 3
+    to 6: every assembled row is orthogonal to the oracle system's kernel,
+    so lies in its row space, every oracle row is orthogonal to the
+    assembled system's kernel, and the ranks agree."""
+    rng = random.Random(4418)
+    for ell in (3,) * 8 + (4,) * 4 + (5,) * 2 + (6,):
+        h = random_multiset_instance(rng, ell, n_max=6 if ell < 6 else 4, m_max=3 if ell < 6 else 2)
+        t = _maps_with_duplicate_zero_and_rational_rows(rng, ell)
+        m = assemble_constraints(h, t)
+        ours = _dense(m)
+        theirs = list(dict.fromkeys(map(tuple, dense_constraint_rows(h, t))))
+        ours_kernel = dense_kernel([list(r) for r in ours], m.ncols)
+        theirs_kernel = dense_kernel([list(r) for r in theirs], m.ncols)
+        assert all(sum(x * y for x, y in zip(r, v)) == 0 for r in ours for v in theirs_kernel)
+        assert all(sum(x * y for x, y in zip(r, v)) == 0 for r in theirs for v in ours_kernel)
+        assert len(ours_kernel) == len(theirs_kernel)
 
 
 def test_sparse_matrix_rejects_bad_entries():

@@ -83,25 +83,41 @@ def test_is_engaged():
 
 
 def test_assemble_triangle_universal(triangle):
+    # columns 3a + x: the trace row (0,u) + (1,v) + (2,w), then the minor
+    # rows (a, x) = (a, x) - (a, u) - (0, x) + (0, u) for a in 1, 2 and
+    # x in v, w
     m = assemble_constraints(triangle, universal_map(3))
-    assert m.nrows == 6
-    rows = m.rows_as_dicts()
-    assert all(len(r) == 3 and set(r.values()) == {Fraction(1)} for r in rows)
+    assert m.nrows == 5
+    assert m.entries == (
+        (0, 0, 1), (0, 4, 1), (0, 8, 1),
+        (1, 0, 1), (1, 1, -1), (1, 3, -1), (1, 4, 1),
+        (2, 0, 1), (2, 2, -1), (2, 3, -1), (2, 5, 1),
+        (3, 0, 1), (3, 1, -1), (3, 6, -1), (3, 7, 1),
+        (4, 0, 1), (4, 2, -1), (4, 6, -1), (4, 8, 1),
+    )
 
 
 def test_assemble_constant_edge_single_row():
     h = Hypergraph.build(3, ["u", "v"], [(0, 0, 0)])
     m = assemble_constraints(h, universal_map(3))
+    # every vertex equals e[0], so every minor vanishes and only the trace
+    # row remains: one coefficient per axis column (1,u),(2,u),(3,u), the
+    # constraint delta1(u) + delta2(u) + delta3(u) = 0
     assert m.nrows == 1
-    # one coefficient per axis column (1,u),(2,u),(3,u); the constraint is
-    # delta1(u) + delta2(u) + delta3(u) = 0
-    assert m.rows_as_dicts()[0] == {0: 1, 2: 1, 4: 1}
+    assert m.entries == ((0, 0, 1), (0, 2, 1), (0, 4, 1))
 
 
 def test_assemble_repeated_vertex_rows():
+    # edge (u, u, v), columns 2a + x: the trace (0,u) + (1,u) + (2,v) and
+    # one minor per axis a >= 1 for the one vertex v other than u
     h = Hypergraph.build(3, ["u", "v"], [(0, 0, 1)])
     m = assemble_constraints(h, universal_map(3))
     assert m.nrows == 3
+    assert m.entries == (
+        (0, 0, 1), (0, 2, 1), (0, 5, 1),
+        (1, 0, 1), (1, 1, -1), (1, 2, -1), (1, 3, 1),
+        (2, 0, 1), (2, 1, -1), (2, 4, -1), (2, 5, 1),
+    )
 
 
 def test_assemble_arity_mismatch(triangle):
@@ -171,7 +187,7 @@ def dense_witness(h, t, s):
         for sigma in permutations(range(h.ell)):
             arr = tuple(e[j] for j in sigma)
             for i in range(t.r):
-                if sum(c * v for c, v in zip(next(rows), flat)):
+                if sum(c * v for c, v in zip(next(rows), flat) if c):
                     violated.add((k, arr, i))
     if not violated:
         return None
@@ -190,9 +206,11 @@ def test_find_violation_matches_dense_fraction_loop():
         return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
 
     outcomes = set()
-    for ell in (3,) * 12 + (4,) * 6 + (5,) * 2:
+    for ell in (3,) * 12 + (4,) * 6 + (5,) * 2 + (6,) * 2:
         if ell == 3 and rng.random() < 0.5:
             h = random_connected_instance(rng, n_max=7, m_max=6)
+        elif ell == 6:
+            h = random_multiset_instance(rng, ell, n_max=4, m_max=2)
         else:
             h = random_multiset_instance(rng, ell, n_max=5, m_max=3)
         r = rng.choice((1, 2, 3))
@@ -216,6 +234,44 @@ def test_find_violation_matches_dense_fraction_loop():
             assert witness == dense_witness(h, t, s)
             outcomes.add(witness is None)
     assert outcomes == {True, False}
+
+
+def test_find_violation_sum_matrix_test_catches_trace_and_single_minor():
+    """On the ell = 4 edge (u, u, v, w), a signal that breaks only the
+    trace row and one that breaks only the minor row (a, x) = (2, w), each
+    added to an admissible signal, are reported at dense_witness's (edge,
+    arrangement, map row)."""
+    h = Hypergraph.build(4, ["u", "v", "w"], [(0, 0, 1, 2)])
+    # map row 0 scales to (3, 18, -4, 6); map row 1 reads axis 0 only
+    t = LinearMap.from_rows([[Fraction(1, 2), 3, Fraction(-2, 3), 1], [1, 0, 0, 0]])
+    basis = signal_space(h, t).signals()
+    assert basis
+    rows = assemble_constraints(h, t).rows_as_dicts()
+
+    def plus_base(perturbation):
+        return Signal.from_rows(
+            [
+                [p + sum(sig.values[a][x] for sig in basis) for x, p in enumerate(row)]
+                for a, row in enumerate(perturbation)
+            ]
+        )
+
+    def broken_rows(sig):
+        flat = [v for row in sig.values for v in row]
+        return [r for r in rows if sum(c * flat[k] for k, c in r.items())]
+
+    # s_1 = 1 everywhere: A = p_a + q_j with p = (0, 18, 0, 0) and q = 0, a
+    # sum matrix whose trace is 18, so every arrangement fails
+    only_trace = plus_base([[0] * 3, [1] * 3, [0] * 3, [0] * 3])
+    assert broken_rows(only_trace) == [rows[0]]
+    # s_2(w) = 7 moves only A[2][3]: the trace reads s_2(v), and only the
+    # minor (2, w), columns 3a + x, reads s_2(w)
+    only_minor = plus_base([[0] * 3, [0] * 3, [0, 0, 7], [0] * 3])
+    assert broken_rows(only_minor) == [{0: 3, 2: -3, 6: 4, 8: -4}]
+    for sig, arrangement in ((only_trace, (0, 0, 1, 2)), (only_minor, (0, 0, 2, 1))):
+        witness = find_violation(h, t, sig)
+        assert witness == dense_witness(h, t, sig)
+        assert witness == ((0, 0, 1, 2), arrangement, 0)
 
 
 def test_verify_shape_mismatch(triangle):
@@ -329,12 +385,14 @@ def test_dimension_lower_bound_from_kernel():
 
 def test_sparse_dimension_matches_dense_oracle_on_random_maps():
     """The whole canonical basis, not just its size, equals the dense
-    Gauss-Jordan oracle's, at ell 3 to 5 and under integer and rational
+    Gauss-Jordan oracle's, at ell 3 to 6 and under integer and rational
     maps."""
     rng = random.Random(5153)
-    for i, ell in enumerate((3,) * 25 + (4,) * 6 + (5,) * 2):
+    for i, ell in enumerate((3,) * 25 + (4,) * 6 + (5,) * 2 + (6,) * 2):
         if ell == 3:
             h = random_connected_instance(rng, n_max=6, m_max=5)
+        elif ell == 6:
+            h = random_multiset_instance(rng, ell, n_max=4, m_max=2)
         else:
             h = random_multiset_instance(rng, ell)
         t = random_engaged_map(rng, ell)
