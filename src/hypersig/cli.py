@@ -85,6 +85,8 @@ def cmd_signals(args: argparse.Namespace) -> int:
 
 
 def cmd_frame(args: argparse.Namespace) -> int:
+    if args.out and args.classes and Path(args.out).resolve() == Path(args.classes).resolve():
+        raise FormatError(f"--out {args.out} and --classes {args.classes} name the same file")
     h = load_hypergraph(args.infile)
     try:
         result = frame(h)

@@ -5,17 +5,9 @@ Two vertices fuse when no admissible signal for the given map separates
 them on any axis: the fusion partition is the common refinement of the
 level sets of every basis signal on every axis. :func:`frame` is the one
 frame routine: for any map it takes the quotient by the partition that
-:func:`fusion` returns. Under the coordinate-sum map and its nonzero
-multiples, :func:`fusion` works on the ``m x (n+1)`` edge-sum system
-instead of the full constraint system, and needs only one kernel vector of
-it: the level sets of that vector are the candidate partition, its
-lifted signal is re-verified against every edge and arrangement, and a
-rank certificate (the system with the columns of each candidate class
-summed keeps the full nullity) proves that no admissible signal splits a
-class. Every other map goes through the full constraint assembly of
-:func:`signal_space`, whose basis signals are all re-verified. Taking
-the frame twice changes nothing, so the frame operator is a closure on
-connected uniform hypergraphs.
+:func:`fusion` certifies from one kernel vector of the map's constraint
+system. Taking the frame twice changes nothing, so the frame operator is
+a closure on connected uniform hypergraphs.
 """
 
 from __future__ import annotations
@@ -23,15 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DisconnectedError, DomainError
-from .hypergraph import (
-    Hypergraph,
-    Partition,
-    hypergraph_to_json,
-    is_connected,
-    quotient,
-)
-from .signals import LinearMap, _certified_signal, signal_space, universal_map
+from .errors import DomainError
+from .hypergraph import Hypergraph, Partition, hypergraph_to_json, quotient
+from .signals import LinearMap, _certified_signal, universal_map
 
 
 @dataclass(frozen=True, eq=True)
@@ -43,47 +29,20 @@ class FrameResult:
     fusion: Partition
     class_map: dict
 
-    def class_labels(self, source: Hypergraph) -> list[list[str]]:
-        return [[source.vertices[v] for v in block] for block in self.fusion.classes]
-
 
 def fusion(h: Hypergraph, t: LinearMap) -> Partition:
     """Fusion partition: x and y share a class iff every admissible
     signal agrees on x and y on every axis (the common refinement over
     basis signals and axes).
 
-    A map whose rows are all multiples of the all-ones row, at least one
-    of them nonzero, admits exactly the signals of the coordinate-sum
-    map. On connected input these are ``s_a(x) = f(x) + c_a``, where
-    ``(f, C)`` with ``C = c_0 + ... + c_(ell-1)`` solves the edge-sum
-    system: one row per edge, the multiplicity of each vertex in the edge
-    at its column and 1 at column ``n``. Fusion is then certified from a
-    single kernel vector of that system (see
-    :func:`~hypersig.signals._certified_signal`): its lifted signal
-    ``s_0 = f + C``, ``s_a = f`` is re-verified against every edge and
-    arrangement under ``t``, the level sets of ``f`` are the candidate,
-    and a rank comparison with the system whose columns are summed per
-    candidate class proves that no kernel vector splits a class. Every
-    other map goes through the full constraint assembly of
-    :func:`signal_space`.
+    One engine for every map, :func:`~hypersig.signals._certified_signal`:
+    the level sets of one re-verified kernel vector are the candidate,
+    and the system with its columns summed per candidate class must keep
+    the full nullity. Only its rows depend on the map: the edge-sum system
+    under the coordinate-sum map and its nonzero multiples, the sum-matrix
+    rows of :func:`~hypersig.signals.assemble_constraints` otherwise.
     """
-    if not is_connected(h):
-        raise DisconnectedError("fusion requires a connected hypergraph")
-    if _sums_coordinates(t):
-        return _certified_signal(h, t)[1]
-    sigs = signal_space(h, t).signals()
-    keys = [
-        tuple(sig.values[a][x] for sig in sigs for a in range(h.ell))
-        for x in range(h.n_vertices)
-    ]
-    return Partition.from_keys(keys)
-
-
-def _sums_coordinates(t: LinearMap) -> bool:
-    """True iff every row of ``t`` is constant and some row is nonzero,
-    i.e. ``t`` has the kernel of the coordinate-sum map."""
-    rows = t.entries
-    return all(len(set(row)) == 1 for row in rows) and any(row[0] for row in rows)
+    return _certified_signal(h, t)[1]
 
 
 def frame(h: Hypergraph, t: LinearMap | None = None) -> FrameResult:
@@ -176,7 +135,7 @@ def mountain_range(n: int) -> Hypergraph:
 def frame_result_to_json(result: FrameResult, source: Hypergraph) -> dict:
     return {
         "frame": hypergraph_to_json(result.frame),
-        "classes": result.class_labels(source),
+        "classes": [[source.vertices[v] for v in block] for block in result.fusion.classes],
         "class_map": dict(result.class_map),
     }
 

@@ -6,9 +6,11 @@ the value tuple read off every edge in every arrangement. The admissible
 signals of a hypergraph form a vector space, computed exactly here as the
 nullspace of a sparse constraint matrix with ``(ell-1)^2 + 1`` rows per
 edge and map row, which span the same row space as the up to ``ell!``
-arrangement constraints. Under the coordinate-sum map a
-single "generating" signal whose level sets realize the fusion partition
-is certified from one kernel vector of the smaller edge-sum system.
+arrangement constraints. Under every map, one admissible signal whose
+level sets realize the fusion partition is certified from one kernel
+vector, by the same engine: only its rows depend on the map, the smaller
+edge-sum system under the coordinate-sum map and its nonzero multiples,
+the sum-matrix rows of the signal space under every other map.
 
 Coordinate layout for flattened signals is fixed: coordinate ``(a, x)``
 lives at index ``a * n_vertices + x`` (axis-major), so bases and file
@@ -22,6 +24,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import lcm
 from pathlib import Path
@@ -171,22 +174,35 @@ def assemble_constraints(h: Hypergraph, t: LinearMap) -> SparseMatrix:
     position; a zero map row gives one empty row.
     """
     _check_arity(h, t)
-    n, maps = h.n_vertices, _integer_rows(t)
-    rows: dict[tuple[tuple[int, int], ...], None] = {}
-    for e in h.edges:
-        x0, others = e[0], sorted(set(e) - {e[0]})
-        for w in maps:
-            w0 = w[0]
-            rows[tuple((a * n + x, c) for a, (x, c) in enumerate(zip(e, w)) if c)] = None
-            for a in range(1, t.ell):
-                wa, base = w[a], a * n
-                for x in others:
-                    row = ((x0, w0), (x, -w0)) if w0 else ()
-                    if wa:
-                        row += ((base + x0, -wa), (base + x, wa))
-                    rows[row] = None
+    n = h.n_vertices
+    rows = _sum_matrix_rows(h.edges, _integer_rows(t), range(n), n)
     entries = tuple((r, col, c) for r, row in enumerate(rows) for col, c in row)
     return SparseMatrix(len(rows), t.ell * n, entries)
+
+
+def _sum_matrix_rows(
+    edges: Sequence[tuple[int, ...]], maps: Sequence[Sequence[int]], col: Sequence[int], stride: int
+) -> dict[tuple[tuple[int, int], ...], None]:
+    """The rows of :func:`assemble_constraints` for the integer map rows
+    ``maps``, with coordinate ``(a, x)`` at column ``col[x] + a * stride``,
+    each distinct row once. Vertices that share a column have their
+    coordinates summed, so a minor row whose two vertices share a column
+    vanishes and is left out."""
+    rows: dict[tuple[tuple[int, int], ...], None] = {}
+    for e in edges:
+        c0 = col[e[0]]
+        others = sorted({col[x] for x in e} - {c0})
+        for w in maps:
+            w0 = w[0]
+            rows[tuple((col[x] + a * stride, c) for a, (x, c) in enumerate(zip(e, w)) if c)] = None
+            for a in range(1, len(w)):
+                wa, base = w[a], a * stride
+                for c in others:
+                    row = ((c0, w0), (c, -w0)) if w0 else ()
+                    if wa:
+                        row += ((c0 + base, -wa), (c + base, wa))
+                    rows[row] = None
+    return rows
 
 
 def find_violation(
@@ -267,7 +283,6 @@ def _check_basis(h: Hypergraph, t: LinearMap, signals: Sequence[Signal]) -> None
     """Re-verify computed basis signals exactly, by the sum-matrix test of
     :func:`find_violation`, with the map's integer rows built once for all
     of them; a failure is an internal error and raises."""
-    _check_arity(h, t)
     maps = _integer_rows(t)
     for sig in signals:
         witness = _violation(h, maps, sig)
@@ -337,11 +352,8 @@ def embed_to_universal(h: Hypergraph, t: LinearMap, s: Signal) -> Signal:
 
 def generating_signal(h: Hypergraph) -> Signal:
     """Single admissible signal for the coordinate-sum map whose level
-    sets, on every axis, realize the full fusion partition: the certified
-    signal of :func:`_certified_signal`, re-verified against every edge
-    and arrangement."""
-    if not is_connected(h):
-        raise DisconnectedError("generating signal requires a connected hypergraph")
+    sets, on every axis, realize the full fusion partition: the certified,
+    re-verified signal of :func:`_certified_signal`."""
     return _certified_signal(h, universal_map(h.ell))[0]
 
 
@@ -360,67 +372,92 @@ def _draw(rng: random.Random, k: int) -> list[int]:
     return [rng.getrandbits(32) for _ in range(k)]
 
 
-def _edge_sum_echelon(
-    edges: Sequence[tuple[int, ...]], group: Sequence[int], k: int
-) -> tuple[dict[int, dict[int, int]], list[int]]:
-    """Forward echelon of the edge-sum system with the vertex columns
-    summed per group: one row per edge, the number of the edge's vertices
-    in group ``g`` at the column of ``g`` and 1 at the last column ``k``
-    (``C``), each distinct row once. Groups take columns in order of
-    increasing degree (ties by group), ``C`` comes last. Returns the
-    echelon and each group's column."""
-    degree = Counter(group[v] for e in edges for v in e)
-    col = [0] * k
-    for i, g in enumerate(sorted(range(k), key=degree.__getitem__)):
-        col[g] = i
-    rows = {
-        tuple(sorted(Counter(col[group[v]] for v in e).items())) + ((k, 1),): None
-        for e in edges
-    }
-    return _forward_echelon(rows), col
+def _sums_coordinates(t: LinearMap) -> bool:
+    """True iff every row of ``t`` is constant and some row is nonzero,
+    i.e. ``t`` has the kernel of the coordinate-sum map."""
+    rows = t.entries
+    return all(len(set(row)) == 1 for row in rows) and any(row[0] for row in rows)
+
+
+def _edge_sum_rows(
+    edges: Sequence[tuple[int, ...]], col: Sequence[int]
+) -> dict[tuple[tuple[int, int], ...], None]:
+    """The edge-sum system with vertex ``x`` at column ``col[x]``: one row
+    per edge, the number of the edge's vertices at each column and 1 at
+    column ``len(col)`` (``C``, after every vertex column), each distinct
+    row once."""
+    c = len(col)
+    return {tuple(sorted(Counter(col[v] for v in e).items())) + ((c, 1),): None for e in edges}
 
 
 def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[Signal, Partition]:
-    """Fusion partition of connected ``h`` under ``t``, a map whose rows
-    are multiples of the all-ones row with some row nonzero, and one
-    re-verified admissible signal whose level sets on every axis realize
-    it.
+    """Fusion partition of connected ``h`` under ``t``, and one re-verified
+    admissible signal whose level sets, on the axes together, realize it.
 
-    The admissible signals are ``s_0 = f + C``, ``s_a = f`` (a >= 1) for
-    ``(f, C)`` in the kernel of the ``m x (n+1)`` edge-sum system of
-    :func:`_edge_sum_echelon`, so fusion is the common refinement of the
-    level sets of every such ``f``. Steps:
+    Fusion is the common refinement of the level sets of the kernel
+    vectors of a linear system; only that system depends on the map:
 
-    1. forward echelon of the edge-sum system, which gives its nullity;
+    - if every row of ``t`` is a multiple of the all-ones row and some row
+      is nonzero, the edge-sum system of :func:`_edge_sum_rows`, whose
+      kernel vectors ``(f, C)`` give the signals ``s_0 = f + C``,
+      ``s_a = f`` (a >= 1), keyed on ``f``;
+    - for every other map, the sum-matrix rows of
+      :func:`assemble_constraints`, whose kernel vectors are the signals.
+
+    Steps, each vertex's columns given by a vertex-to-column map:
+
+    1. forward echelon of the system, vertices by increasing degree and
+       the axes of a vertex side by side, which gives its nullity;
     2. one kernel vector, back-substituted from seeded random free values;
-    3. its lift to a signal, re-verified under ``t`` against every edge
-       and arrangement;
-    4. the level sets of its ``f`` as the candidate partition ``P``;
-    5. the certificate: ``P`` is discrete, or the system with the columns
+    3. its level sets as the candidate partition ``P``;
+    4. the certificate: ``P`` is discrete, or the system with the columns
        of each block of ``P`` summed has the full system's nullity. Its
        kernel vectors lift injectively to the full kernel vectors that
        are constant on the blocks, so equal nullity means every kernel
-       vector is constant on the blocks and ``P`` is the fusion.
+       vector is constant on the blocks and ``P`` is the fusion;
+    5. the accepted vector's signal, re-verified under ``t``.
 
     A rejected candidate is replaced by a fresh draw, never merged with
     it, so the returned signal alone realizes the partition, and the
     partition does not depend on the draws. ``_MAX_DRAWS`` rejections in
     a row raise an internal error.
     """
+    if not is_connected(h):
+        raise DisconnectedError("fusion requires a connected hypergraph")
     _check_arity(h, t)
-    n = h.n_vertices
-    echelon, col = _edge_sum_echelon(h.edges, range(n), n)
-    nullity = n + 1 - len(echelon)
+    n, edges = h.n_vertices, h.edges
+    if _sums_coordinates(t):  # the unknowns (f, C): one column per vertex, then C
+        blocks, extra, rows = 1, 1, partial(_edge_sum_rows, edges)
+    else:  # the unknowns: the ell values of each vertex, side by side
+        blocks, extra = h.ell, 0
+        rows = partial(_sum_matrix_rows, edges, _integer_rows(t), stride=1)
+
+    def eliminate(group: Sequence[int], k: int) -> tuple[dict[int, dict[int, int]], list[int]]:
+        """Echelon of the system with the vertices of each of the ``k``
+        groups sharing their columns, groups in order of increasing
+        degree, and each vertex's first column."""
+        degree = Counter(group[v] for e in edges for v in e)
+        first = [0] * k
+        for i, g in enumerate(sorted(range(k), key=degree.__getitem__)):
+            first[g] = i * blocks
+        col = [first[g] for g in group]
+        return _forward_echelon(rows(col)), col
+
+    echelon, col = eliminate(range(n), n)
+    ncols = blocks * n + extra
+    nullity = ncols - len(echelon)
     rng = random.Random(_DRAW_SEED)
     for _ in range(_MAX_DRAWS):
-        v = _kernel_vector(echelon, n + 1, _draw(rng, nullity))
-        f = [v[col[x]] for x in range(n)]
-        rest = tuple(map(Fraction, f))
-        sig = Signal((tuple(x + v[n] for x in rest),) + (rest,) * (h.ell - 1))
-        _check_basis(h, t, [sig])
-        part = Partition.from_keys(f)
+        v = _kernel_vector(echelon, ncols, _draw(rng, nullity))
+        axes = [[v[c + b] for c in col] for b in range(blocks)]
+        part = Partition.from_keys(list(zip(*axes)))
         k = part.n_classes
-        if k == n or k + 1 - len(_edge_sum_echelon(h.edges, part.class_of, k)[0]) == nullity:
+        if k == n or blocks * k + extra - len(eliminate(part.class_of, k)[0]) == nullity:
+            values = [tuple(map(Fraction, row)) for row in axes]
+            if extra:
+                values = [tuple(x + v[-1] for x in values[0])] + values * (h.ell - 1)
+            sig = Signal(tuple(values))
+            _check_basis(h, t, [sig])
             return sig, part
     raise HypersigError(f"internal error: no fusion certified in {_MAX_DRAWS} draws")
 

@@ -9,6 +9,7 @@ from hypersig import (
     Signal,
     dumps_hypergraph,
     fan,
+    frame,
     load_hypergraph,
     mountain_range,
     save_hypergraph,
@@ -331,6 +332,49 @@ def test_frame_out_keeps_old_file_when_classes_target_fails(tmp_path, fan_path, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fan.json", "framed.json"]
     assert capsys.readouterr().err == (
         f"error: [Errno {errno.ENOENT}] No such file or directory: '{classes}'\n"
+    )
+
+
+def test_frame_out_second_replace_failure_leaves_frame_new_and_classes_old(
+    tmp_path, fan_path, fan_five, monkeypatch, capsys
+):
+    """The two renames are not atomic as a pair: a failure between them
+    leaves the frame new, the classes file old and no temporary file."""
+    out, classes = tmp_path / "framed.json", tmp_path / "c.json"
+    out.write_bytes(b"old frame\n")
+    classes.write_bytes(b"old classes\n")
+    real, calls = os.replace, []
+
+    def fail_second(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError(errno.EIO, "injected failure", str(dst))
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_second)
+    argv = ["frame", "--in", fan_path, "--out", str(out), "--classes", str(classes)]
+    assert main(argv) == 2
+    assert calls == [out, classes]
+    assert out.read_text() == dumps_hypergraph(frame(fan_five).frame)
+    assert classes.read_bytes() == b"old classes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "fan.json", "framed.json"]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_frame_rejects_out_and_classes_naming_one_file(tmp_path, spelling, capsys):
+    """--out and --classes resolving to one file would leave only the
+    classes document there; argv is rejected before the input is read."""
+    target = tmp_path / "p.json"
+    target.write_bytes(b"old\n")
+    classes = target if spelling == "same" else tmp_path / "sub" / ".." / "p.json"
+    missing = tmp_path / "missing.json"
+    argv = ["frame", "--in", str(missing), "--out", str(target), "--classes", str(classes)]
+    assert main(argv) == 2
+    assert target.read_bytes() == b"old\n"
+    assert capsys.readouterr().err == (
+        f"error: --out {target} and --classes {classes} name the same file\n"
     )
 
 

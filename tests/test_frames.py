@@ -6,7 +6,6 @@ from itertools import permutations
 import pytest
 
 from conftest import random_connected_instance, random_engaged_map, random_multiset_instance
-import hypersig.frames
 import hypersig.signals
 from hypersig import (
     DisconnectedError,
@@ -130,7 +129,7 @@ def test_frame_matches_dense_oracle_at_higher_arity(ell, m_max, instances):
 
 
 def assembly_fusion(h, t):
-    """Fusion read off the full arrangement assembly: the level sets of
+    """Fusion read off the full constraint assembly: the level sets of
     every basis signal of ``signal_space`` on every axis."""
     sigs = signal_space(h, t).signals()
     return Partition.from_keys(
@@ -144,35 +143,48 @@ def differential_instances():
     for ell, count in ((3, 6), (4, 6), (5, 2)):
         cases += [random_multiset_instance(rng, ell, n_max=6, m_max=3) for _ in range(count)]
     cases += [Hypergraph.build(ell, ["x"], [(0,) * ell]) for ell in (3, 4, 5)]
+    cases += [random_multiset_instance(rng, 6, n_max=3, m_max=2)]
     return cases
 
 
 DIFFERENTIAL = differential_instances()
 
 
+def random_rational_map(rng, ell):
+    """Random engaged map with rational entries, r in {1, 2}."""
+    rows = random_engaged_map(rng, ell).entries
+    return LinearMap.from_rows([[c / rng.randint(1, 4) for c in row] for row in rows])
+
+
 @pytest.mark.parametrize(
     "h", DIFFERENTIAL, ids=[f"{i}-ell{h.ell}-n{h.n_vertices}" for i, h in enumerate(DIFFERENTIAL)]
 )
-def test_reduced_fusion_matches_assembly_and_oracle(h, monkeypatch):
-    """Three-way check of fusion under coordinate-sum maps: the edge-sum
-    path, the level sets of signal_space(h, U) and the dense oracle. The
-    zero map must go through the full assembly."""
-    assembled = []
-    real = hypersig.frames.signal_space
-    monkeypatch.setattr(
-        hypersig.frames, "signal_space", lambda g, t: assembled.append(t) or real(g, t)
-    )
+def test_reduced_fusion_matches_assembly_and_oracle(h):
+    """Three-way check of the certified fusion engine: fusion equals the
+    level sets of signal_space and the dense oracle, under coordinate-sum
+    maps (edge-sum rows) and under C, random engaged rational maps, a
+    non-engaged map and the zero map (sum-matrix rows)."""
     ell = h.ell
+    rng = random.Random(repr(h.edges))
     u_blocks = partition_blocks(assembly_fusion(h, universal_map(ell)).classes)
     assert u_blocks == oracle_fusion_blocks(h, universal_map(ell))
     for rows in ([[1] * ell], [[2] * ell], [[-1] * ell], [[0] * ell, [Fraction(-3, 2)] * ell]):
         t = LinearMap.from_rows(rows)
         part = fusion(h, t)
-        assert assembled == []
         assert partition_blocks(part.classes) == u_blocks == oracle_fusion_blocks(h, t)
+    others = [
+        centroid_map(ell),
+        random_rational_map(rng, ell),
+        random_rational_map(rng, ell),
+        LinearMap.from_rows([[1] * (ell - 1) + [0]]),
+    ]
+    for t in others:
+        part = fusion(h, t)
+        assert part == assembly_fusion(h, t)
+        assert partition_blocks(part.classes) == oracle_fusion_blocks(h, t)
     zero = LinearMap.from_rows([[0] * ell])
     part = fusion(h, zero)
-    assert assembled == [zero]
+    assert part == assembly_fusion(h, zero)
     assert partition_blocks(part.classes) == oracle_fusion_blocks(h, zero)
     assert part.is_discrete()
 
@@ -236,14 +248,26 @@ def test_certificate_rejects_a_draw_that_merges_too_much(fan_five, monkeypatch):
     assert len(draws) == 2
     assert Partition.from_keys(delta.values[0]) == part
     assert verify_signal(fan_five, universal_map(3), delta)
+    # the same under a map other than U, on the sum-matrix rows
+    h, t = fan(5), LinearMap.from_rows([[1, 2, 3]])
+    draws.clear()
+    part = fusion(h, t)
+    assert len(draws) == 2
+    assert part == assembly_fusion(h, t)
+    assert blocks(part, h) == {
+        frozenset({"u"}), frozenset({"v0", "v2", "v4"}), frozenset({"v1", "v3", "v5"})
+    }
 
 
 def test_certificate_never_accepts_a_wrong_candidate(fan_five, monkeypatch):
     """Draws that all merge every vertex are all rejected, and running out
-    of draws is an internal error, not a wrong partition."""
+    of draws is an internal error, not a wrong partition, under U and
+    under a map other than U."""
     monkeypatch.setattr(hypersig.signals, "_draw", lambda rng, k: [0] * k)
     with pytest.raises(HypersigError, match="no fusion certified"):
         fusion(fan_five, universal_map(3))
+    with pytest.raises(HypersigError, match="no fusion certified"):
+        fusion(fan(5), LinearMap.from_rows([[1, 2, 3]]))
 
 
 def test_reduced_fusion_checks_arity(triangle):
