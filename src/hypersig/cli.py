@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -236,7 +237,11 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``hypersig`` parser, built once and shared by every call of
+    :func:`main`: a build takes milliseconds, and parsing leaves no state
+    in the parser."""
     parser = argparse.ArgumentParser(
         prog="hypersig",
         description="Exact signal invariants, fusion and frame quotients of "

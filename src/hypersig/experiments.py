@@ -15,8 +15,9 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, sqrt
-from typing import Sequence
+from math import ceil, comb, sqrt
+from math import log as _log
+from typing import Iterable, Sequence
 
 from .errors import DomainError, InfeasibleError
 from .frames import frame
@@ -43,10 +44,48 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _sample_simple_edges(rng: random.Random, n: int, m: int, ell: int) -> set[tuple[int, ...]]:
-    edges: set[tuple[int, ...]] = set()
-    while len(edges) < m:
-        edges.add(tuple(sorted(rng.sample(range(n), ell))))
+def _sample_simple_edges(
+    rng: random.Random, n: int, m: int, ell: int, start: Iterable[tuple[int, ...]] = ()
+) -> set[tuple[int, ...]]:
+    """``start`` topped up with random simple edges until ``m`` are distinct.
+
+    Each draw equals ``tuple(sorted(Random.sample(range(n), ell)))``: the
+    same ``getrandbits`` calls in the same order, so the edges and the RNG
+    state afterwards match CPython's ``sample``, inlined here to skip its
+    per-call overhead. Like ``sample``, it keeps a pool list when ``n`` is
+    at most its set-size threshold and otherwise redraws chosen values.
+    """
+    getrandbits = rng.getrandbits
+    edges = set(start)
+    add = edges.add
+    setsize = 21
+    if ell > 5:
+        setsize += 4 ** ceil(_log(ell * 3, 4))
+    if n <= setsize:
+        while len(edges) < m:
+            pool = list(range(n))
+            edge = []
+            for size in range(n, n - ell, -1):
+                k = size.bit_length()
+                j = getrandbits(k)
+                while j >= size:
+                    j = getrandbits(k)
+                edge.append(pool[j])
+                pool[j] = pool[size - 1]
+            edge.sort()
+            add(tuple(edge))
+    else:
+        k = n.bit_length()
+        picks = range(ell)
+        while len(edges) < m:
+            edge = []
+            for _ in picks:
+                j = getrandbits(k)
+                while j >= n or j in edge:
+                    j = getrandbits(k)
+                edge.append(j)
+            edge.sort()
+            add(tuple(edge))
     return edges
 
 
@@ -77,7 +116,9 @@ def random_hypergraph(n: int, m: int, ell: int, seed: int) -> Hypergraph:
     rng = random.Random(stable_seed("hypergraph", n, m, ell, seed))
     for _ in range(_REJECTION_RETRIES):
         edges = _sample_simple_edges(rng, n, m, ell)
-        if len(set(_component_roots(n, edges))) == 1:
+        # An uncovered vertex is a component of its own: reject before
+        # the union-find.
+        if len(set().union(*edges)) == n and len(set(_component_roots(n, edges))) == 1:
             break
     else:
         edges = _chained_instance(rng, n, m, ell)
@@ -108,9 +149,7 @@ def _chained_instance(
         base = rng.sample(covered, ell - len(fresh))
         edges.add(tuple(sorted(base + fresh)))
         covered.extend(fresh)
-    while len(edges) < m:
-        edges.add(tuple(sorted(rng.sample(range(n), ell))))
-    return edges
+    return _sample_simple_edges(rng, n, m, ell, edges)
 
 
 def reduction_proportion(h: Hypergraph) -> Fraction:

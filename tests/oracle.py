@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and shares no code with the library
 paths it checks: constraint systems enumerate all ell! permutations per
-edge with no row deduplication, elimination is textbook dense
-Gauss-Jordan on lists of Fractions, and partitions are plain frozensets.
+edge, elimination is textbook dense Gauss-Jordan on lists of Fractions
+(identical rows dropped first, which leaves the row space and so the
+RREF kernel basis unchanged), and partitions are plain frozensets.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ def dense_constraint_rows(h: Hypergraph, t: LinearMap) -> list[list[Fraction]]:
 
 
 def dense_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Kernel basis via textbook Gauss-Jordan with first-nonzero pivoting."""
-    mat = [row[:] for row in rows]
+    """Kernel basis via textbook Gauss-Jordan with first-nonzero pivoting,
+    over the distinct rows."""
+    mat = [list(row) for row in dict.fromkeys(map(tuple, rows))]
     pivot_cols: list[int] = []
     prow = 0
     for col in range(ncols):

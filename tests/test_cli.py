@@ -402,3 +402,27 @@ def test_roundtrip_via_cli_files(tmp_path, fan_five):
     save_hypergraph(fan_five, path)
     assert load_hypergraph(path) == fan_five
     assert dumps_hypergraph(load_hypergraph(path)) == path.read_text()
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, fan_path, capsys):
+    # the parser is built once and reused, so no call may leave anything
+    # behind for the next: every argv gives the same result in any order
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    argvs = [
+        ("frame", "--in", fan_path),
+        ("frame", "--out"),
+        ("signals", "--in", str(tmp_path / "missing.json")),
+        ("signals", "--in", fan_path, "--map", "C"),
+    ]
+    first = {argv: run(list(argv)) for argv in argvs}
+    second = {argv: run(list(argv)) for argv in reversed(argvs)}
+    assert first == second
+    assert [first[argv][0] for argv in argvs] == [0, 2, 2, 0]
+    assert first[argvs[1]][2].startswith("usage: hypersig frame")

@@ -1,4 +1,7 @@
+import hashlib
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -8,6 +11,7 @@ from hypersig import (
     Hypergraph,
     InfeasibleError,
     SweepConfig,
+    dumps_hypergraph,
     is_connected,
     random_hypergraph,
     reduction_proportion,
@@ -15,7 +19,7 @@ from hypersig import (
     run_sweep,
     stable_seed,
 )
-from hypersig.experiments import run_cell
+from hypersig.experiments import _sample_simple_edges, run_cell
 
 
 def test_random_hypergraph_contract():
@@ -40,6 +44,36 @@ def test_random_hypergraph_bridging_fallback():
     h = random_hypergraph(21, 10, 3, seed=1)
     assert is_connected(h)
     assert h.n_edges == 10
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 6, 7])
+def test_sampler_draws_exactly_as_random_sample(ell):
+    # random.sample keeps a pool list up to n = 21 (n = 85 at ell 6-7) and
+    # a set of chosen values above; both sides of both thresholds
+    for n in [*range(ell, 31), 50, 84, 85, 86, 300]:
+        for seed in range(3):
+            m = min(comb(n, ell), 1 + 4 * seed)
+            start = {tuple(range(ell))} if seed == 2 else set()
+            ours, theirs = random.Random(seed), random.Random(seed)
+            expected = set(start)
+            while len(expected) < m:
+                expected.add(tuple(sorted(theirs.sample(range(n), ell))))
+            assert _sample_simple_edges(ours, n, m, ell, start) == expected, (n, seed)
+            assert ours.getstate() == theirs.getstate(), (n, seed)
+
+
+def test_random_hypergraph_draws_are_pinned_at_ell_6():
+    # digest of these instances as random.sample drew them; 12 of the 24
+    # exhaust the rejection budget and take the chained fallback
+    digest = hashlib.sha256()
+    for n in (7, 20, 40, 85, 86, 120):
+        for m in (-((n - 1) // -5), n // 2 + 1):
+            for seed in range(2):
+                h = random_hypergraph(n, m, 6, seed)
+                digest.update(dumps_hypergraph(h).encode())
+    assert digest.hexdigest() == (
+        "c7ec625d1328c4c2323071082e3b96e99c2085d23bc5e22b6a70b6bc782e910a"
+    )
 
 
 @pytest.mark.parametrize(
