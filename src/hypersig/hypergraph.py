@@ -129,11 +129,12 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Sequence[int]], n: int) -> "Partition":
-        ordered = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
+        ordered = [tuple(sorted(b)) for b in blocks]
+        if not all(ordered):
+            raise DomainError("empty class")
+        ordered.sort(key=lambda b: b[0])
         class_of = [-1] * n
         for cid, block in enumerate(ordered):
-            if not block:
-                raise DomainError("empty class")
             for x in block:
                 if not (0 <= x < n):
                     raise DomainError(f"member {x} out of range")

@@ -1,11 +1,11 @@
 """Exact rational linear algebra: sparse matrices and nullspace bases.
 
-Scalars are ``fractions.Fraction`` values, so every result in this module
-is exact; no floating point appears anywhere. The central operation is
-:func:`nullspace`, which returns the canonical reduced-echelon kernel
-basis of a sparse rational matrix. A forward, non-reduced echelon form
-with single-vector back-substitution serves callers that need the rank
-and one kernel vector, not a basis.
+Matrices hold integer rows and bases ``fractions.Fraction`` values, so
+every result in this module is exact; no floating point appears
+anywhere. The central operation is :func:`nullspace`, which returns the
+canonical reduced-echelon kernel basis of a sparse matrix. A forward,
+non-reduced echelon form with single-vector back-substitution serves
+callers that need the rank and one kernel vector, not a basis.
 """
 
 from __future__ import annotations
@@ -17,55 +17,64 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError
 
-Entry = tuple[int, int, Fraction | int]
-
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Immutable sparse rational matrix.
+    """Immutable sparse integer matrix, stored by rows.
 
-    ``entries`` holds one ``(row, col, value)`` triple per structurally
-    nonzero coefficient, sorted by ``(row, col)``; a value is a
-    ``Fraction`` or an ``int`` (constraint assembly emits integers only).
-    Zero values and duplicate positions are rejected.
+    Each row is a tuple of ``(col, value)`` pairs with strictly ascending
+    columns in ``range(ncols)`` and nonzero ``int`` values; an empty row
+    is a zero row. Constraint assembly builds these rows directly, and a
+    rational matrix enters through :meth:`from_dense`, which scales each
+    row to integers.
     """
 
-    nrows: int
     ncols: int
-    entries: tuple[Entry, ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self) -> None:
-        if self.nrows < 0 or self.ncols < 0:
+        if self.ncols < 0:
             raise DomainError("matrix dimensions must be non-negative")
-        seen: set[tuple[int, int]] = set()
-        for r, c, v in self.entries:
-            if not (0 <= r < self.nrows and 0 <= c < self.ncols):
-                raise DomainError(f"entry ({r},{c}) out of range")
-            if v == 0:
-                raise DomainError(f"stored zero at ({r},{c})")
-            if (r, c) in seen:
-                raise DomainError(f"duplicate entry at ({r},{c})")
-            seen.add((r, c))
+        for r, row in enumerate(self.rows):
+            prev = -1
+            for c, v in row:
+                if not prev < c < self.ncols:
+                    raise DomainError(f"row {r}: column {c} out of range or not ascending")
+                if type(v) is not int or not v:
+                    raise DomainError(f"row {r}: value {v!r} at column {c} is not a nonzero int")
+                prev = c
 
     @classmethod
     def from_dense(cls, rows: Sequence[Sequence[Fraction | int]]) -> "SparseMatrix":
-        nrows = len(rows)
+        """Each row scaled by the lcm of its denominators, which keeps the
+        kernel."""
         ncols = len(rows[0]) if rows else 0
-        ents = []
-        for r, row in enumerate(rows):
-            if len(row) != ncols:
-                raise DomainError("ragged dense matrix")
-            for c, v in enumerate(row):
-                if v != 0:
-                    ents.append((r, c, Fraction(v)))
-        return cls(nrows, ncols, tuple(ents))
+        if any(len(row) != ncols for row in rows):
+            raise DomainError("ragged dense matrix")
+        ints = _integral_rows(rows)
+        return cls(ncols, tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in ints))
 
-    def rows_as_dicts(self) -> list[dict[int, Fraction]]:
-        """Row-major view; every row index appears, empty rows as ``{}``."""
-        rows: list[dict[int, Fraction]] = [{} for _ in range(self.nrows)]
-        for r, c, v in self.entries:
-            rows[r][c] = v
-        return rows
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    @property
+    def entries(self) -> tuple[tuple[int, int, int], ...]:
+        """``(row, col, value)`` triples in row-major order; a view kept
+        for the tests and for the nnz counter that perfbench reads off
+        ``signals.assemble_constraints``."""
+        return tuple((r, c, v) for r, row in enumerate(self.rows) for c, v in row)
+
+
+def _integral_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
+    """Each rational row times the lcm of its own denominators: integers
+    with the same zero set as a constraint, and the same kernel as a
+    matrix row."""
+    out = []
+    for row in rows:
+        k = lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (k // v.denominator) for v in row])
+    return out
 
 
 @dataclass(frozen=True)
@@ -88,19 +97,6 @@ class Basis:
     @property
     def dimension(self) -> int:
         return len(self.vectors)
-
-
-def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:
-    """Scale each row to a primitive integer row (content 1)."""
-    out = []
-    for row in m.rows_as_dicts():
-        if not row:
-            continue
-        scale = lcm(*(v.denominator for v in row.values()))
-        ints = {c: int(v * scale) for c, v in row.items()}
-        _reduce_content(ints)
-        out.append(ints)
-    return out
 
 
 def _reduce_content(row: dict[int, int]) -> None:
@@ -188,7 +184,8 @@ def _kernel_vector(
 class _Echelon:
     """Incremental reduced echelon form over the rationals.
 
-    Rows are primitive integer dicts; the rational echelon row for pivot
+    Rows are primitive integer dicts (:meth:`insert` divides out the
+    content of a row as it enters); the rational echelon row for pivot
     column ``c`` is ``rows[c] / rows[c][c]``, and ``rows[c][c] > 0``.
     Invariant: each pivot row is zero in every other pivot column, so
     clearing one pivot column of a row (:func:`_subtract`, integer only)
@@ -201,8 +198,9 @@ class _Echelon:
     def __init__(self) -> None:
         self.rows: dict[int, dict[int, int]] = {}
 
-    def insert(self, row: dict[int, int]) -> None:
+    def insert(self, row: Iterable[tuple[int, int]]) -> None:
         r = dict(row)
+        _reduce_content(r)
         for c in [c for c in r if c in self.rows]:
             _subtract(r, c, self.rows[c])
         if not r:
@@ -240,6 +238,6 @@ def nullspace(m: SparseMatrix) -> Basis:
     """
     ech = _Echelon()
     # insert sparse rows first; keeps intermediate fill-in low
-    for row in sorted(_integer_rows(m), key=lambda r: (len(r), sorted(r.items()))):
+    for row in sorted(m.rows, key=lambda r: (len(r), r)):
         ech.insert(row)
     return ech.kernel_basis(m.ncols)

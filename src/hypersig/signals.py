@@ -38,10 +38,9 @@ from .hypergraph import (
     _dumps,
     _read_json,
     _write_text,
-    arrangements,
     is_connected,
 )
-from .linalg import Basis, SparseMatrix, _forward_echelon, _kernel_vector, nullspace
+from .linalg import Basis, SparseMatrix, _forward_echelon, _integral_rows, _kernel_vector, nullspace
 
 
 @dataclass(frozen=True)
@@ -144,21 +143,11 @@ def _check_arity(h: Hypergraph, t: LinearMap) -> None:
         raise DomainError(f"map arity {t.ell} != hypergraph arity {h.ell}")
 
 
-def _integer_rows(t: LinearMap) -> list[list[int]]:
-    """The map's rows, each scaled by the lcm of its own denominators to
-    integers; scaling a row changes no constraint's zero set."""
-    out = []
-    for row in t.entries:
-        k = lcm(*(c.denominator for c in row))
-        out.append([c.numerator * (k // c.denominator) for c in row])
-    return out
-
-
 def assemble_constraints(h: Hypergraph, t: LinearMap) -> SparseMatrix:
     """Sparse integer constraint system whose nullspace is the signal space.
 
     For edge ``e`` (a sorted tuple) and integer map row ``w`` (see
-    :func:`_integer_rows`), every arrangement constraint is a permutation
+    :func:`_integral_rows`), every arrangement constraint is a permutation
     sum of the ``ell x ell`` matrix ``A[a][j] = w_a * s_a(e[j])``. The
     permutation matrices span exactly the matrices whose row and column
     sums are all equal (Birkhoff), so the same row space comes from
@@ -175,9 +164,8 @@ def assemble_constraints(h: Hypergraph, t: LinearMap) -> SparseMatrix:
     """
     _check_arity(h, t)
     n = h.n_vertices
-    rows = _sum_matrix_rows(h.edges, _integer_rows(t), range(n), n)
-    entries = tuple((r, col, c) for r, row in enumerate(rows) for col, c in row)
-    return SparseMatrix(len(rows), t.ell * n, entries)
+    rows = _sum_matrix_rows(h.edges, _integral_rows(t.entries), range(n), n)
+    return SparseMatrix(t.ell * n, tuple(rows))
 
 
 def _sum_matrix_rows(
@@ -216,15 +204,16 @@ def find_violation(
     :func:`assemble_constraints`' rows: with ``A[a][j] = w_a * s_a(e[j])``,
     every arrangement constraint holds iff the trace of ``A`` is zero and
     ``A[a][j] - A[a][0] == A[0][j] - A[0][0]`` for all ``a, j >= 1``.
-    Only on the first edge that fails are its distinct arrangements
-    enumerated, to name the first violated (arrangement, map row).
+    Only on the first edge that fails is the first violated (arrangement,
+    map row) located, in the lexicographic order of the edge's distinct
+    arrangements, by the prefix search of :func:`_first_witness`.
 
     Integer only: the signal is scaled by the lcm of all its value
     denominators and each map row by the lcm of its own, which leaves
     every constraint's zero set unchanged.
     """
     _check_arity(h, t)
-    return _violation(h, _integer_rows(t), s)
+    return _violation(h, _integral_rows(t.entries), s)
 
 
 def _violation(
@@ -254,11 +243,52 @@ def _violation(
                 break
         else:
             continue
-        for arr in arrangements(e):
-            for i, row in enumerate(terms):
-                if sum(c * col[x] for (c, col), x in zip(row, arr)):
-                    return e, arr, i
+        return (e, *_first_witness(e, terms))
     return None
+
+
+def _first_witness(
+    e: tuple[int, ...], terms: Sequence[Sequence[tuple[int, Sequence[int]]]]
+) -> tuple[tuple[int, ...], int]:
+    """The lexicographically first distinct arrangement of the failing
+    edge ``e`` that violates a map row, and the first row it violates.
+
+    Depth-first over prefixes in lexicographic order, skipping a prefix
+    when every completion holds: for each map row, the block of ``A`` left
+    to fill (the axes after the prefix, the vertices not in it) passes the
+    sum-matrix test, so every completion gives the same value, and one
+    completion gives zero. A prefix that is not skipped has a violating
+    completion, so the search never backtracks and reaches the first
+    violating arrangement after at most ``ell^2`` prefix tests, instead of
+    enumerating up to ``ell!`` arrangements.
+    """
+
+    def holds(prefix: tuple[int, ...], rest: tuple[int, ...]) -> bool:
+        k = len(prefix)
+        for row in terms:
+            if sum(c * col[x] for (c, col), x in zip(row, prefix + rest)):
+                return False
+            if rest:
+                (c0, v0), x0 = row[k], rest[0]
+                if any(
+                    c * (col[x] - col[x0]) != c0 * (v0[x] - v0[x0])
+                    for x in rest[1:]
+                    for c, col in row[k + 1 :]
+                ):
+                    return False
+        return True
+
+    prefix, rest = (), e
+    while rest:  # rest stays sorted, so its distinct entries come in order
+        children = (
+            (prefix + (x,), rest[:i] + rest[i + 1 :])
+            for i, x in enumerate(rest)
+            if rest.index(x) == i
+        )
+        prefix, rest = next(child for child in children if not holds(*child))
+    return prefix, next(
+        i for i, row in enumerate(terms) if sum(c * col[x] for (c, col), x in zip(row, prefix))
+    )
 
 
 def verify_signal(h: Hypergraph, t: LinearMap, s: Signal) -> bool:
@@ -283,7 +313,7 @@ def _check_basis(h: Hypergraph, t: LinearMap, signals: Sequence[Signal]) -> None
     """Re-verify computed basis signals exactly, by the sum-matrix test of
     :func:`find_violation`, with the map's integer rows built once for all
     of them; a failure is an internal error and raises."""
-    maps = _integer_rows(t)
+    maps = _integral_rows(t.entries)
     for sig in signals:
         witness = _violation(h, maps, sig)
         if witness is not None:
@@ -430,7 +460,7 @@ def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[Signal, Partition]:
         blocks, extra, rows = 1, 1, partial(_edge_sum_rows, edges)
     else:  # the unknowns: the ell values of each vertex, side by side
         blocks, extra = h.ell, 0
-        rows = partial(_sum_matrix_rows, edges, _integer_rows(t), stride=1)
+        rows = partial(_sum_matrix_rows, edges, _integral_rows(t.entries), stride=1)
 
     def eliminate(group: Sequence[int], k: int) -> tuple[dict[int, dict[int, int]], list[int]]:
         """Echelon of the system with the vertices of each of the ``k``

@@ -1,9 +1,14 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersig import (
     Signal,
@@ -426,3 +431,74 @@ def test_main_keeps_no_state_between_calls(tmp_path, fan_path, capsys):
     assert first == second
     assert [first[argv][0] for argv in argvs] == [0, 2, 2, 0]
     assert first[argvs[1]][2].startswith("usage: hypersig frame")
+
+
+# Fuzzed input documents: each starts as a valid hypergraph, signal or map
+# and has up to three nested values replaced by wrong types, bools, floats,
+# nested junk, unknown labels or sizes that break the arity.
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=5,
+)
+REPLACEMENTS = JUNK | st.sampled_from(["zz", "a", "1/2", "-1/0", "1e3", [], ["a", "b"], ["a"] * 5])
+RATIONALS = st.integers(-3, 3) | st.sampled_from(["1/2", "-2/3", "0"])
+
+
+def _corrupt(draw, doc):
+    """A copy of ``doc`` with one nested value, or the whole of it,
+    replaced; ``doc`` itself is left as it is."""
+    if isinstance(doc, (list, dict)) and doc and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(doc) if isinstance(doc, dict) else range(len(doc))))
+        doc = doc.copy()
+        doc[key] = _corrupt(draw, doc[key])
+        return doc
+    return draw(REPLACEMENTS)
+
+
+@st.composite
+def cli_documents(draw):
+    ell = draw(st.integers(3, 4))
+    vertices = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True))
+    edge = st.lists(st.sampled_from(vertices), min_size=ell, max_size=ell)
+    values = st.lists(RATIONALS, min_size=len(vertices), max_size=len(vertices))
+    rows = st.lists(RATIONALS, min_size=ell, max_size=ell)
+    docs = {
+        "h": {"ell": ell, "vertices": vertices, "edges": draw(st.lists(edge, max_size=5))},
+        "s": {
+            "vertices": vertices,
+            "ell": ell,
+            "values": draw(st.lists(values, min_size=ell, max_size=ell)),
+        },
+        "t": draw(st.lists(rows, min_size=1, max_size=2)),
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from("hst"))
+        docs[name] = _corrupt(draw, docs[name])
+    return docs
+
+
+@given(cli_documents(), st.sampled_from(["U", "C", "FILE"]))
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_documents_exit_cleanly(docs, verify_map):
+    """Every command on fuzzed files exits 0, 1 or 2, never with a
+    traceback, and exit 2 names the problem on an ``error:`` line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in docs.items():
+            paths[name] = os.path.join(tmp, name + ".json")
+            with open(paths[name], "w", encoding="utf-8") as f:
+                json.dump(doc, f)
+        h, t = paths["h"], paths["t"]
+        argvs = [["signals", "--in", h, "--map", m] for m in ("U", "C", t)]
+        argvs += [[cmd, "--in", h] for cmd in ("frame", "components", "export-dot")]
+        verify_map = t if verify_map == "FILE" else verify_map
+        argvs.append(["verify", "--in", h, "--signal", paths["s"], "--map", verify_map])
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, docs)
+            if code == 2:
+                assert re.search(r"^error: ", err.getvalue(), re.M), (argv, docs, err.getvalue())

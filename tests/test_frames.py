@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from conftest import random_connected_instance, random_engaged_map, random_multiset_instance
+import hypersig.linalg
 import hypersig.signals
 from hypersig import (
     DisconnectedError,
@@ -194,12 +195,8 @@ def edge_sum_nullspace_fusion(h):
     system (one row per edge: each vertex's multiplicity at its column, 1
     at column n)."""
     n = h.n_vertices
-    entries = tuple(
-        (r, col, Fraction(c))
-        for r, e in enumerate(h.edges)
-        for col, c in [*Counter(e).items(), (n, 1)]
-    )
-    kernel = nullspace(SparseMatrix(h.n_edges, n + 1, entries)).vectors
+    rows = tuple(tuple(sorted(Counter(e).items())) + ((n, 1),) for e in h.edges)
+    kernel = nullspace(SparseMatrix(n + 1, rows)).vectors
     return Partition.from_keys([tuple(v[x] for v in kernel) for x in range(n)])
 
 
@@ -268,6 +265,44 @@ def test_certificate_never_accepts_a_wrong_candidate(fan_five, monkeypatch):
         fusion(fan_five, universal_map(3))
     with pytest.raises(HypersigError, match="no fusion certified"):
         fusion(fan(5), LinearMap.from_rows([[1, 2, 3]]))
+
+
+@pytest.mark.parametrize(
+    "t",
+    [universal_map(3), centroid_map(3), LinearMap.from_rows([[1, 2, 3]])],
+    ids=["U", "C", "[[1,2,3]]"],
+)
+def test_fusion_fails_when_the_elimination_drops_a_pivot_row(t, monkeypatch):
+    """An elimination that loses its highest pivot row yields kernel
+    vectors that break that row; re-verification of the signal, or the
+    rank certificate, turns this into an internal error, never a
+    partition."""
+    forward_echelon = hypersig.signals._forward_echelon
+
+    def broken(rows):
+        pivots = forward_echelon(rows)
+        del pivots[max(pivots)]
+        return pivots
+
+    monkeypatch.setattr(hypersig.signals, "_forward_echelon", broken)
+    with pytest.raises(HypersigError, match="^internal error: "):
+        fusion(random_hypergraph(60, 52, 3, 3), t)
+
+
+@pytest.mark.parametrize("t", [universal_map(3), centroid_map(3)], ids=["U", "C"])
+def test_signal_space_fails_when_the_echelon_loses_a_pivot_row(t, monkeypatch):
+    """A kernel basis read off an echelon form missing one pivot row holds
+    that row's pivot column as a basis vector, which breaks the row; the
+    basis re-verification raises an internal error."""
+    kernel_basis = hypersig.linalg._Echelon.kernel_basis
+
+    def broken(self, ncols):
+        self.rows.popitem()
+        return kernel_basis(self, ncols)
+
+    monkeypatch.setattr(hypersig.linalg._Echelon, "kernel_basis", broken)
+    with pytest.raises(HypersigError, match="^internal error: "):
+        signal_space(random_hypergraph(60, 52, 3, 3), t)
 
 
 def test_reduced_fusion_checks_arity(triangle):

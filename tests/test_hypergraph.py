@@ -134,6 +134,9 @@ def test_partition_rejects_overlap_and_gaps():
         Partition.from_blocks([(0, 1), (1, 2)], 3)
     with pytest.raises(DomainError):
         Partition.from_blocks([(0, 1)], 3)
+    for blocks in ([[]], [[0], []]):
+        with pytest.raises(DomainError, match="empty class"):
+            Partition.from_blocks(blocks, 1)
 
 
 def test_hypergraph_invariants():

@@ -54,7 +54,7 @@ def test_dedupe_collapses_identical_rows():
     h = Hypergraph.build(3, ["u", "v", "w"], [(0, 1, 2)])
     m = assemble_constraints(h, LinearMap.from_rows([[1, 1, 1], [1, 1, 1]]))
     assert m.nrows == 5
-    assert len({tuple(sorted(r.items())) for r in m.rows_as_dicts()}) == 5
+    assert len(set(m.rows)) == 5
 
 
 def test_dedupe_keeps_distinct_rows():
@@ -63,7 +63,7 @@ def test_dedupe_keeps_distinct_rows():
     h = Hypergraph.build(3, ["u", "v", "w"], [(0, 1, 2)])
     m = assemble_constraints(h, LinearMap.from_rows([[1, -1, 0], [0, 1, -1]]))
     assert m.nrows == 10
-    assert len({tuple(sorted(r.items())) for r in m.rows_as_dicts()}) == 10
+    assert len(set(m.rows)) == 10
 
 
 def test_assembly_keeps_first_seen_row_order_and_the_empty_row():
@@ -74,20 +74,26 @@ def test_assembly_keeps_first_seen_row_order_and_the_empty_row():
     t = LinearMap.from_rows([[0, 1, 2], [0, 0, 0], [0, 1, 2], [1, 0, 0]])
     m = assemble_constraints(h, t)
     assert m.nrows == 6
-    assert m.entries == (
-        (0, 2, 1), (0, 5, 2),  # map row 0: trace
-        (1, 2, -1), (1, 3, 1),  # map row 0: minor (1, v), w_0 = 0
-        (2, 4, -2), (2, 5, 2),  # map row 0: minor (2, v)
-        # row 3 is empty: map row 1, every row
-        (4, 0, 1),  # map row 3: trace
-        (5, 0, 1), (5, 1, -1),  # map row 3: minors (1, v) and (2, v), w_a = 0
+    assert m.rows == (
+        ((2, 1), (5, 2)),  # map row 0: trace
+        ((2, -1), (3, 1)),  # map row 0: minor (1, v), w_0 = 0
+        ((4, -2), (5, 2)),  # map row 0: minor (2, v)
+        (),  # map row 1, every row
+        ((0, 1),),  # map row 3: trace
+        ((0, 1), (1, -1)),  # map row 3: minors (1, v) and (2, v), w_a = 0
     )
 
 
 def _dense(m):
-    """Dense Fraction rows; the assembled entries are ints, which the
+    """Dense Fraction rows; the stored values are ints, which the
     oracle's Gauss-Jordan would divide into floats."""
-    return [tuple(Fraction(row.get(c, 0)) for c in range(m.ncols)) for row in m.rows_as_dicts()]
+    out = []
+    for row in m.rows:
+        dense = [Fraction(0)] * m.ncols
+        for c, v in row:
+            dense[c] = Fraction(v)
+        out.append(tuple(dense))
+    return out
 
 
 def _maps_with_duplicate_zero_and_rational_rows(rng, ell):
@@ -136,7 +142,7 @@ def test_assembly_rows_are_the_distinct_oracle_rows():
                         expected[tuple(scale * (x - y) for x, y in diff)] = None
         dense = _dense(m)
         assert len(set(dense)) == m.nrows
-        assert all(isinstance(c, int) for _, _, c in m.entries)
+        assert all(type(c) is int for row in m.rows for _, c in row)
         assert set(dense) == set(expected)
 
 
@@ -160,12 +166,20 @@ def test_assembly_spans_the_oracle_row_space():
 
 
 def test_sparse_matrix_rejects_bad_entries():
+    for rows in [
+        (((0, 0),),),  # a stored zero
+        (((2, 1),),),  # a column out of range
+        (((-1, 1),),),
+        (((0, 1), (0, 2)),),  # a repeated column
+        ((), ((1, 1), (0, 1))),  # descending columns
+        (((0, Fraction(1)),),),  # a value that is not an int
+        (((0, True),),),
+    ]:
+        with pytest.raises(DomainError):
+            SparseMatrix(2, rows)
     with pytest.raises(DomainError):
-        SparseMatrix(1, 1, ((0, 0, Fraction(0)),))
-    with pytest.raises(DomainError):
-        SparseMatrix(1, 1, ((0, 1, Fraction(1)),))
-    with pytest.raises(DomainError):
-        SparseMatrix(2, 2, ((0, 0, Fraction(1)), (0, 0, Fraction(2))))
+        SparseMatrix(-1, ())
+    assert SparseMatrix(2, ((), ((0, -3), (1, 2)))).nrows == 2
 
 
 def test_rational_invariants():
@@ -191,19 +205,13 @@ small_matrices = st.builds(
 def test_nullspace_vectors_lie_in_kernel(m):
     basis = nullspace(m)
     for v in basis.vectors:
-        product = [Fraction(0)] * m.nrows
-        for r, c, val in m.entries:
-            product[r] += val * v[c]
-        assert product == [0] * m.nrows
+        assert [sum(val * v[c] for c, val in row) for row in m.rows] == [0] * m.nrows
 
 
 @given(small_matrices)
 @settings(max_examples=120, deadline=None)
 def test_nullspace_matches_dense_oracle(m):
-    dense = [
-        [row.get(c, Fraction(0)) for c in range(m.ncols)] for row in m.rows_as_dicts()
-    ]
-    expected = dense_kernel(dense, m.ncols)
+    expected = dense_kernel([list(row) for row in _dense(m)], m.ncols)
     got = nullspace(m)
     assert [list(v) for v in got.vectors] == [list(v) for v in expected]
 
@@ -211,9 +219,7 @@ def test_nullspace_matches_dense_oracle(m):
 @given(small_matrices, st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_nullspace_invariant_under_row_permutation_and_scaling(m, rng):
-    rows = [[Fraction(0)] * m.ncols for _ in range(m.nrows)]
-    for r, c, v in m.entries:
-        rows[r][c] = v
+    rows = _dense(m)
     rng.shuffle(rows)
     scaled = []
     for row in rows:
@@ -225,9 +231,7 @@ def test_nullspace_invariant_under_row_permutation_and_scaling(m, rng):
 @given(small_matrices)
 @settings(max_examples=80, deadline=None)
 def test_nullspace_unchanged_by_dedupe(m):
-    doubled = SparseMatrix.from_dense(
-        [[row.get(c, Fraction(0)) for c in range(m.ncols)] for row in m.rows_as_dicts()] * 2
-    )
+    doubled = SparseMatrix.from_dense(_dense(m) * 2)
     assert nullspace(doubled) == nullspace(m)
 
 

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -20,6 +21,7 @@ from hypersig import (
     NotEngagedError,
     Partition,
     Signal,
+    arrangements,
     assemble_constraints,
     centroid_map,
     component_count_via_C,
@@ -236,6 +238,70 @@ def test_find_violation_matches_dense_fraction_loop():
     assert outcomes == {True, False}
 
 
+def arrangement_witness(h, t, s):
+    """First violated (edge, arrangement, map row) by enumerating each
+    edge's distinct arrangements in lexicographic order."""
+    for e in h.edges:
+        for arr in arrangements(e):
+            for i, w in enumerate(t.entries):
+                if sum(c * s.values[a][x] for a, (c, x) in enumerate(zip(w, arr))):
+                    return e, arr, i
+    return None
+
+
+def test_witness_locator_matches_arrangement_enumeration_on_deep_witnesses():
+    """One-edge instances at ell 3 to 6, repeated vertices allowed, whose
+    signals make A[a][j] = w_a * s_a(e[j]) a sum matrix of zero trace
+    perturbed at one or two (axis, vertex) coordinates, (0, e[0]) and
+    (1, e[1]) the likeliest. Half of them have s_0 shifted so that the
+    first arrangement holds, which puts the first violating arrangement
+    up to (ell-1)! places down the lexicographic order. The map is one
+    nonzero row, alone or with a zero row or a multiple of it."""
+    rng = random.Random(6120)
+    depths = set()
+    for ell in (3,) * 60 + (4,) * 60 + (5,) * 40 + (6,) * 20:
+        n = rng.randint(2, 2 * ell)
+        e = tuple(sorted(rng.choices(range(n), k=ell)))
+        h = Hypergraph.build(ell, [f"x{i}" for i in range(n)], [e])
+        w = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for _ in range(ell)]
+        p = [rng.randint(-3, 3) for _ in range(ell)]
+        q = [rng.randint(-3, 3) for _ in range(n)]
+        p[0] -= sum(p) + sum(q[x] for x in e)
+        values = [[Fraction(p[a] + q[x]) / w[a] for x in range(n)] for a in range(ell)]
+        for _ in range(rng.choice((1, 1, 1, 2))):
+            a, x = rng.choice(((0, e[0]),) * 2 + ((1, e[1]), (rng.randrange(ell), rng.choice(e))))
+            values[a][x] += rng.choice((-1, 1))
+        if rng.random() < 0.5:  # shift s_0 so that the identity arrangement holds
+            trace = sum(w[a] * values[a][x] for a, x in enumerate(e))
+            values[0] = [v - trace / w[0] for v in values[0]]
+        rows = rng.choice(([w], [[0] * ell, w], [w, [2 * c for c in w]]))
+        t, sig = LinearMap.from_rows(rows), Signal.from_rows(values)
+        witness = find_violation(h, t, sig)
+        assert witness == arrangement_witness(h, t, sig)
+        if witness is not None:
+            depths.add(arrangements(e).index(witness[1]))
+    assert max(depths) >= 24 and len(depths) > 10
+
+
+@pytest.mark.parametrize(
+    "first, expected",
+    [
+        # s_0(e[0]) = 1 breaks the trace: the first arrangement fails
+        ([1] + [0] * 11, tuple(range(12))),
+        # A[0][j] = -1 for j >= 1 and A[0][0] = 0: a sum matrix of trace -1
+        # with 1 added at A[0][0], so an arrangement fails iff it moves e[0]
+        # off position 0, and the first that does is at index 11!
+        ([0] + [-1] * 11, (1, 0) + tuple(range(2, 12))),
+    ],
+)
+def test_witness_locator_at_ell_12_builds_no_arrangement_list(first, expected):
+    h = Hypergraph.build(12, [f"x{i}" for i in range(12)], [tuple(range(12))])
+    sig = Signal.from_rows([first] + [[0] * 12] * 11)
+    start = time.perf_counter()
+    assert find_violation(h, universal_map(12), sig) == (tuple(range(12)), expected, 0)
+    assert time.perf_counter() - start < 1
+
+
 def test_find_violation_sum_matrix_test_catches_trace_and_single_minor():
     """On the ell = 4 edge (u, u, v, w), a signal that breaks only the
     trace row and one that breaks only the minor row (a, x) = (2, w), each
@@ -246,7 +312,7 @@ def test_find_violation_sum_matrix_test_catches_trace_and_single_minor():
     t = LinearMap.from_rows([[Fraction(1, 2), 3, Fraction(-2, 3), 1], [1, 0, 0, 0]])
     basis = signal_space(h, t).signals()
     assert basis
-    rows = assemble_constraints(h, t).rows_as_dicts()
+    rows = assemble_constraints(h, t).rows
 
     def plus_base(perturbation):
         return Signal.from_rows(
@@ -258,7 +324,7 @@ def test_find_violation_sum_matrix_test_catches_trace_and_single_minor():
 
     def broken_rows(sig):
         flat = [v for row in sig.values for v in row]
-        return [r for r in rows if sum(c * flat[k] for k, c in r.items())]
+        return [r for r in rows if sum(c * flat[k] for k, c in r)]
 
     # s_1 = 1 everywhere: A = p_a + q_j with p = (0, 18, 0, 0) and q = 0, a
     # sum matrix whose trace is 18, so every arrangement fails
@@ -267,7 +333,7 @@ def test_find_violation_sum_matrix_test_catches_trace_and_single_minor():
     # s_2(w) = 7 moves only A[2][3]: the trace reads s_2(v), and only the
     # minor (2, w), columns 3a + x, reads s_2(w)
     only_minor = plus_base([[0] * 3, [0] * 3, [0, 0, 7], [0] * 3])
-    assert broken_rows(only_minor) == [{0: 3, 2: -3, 6: 4, 8: -4}]
+    assert broken_rows(only_minor) == [((0, 3), (2, -3), (6, 4), (8, -4))]
     for sig, arrangement in ((only_trace, (0, 0, 1, 2)), (only_minor, (0, 0, 2, 1))):
         witness = find_violation(h, t, sig)
         assert witness == dense_witness(h, t, sig)
