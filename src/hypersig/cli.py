@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -214,12 +215,9 @@ def to_dot(h: Hypergraph) -> str:
         lines.append(f"  v{i} [shape=circle, label={_dot_quote(label)}];")
     for j, e in enumerate(h.edges):
         lines.append(f"  e{j} [shape=box, label={_dot_quote('e' + str(j))}];")
-        counts: dict[int, int] = {}
-        for v in e:
-            counts[v] = counts.get(v, 0) + 1
-        for v in sorted(counts):
-            if counts[v] > 1:
-                lines.append(f'  v{v} -- e{j} [label="{counts[v]}"];')
+        for v, count in sorted(Counter(e).items()):
+            if count > 1:
+                lines.append(f'  v{v} -- e{j} [label="{count}"];')
             else:
                 lines.append(f"  v{v} -- e{j};")
     lines.append("}")

@@ -3,11 +3,13 @@ constructive hypergraph families used as regression targets.
 
 Two vertices fuse when no admissible signal for the given map separates
 them on any axis: the fusion partition is the common refinement of the
-level sets of every basis signal on every axis. :func:`frame` is the one
-frame routine: for any map it takes the quotient by the partition that
-:func:`fusion` certifies from one kernel vector of the map's constraint
-system. Taking the frame twice changes nothing, so the frame operator is
-a closure on connected uniform hypergraphs.
+level sets of every basis signal on every axis. On connected input the
+map decides it (:func:`fusion` says why): discrete under a map with a
+zero column, one class under an engaged map of rank at least 2, and the
+fusion of the coordinate-sum map under rank 1. :func:`frame` is the one
+frame routine: for any map it takes the quotient by that partition.
+Taking the frame twice changes nothing, so the frame operator is a
+closure on connected uniform hypergraphs.
 """
 
 from __future__ import annotations
@@ -35,12 +37,18 @@ def fusion(h: Hypergraph, t: LinearMap) -> Partition:
     signal agrees on x and y on every axis (the common refinement over
     basis signals and axes).
 
-    One engine for every map, :func:`~hypersig.signals._certified_signal`:
-    the level sets of one re-verified kernel vector are the candidate,
-    and the system with its columns summed per candidate class must keep
-    the full nullity. Only its rows depend on the map: the edge-sum system
-    under the coordinate-sum map and its nonzero multiples, the sum-matrix
-    rows of :func:`~hypersig.signals.assemble_constraints` otherwise.
+    On connected ``h`` the map decides it. A zero column leaves its axis
+    unconstrained: discrete. Otherwise scale axis ``a`` by
+    ``sigma_a = w . T(a) != 0`` into the coordinate-sum map's space, where
+    ``u_a - u_0`` is constant on every component. Under rank >= 2, a row
+    ``w'`` that is not a multiple of ``sigma`` turns a minor row into
+    ``(w'_a/sigma_a - w'_0/sigma_0) * (u_0(e[j]) - u_0(e[0])) = 0``, so
+    ``u_0`` and then every axis is constant: one class. Under rank 1,
+    every row a multiple of ``v``, ``s`` is admissible iff ``v_a * s_a``
+    is under the coordinate-sum map, whose fusion is certified from one
+    kernel vector of the edge-sum system
+    (:func:`~hypersig.signals._universal_fusion`). Every case returns
+    the level sets of one signal re-verified under ``t``.
     """
     return _certified_signal(h, t)[1]
 

@@ -10,6 +10,7 @@ position in the vertex list.
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import os
@@ -296,13 +297,15 @@ def _write_texts(files: Sequence[tuple[str | Path, str]]) -> None:
     per file and all or nothing up to the renames: every text goes to a
     temporary file in its target's directory before the first
     ``os.replace`` renames one over its target, and the temporaries not
-    yet renamed are removed if anything fails. A pipe or device is
-    written through, in turn with the renames: there is no file to
-    replace."""
+    yet renamed are removed if anything fails. A directory target fails
+    while staging. A pipe or device is written through, in turn with the
+    renames: there is no file to replace."""
     staged: list[tuple[Path, Path | None, str]] = []
     try:
         for i, (path, text) in enumerate(files):
             path = Path(path)
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
             if path.exists() and not path.is_file():
                 staged.append((path, None, text))
                 continue

@@ -6,11 +6,12 @@ the value tuple read off every edge in every arrangement. The admissible
 signals of a hypergraph form a vector space, computed exactly here as the
 nullspace of a sparse constraint matrix with ``(ell-1)^2 + 1`` rows per
 edge and map row, which span the same row space as the up to ``ell!``
-arrangement constraints. Under every map, one admissible signal whose
-level sets realize the fusion partition is certified from one kernel
-vector, by the same engine: only its rows depend on the map, the smaller
-edge-sum system under the coordinate-sum map and its nonzero multiples,
-the sum-matrix rows of the signal space under every other map.
+arrangement constraints. On connected input the map alone decides
+fusion: discrete when it has a zero column, one class when it is engaged
+with rank at least 2, and the fusion of the coordinate-sum map when it
+has rank 1. Only that last case solves a system, the small edge-sum
+system, and each case returns one re-verified admissible signal whose
+level sets realize the partition.
 
 Coordinate layout for flattened signals is fixed: coordinate ``(a, x)``
 lives at index ``a * n_vertices + x`` (axis-major), so bases and file
@@ -24,7 +25,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import product
 from math import lcm
 from pathlib import Path
@@ -163,34 +163,22 @@ def assemble_constraints(h: Hypergraph, t: LinearMap) -> SparseMatrix:
     position; a zero map row gives one empty row.
     """
     _check_arity(h, t)
-    n = h.n_vertices
-    rows = _sum_matrix_rows(h.edges, _integral_rows(t.entries), range(n), n)
-    return SparseMatrix(t.ell * n, tuple(rows))
-
-
-def _sum_matrix_rows(
-    edges: Sequence[tuple[int, ...]], maps: Sequence[Sequence[int]], col: Sequence[int], stride: int
-) -> dict[tuple[tuple[int, int], ...], None]:
-    """The rows of :func:`assemble_constraints` for the integer map rows
-    ``maps``, with coordinate ``(a, x)`` at column ``col[x] + a * stride``,
-    each distinct row once. Vertices that share a column have their
-    coordinates summed, so a minor row whose two vertices share a column
-    vanishes and is left out."""
+    n, maps = h.n_vertices, _integral_rows(t.entries)
     rows: dict[tuple[tuple[int, int], ...], None] = {}
-    for e in edges:
-        c0 = col[e[0]]
-        others = sorted({col[x] for x in e} - {c0})
+    for e in h.edges:
+        x0 = e[0]
+        others = sorted(set(e) - {x0})
         for w in maps:
             w0 = w[0]
-            rows[tuple((col[x] + a * stride, c) for a, (x, c) in enumerate(zip(e, w)) if c)] = None
+            rows[tuple((x + a * n, c) for a, (x, c) in enumerate(zip(e, w)) if c)] = None
             for a in range(1, len(w)):
-                wa, base = w[a], a * stride
-                for c in others:
-                    row = ((c0, w0), (c, -w0)) if w0 else ()
+                wa, base = w[a], a * n
+                for x in others:
+                    row = ((x0, w0), (x, -w0)) if w0 else ()
                     if wa:
-                        row += ((c0 + base, -wa), (c + base, wa))
+                        row += ((x0 + base, -wa), (x + base, wa))
                     rows[row] = None
-    return rows
+    return SparseMatrix(t.ell * n, tuple(rows))
 
 
 def find_violation(
@@ -402,13 +390,6 @@ def _draw(rng: random.Random, k: int) -> list[int]:
     return [rng.getrandbits(32) for _ in range(k)]
 
 
-def _sums_coordinates(t: LinearMap) -> bool:
-    """True iff every row of ``t`` is constant and some row is nonzero,
-    i.e. ``t`` has the kernel of the coordinate-sum map."""
-    rows = t.entries
-    return all(len(set(row)) == 1 for row in rows) and any(row[0] for row in rows)
-
-
 def _edge_sum_rows(
     edges: Sequence[tuple[int, ...]], col: Sequence[int]
 ) -> dict[tuple[tuple[int, int], ...], None]:
@@ -424,71 +405,79 @@ def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[Signal, Partition]:
     """Fusion partition of connected ``h`` under ``t``, and one re-verified
     admissible signal whose level sets, on the axes together, realize it.
 
-    Fusion is the common refinement of the level sets of the kernel
-    vectors of a linear system; only that system depends on the map:
-
-    - if every row of ``t`` is a multiple of the all-ones row and some row
-      is nonzero, the edge-sum system of :func:`_edge_sum_rows`, whose
-      kernel vectors ``(f, C)`` give the signals ``s_0 = f + C``,
-      ``s_a = f`` (a >= 1), keyed on ``f``;
-    - for every other map, the sum-matrix rows of
-      :func:`assemble_constraints`, whose kernel vectors are the signals.
-
-    Steps, each vertex's columns given by a vertex-to-column map:
-
-    1. forward echelon of the system, vertices by increasing degree and
-       the axes of a vertex side by side, which gives its nullity;
-    2. one kernel vector, back-substituted from seeded random free values;
-    3. its level sets as the candidate partition ``P``;
-    4. the certificate: ``P`` is discrete, or the system with the columns
-       of each block of ``P`` summed has the full system's nullity. Its
-       kernel vectors lift injectively to the full kernel vectors that
-       are constant on the blocks, so equal nullity means every kernel
-       vector is constant on the blocks and ``P`` is the fusion;
-    5. the accepted vector's signal, re-verified under ``t``.
-
-    A rejected candidate is replaced by a fresh draw, never merged with
-    it, so the returned signal alone realizes the partition, and the
-    partition does not depend on the draws. ``_MAX_DRAWS`` rejections in
-    a row raise an internal error.
+    The map decides the case (:func:`hypersig.frames.fusion` says why): a
+    zero column gives the discrete partition, and the vertex index on that
+    axis; an engaged map of rank >= 2 one class, and the zero signal; an
+    engaged map of rank 1, every row a multiple of a row ``v`` with no
+    zero entry, the fusion of :func:`_universal_fusion`, and its lift
+    divided axis-wise by ``v``, kept in integers as ``u_a * (lcm(v) / v_a)``.
     """
     if not is_connected(h):
         raise DisconnectedError("fusion requires a connected hypergraph")
     _check_arity(h, t)
+    n, ell, maps = h.n_vertices, h.ell, _integral_rows(t.entries)
+    free = _zero_column(t)
+    if free is not None:
+        values = [list(range(n)) if a == free else [0] * n for a in range(ell)]
+        part = Partition.from_keys(range(n))
+    else:
+        # t is engaged, so it has rank 1 iff r[a] * v[0] == r[0] * v[a] for
+        # every row r and axis a; then v has no zero entry
+        v = next(row for row in maps if any(row))
+        if all(r[a] * v[0] == r[0] * v[a] for r in maps for a in range(ell)):
+            f, c, part = _universal_fusion(h)
+            scale = lcm(*v)
+            lift = [[x + c for x in f]] + [f] * (ell - 1)
+            values = [[x * (scale // v[a]) for x in lift[a]] for a in range(ell)]
+        else:
+            values, part = [[0] * n] * ell, Partition.from_keys([0] * n)
+    sig = Signal.from_rows(values)
+    _check_basis(h, t, [sig])
+    return sig, part
+
+
+def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Partition]:
+    """Fusion of connected ``h`` under the coordinate-sum map, certified
+    from one kernel vector ``(f, C)`` of the edge-sum system of
+    :func:`_edge_sum_rows`; the signal ``s_0 = f + C``, ``s_a = f``
+    (a >= 1) realizes it, and the partition is the level sets of ``f``.
+
+    1. forward echelon of the system, vertices by increasing degree and
+       ``C`` last, which gives its nullity;
+    2. one kernel vector, back-substituted from seeded random free values;
+    3. the level sets of its ``f`` as the candidate partition ``P``;
+    4. the certificate: ``P`` is discrete, or the system with the columns
+       of each block of ``P`` summed has the full system's nullity. Its
+       kernel vectors lift injectively to the full kernel vectors that
+       are constant on the blocks, so equal nullity means every kernel
+       vector is constant on the blocks and ``P`` is the fusion.
+
+    A rejected candidate is replaced by a fresh draw, never merged with
+    it, so the returned vector alone realizes the partition, and the
+    partition does not depend on the draws. ``_MAX_DRAWS`` rejections in
+    a row raise an internal error.
+    """
     n, edges = h.n_vertices, h.edges
-    if _sums_coordinates(t):  # the unknowns (f, C): one column per vertex, then C
-        blocks, extra, rows = 1, 1, partial(_edge_sum_rows, edges)
-    else:  # the unknowns: the ell values of each vertex, side by side
-        blocks, extra = h.ell, 0
-        rows = partial(_sum_matrix_rows, edges, _integral_rows(t.entries), stride=1)
 
     def eliminate(group: Sequence[int], k: int) -> tuple[dict[int, dict[int, int]], list[int]]:
         """Echelon of the system with the vertices of each of the ``k``
-        groups sharing their columns, groups in order of increasing
-        degree, and each vertex's first column."""
+        groups sharing one column, groups in order of increasing degree,
+        and each vertex's column."""
         degree = Counter(group[v] for e in edges for v in e)
-        first = [0] * k
-        for i, g in enumerate(sorted(range(k), key=degree.__getitem__)):
-            first[g] = i * blocks
-        col = [first[g] for g in group]
-        return _forward_echelon(rows(col)), col
+        place = {g: i for i, g in enumerate(sorted(range(k), key=degree.__getitem__))}
+        col = [place[g] for g in group]
+        return _forward_echelon(_edge_sum_rows(edges, col)), col
 
     echelon, col = eliminate(range(n), n)
-    ncols = blocks * n + extra
-    nullity = ncols - len(echelon)
+    nullity = n + 1 - len(echelon)
     rng = random.Random(_DRAW_SEED)
     for _ in range(_MAX_DRAWS):
-        v = _kernel_vector(echelon, ncols, _draw(rng, nullity))
-        axes = [[v[c + b] for c in col] for b in range(blocks)]
-        part = Partition.from_keys(list(zip(*axes)))
+        v = _kernel_vector(echelon, n + 1, _draw(rng, nullity))
+        f = [v[c] for c in col]
+        part = Partition.from_keys(f)
         k = part.n_classes
-        if k == n or blocks * k + extra - len(eliminate(part.class_of, k)[0]) == nullity:
-            values = [tuple(map(Fraction, row)) for row in axes]
-            if extra:
-                values = [tuple(x + v[-1] for x in values[0])] + values * (h.ell - 1)
-            sig = Signal(tuple(values))
-            _check_basis(h, t, [sig])
-            return sig, part
+        if k == n or k + 1 - len(eliminate(part.class_of, k)[0]) == nullity:
+            return f, v[-1], part
     raise HypersigError(f"internal error: no fusion certified in {_MAX_DRAWS} draws")
 
 

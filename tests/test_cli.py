@@ -325,19 +325,27 @@ def test_frame_out_keeps_old_file_when_replace_fails(tmp_path, fan_path, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fan.json", "framed.json"]
 
 
-def test_frame_out_keeps_old_file_when_classes_target_fails(tmp_path, fan_path, capsys):
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_frame_out_keeps_old_file_when_classes_target_fails(tmp_path, fan_path, target, capsys):
     """Both files are staged before either replaces its target: a classes
-    file that cannot be created leaves the old --out file as it was."""
+    file that cannot be created, in a missing directory or over an
+    existing directory, leaves the old --out file as it was."""
     out = tmp_path / "framed.json"
     out.write_bytes(b"old\n")
-    classes = tmp_path / "missing" / "c.json"
+    names = ["fan.json", "framed.json"]
+    if target == "directory":
+        classes = tmp_path / "c"
+        classes.mkdir()
+        names.insert(0, "c")
+        message = f"[Errno {errno.EISDIR}] Is a directory: '{classes}'"
+    else:
+        classes = tmp_path / "missing" / "c.json"
+        message = f"[Errno {errno.ENOENT}] No such file or directory: '{classes}'"
     argv = ["frame", "--in", fan_path, "--out", str(out), "--classes", str(classes)]
     assert main(argv) == 2
     assert out.read_bytes() == b"old\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["fan.json", "framed.json"]
-    assert capsys.readouterr().err == (
-        f"error: [Errno {errno.ENOENT}] No such file or directory: '{classes}'\n"
-    )
+    assert sorted(p.name for p in tmp_path.rglob("*")) == names
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_frame_out_second_replace_failure_leaves_frame_new_and_classes_old(
@@ -502,3 +510,109 @@ def test_fuzzed_documents_exit_cleanly(docs, verify_map):
             assert code in (0, 1, 2), (argv, docs)
             if code == 2:
                 assert re.search(r"^error: ", err.getvalue(), re.M), (argv, docs, err.getvalue())
+
+
+# Generated argv: each command's own flags, mostly, and unknown ones, in
+# any order, repeated or missing their value, with bad numbers, and paths
+# to valid files, a disconnected hypergraph, a file that is not JSON,
+# missing paths and directories. Numbers stay small, so every run takes
+# milliseconds: sweep always gets a small --sizes and --runs, which later
+# repeats may override only with small values. No FIFO: opening one
+# blocks until a peer opens it.
+PATHS = ["h.json", "two.json", "s.json", "t.json", "bad.json", "missing.json", "dir", "missing/x.json"]
+NUMBERS = ["3", "-1", "0", "1", "2", "7", "x", "1/2", ""]
+SIZES = ["5", "3,7", "0", "-1", "abc", "", "1/0", "5,,6"]
+RUNS = ["1", "3", "-1", "0", "x"]
+FLAG_VALUES = {
+    "--in": ["h.json", *PATHS],
+    "--out": ["out.json", *PATHS],
+    "--classes": ["c.json", *PATHS],
+    "--signal": ["s.json", *PATHS],
+    "--map": ["U", "C", *PATHS],
+    "--n": NUMBERS,
+    "--m": NUMBERS,
+    "--ell": NUMBERS,
+    "--seed": NUMBERS,
+    "--runs": RUNS,
+    "--sizes": SIZES,
+    "--densities": ["1", "2.5", "2/3", "0", "-1", "1e400", "abc", "1/0"],
+    "--density-mode": ["avg-degree", "edges-per-vertex", "bogus"],
+    "--bogus": NUMBERS,
+    "-h": PATHS,
+}
+# per command: its flags, the required ones first
+COMMAND_FLAGS = {
+    "signals": (1, ["--in", "--map", "--out"]),
+    "frame": (1, ["--in", "--out", "--classes"]),
+    "components": (1, ["--in"]),
+    "generate": (1, ["--n", "--m", "--ell", "--seed", "--out"]),
+    "sweep": (2, ["--sizes", "--runs", "--densities", "--seed", "--ell", "--density-mode", "--out"]),
+    "verify": (2, ["--in", "--signal", "--map"]),
+    "export-dot": (1, ["--in", "--out"]),
+    "bogus": (0, ["--in"]),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    required, flags = COMMAND_FLAGS[command]
+    argv = [command]
+    if command == "generate" and draw(st.integers(0, 5)):
+        argv.append(draw(st.sampled_from(["random", "fan", "mountain", "bogus"])))
+    if command == "sweep" or draw(st.integers(0, 5)):  # sweep's defaults run for seconds
+        for flag in flags[:required]:  # a valid value first in each pool, half the time
+            values = FLAG_VALUES[flag]
+            argv += [flag, values[0] if draw(st.booleans()) else draw(st.sampled_from(values))]
+    for _ in range(draw(st.integers(0, 5))):
+        flag = draw(st.sampled_from(flags if draw(st.integers(0, 4)) else sorted(FLAG_VALUES)))
+        argv.append(flag)
+        if draw(st.integers(0, 5)):  # mostly with its value, sometimes without
+            argv.append(draw(st.sampled_from(FLAG_VALUES[flag])))
+    return argv
+
+
+def run_in(directory, argv):
+    """Exit code, stdout and stderr of ``main(argv)`` run in ``directory``,
+    with argparse's ``SystemExit`` caught."""
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+def write_argv_files(directory):
+    """The files that the paths of generated argv name."""
+    h = fan(2)
+    save_hypergraph(h, os.path.join(directory, "h.json"))
+    save_hypergraph(
+        Hypergraph.build(3, list("abcdef"), [(0, 1, 2), (3, 4, 5)]),
+        os.path.join(directory, "two.json"),
+    )
+    save_signal(h, Signal.from_rows([[0] * h.n_vertices] * h.ell), os.path.join(directory, "s.json"))
+    with open(os.path.join(directory, "t.json"), "w", encoding="utf-8") as f:
+        f.write('[["1", "-2", "1"]]')
+    with open(os.path.join(directory, "bad.json"), "w", encoding="utf-8") as f:
+        f.write("{not json")
+    os.mkdir(os.path.join(directory, "dir"))
+
+
+@given(cli_argvs())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_argv_exits_cleanly(argv):
+    """Every generated argv exits 0, 1 or 2, never with a traceback, and
+    exit 2 names the problem on an ``error:`` line (argparse prefixes it
+    with the program name)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_argv_files(tmp)
+        code, _, err = run_in(tmp, argv)
+        assert code in (0, 1, 2), (argv, err)
+        if code == 2:
+            assert re.search(r"^(hypersig[\w -]*: )?error: ", err, re.M), (argv, err)

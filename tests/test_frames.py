@@ -161,10 +161,14 @@ def random_rational_map(rng, ell):
     "h", DIFFERENTIAL, ids=[f"{i}-ell{h.ell}-n{h.n_vertices}" for i, h in enumerate(DIFFERENTIAL)]
 )
 def test_reduced_fusion_matches_assembly_and_oracle(h):
-    """Three-way check of the certified fusion engine: fusion equals the
-    level sets of signal_space and the dense oracle, under coordinate-sum
-    maps (edge-sum rows) and under C, random engaged rational maps, a
-    non-engaged map and the zero map (sum-matrix rows)."""
+    """Three-way check of fusion: it equals the level sets of signal_space
+    and the dense oracle under every case the map decides. Under
+    coordinate-sum maps and rank-1 maps (a two-row rational one included)
+    the edge-sum engine runs; C, random engaged rational maps, a rank-2
+    map whose first row starts with 0 and a three-row rank-2 map give one
+    class; a non-engaged map and the zero map give the discrete
+    partition. Under every map but U and its multiples, the one
+    re-verified signal's level sets are the partition."""
     ell = h.ell
     rng = random.Random(repr(h.edges))
     u_blocks = partition_blocks(assembly_fusion(h, universal_map(ell)).classes)
@@ -173,15 +177,21 @@ def test_reduced_fusion_matches_assembly_and_oracle(h):
         t = LinearMap.from_rows(rows)
         part = fusion(h, t)
         assert partition_blocks(part.classes) == u_blocks == oracle_fusion_blocks(h, t)
+    steps = list(range(1, ell + 1))
+    half = [Fraction(1, 2)] + steps[1:]
     others = [
         centroid_map(ell),
         random_rational_map(rng, ell),
         random_rational_map(rng, ell),
         LinearMap.from_rows([[1] * (ell - 1) + [0]]),
+        LinearMap.from_rows([half, [-2 * c for c in half]]),
+        LinearMap.from_rows([[0] + [1] * (ell - 1), [1] + [0] * (ell - 1)]),
+        LinearMap.from_rows([steps, [1] * ell, [c + 1 for c in steps]]),
     ]
     for t in others:
-        part = fusion(h, t)
-        assert part == assembly_fusion(h, t)
+        sig, part = hypersig.signals._certified_signal(h, t)
+        assert part == fusion(h, t) == assembly_fusion(h, t)
+        assert Partition.from_keys(list(zip(*sig.values))) == part
         assert partition_blocks(part.classes) == oracle_fusion_blocks(h, t)
     zero = LinearMap.from_rows([[0] * ell])
     part = fusion(h, zero)
@@ -245,7 +255,7 @@ def test_certificate_rejects_a_draw_that_merges_too_much(fan_five, monkeypatch):
     assert len(draws) == 2
     assert Partition.from_keys(delta.values[0]) == part
     assert verify_signal(fan_five, universal_map(3), delta)
-    # the same under a map other than U, on the sum-matrix rows
+    # the same under a rank-1 map other than U, which fuses as U does
     h, t = fan(5), LinearMap.from_rows([[1, 2, 3]])
     draws.clear()
     part = fusion(h, t)
@@ -268,15 +278,13 @@ def test_certificate_never_accepts_a_wrong_candidate(fan_five, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "t",
-    [universal_map(3), centroid_map(3), LinearMap.from_rows([[1, 2, 3]])],
-    ids=["U", "C", "[[1,2,3]]"],
+    "t", [universal_map(3), LinearMap.from_rows([[1, 2, 3]])], ids=["U", "[[1,2,3]]"]
 )
 def test_fusion_fails_when_the_elimination_drops_a_pivot_row(t, monkeypatch):
     """An elimination that loses its highest pivot row yields kernel
     vectors that break that row; re-verification of the signal, or the
     rank certificate, turns this into an internal error, never a
-    partition."""
+    partition. U and the rank-1 map both run the edge-sum engine."""
     forward_echelon = hypersig.signals._forward_echelon
 
     def broken(rows):
@@ -287,6 +295,23 @@ def test_fusion_fails_when_the_elimination_drops_a_pivot_row(t, monkeypatch):
     monkeypatch.setattr(hypersig.signals, "_forward_echelon", broken)
     with pytest.raises(HypersigError, match="^internal error: "):
         fusion(random_hypergraph(60, 52, 3, 3), t)
+
+
+@pytest.mark.parametrize(
+    "t,classes",
+    [(centroid_map(3), 1), (LinearMap.from_rows([[1, 1, 0]]), 60)],
+    ids=["C", "[[1,1,0]]"],
+)
+def test_fusion_decided_by_the_map_runs_no_elimination(t, classes, monkeypatch):
+    """An engaged map of rank 2 fuses into one class and a map with a zero
+    column gives the discrete partition, with no elimination: it is
+    patched to raise, and fusion still returns."""
+
+    def broken(rows):
+        raise AssertionError("elimination ran")
+
+    monkeypatch.setattr(hypersig.signals, "_forward_echelon", broken)
+    assert fusion(random_hypergraph(60, 52, 3, 3), t).n_classes == classes
 
 
 @pytest.mark.parametrize("t", [universal_map(3), centroid_map(3)], ids=["U", "C"])
