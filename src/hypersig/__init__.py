@@ -47,7 +47,6 @@ from .signals import (
     LinearMap,
     Signal,
     SignalSpace,
-    assemble_constraints,
     centroid_map,
     component_count_via_C,
     constant_space,

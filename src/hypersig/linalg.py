@@ -3,9 +3,11 @@
 Matrices hold integer rows and bases ``fractions.Fraction`` values, so
 every result in this module is exact; no floating point appears
 anywhere. The central operation is :func:`nullspace`, which returns the
-canonical reduced-echelon kernel basis of a sparse matrix. A forward,
-non-reduced echelon form with single-vector back-substitution serves
-callers that need the rank and one kernel vector, not a basis.
+canonical reduced-echelon kernel basis of a sparse matrix; the same
+reduced echelon form gives that basis in integers to callers that
+canonicalize it further. A forward, non-reduced echelon form with
+single-vector back-substitution serves callers that need the rank and
+one kernel vector, not a basis.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class SparseMatrix:
@@ -24,9 +28,8 @@ class SparseMatrix:
 
     Each row is a tuple of ``(col, value)`` pairs with strictly ascending
     columns in ``range(ncols)`` and nonzero ``int`` values; an empty row
-    is a zero row. Constraint assembly builds these rows directly, and a
-    rational matrix enters through :meth:`from_dense`, which scales each
-    row to integers.
+    is a zero row. A rational matrix enters through :meth:`from_dense`,
+    which scales each row to integers.
     """
 
     ncols: int
@@ -61,8 +64,7 @@ class SparseMatrix:
     @property
     def entries(self) -> tuple[tuple[int, int, int], ...]:
         """``(row, col, value)`` triples in row-major order; a view kept
-        for the tests and for the nnz counter that perfbench reads off
-        ``signals.assemble_constraints``."""
+        for the tests."""
         return tuple((r, c, v) for r, row in enumerate(self.rows) for c, v in row)
 
 
@@ -181,50 +183,69 @@ def _kernel_vector(
     return v
 
 
-class _Echelon:
-    """Incremental reduced echelon form over the rationals.
+def _reduced_echelon(
+    rows: Iterable[Sequence[tuple[int, int]]]
+) -> dict[int, dict[int, int]]:
+    """Reduced echelon form of integer rows, each given as its
+    ``(column, value)`` pairs in ascending columns, fraction-free.
 
-    Rows are primitive integer dicts (:meth:`insert` divides out the
-    content of a row as it enters); the rational echelon row for pivot
-    column ``c`` is ``rows[c] / rows[c][c]``, and ``rows[c][c] > 0``.
-    Invariant: each pivot row is zero in every other pivot column, so
-    clearing one pivot column of a row (:func:`_subtract`, integer only)
-    neither creates nor clears another, and one pass over the pivot
-    columns a row hits reduces it fully. The reduced echelon form of a
-    row space is unique, hence the result does not depend on insertion
-    order, row scaling, or row permutation of the input.
+    Maps each pivot column ``c`` to a primitive integer dict ``p`` with
+    ``p[c] > 0`` whose smallest column is ``c``; the rational echelon row
+    is ``p / p[c]``. Built by insertion: a row is divided by its content
+    and cleared at every pivot column it hits (:func:`_subtract`), and a
+    new pivot is cleared from every row that holds it. Invariant: each
+    pivot row is zero in every other pivot column, so clearing one pivot
+    column neither creates nor clears another, and one pass over the
+    pivot columns a row hits reduces it fully.
+
+    The reduced echelon form of a row space is unique, so the result does
+    not depend on the order, scaling or permutation of the rows; the
+    order only changes the work. Rows go in sparse first, and among rows
+    of one length those whose columns lie furthest right first: a pivot
+    right of every earlier one is in no earlier row, so clearing it costs
+    nothing.
     """
-
-    def __init__(self) -> None:
-        self.rows: dict[int, dict[int, int]] = {}
-
-    def insert(self, row: Iterable[tuple[int, int]]) -> None:
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=lambda r: (len(r), [-c for c, _ in r])):
         r = dict(row)
         _reduce_content(r)
-        for c in [c for c in r if c in self.rows]:
-            _subtract(r, c, self.rows[c])
+        for c in [c for c in r if c in pivots]:
+            _subtract(r, c, pivots[c])
         if not r:
-            return
+            continue
         c0 = min(r)
         if r[c0] < 0:
             for k in r:
                 r[k] = -r[k]
-        for p in self.rows.values():
+        for p in pivots.values():
             if c0 in p:
                 _subtract(p, c0, r)
-        self.rows[c0] = r
+        pivots[c0] = r
+    return pivots
 
-    def kernel_basis(self, ncols: int) -> Basis:
-        free = [c for c in range(ncols) if c not in self.rows]
-        vectors = []
-        for f in free:
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            for pc, p in self.rows.items():
-                if f in p:
-                    v[pc] = Fraction(-p[f], p[pc])
-            vectors.append(tuple(v))
-        return Basis(ncols, tuple(vectors))
+
+def _kernel_vectors(
+    pivots: dict[int, dict[int, int]], ncols: int
+) -> list[tuple[int, dict[int, int]]]:
+    """The canonical kernel basis of a :func:`_reduced_echelon` system, in
+    integers: for each free column ``f`` in ascending order, ``(f, v)``
+    with ``v`` the sparse kernel vector that is 1 at ``f`` and 0 at every
+    other free column, times the lcm of its denominators, so ``v[f] > 0``.
+    Every column of a pivot row other than its pivot is free."""
+    hits: dict[int, list[tuple[int, int, int]]] = {f: [] for f in range(ncols) if f not in pivots}
+    for pc, p in pivots.items():
+        lead = p[pc]
+        for c, x in p.items():
+            if c != pc:
+                hits[c].append((pc, x, lead))
+    out = []
+    for f, entries in hits.items():
+        d = lcm(*(lead for _, _, lead in entries))
+        v = {f: d}
+        for pc, x, lead in entries:
+            v[pc] = -x * (d // lead)
+        out.append((f, v))
+    return out
 
 
 def nullspace(m: SparseMatrix) -> Basis:
@@ -236,8 +257,11 @@ def nullspace(m: SparseMatrix) -> Basis:
     deterministic and invariant under row permutation and row scaling of
     the input.
     """
-    ech = _Echelon()
-    # insert sparse rows first; keeps intermediate fill-in low
-    for row in sorted(m.rows, key=lambda r: (len(r), r)):
-        ech.insert(row)
-    return ech.kernel_basis(m.ncols)
+    pivots = _reduced_echelon(m.rows)
+    vectors = []
+    for f, v in _kernel_vectors(pivots, m.ncols):
+        d, row = v[f], [_ZERO] * m.ncols
+        for c, x in v.items():
+            row[c] = Fraction(x, d)
+        vectors.append(tuple(row))
+    return Basis(m.ncols, tuple(vectors))

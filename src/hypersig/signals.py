@@ -2,16 +2,22 @@
 
 A signal assigns a rational value to every (axis, vertex) pair. Given a
 linear map ``T`` on axis space, a signal is admissible when ``T`` kills
-the value tuple read off every edge in every arrangement. The admissible
-signals of a hypergraph form a vector space, computed exactly here as the
-nullspace of a sparse constraint matrix with ``(ell-1)^2 + 1`` rows per
-edge and map row, which span the same row space as the up to ``ell!``
-arrangement constraints. On connected input the map alone decides
-fusion: discrete when it has a zero column, one class when it is engaged
-with rank at least 2, and the fusion of the coordinate-sum map when it
-has rank 1. Only that last case solves a system, the small edge-sum
-system, and each case returns one re-verified admissible signal whose
-level sets realize the partition.
+the value tuple read off every edge in every arrangement. For an edge and
+a map row ``w``, every arrangement constraint is a permutation sum of the
+matrix ``A[a][j] = w_a * s_a(e[j])``, so all of them hold iff ``A`` passes
+the sum-matrix test (Birkhoff): a zero trace, and
+``A[a][j] - A[a][0] == A[0][j] - A[0][0]`` for all ``a, j >= 1``. The
+verifier decides admissibility by this test.
+
+The admissible signals form a vector space. Under an engaged map it is
+solved inside the space of the coordinate-sum map, on ``n + (ell-1) *
+kappa`` unknowns for ``kappa`` components instead of ``ell * n``; under a
+map with a zero column it has a closed form. On connected input the map
+alone decides fusion: discrete when it has a zero column, one class when
+it is engaged with rank at least 2, and the fusion of the coordinate-sum
+map when it has rank 1. Only that last case solves a system, the small
+edge-sum system, and each case returns one re-verified admissible signal
+whose level sets realize the partition.
 
 Coordinate layout for flattened signals is fixed: coordinate ``(a, x)``
 lives at index ``a * n_vertices + x`` (axis-major), so bases and file
@@ -35,12 +41,24 @@ from .hypergraph import (
     MIN_ARITY,
     Hypergraph,
     Partition,
+    _component_roots,
     _dumps,
     _read_json,
     _write_text,
     is_connected,
 )
-from .linalg import Basis, SparseMatrix, _forward_echelon, _integral_rows, _kernel_vector, nullspace
+from .linalg import (
+    _ZERO,
+    Basis,
+    SparseMatrix,
+    _forward_echelon,
+    _integral_rows,
+    _kernel_vector,
+    _kernel_vectors,
+    _reduce_content,
+    _reduced_echelon,
+    nullspace,
+)
 
 
 @dataclass(frozen=True)
@@ -143,44 +161,6 @@ def _check_arity(h: Hypergraph, t: LinearMap) -> None:
         raise DomainError(f"map arity {t.ell} != hypergraph arity {h.ell}")
 
 
-def assemble_constraints(h: Hypergraph, t: LinearMap) -> SparseMatrix:
-    """Sparse integer constraint system whose nullspace is the signal space.
-
-    For edge ``e`` (a sorted tuple) and integer map row ``w`` (see
-    :func:`_integral_rows`), every arrangement constraint is a permutation
-    sum of the ``ell x ell`` matrix ``A[a][j] = w_a * s_a(e[j])``. The
-    permutation matrices span exactly the matrices whose row and column
-    sums are all equal (Birkhoff), so the same row space comes from
-    ``(ell-1)^2 + 1`` rows instead of up to ``ell!``:
-
-    - the trace row ``sum_a w_a * (a, e[a])``;
-    - for ``a, j >= 1`` with ``e[j] != e[0]``, the minor row
-      ``w_a*(a, e[j]) - w_a*(a, e[0]) - w_0*(0, e[j]) + w_0*(0, e[0])``
-      (with ``e[j] = e[0]`` it vanishes).
-
-    Rows run by edge, then map row, trace first, minors by ``(a, e[j])``;
-    columns ascend within a row. Equal rows are kept once, at their first
-    position; a zero map row gives one empty row.
-    """
-    _check_arity(h, t)
-    n, maps = h.n_vertices, _integral_rows(t.entries)
-    rows: dict[tuple[tuple[int, int], ...], None] = {}
-    for e in h.edges:
-        x0 = e[0]
-        others = sorted(set(e) - {x0})
-        for w in maps:
-            w0 = w[0]
-            rows[tuple((x + a * n, c) for a, (x, c) in enumerate(zip(e, w)) if c)] = None
-            for a in range(1, len(w)):
-                wa, base = w[a], a * n
-                for x in others:
-                    row = ((x0, w0), (x, -w0)) if w0 else ()
-                    if wa:
-                        row += ((x0 + base, -wa), (x + base, wa))
-                    rows[row] = None
-    return SparseMatrix(t.ell * n, tuple(rows))
-
-
 def find_violation(
     h: Hypergraph, t: LinearMap, s: Signal
 ) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
@@ -188,9 +168,11 @@ def find_violation(
     violates, in that order, or None if the signal is admissible. Exact:
     every edge and map row is checked, no sampling.
 
-    Each (edge, map row) is decided by the sum-matrix test of
-    :func:`assemble_constraints`' rows: with ``A[a][j] = w_a * s_a(e[j])``,
-    every arrangement constraint holds iff the trace of ``A`` is zero and
+    Each (edge, map row) is decided by the sum-matrix test: with
+    ``A[a][j] = w_a * s_a(e[j])``, every arrangement constraint is a
+    permutation sum of ``A``, and the permutation matrices span exactly
+    the matrices whose row and column sums are all equal (Birkhoff), so
+    every one holds iff the trace of ``A`` is zero and
     ``A[a][j] - A[a][0] == A[0][j] - A[0][0]`` for all ``a, j >= 1``.
     Only on the first edge that fails is the first violated (arrangement,
     map row) located, in the lexicographic order of the edge's distinct
@@ -213,10 +195,8 @@ def _violation(
             f"signal shape {s.ell}x{s.n_vertices} does not match "
             f"hypergraph {h.ell}x{h.n_vertices}"
         )
-    scale = lcm(*(v.denominator for row in s.values for v in row if v))
-    values = [
-        [v.numerator * (scale // v.denominator) if v else 0 for v in row] for row in s.values
-    ]
+    scale = lcm(*{v.denominator for row in s.values for v in row})
+    values = [[v.numerator * (scale // v.denominator) for v in row] for row in s.values]
     # per map row w, the pairs (w_a, s_a), so that A[a][j] = w_a * s_a(e[j])
     terms = [list(zip(w, values)) for w in maps]
     checks = [(row, *row[0], row[1:]) for row in terms]
@@ -286,15 +266,156 @@ def verify_signal(h: Hypergraph, t: LinearMap, s: Signal) -> bool:
 
 
 def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
-    """The space of admissible signals of ``h`` under ``t``.
+    """The space of admissible signals of ``h`` under ``t``, with its
+    canonical basis: the reduced echelon form of the kernel taken with
+    respect to the last nonzero coordinate, each vector 1 at its pivot,
+    in ascending pivot order. An engaged map solves the reduced system of
+    :func:`_engaged_basis`, a map with a zero column takes the closed
+    form of :func:`_zero_column_basis`.
 
     Every basis signal is re-verified exactly against the defining
     constraints before being returned; a failure would indicate an
     internal error and raises.
     """
-    space = SignalSpace(t, nullspace(assemble_constraints(h, t)))
+    _check_arity(h, t)
+    basis = _engaged_basis if is_engaged(t) else _zero_column_basis
+    space = SignalSpace(t, basis(h, t))
     _check_basis(h, t, space.signals())
     return space
+
+
+def _ranked_components(h: Hypergraph) -> tuple[list[int], list[int]]:
+    """The rank of each vertex's component and the largest vertex of each
+    component, components ranked by their largest vertex."""
+    roots = _component_roots(h.n_vertices, h.edges)
+    top = {r: x for x, r in enumerate(roots)}
+    tops = sorted(top.values())
+    rank = {roots[x]: k for k, x in enumerate(tops)}
+    return [rank[r] for r in roots], tops
+
+
+def _engaged_basis(h: Hypergraph, t: LinearMap) -> Basis:
+    """Canonical basis of the signal space of an engaged map, solved on
+    ``n + (ell-1) * kappa`` unknowns instead of ``ell * n`` (``kappa``
+    components, a vertex in no edge its own).
+
+    Scaling axis ``a`` by ``sigma_a = w . T(a)``, ``w`` from
+    :func:`_search_functional`, embeds the space into the space of the
+    coordinate-sum map, where ``u_a - u_{ell-1}`` is constant on every
+    component. So a signal is ``s_a(x) = mu_a * (g(x) + e[a][k(x)])``
+    with integers ``mu_a`` proportional to ``1 / sigma_a``,
+    ``g = u_{ell-1}`` and ``e[ell-1] = 0``. Column ``a * kappa + k`` holds
+    ``e[a][k]`` and column ``(ell-1) * kappa + x`` holds ``g(x)``. With
+    ``c_a = r_a * mu_a`` for an integer map row ``r``, an edge in
+    component ``k`` gives:
+
+    - the trace row ``sum_a c_a * (g(e[a]) + e[a][k])``;
+    - the minor rows ``(c_a - c_0) * (g(e[j]) - g(e[0]))``. They vanish
+      unless some row has ``c_a != c_0`` (the map has rank >= 2), and
+      then make ``g`` constant on every edge, hence on every component:
+      they span the rows ``g(x) - g(largest vertex of k)``, which are
+      emitted instead.
+
+    The free columns map one-to-one, in order, onto the pivots of the
+    canonical basis: ``g(x)`` onto ``(ell-1, x)`` and ``e[a][k]`` onto
+    ``(a, largest vertex of k)``. So the expanded kernel vectors are in
+    echelon form, and one fraction-free triangular pass in ascending
+    pivot order, done on the reduced vectors, makes each zero at the
+    pivots of the others. Only then are they expanded to ``Fraction``
+    vectors.
+    """
+    n, ell = h.n_vertices, h.ell
+    comp, tops = _ranked_components(h)
+    kappa = len(tops)
+    base = (ell - 1) * kappa
+    w = _search_functional(t)
+    sigma = _integral_rows([[sum(wi * ci for wi, ci in zip(w, t.column(a))) for a in range(ell)]])
+    scale = lcm(*sigma[0])
+    mu = [scale // s for s in sigma[0]]
+    coefs = [[r * m for r, m in zip(row, mu)] for row in _integral_rows(t.entries) if any(row)]
+    rows: dict[tuple[tuple[int, int], ...], None] = {}
+    for e in h.edges:
+        k = comp[e[0]]
+        for c in coefs:
+            row = {a * kappa + k: ca for a, ca in enumerate(c[:-1]) if ca}
+            for x, ca in zip(e, c):
+                row[base + x] = row.get(base + x, 0) + ca
+            rows[tuple(sorted((col, v) for col, v in row.items() if v))] = None
+    if any(ca != c[0] for c in coefs for ca in c):
+        for x, k in enumerate(comp):
+            if x != tops[k]:
+                rows[((base + x, 1), (base + tops[k], -1))] = None
+    done: list[tuple[tuple[int, ...], dict[int, int], int]] = []
+    for f, v in _kernel_vectors(_reduced_echelon(rows), base + n):
+        for cols, u, lead in done:
+            x = sum(v.get(c, 0) for c in cols)
+            if x:  # v := lead * v - x * u, which is zero at u's pivot
+                for c in v:
+                    v[c] *= lead
+                for c, y in u.items():
+                    nv = v.get(c, 0) - x * y
+                    if nv:
+                        v[c] = nv
+                    else:
+                        del v[c]
+                _reduce_content(v)
+        # the reduced columns whose sum is the expanded vector at the pivot
+        # of f, over the factor mu of the pivot's axis
+        cols = (f,) if f >= base else (f, base + tops[f % kappa])
+        done.append((cols, v, sum(v.get(c, 0) for c in cols)))
+    vectors = []
+    for (f, *_), v, lead in done:
+        pivot = mu[f // kappa if f < base else ell - 1] * lead
+        g = [v.get(c, 0) for c in range(base, base + n)]
+        ys: list[int] = []
+        for a, m in enumerate(mu):
+            e = [v.get(a * kappa + k, 0) for k in range(kappa)] if a < ell - 1 else [0] * kappa
+            ys += [m * (x + e[k]) for x, k in zip(g, comp)]
+        fractions = {y: Fraction(y, pivot) for y in set(ys)}  # one per distinct value
+        fractions[0] = _ZERO
+        vectors.append(tuple(map(fractions.__getitem__, ys)))
+    return Basis(ell * n, tuple(vectors))
+
+
+def _zero_column_basis(h: Hypergraph, t: LinearMap) -> Basis:
+    """Canonical basis of the signal space of a map with a zero column, in
+    closed form, no elimination.
+
+    An axis whose column is zero is free. Every row ``r`` is zero there, so
+    the minor rows ``r_b * (s_b(y) - s_b(x)) = 0`` make every other axis
+    constant on each edge, hence on each component, and the trace rows
+    ask that these constants lie in the kernel of ``t``. A vertex in no
+    edge is free on every axis. So the basis is the unit vectors at
+    ``(z, x)`` for every zero column ``z``, at ``(a, x)`` for every vertex
+    ``x`` in no edge, and for each component with an edge and each
+    canonical kernel vector ``lam`` of ``t`` that is zero on the zero
+    columns, ``lam_a`` at ``(a, x)`` for every vertex ``x`` of the
+    component. Ordered by their last nonzero coordinate, which for
+    ``lam`` is ``(f, largest vertex of the component)``, ``f`` the free
+    column of ``lam``.
+    """
+    n, ell = h.n_vertices, h.ell
+    zero = [a for a in range(ell) if not any(t.column(a))]
+    covered = {x for e in h.edges for x in e}
+    units = {z * n + x for z in zero for x in range(n)}
+    units |= {a * n + x for x in set(range(n)) - covered for a in range(ell)}
+    by_pivot = {p: {p: Fraction(1)} for p in units}
+    comp, tops = _ranked_components(h)
+    members: dict[int, list[int]] = {}
+    for x in sorted(covered):
+        members.setdefault(comp[x], []).append(x)
+    for lam in nullspace(SparseMatrix.from_dense(t.entries)).vectors:
+        axes = [a for a in range(ell) if lam[a]]
+        if not set(axes) & set(zero):
+            for k, xs in members.items():
+                by_pivot[axes[-1] * n + tops[k]] = {a * n + x: lam[a] for a in axes for x in xs}
+    vectors = []
+    for p in sorted(by_pivot):
+        row = [_ZERO] * (ell * n)
+        for i, y in by_pivot[p].items():
+            row[i] = y
+        vectors.append(tuple(row))
+    return Basis(ell * n, tuple(vectors))
 
 
 def _check_basis(h: Hypergraph, t: LinearMap, signals: Sequence[Signal]) -> None:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -89,3 +90,36 @@ def random_engaged_map(rng: random.Random, ell: int = 3) -> LinearMap:
         rows = [[rng.randint(-3, 3) for _ in range(ell)] for _ in range(r)]
         if all(any(rows[i][a] != 0 for i in range(r)) for a in range(ell)):
             return LinearMap.from_rows(rows)
+
+
+def random_loose_instance(
+    rng: random.Random, ell: int, n_max: int = 7, m_max: int = 4
+) -> Hypergraph:
+    """Random ``ell``-uniform hypergraph that may be disconnected, leave
+    vertices in no edge, repeat a vertex in an edge, or hold a one-vertex
+    edge ``(x, ..., x)``; deterministic per rng."""
+    n = rng.randint(1, n_max)
+    edges = set()
+    for _ in range(rng.randint(0, m_max)):
+        e = rng.choices(range(n), k=ell)
+        if rng.random() < 0.15:
+            e = [e[0]] * ell
+        edges.add(tuple(sorted(e)))
+    return Hypergraph.build(ell, [f"x{i}" for i in range(n)], edges)
+
+
+def random_loose_map(rng: random.Random, ell: int) -> LinearMap:
+    """Random map with 1 to 3 rational rows: engaged, with zero columns, or
+    the zero map."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return LinearMap.from_rows([[0] * ell])
+    rows = [
+        [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ell)]
+        for _ in range(rng.randint(1, 3))
+    ]
+    if kind == 1:
+        for z in rng.sample(range(ell), rng.randint(1, ell - 1)):
+            for row in rows:
+                row[z] = 0
+    return LinearMap.from_rows(rows)

@@ -1,10 +1,18 @@
-"""Independent brute-force reference implementations.
+"""Reference implementations the library is checked against.
 
-Everything here is deliberately naive and shares no code with the library
-paths it checks: constraint systems enumerate all ell! permutations per
-edge, elimination is textbook dense Gauss-Jordan on lists of Fractions
-(identical rows dropped first, which leaves the row space and so the
-RREF kernel basis unchanged), and partitions are plain frozensets.
+The brute-force references are deliberately naive and share no code with
+the library paths they check: constraint systems enumerate all ell!
+permutations per edge, elimination is textbook dense Gauss-Jordan on
+lists of Fractions (identical rows dropped first, which leaves the row
+space and so the RREF kernel basis unchanged), and partitions are plain
+frozensets.
+
+The one exception is :func:`assemble_constraints`, the sparse
+sum-matrix (Birkhoff) assembly on all ``ell * n`` coordinates: the
+differential reference for ``signal_space``'s reduced system, fast
+enough for larger inputs. It shares ``nullspace``, the integer map rows
+and the arity check with the library; the brute-force references check
+it in turn.
 """
 
 from __future__ import annotations
@@ -12,7 +20,52 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement, combinations, permutations
 
-from hypersig import Hypergraph, LinearMap
+from hypersig import Hypergraph, LinearMap, SparseMatrix, nullspace
+from hypersig.linalg import Basis, _integral_rows
+from hypersig.signals import _check_arity
+
+
+def assemble_constraints(h: Hypergraph, t: LinearMap) -> SparseMatrix:
+    """Sparse integer constraint system whose nullspace is the signal space.
+
+    For edge ``e`` (a sorted tuple) and integer map row ``w`` (see
+    :func:`_integral_rows`), every arrangement constraint is a permutation
+    sum of the ``ell x ell`` matrix ``A[a][j] = w_a * s_a(e[j])``. The
+    permutation matrices span exactly the matrices whose row and column
+    sums are all equal (Birkhoff), so the same row space comes from
+    ``(ell-1)^2 + 1`` rows instead of up to ``ell!``:
+
+    - the trace row ``sum_a w_a * (a, e[a])``;
+    - for ``a, j >= 1`` with ``e[j] != e[0]``, the minor row
+      ``w_a*(a, e[j]) - w_a*(a, e[0]) - w_0*(0, e[j]) + w_0*(0, e[0])``
+      (with ``e[j] = e[0]`` it vanishes).
+
+    Rows run by edge, then map row, trace first, minors by ``(a, e[j])``;
+    columns ascend within a row. Equal rows are kept once, at their first
+    position; a zero map row gives one empty row.
+    """
+    _check_arity(h, t)
+    n, maps = h.n_vertices, _integral_rows(t.entries)
+    rows: dict[tuple[tuple[int, int], ...], None] = {}
+    for e in h.edges:
+        x0 = e[0]
+        others = sorted(set(e) - {x0})
+        for w in maps:
+            w0 = w[0]
+            rows[tuple((x + a * n, c) for a, (x, c) in enumerate(zip(e, w)) if c)] = None
+            for a in range(1, len(w)):
+                wa, base = w[a], a * n
+                for x in others:
+                    row = ((x0, w0), (x, -w0)) if w0 else ()
+                    if wa:
+                        row += ((x0 + base, -wa), (x + base, wa))
+                    rows[row] = None
+    return SparseMatrix(t.ell * n, tuple(rows))
+
+
+def sparse_signal_basis(h: Hypergraph, t: LinearMap) -> Basis:
+    """The canonical signal-space basis from the full assembly."""
+    return nullspace(assemble_constraints(h, t))
 
 
 def dense_constraint_rows(h: Hypergraph, t: LinearMap) -> list[list[Fraction]]:

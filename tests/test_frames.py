@@ -314,19 +314,24 @@ def test_fusion_decided_by_the_map_runs_no_elimination(t, classes, monkeypatch):
     assert fusion(random_hypergraph(60, 52, 3, 3), t).n_classes == classes
 
 
-@pytest.mark.parametrize("t", [universal_map(3), centroid_map(3)], ids=["U", "C"])
+@pytest.mark.parametrize(
+    "t",
+    [universal_map(3), centroid_map(3), LinearMap.from_rows([[1, -2, 1]])],
+    ids=["U", "C", "skew"],
+)
 def test_signal_space_fails_when_the_echelon_loses_a_pivot_row(t, monkeypatch):
-    """A kernel basis read off an echelon form missing one pivot row holds
-    that row's pivot column as a basis vector, which breaks the row; the
-    basis re-verification raises an internal error."""
-    kernel_basis = hypersig.linalg._Echelon.kernel_basis
+    """Kernel vectors read off the reduced system's echelon form missing
+    one pivot row hold that row's pivot column as a free column, which
+    breaks the row; the basis re-verification raises an internal error."""
+    reduced_echelon = hypersig.signals._reduced_echelon
 
-    def broken(self, ncols):
-        self.rows.popitem()
-        return kernel_basis(self, ncols)
+    def broken(rows):
+        pivots = reduced_echelon(rows)
+        pivots.popitem()
+        return pivots
 
-    monkeypatch.setattr(hypersig.linalg._Echelon, "kernel_basis", broken)
-    with pytest.raises(HypersigError, match="^internal error: "):
+    monkeypatch.setattr(hypersig.signals, "_reduced_echelon", broken)
+    with pytest.raises(HypersigError, match="^internal error: basis signal fails"):
         signal_space(random_hypergraph(60, 52, 3, 3), t)
 
 

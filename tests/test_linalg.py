@@ -12,11 +12,10 @@ from hypersig import (
     Hypergraph,
     LinearMap,
     SparseMatrix,
-    assemble_constraints,
     nullspace,
 )
 from conftest import random_engaged_map, random_multiset_instance
-from oracle import dense_constraint_rows, dense_kernel
+from oracle import assemble_constraints, dense_constraint_rows, dense_kernel
 
 
 def identity(n):

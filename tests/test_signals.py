@@ -5,11 +5,15 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     random_connected_instance,
     random_covered_instance,
     random_engaged_map,
+    random_loose_instance,
+    random_loose_map,
     random_multiset_instance,
 )
 from hypersig import (
@@ -22,7 +26,6 @@ from hypersig import (
     Partition,
     Signal,
     arrangements,
-    assemble_constraints,
     centroid_map,
     component_count_via_C,
     components,
@@ -34,6 +37,7 @@ from hypersig import (
     is_engaged,
     linear_map_from_json,
     load_signal,
+    random_hypergraph,
     save_signal,
     signal_from_json,
     signal_space,
@@ -41,7 +45,13 @@ from hypersig import (
     universal_map,
     verify_signal,
 )
-from oracle import dense_constraint_rows, oracle_signal_basis, oracle_signal_dimension
+from oracle import (
+    assemble_constraints,
+    dense_constraint_rows,
+    oracle_signal_basis,
+    oracle_signal_dimension,
+    sparse_signal_basis,
+)
 
 
 def test_universal_map_matrix():
@@ -452,7 +462,9 @@ def test_dimension_lower_bound_from_kernel():
 def test_sparse_dimension_matches_dense_oracle_on_random_maps():
     """The whole canonical basis, not just its size, equals the dense
     Gauss-Jordan oracle's, at ell 3 to 6 and under integer and rational
-    maps."""
+    maps; also on inputs that are disconnected, leave a vertex in no edge
+    or hold a one-vertex edge, and under maps with a zero column and the
+    zero map."""
     rng = random.Random(5153)
     for i, ell in enumerate((3,) * 25 + (4,) * 6 + (5,) * 2 + (6,) * 2):
         if ell == 3:
@@ -466,6 +478,64 @@ def test_sparse_dimension_matches_dense_oracle_on_random_maps():
             t = LinearMap.from_rows([[Fraction(v, rng.randint(2, 5)) for v in row] for row in t.entries])
         basis = signal_space(h, t).basis.vectors
         assert [list(v) for v in basis] == oracle_signal_basis(h, t)
+    loose = [
+        (Hypergraph.build(3, "abcdef", [(0, 1, 2), (3, 4, 5)]), universal_map(3)),
+        (Hypergraph.build(3, "abcde", [(0, 1, 2), (1, 2, 3)]), centroid_map(3)),
+        (Hypergraph.build(3, "abcd", [(0, 0, 0), (0, 1, 2)]), LinearMap.from_rows([[1, -2, 1]])),
+        (Hypergraph.build(4, "abcde", [(1, 1, 1, 1), (0, 2, 3, 3)]), universal_map(4)),
+        (Hypergraph.build(3, "abcde", [(0, 1, 2), (2, 3, 4)]), LinearMap.from_rows([[1, 2, 0]])),
+        (Hypergraph.build(4, "abcde", [(0, 0, 1, 2)]), LinearMap.from_rows([[0, 1, -1, 0]])),
+        (Hypergraph.build(3, "abcd", [(0, 1, 1)]), LinearMap.from_rows([[0, 0, 0]])),
+    ]
+    for ell in (3,) * 20 + (4,) * 8 + (5,) * 3:
+        h = random_loose_instance(rng, ell, n_max=6 if ell < 5 else 4, m_max=4 if ell < 5 else 2)
+        loose.append((h, random_loose_map(rng, ell)))
+    for h, t in loose:
+        basis = signal_space(h, t).basis.vectors
+        assert [list(v) for v in basis] == oracle_signal_basis(h, t), (h, t)
+
+
+def _skew(rng: random.Random, ell: int) -> LinearMap:
+    """Two rational rows summing to zero, as in the signals-maps workload."""
+    rows = []
+    for _ in range(2):
+        row = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(ell - 1)]
+        rows.append(row + [-sum(row)])
+    return LinearMap.from_rows(rows)
+
+
+@pytest.mark.parametrize("ell,n,m", [(3, 30, 24), (4, 20, 14), (5, 12, 8), (6, 10, 6)])
+def test_signal_space_matches_full_assembly_at_benchmark_sizes(ell, n, m):
+    """At signals-maps sizes the reduced system's basis equals the
+    canonical kernel of the full sum-matrix assembly on all ``ell * n``
+    coordinates, on connected, repeated-vertex and disconnected inputs,
+    under U, C, a two-row skew map and maps with a zero column."""
+    rng = random.Random(9000 + ell)
+    inputs = [random_hypergraph(n, m, ell, rng.randrange(2**32))]
+    inputs += [random_loose_instance(rng, ell, n_max=n, m_max=m) for _ in range(2)]
+    maps = [universal_map(ell), centroid_map(ell), _skew(rng, ell)]
+    maps += [LinearMap.from_rows([[1] * (ell - 1) + [0]]), random_loose_map(rng, ell)]
+    for h in inputs:
+        for t in maps:
+            assert signal_space(h, t).basis == sparse_signal_basis(h, t), (h, t)
+
+
+@st.composite
+def signal_problems(draw):
+    ell = draw(st.integers(3, 5))
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.lists(vertex, min_size=ell, max_size=ell), max_size=5))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    rows = draw(st.lists(st.lists(value, min_size=ell, max_size=ell), min_size=1, max_size=3))
+    return Hypergraph.build(ell, [f"x{i}" for i in range(n)], edges), LinearMap.from_rows(rows)
+
+
+@given(signal_problems())
+@settings(max_examples=80, deadline=None)
+def test_signal_space_matches_full_assembly_hypothesis(problem):
+    h, t = problem
+    assert signal_space(h, t).basis == sparse_signal_basis(h, t)
 
 
 def test_signal_json_roundtrip(tmp_path, triangle, skew_signal):
