@@ -18,7 +18,7 @@ it in turn.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, combinations, permutations
+from itertools import combinations_with_replacement, combinations, permutations, product
 
 from hypersig import Hypergraph, LinearMap, SparseMatrix, nullspace
 from hypersig.linalg import Basis, _integral_rows
@@ -66,6 +66,19 @@ def assemble_constraints(h: Hypergraph, t: LinearMap) -> SparseMatrix:
 def sparse_signal_basis(h: Hypergraph, t: LinearMap) -> Basis:
     """The canonical signal-space basis from the full assembly."""
     return nullspace(assemble_constraints(h, t))
+
+
+def grid_search_functional(t: LinearMap) -> tuple[int, ...]:
+    """The first positive integer vector w, by increasing height max(w)
+    and lexicographic within a height, with w . T(a) != 0 for every
+    column; a plain enumeration of the grid, for an engaged map."""
+    columns = [t.column(a) for a in range(t.ell)]
+    height = 1
+    while True:
+        for w in product(range(1, height + 1), repeat=t.r):
+            if max(w) == height and all(sum(x * c for x, c in zip(w, col)) for col in columns):
+                return w
+        height += 1
 
 
 def dense_constraint_rows(h: Hypergraph, t: LinearMap) -> list[list[Fraction]]:

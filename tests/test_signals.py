@@ -45,9 +45,11 @@ from hypersig import (
     universal_map,
     verify_signal,
 )
+from hypersig.signals import _search_functional
 from oracle import (
     assemble_constraints,
     dense_constraint_rows,
+    grid_search_functional,
     oracle_signal_basis,
     oracle_signal_dimension,
     sparse_signal_basis,
@@ -388,6 +390,23 @@ def test_embed_constant_signal_stays_constant(triangle, skew_map):
         assert verify_signal(triangle, universal_map(3), out)
         for row in out.values:
             assert len(set(row)) == 1
+
+
+def test_search_functional_matches_grid_enumeration():
+    """The depth-first search returns the grid enumeration's w, on the
+    centroid maps and on random engaged rational maps with 1 to 5 rows."""
+    rng = random.Random(4242)
+    maps = [centroid_map(ell) for ell in range(3, 10)]
+    while len(maps) < 300:
+        ell, r = rng.randint(3, 6), rng.randint(1, 5)
+        values = (0, 0, 1, -1, 2, -2, 3)
+        t = LinearMap.from_rows(
+            [[Fraction(rng.choice(values), rng.randint(1, 2)) for _ in range(ell)] for _ in range(r)]
+        )
+        if is_engaged(t):
+            maps.append(t)
+    for t in maps:
+        assert _search_functional(t) == grid_search_functional(t), t
 
 
 def test_embed_requires_engaged(triangle):
