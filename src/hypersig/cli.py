@@ -29,11 +29,11 @@ from .hypergraph import (
     dumps_hypergraph,
     load_hypergraph,
 )
+from .linalg import SparseMatrix, nullspace
 from .signals import (
     LinearMap,
     centroid_map,
     component_count_via_C,
-    constant_space,
     find_violation,
     is_engaged,
     load_linear_map,
@@ -78,7 +78,8 @@ def cmd_signals(args: argparse.Namespace) -> int:
             "the corresponding axis is unconstrained",
             file=sys.stderr,
         )
-    const = constant_space(t, h.n_vertices)
+    # the constant signals are the map's kernel spread over the vertices
+    const = nullspace(SparseMatrix.from_dense(t.entries))
     print(f"dim {space.dimension}, constant {const.dimension}")
     if args.out:
         docs = [signal_to_json(h, sig) for sig in space.signals()]

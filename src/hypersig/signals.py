@@ -178,17 +178,10 @@ def find_violation(
     arrangements, by the prefix search of :func:`_first_witness`.
 
     Integer only: the signal is scaled by the lcm of all its value
-    denominators and each map row by the lcm of its own, which leaves
-    every constraint's zero set unchanged.
+    denominators and each map row by the lcm of its own, which keeps
+    every constraint's zero set, and :func:`_violation` checks these.
     """
     _check_arity(h, t)
-    return _violation(h, _integral_rows(t.entries), s)
-
-
-def _violation(
-    h: Hypergraph, maps: Sequence[Sequence[int]], s: Signal
-) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
-    """:func:`find_violation` with the map given by its integer rows."""
     if s.ell != h.ell or s.n_vertices != h.n_vertices:
         raise DomainError(
             f"signal shape {s.ell}x{s.n_vertices} does not match "
@@ -196,6 +189,14 @@ def _violation(
         )
     scale = lcm(*{v.denominator for row in s.values for v in row})
     values = [[v.numerator * (scale // v.denominator) for v in row] for row in s.values]
+    return _violation(h, _integral_rows(t.entries), values)
+
+
+def _violation(
+    h: Hypergraph, maps: Sequence[Sequence[int]], values: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+    """:func:`find_violation` on an integer signal table ``values[a][x]``,
+    with the map given by its integer rows."""
     # per map row w, the pairs (w_a, s_a), so that A[a][j] = w_a * s_a(e[j])
     terms = [list(zip(w, values)) for w in maps]
     checks = [(row, *row[0], row[1:]) for row in terms]
@@ -272,15 +273,23 @@ def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
     :func:`_engaged_basis`, a map with a zero column takes the closed
     form of :func:`_zero_column_basis`.
 
-    Every basis signal is re-verified exactly against the defining
-    constraints before being returned; a failure would indicate an
-    internal error and raises.
+    Both return each basis vector as integers ``y`` over its value ``d``
+    at the pivot. Every basis signal is re-verified exactly as that
+    integer table, a failure an internal error that raises; only then is
+    it expanded to ``Fraction(y, d)``, one per distinct ``y``. Dividing
+    by ``d`` keeps every constraint's zero set, so the emitted signals
+    are the verified ones.
     """
     _check_arity(h, t)
-    basis = _engaged_basis if is_engaged(t) else _zero_column_basis
-    space = SignalSpace(t, basis(h, t))
-    _check_basis(h, t, space.signals())
-    return space
+    n = h.n_vertices
+    basis = (_engaged_basis if is_engaged(t) else _zero_column_basis)(h, t)
+    _check_basis(h, t, [[ys[a * n : (a + 1) * n] for a in range(h.ell)] for ys, _ in basis])
+    vectors = []
+    for ys, d in basis:
+        fractions = {y: Fraction(y, d) for y in set(ys)}
+        fractions[0] = _ZERO  # one shared zero
+        vectors.append(tuple(map(fractions.__getitem__, ys)))
+    return SignalSpace(t, Basis(h.ell * n, tuple(vectors)))
 
 
 def _ranked_components(h: Hypergraph) -> tuple[list[int], list[int]]:
@@ -293,7 +302,7 @@ def _ranked_components(h: Hypergraph) -> tuple[list[int], list[int]]:
     return [rank[r] for r in roots], tops
 
 
-def _engaged_basis(h: Hypergraph, t: LinearMap) -> Basis:
+def _engaged_basis(h: Hypergraph, t: LinearMap) -> list[tuple[list[int], int]]:
     """Canonical basis of the signal space of an engaged map, solved on
     ``n + (ell-1) * kappa`` unknowns instead of ``ell * n`` (``kappa``
     components, a vertex in no edge its own).
@@ -320,17 +329,17 @@ def _engaged_basis(h: Hypergraph, t: LinearMap) -> Basis:
     ``(a, largest vertex of k)``. So the expanded kernel vectors are in
     echelon form, and one fraction-free triangular pass in ascending
     pivot order, done on the reduced vectors, makes each zero at the
-    pivots of the others. Only then are they expanded to ``Fraction``
-    vectors.
+    pivots of the others. Only then are they expanded to ``ell * n``
+    integers, each with its value at the pivot.
     """
     n, ell = h.n_vertices, h.ell
     comp, tops = _ranked_components(h)
     kappa = len(tops)
     base = (ell - 1) * kappa
     w = _search_functional(t)
-    sigma = _integral_rows([[sum(wi * ci for wi, ci in zip(w, t.column(a))) for a in range(ell)]])
-    scale = lcm(*sigma[0])
-    mu = [scale // s for s in sigma[0]]
+    sigma = [sum(wi * ci for wi, ci in zip(w, col)) for col in _integer_columns(t)]
+    scale = lcm(*sigma)
+    mu = [scale // s for s in sigma]
     coefs = [[r * m for r, m in zip(row, mu)] for row in _integral_rows(t.entries) if any(row)]
     rows: dict[tuple[tuple[int, int], ...], None] = {}
     for e in h.edges:
@@ -370,13 +379,11 @@ def _engaged_basis(h: Hypergraph, t: LinearMap) -> Basis:
         for a, m in enumerate(mu):
             e = [v.get(a * kappa + k, 0) for k in range(kappa)] if a < ell - 1 else [0] * kappa
             ys += [m * (x + e[k]) for x, k in zip(g, comp)]
-        fractions = {y: Fraction(y, pivot) for y in set(ys)}  # one per distinct value
-        fractions[0] = _ZERO
-        vectors.append(tuple(map(fractions.__getitem__, ys)))
-    return Basis(ell * n, tuple(vectors))
+        vectors.append((ys, pivot))
+    return vectors
 
 
-def _zero_column_basis(h: Hypergraph, t: LinearMap) -> Basis:
+def _zero_column_basis(h: Hypergraph, t: LinearMap) -> list[tuple[list[int], int]]:
     """Canonical basis of the signal space of a map with a zero column, in
     closed form, no elimination.
 
@@ -391,39 +398,40 @@ def _zero_column_basis(h: Hypergraph, t: LinearMap) -> Basis:
     columns, ``lam_a`` at ``(a, x)`` for every vertex ``x`` of the
     component. Ordered by their last nonzero coordinate, which for
     ``lam`` is ``(f, largest vertex of the component)``, ``f`` the free
-    column of ``lam``.
+    column of ``lam``. Each ``lam`` is kept in integers, ``lam_f`` at
+    the pivot.
     """
     n, ell = h.n_vertices, h.ell
-    zero = [a for a in range(ell) if not any(t.column(a))]
+    zero = {a for a in range(ell) if not any(t.column(a))}
     covered = {x for e in h.edges for x in e}
     units = {z * n + x for z in zero for x in range(n)}
     units |= {a * n + x for x in set(range(n)) - covered for a in range(ell)}
-    by_pivot = {p: {p: Fraction(1)} for p in units}
+    by_pivot = {p: ({p: 1}, 1) for p in units}
     comp, tops = _ranked_components(h)
     members: dict[int, list[int]] = {}
     for x in sorted(covered):
         members.setdefault(comp[x], []).append(x)
-    for lam in nullspace(SparseMatrix.from_dense(t.entries)).vectors:
-        axes = [a for a in range(ell) if lam[a]]
-        if not set(axes) & set(zero):
+    for f, lam in _kernel_vectors(_reduced_echelon(SparseMatrix.from_dense(t.entries).rows), ell):
+        if not zero & lam.keys():
             for k, xs in members.items():
-                by_pivot[axes[-1] * n + tops[k]] = {a * n + x: lam[a] for a in axes for x in xs}
+                by_pivot[f * n + tops[k]] = {a * n + x: y for a, y in lam.items() for x in xs}, lam[f]
     vectors = []
     for p in sorted(by_pivot):
-        row = [_ZERO] * (ell * n)
-        for i, y in by_pivot[p].items():
-            row[i] = y
-        vectors.append(tuple(row))
-    return Basis(ell * n, tuple(vectors))
+        ys, (entries, d) = [0] * (ell * n), by_pivot[p]
+        for i, y in entries.items():
+            ys[i] = y
+        vectors.append((ys, d))
+    return vectors
 
 
-def _check_basis(h: Hypergraph, t: LinearMap, signals: Sequence[Signal]) -> None:
-    """Re-verify computed basis signals exactly, by the sum-matrix test of
+def _check_basis(h: Hypergraph, t: LinearMap, tables: Sequence[Sequence[Sequence[int]]]) -> None:
+    """Re-verify computed signals exactly, each given as the integer table
+    ``values[a][x]`` it is built from, by the sum-matrix test of
     :func:`find_violation`, with the map's integer rows built once for all
     of them; a failure is an internal error and raises."""
     maps = _integral_rows(t.entries)
-    for sig in signals:
-        witness = _violation(h, maps, sig)
+    for values in tables:
+        witness = _violation(h, maps, values)
         if witness is not None:
             raise HypersigError(f"internal error: basis signal fails at {witness}")
 
@@ -458,8 +466,7 @@ def _search_functional(t: LinearMap) -> tuple[int, ...]:
     enumeration of the grid passes more than ``2^(ell-3)`` points.
     """
     r, ends = t.r, [[] for _ in range(t.r)]
-    for a in range(t.ell):
-        col = t.column(a)
+    for col in _integer_columns(t):
         ends[max(i for i, c in enumerate(col) if c)].append(col)
     height = 1
     while True:
@@ -477,6 +484,14 @@ def _search_functional(t: LinearMap) -> tuple[int, ...]:
                 if all(sum(x * c for x, c in zip(w, col)) for col in ends[i]):
                     i += 1
         height += 1
+
+
+def _integer_columns(t: LinearMap) -> list[list[int]]:
+    """The columns of ``t`` times one common denominator, the lcm of all
+    of them, so every ``w . T(a)`` is scaled alike and keeps its zero
+    set."""
+    d = lcm(*(v.denominator for row in t.entries for v in row))
+    return [[v.numerator * (d // v.denominator) for v in t.column(a)] for a in range(t.ell)]
 
 
 def embed_to_universal(h: Hypergraph, t: LinearMap, s: Signal) -> Signal:
@@ -509,7 +524,7 @@ def generating_signal(h: Hypergraph) -> Signal:
     """Single admissible signal for the coordinate-sum map whose level
     sets, on every axis, realize the full fusion partition: the certified,
     re-verified signal of :func:`_certified_signal`."""
-    return _certified_signal(h, universal_map(h.ell))[0]
+    return Signal.from_rows(_certified_signal(h, universal_map(h.ell))[0])
 
 
 # Seed of the draws of kernel vectors. The certified partition does not
@@ -538,9 +553,10 @@ def _edge_sum_rows(
     return {tuple(sorted(Counter(col[v] for v in e).items())) + ((c, 1),): None for e in edges}
 
 
-def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[Signal, Partition]:
-    """Fusion partition of connected ``h`` under ``t``, and one re-verified
-    admissible signal whose level sets, on the axes together, realize it.
+def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[list[list[int]], Partition]:
+    """One re-verified admissible signal of connected ``h`` under ``t``, as
+    its integer table ``values[a][x]``, and the fusion partition, which
+    the signal's level sets, on the axes together, realize.
 
     The map decides the case (:func:`hypersig.frames.fusion` says why): a
     zero column gives the discrete partition, and the vertex index on that
@@ -568,9 +584,8 @@ def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[Signal, Partition]:
             values = [[x * (scale // v[a]) for x in lift[a]] for a in range(ell)]
         else:
             values, part = [[0] * n] * ell, Partition.from_keys([0] * n)
-    sig = Signal.from_rows(values)
-    _check_basis(h, t, [sig])
-    return sig, part
+    _check_basis(h, t, [values])
+    return values, part
 
 
 def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Partition]:
@@ -676,12 +691,19 @@ def signal_from_json(obj) -> tuple[tuple[str, ...], int, Signal]:
         raise FormatError("'ell' must be an integer")
     if not isinstance(values, list) or len(values) != ell:
         raise FormatError("'values' must hold one array per axis")
+    parsed: dict[str, Fraction] = {}  # strings only: true == 1 and hashes alike
+
+    def parse(v) -> Fraction:
+        if not isinstance(v, str):
+            return _parse_rational(v)
+        return parsed[v] if v in parsed else parsed.setdefault(v, _parse_rational(v))
+
     rows = []
     for row in values:
         if not isinstance(row, list) or len(row) != len(vertices):
             raise FormatError("each value array must align with the vertex list")
-        rows.append([_parse_rational(v) for v in row])
-    return tuple(vertices), ell, Signal.from_rows(rows)
+        rows.append(tuple(map(parse, row)))
+    return tuple(vertices), ell, Signal(tuple(rows))
 
 
 def save_signal(h: Hypergraph, s: Signal, path: str | Path) -> None:

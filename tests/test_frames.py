@@ -189,9 +189,9 @@ def test_reduced_fusion_matches_assembly_and_oracle(h):
         LinearMap.from_rows([steps, [1] * ell, [c + 1 for c in steps]]),
     ]
     for t in others:
-        sig, part = hypersig.signals._certified_signal(h, t)
+        values, part = hypersig.signals._certified_signal(h, t)
         assert part == fusion(h, t) == assembly_fusion(h, t)
-        assert Partition.from_keys(list(zip(*sig.values))) == part
+        assert Partition.from_keys(list(zip(*values))) == part
         assert partition_blocks(part.classes) == oracle_fusion_blocks(h, t)
     zero = LinearMap.from_rows([[0] * ell])
     part = fusion(h, zero)

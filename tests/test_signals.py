@@ -16,11 +16,13 @@ from conftest import (
     random_loose_map,
     random_multiset_instance,
 )
+import hypersig.signals
 from hypersig import (
     DisconnectedError,
     DomainError,
     FormatError,
     Hypergraph,
+    HypersigError,
     LinearMap,
     NotEngagedError,
     Partition,
@@ -557,6 +559,29 @@ def test_signal_space_matches_full_assembly_hypothesis(problem):
     assert signal_space(h, t).basis == sparse_signal_basis(h, t)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 1, 1]], [[1, -1, 0], [0, 1, -1]], [[1, -2, 1]], [[1, 1, 0]]],
+    ids=["U", "C", "skew", "zero-column"],
+)
+def test_signal_space_check_catches_one_changed_basis_integer(fan_five, rows, monkeypatch):
+    """The re-verification sees the integer tables the basis is built
+    from: one integer of one vector changed, at vertex 0 on axis 0 (a
+    covered vertex on a constrained axis), fails the check."""
+    t = LinearMap.from_rows(rows)
+    name = "_engaged_basis" if is_engaged(t) else "_zero_column_basis"
+    basis = getattr(hypersig.signals, name)
+
+    def changed(h, t):
+        vectors = basis(h, t)
+        vectors[0][0][0] += 1
+        return vectors
+
+    monkeypatch.setattr(hypersig.signals, name, changed)
+    with pytest.raises(HypersigError, match="^internal error: basis signal fails"):
+        signal_space(fan_five, t)
+
+
 def test_signal_json_roundtrip(tmp_path, triangle, skew_signal):
     path = tmp_path / "sig.json"
     save_signal(triangle, skew_signal, path)
@@ -590,6 +615,40 @@ def test_signal_json_rejects_floats(triangle, value):
         signal_from_json(doc)
     with pytest.raises(FormatError, match=re.escape(repr(value))):
         linear_map_from_json([["1", value, "1"]])
+
+
+@pytest.mark.parametrize("first", [1, "1"], ids=repr)
+def test_signal_json_rejects_true_after_one(triangle, first):
+    """The parse memo is keyed on strings only: true == 1 and both hash
+    alike, so a memo of every value would take true for a parsed 1."""
+    doc = signal_to_json(triangle, Signal.from_rows([[0] * 3] * 3))
+    doc["values"][0][:2] = [first, True]
+    with pytest.raises(FormatError, match="invalid rational True"):
+        signal_from_json(doc)
+
+
+@pytest.mark.parametrize("value", [[1], {"1": 1}, ["1"]], ids=repr)
+def test_signal_json_rejects_unhashable_values(triangle, value):
+    doc = signal_to_json(triangle, Signal.from_rows([[0] * 3] * 3))
+    doc["values"][1][1:] = [value, value]
+    with pytest.raises(FormatError, match=re.escape(repr(value))):
+        signal_from_json(doc)
+
+
+def test_signal_json_spellings_of_one_value_parse_equal(triangle):
+    doc = signal_to_json(triangle, Signal.from_rows([[0] * 3] * 3))
+    doc["values"] = [["1/2", "2/4", str(Fraction(1, 2))], ["01/02", "1/2", "-0"], [0, "0", "-0"]]
+    values = signal_from_json(doc)[2].values
+    assert values == ((Fraction(1, 2),) * 3, (Fraction(1, 2), Fraction(1, 2), 0), (0, 0, 0))
+    assert all(type(v) is Fraction for row in values for v in row)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "x", "1.5"], ids=repr)
+def test_signal_json_names_a_repeated_bad_string(triangle, bad):
+    doc = signal_to_json(triangle, Signal.from_rows([[0] * 3] * 3))
+    doc["values"][2] = ["1", bad, bad]
+    with pytest.raises(FormatError, match=re.escape(repr(bad))):
+        signal_from_json(doc)
 
 
 def test_signal_json_rejects_bool_arity(triangle):
