@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DisconnectedError, DomainError, FormatError, HypersigError, NotEngagedError
 from .hypergraph import (
@@ -283,7 +283,7 @@ def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
     _check_arity(h, t)
     n = h.n_vertices
     basis = (_engaged_basis if is_engaged(t) else _zero_column_basis)(h, t)
-    _check_basis(h, t, [[ys[a * n : (a + 1) * n] for a in range(h.ell)] for ys, _ in basis])
+    _check_basis(h, t, ([ys[a * n : (a + 1) * n] for a in range(h.ell)] for ys, _ in basis))
     vectors = []
     for ys, d in basis:
         fractions = {y: Fraction(y, d) for y in set(ys)}
@@ -406,7 +406,7 @@ def _zero_column_basis(h: Hypergraph, t: LinearMap) -> list[tuple[list[int], int
     covered = {x for e in h.edges for x in e}
     units = {z * n + x for z in zero for x in range(n)}
     units |= {a * n + x for x in set(range(n)) - covered for a in range(ell)}
-    by_pivot = {p: ({p: 1}, 1) for p in units}
+    by_pivot = {p: {p: 1} for p in units}
     comp, tops = _ranked_components(h)
     members: dict[int, list[int]] = {}
     for x in sorted(covered):
@@ -414,17 +414,17 @@ def _zero_column_basis(h: Hypergraph, t: LinearMap) -> list[tuple[list[int], int
     for f, lam in _kernel_vectors(_reduced_echelon(SparseMatrix.from_dense(t.entries).rows), ell):
         if not zero & lam.keys():
             for k, xs in members.items():
-                by_pivot[f * n + tops[k]] = {a * n + x: y for a, y in lam.items() for x in xs}, lam[f]
+                by_pivot[f * n + tops[k]] = {a * n + x: y for a, y in lam.items() for x in xs}
     vectors = []
     for p in sorted(by_pivot):
-        ys, (entries, d) = [0] * (ell * n), by_pivot[p]
-        for i, y in entries.items():
+        ys = [0] * (ell * n)
+        for i, y in by_pivot[p].items():
             ys[i] = y
-        vectors.append((ys, d))
+        vectors.append((ys, ys[p]))
     return vectors
 
 
-def _check_basis(h: Hypergraph, t: LinearMap, tables: Sequence[Sequence[Sequence[int]]]) -> None:
+def _check_basis(h: Hypergraph, t: LinearMap, tables: Iterable[Sequence[Sequence[int]]]) -> None:
     """Re-verify computed signals exactly, each given as the integer table
     ``values[a][x]`` it is built from, by the sum-matrix test of
     :func:`find_violation`, with the map's integer rows built once for all
