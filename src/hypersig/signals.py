@@ -696,7 +696,9 @@ def signal_from_json(obj) -> tuple[tuple[str, ...], int, Signal]:
     def parse(v) -> Fraction:
         if not isinstance(v, str):
             return _parse_rational(v)
-        return parsed[v] if v in parsed else parsed.setdefault(v, _parse_rational(v))
+        if v not in parsed:
+            parsed[v] = _parse_rational(v)
+        return parsed[v]
 
     rows = []
     for row in values:
