@@ -148,11 +148,14 @@ class Partition:
 
     @classmethod
     def from_keys(cls, keys: Sequence) -> "Partition":
-        """Group elements by equal key; one class per distinct key."""
-        groups: dict = {}
-        for x, k in enumerate(keys):
-            groups.setdefault(k, []).append(x)
-        return cls.from_blocks(list(groups.values()), len(keys))
+        """Group elements by equal key; one class per distinct key. Classes
+        in order of first occurrence are already canonical."""
+        ids: dict = {}
+        class_of = tuple(ids.setdefault(k, len(ids)) for k in keys)
+        classes: list[list[int]] = [[] for _ in ids]
+        for x, cid in enumerate(class_of):
+            classes[cid].append(x)
+        return cls(tuple(map(tuple, classes)), class_of)
 
     @property
     def n_elements(self) -> int:
@@ -193,7 +196,7 @@ def components(h: Hypergraph) -> Partition:
 
 
 def is_connected(h: Hypergraph) -> bool:
-    return components(h).n_classes == 1
+    return len(set(_component_roots(h.n_vertices, h.edges))) == 1
 
 
 def quotient(h: Hypergraph, p: Partition) -> Hypergraph:

@@ -61,12 +61,6 @@ class SparseMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    @property
-    def entries(self) -> tuple[tuple[int, int, int], ...]:
-        """``(row, col, value)`` triples in row-major order; a view kept
-        for the tests."""
-        return tuple((r, c, v) for r, row in enumerate(self.rows) for c, v in row)
-
 
 def _integral_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
     """Each rational row times the lcm of its own denominators: integers
@@ -130,19 +124,25 @@ def _subtract(r: dict[int, int], c: int, p: dict[int, int]) -> None:
 
 
 def _forward_echelon(
-    rows: Iterable[Iterable[tuple[int, int]]]
+    rows: Iterable[Sequence[tuple[int, int]]]
 ) -> dict[int, dict[int, int]]:
     """Forward, non-reduced echelon form of integer rows, each given as
-    its ``(column, value)`` pairs, fraction-free.
+    its ``(column, value)`` pairs in ascending columns, fraction-free.
 
     Maps each pivot column to its row, a primitive integer dict whose
     smallest column is the pivot: a row is cleared at its smallest column
     (:func:`_subtract`) while that column already has a pivot. The column
     numbering is the pivot order, so callers relabel columns to choose it.
     The number of pivots is the rank.
+
+    Rows whose columns lie furthest right go in first, columns compared
+    from the right (the whole list, not only the highest column): a row
+    is reduced only while its smallest column holds a pivot, and rows
+    that come later reach further left, so most of them become pivots at
+    once.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
+    for row in sorted(rows, key=lambda r: [-c for c, _ in reversed(r)]):
         r = dict(row)
         while r:
             c = min(r)

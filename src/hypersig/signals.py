@@ -31,6 +31,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import lcm
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -544,13 +545,19 @@ def _draw(rng: random.Random, k: int) -> list[int]:
 
 def _edge_sum_rows(
     edges: Sequence[tuple[int, ...]], col: Sequence[int]
-) -> dict[tuple[tuple[int, int], ...], None]:
+) -> list[tuple[tuple[int, int], ...]]:
     """The edge-sum system with vertex ``x`` at column ``col[x]``: one row
     per edge, the number of the edge's vertices at each column and 1 at
     column ``len(col)`` (``C``, after every vertex column), each distinct
-    row once."""
+    row once, in order of first occurrence. Rows are built from the
+    distinct sorted column images, and only an image with a repeated
+    column is counted."""
     c = len(col)
-    return {tuple(sorted(Counter(col[v] for v in e).items())) + ((c, 1),): None for e in edges}
+    rows = []
+    for image in dict.fromkeys(tuple(sorted(map(col.__getitem__, e))) for e in edges):
+        counts = zip(image, repeat(1)) if len(set(image)) == len(image) else Counter(image).items()
+        rows.append((*counts, (c, 1)))
+    return rows
 
 
 def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[list[list[int]], Partition]:
@@ -595,7 +602,8 @@ def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Partition]:
     (a >= 1) realizes it, and the partition is the level sets of ``f``.
 
     1. forward echelon of the system, vertices by increasing degree and
-       ``C`` last, which gives its nullity;
+       ``C`` last, rows in descending order of their highest vertex
+       column, which gives its nullity;
     2. one kernel vector, back-substituted from seeded random free values;
     3. the level sets of its ``f`` as the candidate partition ``P``;
     4. the certificate: ``P`` is discrete, or the system with the columns
@@ -615,7 +623,7 @@ def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Partition]:
         """Echelon of the system with the vertices of each of the ``k``
         groups sharing one column, groups in order of increasing degree,
         and each vertex's column."""
-        degree = Counter(group[v] for e in edges for v in e)
+        degree = Counter(map(group.__getitem__, chain.from_iterable(edges)))
         place = {g: i for i, g in enumerate(sorted(range(k), key=degree.__getitem__))}
         col = [place[g] for g in group]
         return _forward_echelon(_edge_sum_rows(edges, col)), col

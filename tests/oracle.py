@@ -17,6 +17,7 @@ it in turn.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, combinations, permutations, product
 
@@ -66,6 +67,15 @@ def assemble_constraints(h: Hypergraph, t: LinearMap) -> SparseMatrix:
 def sparse_signal_basis(h: Hypergraph, t: LinearMap) -> Basis:
     """The canonical signal-space basis from the full assembly."""
     return nullspace(assemble_constraints(h, t))
+
+
+def edge_sum_rows(edges, col) -> list[tuple[tuple[int, int], ...]]:
+    """The edge-sum system counted edge by edge: for each edge, the number
+    of its vertices at each column ``col[x]`` and 1 at column ``len(col)``;
+    each distinct row once, in order of first occurrence."""
+    c = len(col)
+    rows = {tuple(sorted(Counter(col[v] for v in e).items())) + ((c, 1),): None for e in edges}
+    return list(rows)
 
 
 def grid_search_functional(t: LinearMap) -> tuple[int, ...]:

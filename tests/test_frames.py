@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -32,7 +31,7 @@ from hypersig import (
     universal_map,
     verify_signal,
 )
-from oracle import oracle_fusion_blocks, partition_blocks
+from oracle import edge_sum_rows, oracle_fusion_blocks, partition_blocks
 
 
 def blocks(partition, h):
@@ -205,7 +204,7 @@ def edge_sum_nullspace_fusion(h):
     system (one row per edge: each vertex's multiplicity at its column, 1
     at column n)."""
     n = h.n_vertices
-    rows = tuple(tuple(sorted(Counter(e).items())) + ((n, 1),) for e in h.edges)
+    rows = tuple(edge_sum_rows(h.edges, range(n)))
     kernel = nullspace(SparseMatrix(n + 1, rows)).vectors
     return Partition.from_keys([tuple(v[x] for v in kernel) for x in range(n)])
 
@@ -230,6 +229,25 @@ def test_certified_fusion_matches_edge_sum_nullspace():
         assert part == edge_sum_nullspace_fusion(h)
         collapsed += not part.is_discrete()
     assert collapsed >= len(cases) // 2
+
+
+def test_fusion_elimination_work_stays_within_its_guard(monkeypatch):
+    """Entries touched by ``_subtract`` while fusion under U runs on a
+    fixed collapsing input, the certificate's elimination included. A
+    count repeats exactly, so this catches a lost row order without a
+    timing: rows in edge order touch 21,508 entries, rows furthest right
+    first 14,520."""
+    touched = []
+    subtract = hypersig.linalg._subtract
+
+    def counting(r, c, p):
+        touched.append(len(r) + len(p))
+        subtract(r, c, p)
+
+    monkeypatch.setattr(hypersig.linalg, "_subtract", counting)
+    part = fusion(random_hypergraph(300, 300, 3, 1), universal_map(3))
+    assert part.n_classes == 17
+    assert sum(touched) <= 16_000
 
 
 def test_certificate_rejects_a_draw_that_merges_too_much(fan_five, monkeypatch):
@@ -340,6 +358,17 @@ def test_reduced_fusion_checks_arity(triangle):
         fusion(triangle, universal_map(4))
 
 
+def relabelled(h, rng):
+    """``h`` with its vertex ids renumbered by a random permutation, each
+    vertex keeping its label."""
+    order = list(range(h.n_vertices))
+    rng.shuffle(order)
+    new_id = {old: new for new, old in enumerate(order)}
+    return Hypergraph.build(
+        h.ell, [h.vertices[old] for old in order], [[new_id[v] for v in e] for e in h.edges]
+    )
+
+
 @pytest.mark.parametrize("ell", [3, 4, 5])
 def test_universal_fusion_invariant_under_relabelling(ell):
     """Renumbering the vertex ids moves no vertex to another class."""
@@ -349,13 +378,19 @@ def test_universal_fusion_invariant_under_relabelling(ell):
             h = random_connected_instance(rng, n_max=12, m_max=14)
         else:
             h = random_multiset_instance(rng, ell, n_max=8, m_max=5)
-        order = list(range(h.n_vertices))
-        rng.shuffle(order)
-        new_id = {old: new for new, old in enumerate(order)}
-        g = Hypergraph.build(
-            ell, [h.vertices[old] for old in order], [[new_id[v] for v in e] for e in h.edges]
-        )
+        g = relabelled(h, rng)
         assert blocks(frame(g).fusion, g) == blocks(frame(h).fusion, h)
+
+
+def test_certified_fusion_invariant_under_relabelling_of_collapsing_inputs():
+    """The elimination orders columns by degree and rows by column, ties
+    by vertex id; renumbering the ids of sweep-shaped and n=300 inputs,
+    collapsing ones included, moves no vertex to another class under U."""
+    rng = random.Random(14)
+    u = universal_map(3)
+    for h in sweep_shaped_instances()[::3] + [random_hypergraph(300, 300, 3, 1)]:
+        g = relabelled(h, rng)
+        assert blocks(fusion(g, u), g) == blocks(fusion(h, u), h)
 
 
 def test_universal_fusion_refines_engaged_maps():

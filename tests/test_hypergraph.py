@@ -129,6 +129,30 @@ def test_partition_from_keys():
     assert p.classes == ((0, 2), (1, 4), (3,))
 
 
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-2, 2), st.booleans(), st.text(max_size=1), st.tuples(st.integers(0, 1))
+        ),
+        max_size=14,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_partition_from_keys_matches_from_blocks(keys):
+    """Keys grouped by equality, in order of first occurrence (``True``
+    and ``1`` are one key), give the same classes and class ids through
+    ``from_blocks``."""
+    groups = []
+    for x, k in enumerate(keys):
+        group = next((g for g in groups if keys[g[0]] == k), None)
+        if group is None:
+            groups.append([x])
+        else:
+            group.append(x)
+    p, q = Partition.from_keys(keys), Partition.from_blocks(groups, len(keys))
+    assert (p.classes, p.class_of) == (q.classes, q.class_of)
+
+
 def test_partition_rejects_overlap_and_gaps():
     with pytest.raises(DomainError):
         Partition.from_blocks([(0, 1), (1, 2)], 3)

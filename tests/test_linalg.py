@@ -13,9 +13,12 @@ from hypersig import (
     LinearMap,
     SparseMatrix,
     nullspace,
+    random_hypergraph,
 )
+from hypersig.linalg import _forward_echelon, _reduced_echelon
+from hypersig.signals import _edge_sum_rows
 from conftest import random_engaged_map, random_multiset_instance
-from oracle import assemble_constraints, dense_constraint_rows, dense_kernel
+from oracle import assemble_constraints, dense_constraint_rows, dense_kernel, edge_sum_rows
 
 
 def identity(n):
@@ -242,3 +245,48 @@ def test_basis_reduced_echelon_shape(m):
     for i, v in enumerate(vectors):
         pivot = [c for c in range(m.ncols) if v[c] == 1 and all(w[c] == 0 for j, w in enumerate(vectors) if j != i)]
         assert pivot, "each basis vector owns a pivot coordinate"
+
+
+def test_edge_sum_rows_match_the_counter_reference():
+    """Rows built from the distinct column images equal the rows counted
+    edge by edge: edges with repeated vertices, a many-to-one ``col`` as
+    in the certificate's quotient system, and equal images kept once."""
+    edges = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (2, 2, 3)]
+    col = [0, 0, 1, 1]
+    assert _edge_sum_rows(edges, col) == [
+        ((0, 2), (1, 1), (4, 1)), ((0, 1), (1, 2), (4, 1)), ((1, 3), (4, 1))
+    ]
+    rng = random.Random(14)
+    for ell in (3, 4, 5):
+        for _ in range(40):
+            h = random_multiset_instance(rng, ell, n_max=9, m_max=8)
+            n, k = h.n_vertices, rng.randint(1, h.n_vertices)
+            for col in (list(range(n)), [rng.randrange(k) for _ in range(n)]):
+                assert _edge_sum_rows(h.edges, col) == edge_sum_rows(h.edges, col)
+
+
+def _assert_forward_rank_on_shuffles(rows, rng):
+    rank = len(_reduced_echelon(rows))
+    for _ in range(4):
+        rng.shuffle(rows)
+        pivots = _forward_echelon(rows)
+        assert len(pivots) == rank
+        assert all(min(p) == c for c, p in pivots.items())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_forward_echelon_rank_matches_reduced_echelon_on_edge_sum_rows(seed):
+    """The rank from the forward echelon, which sorts its rows, equals the
+    number of reduced pivots on shuffled copies of the edge-sum rows of
+    sweep-sized inputs and of a quotient of them."""
+    rng = random.Random(seed)
+    h = random_hypergraph(50, rng.choice((38, 43, 50)), 3, seed)
+    n = h.n_vertices
+    for col in (list(range(n)), [rng.randrange(n // 3) for _ in range(n)]):
+        _assert_forward_rank_on_shuffles(_edge_sum_rows(h.edges, col), rng)
+
+
+@given(small_matrices, st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_forward_echelon_rank_matches_reduced_echelon(m, rng):
+    _assert_forward_rank_on_shuffles(list(m.rows), rng)

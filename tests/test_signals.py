@@ -104,12 +104,12 @@ def test_assemble_triangle_universal(triangle):
     # x in v, w
     m = assemble_constraints(triangle, universal_map(3))
     assert m.nrows == 5
-    assert m.entries == (
-        (0, 0, 1), (0, 4, 1), (0, 8, 1),
-        (1, 0, 1), (1, 1, -1), (1, 3, -1), (1, 4, 1),
-        (2, 0, 1), (2, 2, -1), (2, 3, -1), (2, 5, 1),
-        (3, 0, 1), (3, 1, -1), (3, 6, -1), (3, 7, 1),
-        (4, 0, 1), (4, 2, -1), (4, 6, -1), (4, 8, 1),
+    assert m.rows == (
+        ((0, 1), (4, 1), (8, 1)),
+        ((0, 1), (1, -1), (3, -1), (4, 1)),
+        ((0, 1), (2, -1), (3, -1), (5, 1)),
+        ((0, 1), (1, -1), (6, -1), (7, 1)),
+        ((0, 1), (2, -1), (6, -1), (8, 1)),
     )
 
 
@@ -120,7 +120,7 @@ def test_assemble_constant_edge_single_row():
     # row remains: one coefficient per axis column (1,u),(2,u),(3,u), the
     # constraint delta1(u) + delta2(u) + delta3(u) = 0
     assert m.nrows == 1
-    assert m.entries == ((0, 0, 1), (0, 2, 1), (0, 4, 1))
+    assert m.rows == (((0, 1), (2, 1), (4, 1)),)
 
 
 def test_assemble_repeated_vertex_rows():
@@ -129,10 +129,10 @@ def test_assemble_repeated_vertex_rows():
     h = Hypergraph.build(3, ["u", "v"], [(0, 0, 1)])
     m = assemble_constraints(h, universal_map(3))
     assert m.nrows == 3
-    assert m.entries == (
-        (0, 0, 1), (0, 2, 1), (0, 5, 1),
-        (1, 0, 1), (1, 1, -1), (1, 2, -1), (1, 3, 1),
-        (2, 0, 1), (2, 1, -1), (2, 4, -1), (2, 5, 1),
+    assert m.rows == (
+        ((0, 1), (2, 1), (5, 1)),
+        ((0, 1), (1, -1), (2, -1), (3, 1)),
+        ((0, 1), (1, -1), (4, -1), (5, 1)),
     )
 
 
