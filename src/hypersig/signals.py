@@ -9,15 +9,16 @@ the sum-matrix test (Birkhoff): a zero trace, and
 ``A[a][j] - A[a][0] == A[0][j] - A[0][0]`` for all ``a, j >= 1``. The
 verifier decides admissibility by this test.
 
-The admissible signals form a vector space. Under an engaged map it is
-solved inside the space of the coordinate-sum map, on ``n + (ell-1) *
-kappa`` unknowns for ``kappa`` components instead of ``ell * n``; under a
-map with a zero column it has a closed form. On connected input the map
-alone decides fusion: discrete when it has a zero column, one class when
-it is engaged with rank at least 2, and the fusion of the coordinate-sum
-map when it has rank 1. Only that last case solves a system, the small
-edge-sum system, and each case returns one re-verified admissible signal
-whose level sets realize the partition.
+The admissible signals form a vector space, and the map decides its
+shape in the same three cases as fusion. A zero column's axis is free;
+under it, and under an engaged map of rank at least 2, every other axis
+is constant on each component, with values in the map's kernel: a closed
+form. Under an engaged map of rank 1 it is the coordinate-sum map's
+space scaled axis-wise, solved on ``n + (ell-1) * kappa`` unknowns for
+``kappa`` components instead of ``ell * n``. A vertex in no edge is free
+on every axis. On connected input fusion is discrete, one class, or the
+coordinate-sum map's fusion in these cases; only rank 1 solves a system,
+and every basis and fusion signal is re-verified.
 
 Coordinate layout for flattened signals is fixed: coordinate ``(a, x)``
 lives at index ``a * n_vertices + x`` (axis-major), so bases and file
@@ -270,9 +271,10 @@ def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
     """The space of admissible signals of ``h`` under ``t``, with its
     canonical basis: the reduced echelon form of the kernel taken with
     respect to the last nonzero coordinate, each vector 1 at its pivot,
-    in ascending pivot order. An engaged map solves the reduced system of
-    :func:`_engaged_basis`, a map with a zero column takes the closed
-    form of :func:`_zero_column_basis`.
+    in ascending pivot order. The map decides the case, as it decides
+    fusion: an engaged map of rank 1 solves a system in
+    :func:`_rank_one_basis`, every other map takes the closed form of
+    :func:`_closed_form_basis`.
 
     Both return each basis vector as integers ``y`` over its value ``d``
     at the pivot. Every basis signal is re-verified exactly as that
@@ -283,7 +285,8 @@ def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
     """
     _check_arity(h, t)
     n = h.n_vertices
-    basis = (_engaged_basis if is_engaged(t) else _zero_column_basis)(h, t)
+    v = _rank_one_row(_integral_rows(t.entries))
+    basis = _closed_form_basis(h, t) if v is None else _rank_one_basis(h, v)
     _check_basis(h, t, ([ys[a * n : (a + 1) * n] for a in range(h.ell)] for ys, _ in basis))
     vectors = []
     for ys, d in basis:
@@ -291,6 +294,16 @@ def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
         fractions[0] = _ZERO  # one shared zero
         vectors.append(tuple(map(fractions.__getitem__, ys)))
     return SignalSpace(t, Basis(h.ell * n, tuple(vectors)))
+
+
+def _rank_one_row(maps: Sequence[Sequence[int]]) -> Sequence[int] | None:
+    """The row ``v`` of an engaged map of rank 1, from its integer rows:
+    the first nonzero row, if it has no zero entry and every row is a
+    multiple of it; None under a zero column or rank >= 2."""
+    v = next((row for row in maps if any(row)), None)
+    if v and all(v) and all(r[a] * v[0] == r[0] * v[a] for r in maps for a in range(len(v))):
+        return v
+    return None
 
 
 def _ranked_components(h: Hypergraph) -> tuple[list[int], list[int]]:
@@ -303,27 +316,19 @@ def _ranked_components(h: Hypergraph) -> tuple[list[int], list[int]]:
     return [rank[r] for r in roots], tops
 
 
-def _engaged_basis(h: Hypergraph, t: LinearMap) -> list[tuple[list[int], int]]:
-    """Canonical basis of the signal space of an engaged map, solved on
-    ``n + (ell-1) * kappa`` unknowns instead of ``ell * n`` (``kappa``
-    components, a vertex in no edge its own).
+def _rank_one_basis(h: Hypergraph, v: Sequence[int]) -> list[tuple[list[int], int]]:
+    """Canonical basis of the signal space of an engaged map of rank 1,
+    every row a multiple of ``v``, solved on ``n + (ell-1) * kappa``
+    unknowns instead of ``ell * n`` (``kappa`` components, a vertex in no
+    edge its own).
 
-    Scaling axis ``a`` by ``sigma_a = w . T(a)``, ``w`` from
-    :func:`_search_functional`, embeds the space into the space of the
+    A signal ``s`` is admissible iff ``v_a * s_a`` is under the
     coordinate-sum map, where ``u_a - u_{ell-1}`` is constant on every
-    component. So a signal is ``s_a(x) = mu_a * (g(x) + e[a][k(x)])``
-    with integers ``mu_a`` proportional to ``1 / sigma_a``,
-    ``g = u_{ell-1}`` and ``e[ell-1] = 0``. Column ``a * kappa + k`` holds
-    ``e[a][k]`` and column ``(ell-1) * kappa + x`` holds ``g(x)``. With
-    ``c_a = r_a * mu_a`` for an integer map row ``r``, an edge in
-    component ``k`` gives:
-
-    - the trace row ``sum_a c_a * (g(e[a]) + e[a][k])``;
-    - the minor rows ``(c_a - c_0) * (g(e[j]) - g(e[0]))``. They vanish
-      unless some row has ``c_a != c_0`` (the map has rank >= 2), and
-      then make ``g`` constant on every edge, hence on every component:
-      they span the rows ``g(x) - g(largest vertex of k)``, which are
-      emitted instead.
+    component. So ``s_a(x) = mu_a * (g(x) + e[a][k(x)])`` with
+    ``mu_a = lcm(v) / v_a`` (the lift of fusion), ``g = u_{ell-1}`` and
+    ``e[ell-1] = 0``. Column ``a * kappa + k`` holds ``e[a][k]`` and
+    column ``(ell-1) * kappa + x`` holds ``g(x)``, and an edge in
+    component ``k`` gives one trace row, ``sum_a (g(e[a]) + e[a][k])``.
 
     The free columns map one-to-one, in order, onto the pivots of the
     canonical basis: ``g(x)`` onto ``(ell-1, x)`` and ``e[a][k]`` onto
@@ -337,65 +342,58 @@ def _engaged_basis(h: Hypergraph, t: LinearMap) -> list[tuple[list[int], int]]:
     comp, tops = _ranked_components(h)
     kappa = len(tops)
     base = (ell - 1) * kappa
-    w = _search_functional(t)
-    sigma = [sum(wi * ci for wi, ci in zip(w, col)) for col in _integer_columns(t)]
-    scale = lcm(*sigma)
-    mu = [scale // s for s in sigma]
-    coefs = [[r * m for r, m in zip(row, mu)] for row in _integral_rows(t.entries) if any(row)]
+    scale = lcm(*v)
+    mu = [scale // x for x in v]
     rows: dict[tuple[tuple[int, int], ...], None] = {}
-    for e in h.edges:
-        k = comp[e[0]]
-        for c in coefs:
-            row = {a * kappa + k: ca for a, ca in enumerate(c[:-1]) if ca}
-            for x, ca in zip(e, c):
-                row[base + x] = row.get(base + x, 0) + ca
-            rows[tuple(sorted((col, v) for col, v in row.items() if v))] = None
-    if any(ca != c[0] for c in coefs for ca in c):
-        for x, k in enumerate(comp):
-            if x != tops[k]:
-                rows[((base + x, 1), (base + tops[k], -1))] = None
+    for e in h.edges:  # sorted, so the row's columns ascend
+        row = dict.fromkeys(range(comp[e[0]], base, kappa), 1)
+        for x in e:
+            row[base + x] = row.get(base + x, 0) + 1
+        rows[tuple(row.items())] = None
     done: list[tuple[tuple[int, ...], dict[int, int], int]] = []
-    for f, v in _kernel_vectors(_reduced_echelon(rows), base + n):
-        for cols, u, lead in done:
-            x = sum(v.get(c, 0) for c in cols)
-            if x:  # v := lead * v - x * u, which is zero at u's pivot
-                for c in v:
-                    v[c] *= lead
-                for c, y in u.items():
-                    nv = v.get(c, 0) - x * y
-                    if nv:
-                        v[c] = nv
+    for f, u in _kernel_vectors(_reduced_echelon(rows), base + n):
+        for cols, w, lead in done:
+            x = sum(u.get(c, 0) for c in cols)
+            if x:  # u := lead * u - x * w, which is zero at w's pivot
+                for c in u:
+                    u[c] *= lead
+                for c, y in w.items():
+                    nu = u.get(c, 0) - x * y
+                    if nu:
+                        u[c] = nu
                     else:
-                        del v[c]
-                _reduce_content(v)
+                        del u[c]
+                _reduce_content(u)
         # the reduced columns whose sum is the expanded vector at the pivot
         # of f, over the factor mu of the pivot's axis
         cols = (f,) if f >= base else (f, base + tops[f % kappa])
-        done.append((cols, v, sum(v.get(c, 0) for c in cols)))
+        done.append((cols, u, sum(u.get(c, 0) for c in cols)))
     vectors = []
-    for (f, *_), v, lead in done:
+    for (f, *_), u, lead in done:
         pivot = mu[f // kappa if f < base else ell - 1] * lead
-        g = [v.get(c, 0) for c in range(base, base + n)]
+        g = [u.get(c, 0) for c in range(base, base + n)]
         ys: list[int] = []
         for a, m in enumerate(mu):
-            e = [v.get(a * kappa + k, 0) for k in range(kappa)] if a < ell - 1 else [0] * kappa
+            e = [u.get(a * kappa + k, 0) for k in range(kappa)] if a < ell - 1 else [0] * kappa
             ys += [m * (x + e[k]) for x, k in zip(g, comp)]
         vectors.append((ys, pivot))
     return vectors
 
 
-def _zero_column_basis(h: Hypergraph, t: LinearMap) -> list[tuple[list[int], int]]:
-    """Canonical basis of the signal space of a map with a zero column, in
-    closed form, no elimination.
+def _closed_form_basis(h: Hypergraph, t: LinearMap) -> list[tuple[list[int], int]]:
+    """Canonical basis of the signal space of a map with a zero column or
+    an engaged map of rank >= 2, in closed form: no elimination but of
+    ``t`` itself, for its kernel.
 
     An axis whose column is zero is free. Every row ``r`` is zero there, so
     the minor rows ``r_b * (s_b(y) - s_b(x)) = 0`` make every other axis
-    constant on each edge, hence on each component, and the trace rows
-    ask that these constants lie in the kernel of ``t``. A vertex in no
-    edge is free on every axis. So the basis is the unit vectors at
-    ``(z, x)`` for every zero column ``z``, at ``(a, x)`` for every vertex
-    ``x`` in no edge, and for each component with an edge and each
-    canonical kernel vector ``lam`` of ``t`` that is zero on the zero
+    constant on each edge, hence on each component. Under rank >= 2 every
+    axis is, as fusion is one class (:func:`hypersig.frames.fusion`). The
+    trace rows ask that these constants lie in the kernel of ``t``. A
+    vertex in no edge is free on every axis. So the basis is the unit
+    vectors at ``(z, x)`` for every zero column ``z``, at ``(a, x)`` for
+    every vertex ``x`` in no edge, and for each component with an edge and
+    each canonical kernel vector ``lam`` of ``t`` that is zero on the zero
     columns, ``lam_a`` at ``(a, x)`` for every vertex ``x`` of the
     component. Ordered by their last nonzero coordinate, which for
     ``lam`` is ``(f, largest vertex of the component)``, ``f`` the free
@@ -450,7 +448,10 @@ def constant_space(t: LinearMap, n_vertices: int) -> SignalSpace:
 
 def component_count_via_C(h: Hypergraph) -> int:
     """Number of connected components, read off as the dimension of the
-    signal space under the consecutive-difference map."""
+    signal space under the consecutive-difference map. Its rank is
+    ``ell - 1 >= 2``, so the closed form builds that space from the
+    union-find components, re-verified by :func:`_check_basis`; the
+    full-assembly oracle test checks the count independently."""
     return signal_space(h, centroid_map(h.ell)).dimension
 
 
@@ -467,7 +468,8 @@ def _search_functional(t: LinearMap) -> tuple[int, ...]:
     enumeration of the grid passes more than ``2^(ell-3)`` points.
     """
     r, ends = t.r, [[] for _ in range(t.r)]
-    for col in _integer_columns(t):
+    # each column scaled to integers alone keeps the zero set of w . T(a)
+    for col in _integral_rows(map(t.column, range(t.ell))):
         ends[max(i for i, c in enumerate(col) if c)].append(col)
     height = 1
     while True:
@@ -485,14 +487,6 @@ def _search_functional(t: LinearMap) -> tuple[int, ...]:
                 if all(sum(x * c for x, c in zip(w, col)) for col in ends[i]):
                     i += 1
         height += 1
-
-
-def _integer_columns(t: LinearMap) -> list[list[int]]:
-    """The columns of ``t`` times one common denominator, the lcm of all
-    of them, so every ``w . T(a)`` is scaled alike and keeps its zero
-    set."""
-    d = lcm(*(v.denominator for row in t.entries for v in row))
-    return [[v.numerator * (d // v.denominator) for v in t.column(a)] for a in range(t.ell)]
 
 
 def embed_to_universal(h: Hypergraph, t: LinearMap, s: Signal) -> Signal:
@@ -568,29 +562,25 @@ def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[list[list[int]], Par
     The map decides the case (:func:`hypersig.frames.fusion` says why): a
     zero column gives the discrete partition, and the vertex index on that
     axis; an engaged map of rank >= 2 one class, and the zero signal; an
-    engaged map of rank 1, every row a multiple of a row ``v`` with no
-    zero entry, the fusion of :func:`_universal_fusion`, and its lift
+    engaged map of rank 1, every row a multiple of the row ``v`` of
+    :func:`_rank_one_row`, the fusion of :func:`_universal_fusion`, and its lift
     divided axis-wise by ``v``, kept in integers as ``u_a * (lcm(v) / v_a)``.
     """
     if not is_connected(h):
         raise DisconnectedError("fusion requires a connected hypergraph")
     _check_arity(h, t)
-    n, ell, maps = h.n_vertices, h.ell, _integral_rows(t.entries)
-    free = _zero_column(t)
-    if free is not None:
+    n, ell = h.n_vertices, h.ell
+    v = _rank_one_row(_integral_rows(t.entries))
+    if v is not None:
+        f, c, part = _universal_fusion(h)
+        scale = lcm(*v)
+        lift = [[x + c for x in f]] + [f] * (ell - 1)
+        values = [[x * (scale // v[a]) for x in lift[a]] for a in range(ell)]
+    elif (free := _zero_column(t)) is not None:
         values = [list(range(n)) if a == free else [0] * n for a in range(ell)]
         part = Partition.from_keys(range(n))
     else:
-        # t is engaged, so it has rank 1 iff r[a] * v[0] == r[0] * v[a] for
-        # every row r and axis a; then v has no zero entry
-        v = next(row for row in maps if any(row))
-        if all(r[a] * v[0] == r[0] * v[a] for r in maps for a in range(ell)):
-            f, c, part = _universal_fusion(h)
-            scale = lcm(*v)
-            lift = [[x + c for x in f]] + [f] * (ell - 1)
-            values = [[x * (scale // v[a]) for x in lift[a]] for a in range(ell)]
-        else:
-            values, part = [[0] * n] * ell, Partition.from_keys([0] * n)
+        values, part = [[0] * n] * ell, Partition.from_keys([0] * n)
     _check_basis(h, t, [values])
     return values, part
 

@@ -47,7 +47,8 @@ from hypersig import (
     universal_map,
     verify_signal,
 )
-from hypersig.signals import _search_functional
+from hypersig.linalg import SparseMatrix, _integral_rows, nullspace
+from hypersig.signals import _rank_one_row, _search_functional
 from oracle import (
     assemble_constraints,
     dense_constraint_rows,
@@ -375,6 +376,16 @@ def test_component_count_matches_union_find_on_random_instances():
         assert component_count_via_C(h) == components(h).n_classes
 
 
+def test_full_assembly_counts_components_under_C():
+    """``component_count_via_C`` reads its dimension off the closed form,
+    which is built from the union-find components; the full assembly
+    counts the components independently, on covered inputs."""
+    rng = random.Random(20261018)
+    for _ in range(40):
+        h = random_covered_instance(rng)
+        assert sparse_signal_basis(h, centroid_map(3)).dimension == components(h).n_classes
+
+
 def test_embed_universal_signal_is_unscaled(fan_five):
     space = signal_space(fan_five, universal_map(3))
     for sig in space.signals():
@@ -541,6 +552,54 @@ def test_signal_space_matches_full_assembly_at_benchmark_sizes(ell, n, m):
             assert signal_space(h, t).basis == sparse_signal_basis(h, t), (h, t)
 
 
+def _with_repeats(rng: random.Random, h: Hypergraph, k: int) -> Hypergraph:
+    """``h`` plus ``k`` edges that repeat a vertex, as some signals-maps
+    inputs have; still connected when ``h`` is."""
+    extra = []
+    for _ in range(k):
+        e = rng.sample(range(h.n_vertices), h.ell)
+        e[1] = e[0]
+        extra.append(e)
+    return Hypergraph.build(h.ell, h.vertices, [*h.edges, *extra])
+
+
+def test_signal_space_solves_no_vertex_system_outside_rank_one(monkeypatch):
+    """Under C, a two-row rational map and a random rank-3 map, the basis
+    comes from the closed form: with ``_reduced_echelon`` raising on
+    every system but the map's own rows (its kernel gives the constants),
+    ``signal_space`` still equals the full assembly. Inputs are
+    signals-maps-shaped (ell 3-5, repeated vertices), plus a disconnected
+    one with a vertex in no edge."""
+    rng = random.Random(15)
+    cases = []
+    for ell, n, m in ((3, 30, 24), (4, 20, 14), (5, 12, 8)):
+        h = _with_repeats(rng, random_hypergraph(n, m, ell, rng.randrange(2**32)), 4)
+        skew = _skew(rng, ell)
+        while not is_engaged(skew) or _rank_one_row(_integral_rows(skew.entries)):
+            skew = _skew(rng, ell)
+        while True:
+            rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ell)]
+                    for _ in range(3)]
+            if nullspace(SparseMatrix.from_dense(rows)).dimension == ell - 3:
+                break
+        cases += [(h, centroid_map(ell)), (h, skew), (h, LinearMap.from_rows(rows))]
+    split = Hypergraph.build(4, "abcdefgh", [(0, 0, 1, 2), (1, 2, 2, 3), (5, 6, 7, 7), (5, 5, 6, 7)])
+    cases += [(split, centroid_map(4)), (split, LinearMap.from_rows([[1, -2, 1, 0], [0, 1, -1, 3]]))]
+    expected = [sparse_signal_basis(h, t) for h, t in cases]
+    allowed = {SparseMatrix.from_dense(t.entries).rows for _, t in cases}
+    reduced_echelon = hypersig.signals._reduced_echelon
+
+    def only_the_map(rows):
+        rows = tuple(rows)
+        if rows not in allowed:
+            raise AssertionError("signal_space eliminated a system over the vertices")
+        return reduced_echelon(rows)
+
+    monkeypatch.setattr(hypersig.signals, "_reduced_echelon", only_the_map)
+    for (h, t), basis in zip(cases, expected):
+        assert signal_space(h, t).basis == basis, (h, t)
+
+
 @st.composite
 def signal_problems(draw):
     ell = draw(st.integers(3, 5))
@@ -561,19 +620,21 @@ def test_signal_space_matches_full_assembly_hypothesis(problem):
 
 @pytest.mark.parametrize(
     "rows",
-    [[[1, 1, 1]], [[1, -1, 0], [0, 1, -1]], [[1, -2, 1]], [[1, 1, 0]]],
-    ids=["U", "C", "skew", "zero-column"],
+    [[[1, 1, 1]], [[1, -1, 0], [0, 1, -1]], [[1, -2, 1]], [[1, 1, 0]], [[1, -2, 1], [0, 1, -1]]],
+    ids=["U", "C", "skew", "zero-column", "rank-2"],
 )
 def test_signal_space_check_catches_one_changed_basis_integer(fan_five, rows, monkeypatch):
     """The re-verification sees the integer tables the basis is built
     from: one integer of one vector changed, at vertex 0 on axis 0 (a
-    covered vertex on a constrained axis), fails the check."""
+    covered vertex on a constrained axis), fails the check. The builder
+    changed is the one the map's case selects."""
     t = LinearMap.from_rows(rows)
-    name = "_engaged_basis" if is_engaged(t) else "_zero_column_basis"
+    rank_one = _rank_one_row(_integral_rows(t.entries)) is not None
+    name = "_rank_one_basis" if rank_one else "_closed_form_basis"
     basis = getattr(hypersig.signals, name)
 
-    def changed(h, t):
-        vectors = basis(h, t)
+    def changed(h, m):
+        vectors = basis(h, m)
         vectors[0][0][0] += 1
         return vectors
 
