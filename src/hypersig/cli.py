@@ -185,7 +185,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     h = load_hypergraph(args.infile)
     vertices, ell, sig = load_signal(args.signal)
-    if vertices != h.vertices or ell != h.ell:
+    if ell != h.ell:
+        raise FormatError(f"signal file has ell {ell}, the hypergraph has ell {h.ell}")
+    if vertices != h.vertices:
         raise FormatError("signal file does not match the hypergraph's vertices")
     t = _resolve_map(args.map, h.ell)
     witness = find_violation(h, t, sig)

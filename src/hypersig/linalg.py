@@ -2,12 +2,11 @@
 
 Matrices hold integer rows and bases ``fractions.Fraction`` values, so
 every result in this module is exact; no floating point appears
-anywhere. The central operation is :func:`nullspace`, which returns the
-canonical reduced-echelon kernel basis of a sparse matrix; the same
-reduced echelon form gives that basis in integers to callers that
-canonicalize it further. A forward, non-reduced echelon form with
-single-vector back-substitution serves callers that need the rank and
-one kernel vector, not a basis.
+anywhere. There is one elimination, a fraction-free forward echelon
+form. Back-substitution from it gives one kernel vector for given free
+values: seeded random values for callers that need the rank and one
+vector, one-hot values for the canonical kernel basis of
+:func:`nullspace` and of the signal spaces.
 """
 
 from __future__ import annotations
@@ -95,17 +94,6 @@ class Basis:
         return len(self.vectors)
 
 
-def _reduce_content(row: dict[int, int]) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for c in row:
-            row[c] //= g
-
-
 def _subtract(r: dict[int, int], c: int, p: dict[int, int]) -> None:
     """Clear column ``c`` of ``r`` in place: ``r := p[c]*r - r[c]*p``,
     then divide out the content."""
@@ -120,7 +108,14 @@ def _subtract(r: dict[int, int], c: int, p: dict[int, int]) -> None:
                 r[k] = nv
             else:
                 del r[k]
-    _reduce_content(r)
+    g = 0
+    for v in r.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
+    if g > 1:
+        for k in r:
+            r[k] //= g
 
 
 def _forward_echelon(
@@ -183,85 +178,35 @@ def _kernel_vector(
     return v
 
 
-def _reduced_echelon(
-    rows: Iterable[Sequence[tuple[int, int]]]
-) -> dict[int, dict[int, int]]:
-    """Reduced echelon form of integer rows, each given as its
-    ``(column, value)`` pairs in ascending columns, fraction-free.
-
-    Maps each pivot column ``c`` to a primitive integer dict ``p`` with
-    ``p[c] > 0`` whose smallest column is ``c``; the rational echelon row
-    is ``p / p[c]``. Built by insertion: a row is divided by its content
-    and cleared at every pivot column it hits (:func:`_subtract`), and a
-    new pivot is cleared from every row that holds it. Invariant: each
-    pivot row is zero in every other pivot column, so clearing one pivot
-    column neither creates nor clears another, and one pass over the
-    pivot columns a row hits reduces it fully.
-
-    The reduced echelon form of a row space is unique, so the result does
-    not depend on the order, scaling or permutation of the rows; the
-    order only changes the work. Rows go in sparse first, and among rows
-    of one length those whose columns lie furthest right first: a pivot
-    right of every earlier one is in no earlier row, so clearing it costs
-    nothing.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in sorted(rows, key=lambda r: (len(r), [-c for c, _ in r])):
-        r = dict(row)
-        _reduce_content(r)
-        for c in [c for c in r if c in pivots]:
-            _subtract(r, c, pivots[c])
-        if not r:
-            continue
-        c0 = min(r)
-        if r[c0] < 0:
-            for k in r:
-                r[k] = -r[k]
-        for p in pivots.values():
-            if c0 in p:
-                _subtract(p, c0, r)
-        pivots[c0] = r
-    return pivots
-
-
-def _kernel_vectors(
-    pivots: dict[int, dict[int, int]], ncols: int
-) -> list[tuple[int, dict[int, int]]]:
-    """The canonical kernel basis of a :func:`_reduced_echelon` system, in
-    integers: for each free column ``f`` in ascending order, ``(f, v)``
-    with ``v`` the sparse kernel vector that is 1 at ``f`` and 0 at every
-    other free column, times the lcm of its denominators, so ``v[f] > 0``.
-    Every column of a pivot row other than its pivot is free."""
-    hits: dict[int, list[tuple[int, int, int]]] = {f: [] for f in range(ncols) if f not in pivots}
-    for pc, p in pivots.items():
-        lead = p[pc]
-        for c, x in p.items():
-            if c != pc:
-                hits[c].append((pc, x, lead))
+def _kernel_basis(
+    rows: Iterable[Sequence[tuple[int, int]]], ncols: int
+) -> list[tuple[int, list[int]]]:
+    """The canonical kernel basis of integer rows, given as for
+    :func:`_forward_echelon`: for each free column ``f`` in ascending
+    order, ``(f, v)`` with ``v`` the primitive integer kernel vector that
+    is positive at ``f`` and 0 at every other free column. A pivot column
+    is solved only from columns right of it, so ``f`` is the last nonzero
+    coordinate of ``v``."""
+    pivots = _forward_echelon(rows)
+    free = [c for c in range(ncols) if c not in pivots]
     out = []
-    for f, entries in hits.items():
-        d = lcm(*(lead for _, _, lead in entries))
-        v = {f: d}
-        for pc, x, lead in entries:
-            v[pc] = -x * (d // lead)
-        out.append((f, v))
+    for f in free:
+        v = _kernel_vector(pivots, ncols, (int(c == f) for c in reversed(free)))
+        g = gcd(*v)
+        out.append((f, [x // g for x in v]))
     return out
 
 
 def nullspace(m: SparseMatrix) -> Basis:
     """Canonical basis of ``{v : m @ v = 0}``.
 
-    The basis comes from the reduced echelon form of ``m``: one vector per
-    free column, in ascending column order, with that free coordinate set
-    to 1 and all other free coordinates 0. The output is therefore
-    deterministic and invariant under row permutation and row scaling of
-    the input.
+    One vector per free column of the forward echelon form of ``m``, in
+    ascending column order, with that free coordinate set to 1 and all
+    other free coordinates 0 (:func:`_kernel_basis`). The kernel fixes
+    these vectors, so the output is deterministic and invariant under row
+    permutation and row scaling of the input.
     """
-    pivots = _reduced_echelon(m.rows)
     vectors = []
-    for f, v in _kernel_vectors(pivots, m.ncols):
-        d, row = v[f], [_ZERO] * m.ncols
-        for c, x in v.items():
-            row[c] = Fraction(x, d)
-        vectors.append(tuple(row))
+    for f, v in _kernel_basis(m.rows, m.ncols):
+        vectors.append(tuple(Fraction(x, v[f]) if x else _ZERO for x in v))
     return Basis(m.ncols, tuple(vectors))

@@ -54,10 +54,8 @@ from .linalg import (
     SparseMatrix,
     _forward_echelon,
     _integral_rows,
+    _kernel_basis,
     _kernel_vector,
-    _kernel_vectors,
-    _reduce_content,
-    _reduced_echelon,
     nullspace,
 )
 
@@ -269,12 +267,12 @@ def verify_signal(h: Hypergraph, t: LinearMap, s: Signal) -> bool:
 
 def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
     """The space of admissible signals of ``h`` under ``t``, with its
-    canonical basis: the reduced echelon form of the kernel taken with
-    respect to the last nonzero coordinate, each vector 1 at its pivot,
-    in ascending pivot order. The map decides the case, as it decides
-    fusion: an engaged map of rank 1 solves a system in
-    :func:`_rank_one_basis`, every other map takes the closed form of
-    :func:`_closed_form_basis`.
+    canonical basis: each vector 1 at its last nonzero coordinate, its
+    pivot, where every other vector is 0, in ascending pivot order. The
+    map decides the case, as it decides fusion: an engaged map of rank 1
+    solves one forward elimination in :func:`_rank_one_basis`, every
+    other map takes the closed form of :func:`_closed_form_basis`; both
+    read their kernels off :func:`hypersig.linalg._kernel_basis`.
 
     Both return each basis vector as integers ``y`` over its value ``d``
     at the pivot. Every basis signal is re-verified exactly as that
@@ -324,19 +322,22 @@ def _rank_one_basis(h: Hypergraph, v: Sequence[int]) -> list[tuple[list[int], in
 
     A signal ``s`` is admissible iff ``v_a * s_a`` is under the
     coordinate-sum map, where ``u_a - u_{ell-1}`` is constant on every
-    component. So ``s_a(x) = mu_a * (g(x) + e[a][k(x)])`` with
-    ``mu_a = lcm(v) / v_a`` (the lift of fusion), ``g = u_{ell-1}`` and
-    ``e[ell-1] = 0``. Column ``a * kappa + k`` holds ``e[a][k]`` and
-    column ``(ell-1) * kappa + x`` holds ``g(x)``, and an edge in
-    component ``k`` gives one trace row, ``sum_a (g(e[a]) + e[a][k])``.
+    component. So with ``mu_a = lcm(v) / v_a`` (the lift of fusion),
+    ``g = u_{ell-1}`` and ``h[a][k]`` the value of ``u_a`` at the largest
+    vertex ``top_k`` of component ``k``,
+    ``s_a(x) = mu_a * (g(x) + h[a][k(x)] - g(top_k(x)))`` for ``a < ell-1``
+    and ``s_{ell-1} = mu_{ell-1} * g``. Column ``a * kappa + k`` holds
+    ``h[a][k]`` and column ``(ell-1) * kappa + x`` holds ``g(x)``, and an
+    edge in component ``k`` gives one trace row: 1 at each ``h[a][k]``,
+    the edge's vertex counts at ``g``, and ``-(ell-1)`` added at
+    ``g(top_k)``.
 
-    The free columns map one-to-one, in order, onto the pivots of the
-    canonical basis: ``g(x)`` onto ``(ell-1, x)`` and ``e[a][k]`` onto
-    ``(a, largest vertex of k)``. So the expanded kernel vectors are in
-    echelon form, and one fraction-free triangular pass in ascending
-    pivot order, done on the reduced vectors, makes each zero at the
-    pivots of the others. Only then are they expanded to ``ell * n``
-    integers, each with its value at the pivot.
+    Each unknown is, over ``mu``, the expanded signal at one coordinate:
+    ``h[a][k]`` at ``(a, top_k)`` and ``g(x)`` at ``(ell-1, x)``, in the
+    same order as the columns, and a signal's last nonzero coordinate is
+    the image of its last nonzero unknown. So the kernel vectors of
+    :func:`_kernel_basis` expand to the canonical basis as they are, each
+    with its value at the pivot.
     """
     n, ell = h.n_vertices, h.ell
     comp, tops = _ranked_components(h)
@@ -345,38 +346,22 @@ def _rank_one_basis(h: Hypergraph, v: Sequence[int]) -> list[tuple[list[int], in
     scale = lcm(*v)
     mu = [scale // x for x in v]
     rows: dict[tuple[tuple[int, int], ...], None] = {}
-    for e in h.edges:  # sorted, so the row's columns ascend
-        row = dict.fromkeys(range(comp[e[0]], base, kappa), 1)
+    for e in h.edges:  # sorted and within the component, so columns ascend
+        k = comp[e[0]]
+        row = dict.fromkeys(range(k, base, kappa), 1)
         for x in e:
             row[base + x] = row.get(base + x, 0) + 1
-        rows[tuple(row.items())] = None
-    done: list[tuple[tuple[int, ...], dict[int, int], int]] = []
-    for f, u in _kernel_vectors(_reduced_echelon(rows), base + n):
-        for cols, w, lead in done:
-            x = sum(u.get(c, 0) for c in cols)
-            if x:  # u := lead * u - x * w, which is zero at w's pivot
-                for c in u:
-                    u[c] *= lead
-                for c, y in w.items():
-                    nu = u.get(c, 0) - x * y
-                    if nu:
-                        u[c] = nu
-                    else:
-                        del u[c]
-                _reduce_content(u)
-        # the reduced columns whose sum is the expanded vector at the pivot
-        # of f, over the factor mu of the pivot's axis
-        cols = (f,) if f >= base else (f, base + tops[f % kappa])
-        done.append((cols, u, sum(u.get(c, 0) for c in cols)))
+        row[base + tops[k]] = row.get(base + tops[k], 0) + 1 - ell
+        rows[tuple((c, y) for c, y in row.items() if y)] = None
     vectors = []
-    for (f, *_), u, lead in done:
-        pivot = mu[f // kappa if f < base else ell - 1] * lead
-        g = [u.get(c, 0) for c in range(base, base + n)]
+    for f, u in _kernel_basis(rows, base + n):
+        g = u[base:]
         ys: list[int] = []
-        for a, m in enumerate(mu):
-            e = [u.get(a * kappa + k, 0) for k in range(kappa)] if a < ell - 1 else [0] * kappa
-            ys += [m * (x + e[k]) for x, k in zip(g, comp)]
-        vectors.append((ys, pivot))
+        for a, m in enumerate(mu[:-1]):
+            off = [u[a * kappa + k] - g[x] for k, x in enumerate(tops)]
+            ys += [m * (y + off[k]) for y, k in zip(g, comp)]
+        ys += [mu[-1] * y for y in g]
+        vectors.append((ys, mu[f // kappa if f < base else ell - 1] * u[f]))
     return vectors
 
 
@@ -410,10 +395,12 @@ def _closed_form_basis(h: Hypergraph, t: LinearMap) -> list[tuple[list[int], int
     members: dict[int, list[int]] = {}
     for x in sorted(covered):
         members.setdefault(comp[x], []).append(x)
-    for f, lam in _kernel_vectors(_reduced_echelon(SparseMatrix.from_dense(t.entries).rows), ell):
-        if not zero & lam.keys():
+    for f, lam in _kernel_basis(SparseMatrix.from_dense(t.entries).rows, ell):
+        if f not in zero:  # a zero column is free, so the other lam are 0 there
             for k, xs in members.items():
-                by_pivot[f * n + tops[k]] = {a * n + x: y for a, y in lam.items() for x in xs}
+                by_pivot[f * n + tops[k]] = {
+                    a * n + x: y for a, y in enumerate(lam) if y for x in xs
+                }
     vectors = []
     for p in sorted(by_pivot):
         ys = [0] * (ell * n)

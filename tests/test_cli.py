@@ -255,6 +255,18 @@ def test_verify_command_vertex_mismatch(tmp_path, triangle, fan_five, capsys):
     spath = tmp_path / "sig.json"
     save_signal(fan_five, Signal.from_rows([[0] * 5] * 3), spath)
     assert main(["verify", "--in", hpath, "--signal", str(spath)]) == 2
+    assert "vertices" in capsys.readouterr().err
+
+
+def test_verify_command_arity_mismatch(tmp_path, triangle, capsys):
+    """A signal file of another arity on the same vertices is named by its
+    ``ell`` and both values, not as a vertex mismatch."""
+    hpath = write(tmp_path / "tri.json", triangle)
+    spath = tmp_path / "sig.json"
+    doc = {"vertices": ["u", "v", "w"], "ell": 4, "values": [["0"] * 3] * 4}
+    spath.write_text(json.dumps(doc))
+    assert main(["verify", "--in", hpath, "--signal", str(spath)]) == 2
+    assert capsys.readouterr().err == "error: signal file has ell 4, the hypergraph has ell 3\n"
 
 
 def test_export_dot_triangle(tmp_path, triangle, capsys):

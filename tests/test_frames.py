@@ -338,17 +338,19 @@ def test_fusion_decided_by_the_map_runs_no_elimination(t, classes, monkeypatch):
     ids=["U", "C", "skew"],
 )
 def test_signal_space_fails_when_the_echelon_loses_a_pivot_row(t, monkeypatch):
-    """Kernel vectors read off the reduced system's echelon form missing
-    one pivot row hold that row's pivot column as a free column, which
-    breaks the row; the basis re-verification raises an internal error."""
-    reduced_echelon = hypersig.signals._reduced_echelon
+    """Kernel vectors read off an echelon form missing one pivot row hold
+    that row's pivot column as a free column, which breaks the row; the
+    basis re-verification raises an internal error. The echelon patched
+    is the one behind ``_kernel_basis``: of the reduced system under the
+    rank-1 maps U and skew, of the map's own rows under C."""
+    forward_echelon = hypersig.linalg._forward_echelon
 
     def broken(rows):
-        pivots = reduced_echelon(rows)
+        pivots = forward_echelon(rows)
         pivots.popitem()
         return pivots
 
-    monkeypatch.setattr(hypersig.signals, "_reduced_echelon", broken)
+    monkeypatch.setattr(hypersig.linalg, "_forward_echelon", broken)
     with pytest.raises(HypersigError, match="^internal error: basis signal fails"):
         signal_space(random_hypergraph(60, 52, 3, 3), t)
 

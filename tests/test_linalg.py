@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,7 @@ from hypersig import (
     nullspace,
     random_hypergraph,
 )
-from hypersig.linalg import _forward_echelon, _reduced_echelon
+from hypersig.linalg import _forward_echelon, _kernel_basis
 from hypersig.signals import _edge_sum_rows
 from conftest import random_engaged_map, random_multiset_instance
 from oracle import assemble_constraints, dense_constraint_rows, dense_kernel, edge_sum_rows
@@ -265,8 +265,8 @@ def test_edge_sum_rows_match_the_counter_reference():
                 assert _edge_sum_rows(h.edges, col) == edge_sum_rows(h.edges, col)
 
 
-def _assert_forward_rank_on_shuffles(rows, rng):
-    rank = len(_reduced_echelon(rows))
+def _assert_forward_rank_on_shuffles(rows, ncols, rng):
+    rank = ncols - len(dense_kernel(_dense(SparseMatrix(ncols, tuple(rows))), ncols))
     for _ in range(4):
         rng.shuffle(rows)
         pivots = _forward_echelon(rows)
@@ -277,16 +277,34 @@ def _assert_forward_rank_on_shuffles(rows, rng):
 @pytest.mark.parametrize("seed", range(6))
 def test_forward_echelon_rank_matches_reduced_echelon_on_edge_sum_rows(seed):
     """The rank from the forward echelon, which sorts its rows, equals the
-    number of reduced pivots on shuffled copies of the edge-sum rows of
+    number of pivots of the oracle's reduced echelon form (its Gauss-Jordan
+    ``dense_kernel``), on shuffled copies of the edge-sum rows of
     sweep-sized inputs and of a quotient of them."""
     rng = random.Random(seed)
     h = random_hypergraph(50, rng.choice((38, 43, 50)), 3, seed)
     n = h.n_vertices
     for col in (list(range(n)), [rng.randrange(n // 3) for _ in range(n)]):
-        _assert_forward_rank_on_shuffles(_edge_sum_rows(h.edges, col), rng)
+        _assert_forward_rank_on_shuffles(_edge_sum_rows(h.edges, col), n + 1, rng)
 
 
 @given(small_matrices, st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_forward_echelon_rank_matches_reduced_echelon(m, rng):
-    _assert_forward_rank_on_shuffles(list(m.rows), rng)
+    _assert_forward_rank_on_shuffles(list(m.rows), m.ncols, rng)
+
+
+@given(small_matrices)
+@settings(max_examples=120, deadline=None)
+def test_kernel_basis_vectors_are_primitive_and_one_hot_on_the_free_columns(m):
+    """Each vector of the shared kernel basis is a primitive integer kernel
+    vector, positive at its free column ``f``, 0 at every other free
+    column and after ``f``; the free columns ascend."""
+    basis = _kernel_basis(m.rows, m.ncols)
+    free = [f for f, _ in basis]
+    assert free == sorted(free)
+    assert len(free) == m.ncols - len(_forward_echelon(m.rows))
+    for f, v in basis:
+        assert len(v) == m.ncols and gcd(*v) == 1 and v[f] > 0
+        assert all(v[c] == 0 for c in free if c != f)
+        assert not any(v[f + 1 :])
+        assert all(sum(x * v[c] for c, x in row) == 0 for row in m.rows)

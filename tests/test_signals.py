@@ -565,7 +565,7 @@ def _with_repeats(rng: random.Random, h: Hypergraph, k: int) -> Hypergraph:
 
 def test_signal_space_solves_no_vertex_system_outside_rank_one(monkeypatch):
     """Under C, a two-row rational map and a random rank-3 map, the basis
-    comes from the closed form: with ``_reduced_echelon`` raising on
+    comes from the closed form: with ``_kernel_basis`` raising on
     every system but the map's own rows (its kernel gives the constants),
     ``signal_space`` still equals the full assembly. Inputs are
     signals-maps-shaped (ell 3-5, repeated vertices), plus a disconnected
@@ -587,17 +587,50 @@ def test_signal_space_solves_no_vertex_system_outside_rank_one(monkeypatch):
     cases += [(split, centroid_map(4)), (split, LinearMap.from_rows([[1, -2, 1, 0], [0, 1, -1, 3]]))]
     expected = [sparse_signal_basis(h, t) for h, t in cases]
     allowed = {SparseMatrix.from_dense(t.entries).rows for _, t in cases}
-    reduced_echelon = hypersig.signals._reduced_echelon
+    kernel_basis = hypersig.signals._kernel_basis
 
-    def only_the_map(rows):
+    def only_the_map(rows, ncols):
         rows = tuple(rows)
         if rows not in allowed:
             raise AssertionError("signal_space eliminated a system over the vertices")
-        return reduced_echelon(rows)
+        return kernel_basis(rows, ncols)
 
-    monkeypatch.setattr(hypersig.signals, "_reduced_echelon", only_the_map)
+    monkeypatch.setattr(hypersig.signals, "_kernel_basis", only_the_map)
     for (h, t), basis in zip(cases, expected):
         assert signal_space(h, t).basis == basis, (h, t)
+
+
+def _assert_canonical(basis) -> None:
+    """Each vector is 1 at its last nonzero coordinate, its pivot, every
+    other vector is 0 there, and the pivots ascend."""
+    pivots = []
+    for v in basis.vectors:
+        p = max(c for c, x in enumerate(v) if x)
+        assert v[p] == 1
+        pivots.append(p)
+    assert pivots == sorted(set(pivots))
+    for p in pivots:
+        assert sum(1 for v in basis.vectors if v[p]) == 1
+
+
+def test_signal_space_is_canonical_beyond_the_oracle_sizes():
+    """The rank-1 system's one-hot kernel vectors expand to the canonical
+    basis as they are, at a size the full-assembly oracle does not reach:
+    n = 240 under U (dimension 34) and a rational rank-1 map with a
+    negative entry, and a disconnected ell = 4 input with a vertex in no
+    edge, under those maps and C."""
+    big = random_hypergraph(240, 208, 3, 1)
+    rank_one = LinearMap.from_rows([[Fraction(1, 2), -3, 2]])
+    assert signal_space(big, universal_map(3)).dimension == 34
+    cases = [(big, universal_map(3)), (big, rank_one)]
+    halves = [random_hypergraph(30, 14, 4, seed) for seed in (2, 3)]
+    edges = [*halves[0].edges, *(tuple(x + 31 for x in e) for e in halves[1].edges)]
+    split = Hypergraph.build(4, [f"v{i}" for i in range(61)], edges)
+    assert components(split).n_classes == 3
+    rank_one = LinearMap.from_rows([[2, -1, Fraction(1, 3), 1], [-4, 2, Fraction(-2, 3), -2]])
+    cases += [(split, universal_map(4)), (split, rank_one), (split, centroid_map(4))]
+    for h, t in cases:
+        _assert_canonical(signal_space(h, t).basis)
 
 
 @st.composite
