@@ -23,17 +23,16 @@ from .frames import fan, frame, frame_result_to_json, mountain_range
 from .hypergraph import (
     Hypergraph,
     _dumps,
-    _write_text,
     _write_texts,
     components,
     dumps_hypergraph,
     load_hypergraph,
 )
-from .linalg import SparseMatrix, nullspace
 from .signals import (
     LinearMap,
     centroid_map,
     component_count_via_C,
+    constant_space,
     find_violation,
     is_engaged,
     load_linear_map,
@@ -60,7 +59,7 @@ def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        _write_text(out, text)
+        _write_texts([(out, text)])
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +77,10 @@ def cmd_signals(args: argparse.Namespace) -> int:
             "the corresponding axis is unconstrained",
             file=sys.stderr,
         )
-    # the constant signals are the map's kernel spread over the vertices
-    const = nullspace(SparseMatrix.from_dense(t.entries))
-    print(f"dim {space.dimension}, constant {const.dimension}")
+    print(f"dim {space.dimension}, constant {constant_space(t, h.n_vertices).dimension}")
     if args.out:
         docs = [signal_to_json(h, sig) for sig in space.signals()]
-        _write_text(args.out, _dumps(docs))
+        _write_texts([(args.out, _dumps(docs))])
     return EXIT_OK
 
 
@@ -110,7 +107,7 @@ def cmd_frame(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(frame_text)
         if args.classes:
-            _write_text(args.classes, classes_text)
+            _write_texts([(args.classes, classes_text)])
     return EXIT_OK
 
 
@@ -257,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_in(p)
     p.add_argument("--map", default="U", help="U, C, or a path to a matrix JSON file")
     p.add_argument("--out", default=None, help="write basis signals (JSON array)")
-    p.set_defaults(func=cmd_signals)
 
     p = sub.add_parser("frame", help="fusion classes and frame quotient")
     add_in(p)
@@ -267,11 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the classes JSON here (default: derived from --out)",
     )
-    p.set_defaults(func=cmd_frame)
 
     p = sub.add_parser("components", help="cross-checked component count")
     add_in(p)
-    p.set_defaults(func=cmd_components)
 
     p = sub.add_parser("generate", help="write a generated hypergraph")
     p.add_argument("kind", choices=("random", "fan", "mountain"))
@@ -280,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=3, help="arity (random only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("sweep", help="reduction-proportion sweep, CSV output")
     p.add_argument("--sizes", default="50,100,150,200", help="comma-separated vertex counts")
@@ -294,18 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=3)
     p.add_argument("--density-mode", choices=DENSITY_MODES, default="edges-per-vertex")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="exact admissibility check of a signal file")
     add_in(p)
     p.add_argument("--signal", required=True, help="signal JSON file")
     p.add_argument("--map", default="U", help="U, C, or a path to a matrix JSON file")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export-dot", help="bipartite incidence graph in DOT format")
     add_in(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_export_dot)
 
     return parser
 
@@ -313,17 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # looked up per call: the cached parser would keep its first build's handlers
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
-    except FormatError as exc:
+        return handler(args)
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
 
 
 def entry() -> None:

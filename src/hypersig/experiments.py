@@ -49,11 +49,11 @@ def _sample_simple_edges(
 ) -> set[tuple[int, ...]]:
     """``start`` topped up with random simple edges until ``m`` are distinct.
 
-    Each draw equals ``tuple(sorted(Random.sample(range(n), ell)))``: the
-    same ``getrandbits`` calls in the same order, so the edges and the RNG
-    state afterwards match CPython's ``sample``, inlined here to skip its
-    per-call overhead. Like ``sample``, it keeps a pool list when ``n`` is
-    at most its set-size threshold and otherwise redraws chosen values.
+    Each draw equals ``tuple(sorted(Random.sample(range(n), ell)))``: that
+    call when ``n`` is at most ``sample``'s set-size threshold. Above it,
+    ``sample`` redraws chosen values, inlined here to skip its per-call
+    overhead: the same ``getrandbits`` calls in the same order, so the
+    edges and the RNG state afterwards match CPython's ``sample``.
     """
     getrandbits = rng.getrandbits
     edges = set(start)
@@ -63,17 +63,7 @@ def _sample_simple_edges(
         setsize += 4 ** ceil(_log(ell * 3, 4))
     if n <= setsize:
         while len(edges) < m:
-            pool = list(range(n))
-            edge = []
-            for size in range(n, n - ell, -1):
-                k = size.bit_length()
-                j = getrandbits(k)
-                while j >= size:
-                    j = getrandbits(k)
-                edge.append(pool[j])
-                pool[j] = pool[size - 1]
-            edge.sort()
-            add(tuple(edge))
+            add(tuple(sorted(rng.sample(range(n), ell))))
     else:
         k = n.bit_length()
         picks = range(ell)

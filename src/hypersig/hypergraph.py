@@ -271,7 +271,7 @@ def dumps_hypergraph(h: Hypergraph) -> str:
 
 
 def save_hypergraph(h: Hypergraph, path: str | Path) -> None:
-    _write_text(path, dumps_hypergraph(h))
+    _write_texts([(path, dumps_hypergraph(h))])
 
 
 def _dumps(obj) -> str:
@@ -287,12 +287,6 @@ def _read_json(path: str | Path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc
-
-
-def _write_text(path: str | Path, text: str) -> None:
-    """Replace the file at ``path`` with ``text`` (UTF-8) atomically; see
-    :func:`_write_texts`."""
-    _write_texts([(path, text)])
 
 
 def _write_texts(files: Sequence[tuple[str | Path, str]]) -> None:

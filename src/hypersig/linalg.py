@@ -150,28 +150,29 @@ def _forward_echelon(
 
 
 def _kernel_vector(
-    pivots: dict[int, dict[int, int]], ncols: int, free: Iterable[int]
+    pivots: dict[int, dict[int, int]], ncols: int, free: dict[int, int]
 ) -> list[int]:
     """Integer kernel vector of a :func:`_forward_echelon` system.
 
-    Back-substitution from the last column down: each free column takes
-    the next value of ``free`` (one per free column), each pivot column
-    is solved from its row. When a pivot does not divide its row's sum,
-    every coordinate set so far is multiplied by the missing factor, so
-    the vector stays integral.
+    Back-substitution from the last column of ``free`` down: each free
+    column ``c`` takes the value ``free.get(c, 0)``, each pivot column is
+    solved from its row. A pivot column is solved only from columns right
+    of it, so every column right of the last one in ``free`` is 0. When a
+    pivot does not divide its row's sum, every coordinate set so far is
+    multiplied by the missing factor, so the vector stays integral.
     """
     v = [0] * ncols
-    draws = iter(free)
-    for c in range(ncols - 1, -1, -1):
+    top = max(free)
+    for c in range(top, -1, -1):
         p = pivots.get(c)
         if p is None:
-            v[c] = next(draws)
+            v[c] = free.get(c, 0)
             continue
         lead = p[c]
-        s = sum(x * v[k] for k, x in p.items() if k != c)
+        s = sum(x * v[k] for k, x in p.items())  # v[c] is still 0
         if s % lead:
             scale = abs(lead) // gcd(s, lead)
-            for k in range(c + 1, ncols):
+            for k in range(c + 1, top + 1):
                 v[k] *= scale
             s *= scale
         v[c] = -s // lead
@@ -188,10 +189,9 @@ def _kernel_basis(
     is solved only from columns right of it, so ``f`` is the last nonzero
     coordinate of ``v``."""
     pivots = _forward_echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
     out = []
-    for f in free:
-        v = _kernel_vector(pivots, ncols, (int(c == f) for c in reversed(free)))
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = _kernel_vector(pivots, ncols, {f: 1})
         g = gcd(*v)
         out.append((f, [x // g for x in v]))
     return out

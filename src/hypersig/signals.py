@@ -45,7 +45,7 @@ from .hypergraph import (
     _component_roots,
     _dumps,
     _read_json,
-    _write_text,
+    _write_texts,
     is_connected,
 )
 from .linalg import (
@@ -107,14 +107,11 @@ def centroid_map(ell: int) -> LinearMap:
 def is_engaged(t: LinearMap) -> bool:
     """True iff no column of the map is zero, i.e. every axis is
     constrained."""
-    return _zero_column(t) is None
+    return not _zero_columns(t)
 
 
-def _zero_column(t: LinearMap) -> int | None:
-    for a in range(t.ell):
-        if all(v == 0 for v in t.column(a)):
-            return a
-    return None
+def _zero_columns(t: LinearMap) -> list[int]:
+    return [a for a in range(t.ell) if not any(t.column(a))]
 
 
 @dataclass(frozen=True)
@@ -283,9 +280,10 @@ def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
     """
     _check_arity(h, t)
     n = h.n_vertices
-    v = _rank_one_row(_integral_rows(t.entries))
+    maps = _integral_rows(t.entries)
+    v = _rank_one_row(maps)
     basis = _closed_form_basis(h, t) if v is None else _rank_one_basis(h, v)
-    _check_basis(h, t, ([ys[a * n : (a + 1) * n] for a in range(h.ell)] for ys, _ in basis))
+    _check_basis(h, maps, ([ys[a * n : (a + 1) * n] for a in range(h.ell)] for ys, _ in basis))
     vectors = []
     for ys, d in basis:
         fractions = {y: Fraction(y, d) for y in set(ys)}
@@ -386,7 +384,7 @@ def _closed_form_basis(h: Hypergraph, t: LinearMap) -> list[tuple[list[int], int
     the pivot.
     """
     n, ell = h.n_vertices, h.ell
-    zero = {a for a in range(ell) if not any(t.column(a))}
+    zero = _zero_columns(t)
     covered = {x for e in h.edges for x in e}
     units = {z * n + x for z in zero for x in range(n)}
     units |= {a * n + x for x in set(range(n)) - covered for a in range(ell)}
@@ -410,12 +408,11 @@ def _closed_form_basis(h: Hypergraph, t: LinearMap) -> list[tuple[list[int], int
     return vectors
 
 
-def _check_basis(h: Hypergraph, t: LinearMap, tables: Iterable[Sequence[Sequence[int]]]) -> None:
+def _check_basis(h: Hypergraph, maps: list[list[int]], tables: Iterable[list[list[int]]]) -> None:
     """Re-verify computed signals exactly, each given as the integer table
     ``values[a][x]`` it is built from, by the sum-matrix test of
-    :func:`find_violation`, with the map's integer rows built once for all
-    of them; a failure is an internal error and raises."""
-    maps = _integral_rows(t.entries)
+    :func:`find_violation`, with the map given by its integer rows; a
+    failure is an internal error and raises."""
     for values in tables:
         witness = _violation(h, maps, values)
         if witness is not None:
@@ -484,9 +481,8 @@ def embed_to_universal(h: Hypergraph, t: LinearMap, s: Signal) -> Signal:
     Requires ``t`` to be engaged; a zero column would leave the axis
     unconstrained and the rescaling undefined.
     """
-    zero_col = _zero_column(t)
-    if zero_col is not None:
-        raise NotEngagedError(zero_col)
+    if zero := _zero_columns(t):
+        raise NotEngagedError(zero[0])
     if not verify_signal(h, t, s):
         raise DomainError("signal is not admissible for the given map")
     w = _search_functional(t)
@@ -557,18 +553,19 @@ def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[list[list[int]], Par
         raise DisconnectedError("fusion requires a connected hypergraph")
     _check_arity(h, t)
     n, ell = h.n_vertices, h.ell
-    v = _rank_one_row(_integral_rows(t.entries))
+    maps = _integral_rows(t.entries)
+    v = _rank_one_row(maps)
     if v is not None:
         f, c, part = _universal_fusion(h)
         scale = lcm(*v)
         lift = [[x + c for x in f]] + [f] * (ell - 1)
         values = [[x * (scale // v[a]) for x in lift[a]] for a in range(ell)]
-    elif (free := _zero_column(t)) is not None:
-        values = [list(range(n)) if a == free else [0] * n for a in range(ell)]
+    elif zero := _zero_columns(t):
+        values = [list(range(n)) if a == zero[0] else [0] * n for a in range(ell)]
         part = Partition.from_keys(range(n))
     else:
         values, part = [[0] * n] * ell, Partition.from_keys([0] * n)
-    _check_basis(h, t, [values])
+    _check_basis(h, maps, [values])
     return values, part
 
 
@@ -606,10 +603,11 @@ def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Partition]:
         return _forward_echelon(_edge_sum_rows(edges, col)), col
 
     echelon, col = eliminate(range(n), n)
-    nullity = n + 1 - len(echelon)
+    free_desc = [c for c in range(n, -1, -1) if c not in echelon]
+    nullity = len(free_desc)
     rng = random.Random(_DRAW_SEED)
     for _ in range(_MAX_DRAWS):
-        v = _kernel_vector(echelon, n + 1, _draw(rng, nullity))
+        v = _kernel_vector(echelon, n + 1, dict(zip(free_desc, _draw(rng, nullity))))
         f = [v[c] for c in col]
         part = Partition.from_keys(f)
         k = part.n_classes
@@ -694,7 +692,7 @@ def signal_from_json(obj) -> tuple[tuple[str, ...], int, Signal]:
 
 
 def save_signal(h: Hypergraph, s: Signal, path: str | Path) -> None:
-    _write_text(path, _dumps(signal_to_json(h, s)))
+    _write_texts([(path, _dumps(signal_to_json(h, s)))])
 
 
 def load_signal(path: str | Path) -> tuple[tuple[str, ...], int, Signal]:

@@ -453,6 +453,16 @@ def test_main_keeps_no_state_between_calls(tmp_path, fan_path, capsys):
     assert first[argvs[1]][2].startswith("usage: hypersig frame")
 
 
+def test_main_runs_the_handler_on_the_module(monkeypatch):
+    # the parser is cached, so a handler bound into it at the first build
+    # would hide one replaced on the module later
+    cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_generate", lambda args: calls.append(args.kind) or 7)
+    assert main(["generate", "fan", "--n", "3"]) == 7
+    assert calls == ["fan"]
+
+
 # Fuzzed input documents: each starts as a valid hypergraph, signal or map
 # and has up to three nested values replaced by wrong types, bools, floats,
 # nested junk, unknown labels or sizes that break the arity.
