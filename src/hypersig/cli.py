@@ -100,14 +100,13 @@ def cmd_frame(args: argparse.Namespace) -> int:
     if h.n_edges:
         print(f"reduction proportion: {Fraction(result.frame.n_edges, h.n_edges)}")
     frame_text = dumps_hypergraph(result.frame)
-    classes_text = _dumps(frame_result_to_json(result, h))
-    if args.out:
-        classes = args.classes or _default_classes_path(args.out)
-        _write_texts([(args.out, frame_text), (classes, classes_text)])
-    else:
+    files = [(args.out, frame_text)] if args.out else []
+    classes = args.classes or (args.out and _default_classes_path(args.out))
+    if classes:
+        files.append((classes, _dumps(frame_result_to_json(result, h))))
+    if not args.out:
         sys.stdout.write(frame_text)
-        if args.classes:
-            _write_texts([(args.classes, classes_text)])
+    _write_texts(files)
     return EXIT_OK
 
 

@@ -25,11 +25,10 @@ from .signals import LinearMap, _certified_signal, universal_map
 @dataclass(frozen=True, eq=True)
 class FrameResult:
     """Frame of a hypergraph together with the fusion partition that
-    produced it and the label map from original to frame vertices."""
+    produced it."""
 
     frame: Hypergraph
     fusion: Partition
-    class_map: dict
 
 
 def fusion(h: Hypergraph, t: LinearMap) -> Partition:
@@ -55,14 +54,9 @@ def fusion(h: Hypergraph, t: LinearMap) -> Partition:
 
 def frame(h: Hypergraph, t: LinearMap | None = None) -> FrameResult:
     """Frame of ``h`` under ``t`` (default: the coordinate-sum map): the
-    quotient by the fusion partition, with the label map from original to
-    frame vertices."""
+    quotient by the fusion partition."""
     part = fusion(h, universal_map(h.ell) if t is None else t)
-    framed = quotient(h, part)
-    class_map = {
-        h.vertices[x]: framed.vertices[part.class_of[x]] for x in range(h.n_vertices)
-    }
-    return FrameResult(frame=framed, fusion=part, class_map=class_map)
+    return FrameResult(frame=quotient(h, part), fusion=part)
 
 
 def is_stable(h: Hypergraph) -> bool:
@@ -141,9 +135,13 @@ def mountain_range(n: int) -> Hypergraph:
 
 
 def frame_result_to_json(result: FrameResult, source: Hypergraph) -> dict:
+    """The frame, the fusion classes and the label map from original to
+    frame vertices, read off the classes: :func:`quotient` labels each
+    class by its smallest member."""
+    frame_labels, class_of = result.frame.vertices, result.fusion.class_of
     return {
         "frame": hypergraph_to_json(result.frame),
         "classes": [[source.vertices[v] for v in block] for block in result.fusion.classes],
-        "class_map": dict(result.class_map),
+        "class_map": {x: frame_labels[c] for x, c in zip(source.vertices, class_of)},
     }
 

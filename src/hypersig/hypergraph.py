@@ -84,8 +84,8 @@ class Hypergraph:
         for e in edges:
             try:
                 id_edges.append([index[lab] for lab in e])
-            except KeyError as exc:
-                raise DomainError(f"unknown vertex label {exc.args[0]!r}") from None
+            except (KeyError, TypeError):
+                raise DomainError(f"edge {e!r} references unknown vertex") from None
         return cls.build(ell, vertices, id_edges)
 
     @property
@@ -127,24 +127,6 @@ class Partition:
 
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...] = field(compare=False)
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Sequence[int]], n: int) -> "Partition":
-        ordered = [tuple(sorted(b)) for b in blocks]
-        if not all(ordered):
-            raise DomainError("empty class")
-        ordered.sort(key=lambda b: b[0])
-        class_of = [-1] * n
-        for cid, block in enumerate(ordered):
-            for x in block:
-                if not (0 <= x < n):
-                    raise DomainError(f"member {x} out of range")
-                if class_of[x] != -1:
-                    raise DomainError(f"member {x} in two classes")
-                class_of[x] = cid
-        if any(c == -1 for c in class_of):
-            raise DomainError("partition does not cover all elements")
-        return cls(tuple(ordered), tuple(class_of))
 
     @classmethod
     def from_keys(cls, keys: Sequence) -> "Partition":
@@ -248,21 +230,18 @@ def hypergraph_from_json(obj) -> Hypergraph:
         raise FormatError("'vertices' must be an array of strings")
     if not isinstance(edges, list):
         raise FormatError("'edges' must be an array")
-    index = {lab: i for i, lab in enumerate(vertices)}
-    id_edges = []
-    for e in edges:
+
+    def shaped(e):
         if not isinstance(e, list) or len(e) != ell:
             raise FormatError(f"edge {e!r} must be an array of {ell} vertex labels")
-        try:
-            id_edges.append([index[lab] for lab in e])
-        except (KeyError, TypeError):
-            raise FormatError(f"edge {e!r} references unknown vertex") from None
+        return e
+
     try:
-        h = Hypergraph.build(ell, vertices, id_edges)
+        h = Hypergraph.from_labels(ell, vertices, map(shaped, edges))
     except DomainError as exc:
         raise FormatError(str(exc)) from exc
-    if h.n_edges != len(id_edges):
-        log.warning("collapsed %d duplicate edge orbit(s)", len(id_edges) - h.n_edges)
+    if h.n_edges != len(edges):
+        log.warning("collapsed %d duplicate edge orbit(s)", len(edges) - h.n_edges)
     return h
 
 

@@ -107,11 +107,12 @@ def centroid_map(ell: int) -> LinearMap:
 def is_engaged(t: LinearMap) -> bool:
     """True iff no column of the map is zero, i.e. every axis is
     constrained."""
-    return not _zero_columns(t)
+    return not _zero_columns(t.entries)
 
 
-def _zero_columns(t: LinearMap) -> list[int]:
-    return [a for a in range(t.ell) if not any(t.column(a))]
+def _zero_columns(rows: Sequence[Sequence[Fraction | int]]) -> list[int]:
+    """Zero columns of a map given by its rows: entries or integer rows."""
+    return [a for a, col in enumerate(zip(*rows)) if not any(col)]
 
 
 @dataclass(frozen=True)
@@ -282,7 +283,7 @@ def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
     n = h.n_vertices
     maps = _integral_rows(t.entries)
     v = _rank_one_row(maps)
-    basis = _closed_form_basis(h, t) if v is None else _rank_one_basis(h, v)
+    basis = _closed_form_basis(h, maps) if v is None else _rank_one_basis(h, v)
     _check_basis(h, maps, ([ys[a * n : (a + 1) * n] for a in range(h.ell)] for ys, _ in basis))
     vectors = []
     for ys, d in basis:
@@ -363,10 +364,10 @@ def _rank_one_basis(h: Hypergraph, v: Sequence[int]) -> list[tuple[list[int], in
     return vectors
 
 
-def _closed_form_basis(h: Hypergraph, t: LinearMap) -> list[tuple[list[int], int]]:
+def _closed_form_basis(h: Hypergraph, maps: list[list[int]]) -> list[tuple[list[int], int]]:
     """Canonical basis of the signal space of a map with a zero column or
-    an engaged map of rank >= 2, in closed form: no elimination but of
-    ``t`` itself, for its kernel.
+    an engaged map of rank >= 2, given by its integer rows, in closed
+    form: no elimination but of the map itself, for its kernel.
 
     An axis whose column is zero is free. Every row ``r`` is zero there, so
     the minor rows ``r_b * (s_b(y) - s_b(x)) = 0`` make every other axis
@@ -384,7 +385,7 @@ def _closed_form_basis(h: Hypergraph, t: LinearMap) -> list[tuple[list[int], int
     the pivot.
     """
     n, ell = h.n_vertices, h.ell
-    zero = _zero_columns(t)
+    zero = _zero_columns(maps)
     covered = {x for e in h.edges for x in e}
     units = {z * n + x for z in zero for x in range(n)}
     units |= {a * n + x for x in set(range(n)) - covered for a in range(ell)}
@@ -393,7 +394,8 @@ def _closed_form_basis(h: Hypergraph, t: LinearMap) -> list[tuple[list[int], int
     members: dict[int, list[int]] = {}
     for x in sorted(covered):
         members.setdefault(comp[x], []).append(x)
-    for f, lam in _kernel_basis(SparseMatrix.from_dense(t.entries).rows, ell):
+    rows = tuple(tuple((a, y) for a, y in enumerate(r) if y) for r in maps)
+    for f, lam in _kernel_basis(rows, ell):
         if f not in zero:  # a zero column is free, so the other lam are 0 there
             for k, xs in members.items():
                 by_pivot[f * n + tops[k]] = {
@@ -481,7 +483,7 @@ def embed_to_universal(h: Hypergraph, t: LinearMap, s: Signal) -> Signal:
     Requires ``t`` to be engaged; a zero column would leave the axis
     unconstrained and the rescaling undefined.
     """
-    if zero := _zero_columns(t):
+    if zero := _zero_columns(t.entries):
         raise NotEngagedError(zero[0])
     if not verify_signal(h, t, s):
         raise DomainError("signal is not admissible for the given map")
@@ -560,7 +562,7 @@ def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[list[list[int]], Par
         scale = lcm(*v)
         lift = [[x + c for x in f]] + [f] * (ell - 1)
         values = [[x * (scale // v[a]) for x in lift[a]] for a in range(ell)]
-    elif zero := _zero_columns(t):
+    elif zero := _zero_columns(maps):
         values = [list(range(n)) if a == zero[0] else [0] * n for a in range(ell)]
         part = Partition.from_keys(range(n))
     else:

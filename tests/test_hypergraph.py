@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -85,14 +86,14 @@ def test_is_connected(fan_five, triangle):
 
 
 def test_quotient_collapse(fan_five):
-    part = Partition.from_blocks([(0,), (1, 3), (2, 4)], 5)
+    part = Partition.from_keys([0, 1, 2, 1, 2])
     q = quotient(fan_five, part)
     assert q.vertices == ("u", "v", "w")
     assert q.edges == ((0, 1, 2),)
 
 
 def test_quotient_identity_partition(fan_five):
-    part = Partition.from_blocks([(i,) for i in range(5)], 5)
+    part = Partition.from_keys(range(5))
     q = quotient(fan_five, part)
     assert q == fan_five
 
@@ -107,7 +108,7 @@ def test_quotient_by_reachability_gives_one_constant_edge_per_component():
 
 
 def test_quotient_counts(fan_five):
-    part = Partition.from_blocks([(0, 1), (2, 3, 4)], 5)
+    part = Partition.from_keys([0, 0, 1, 1, 1])
     q = quotient(fan_five, part)
     assert q.n_vertices == part.n_classes
     assert q.n_edges <= fan_five.n_edges
@@ -115,11 +116,11 @@ def test_quotient_counts(fan_five):
 
 def test_quotient_partition_mismatch(fan_five):
     with pytest.raises(DomainError):
-        quotient(fan_five, Partition.from_blocks([(i,) for i in range(4)], 4))
+        quotient(fan_five, Partition.from_keys(range(4)))
 
 
 def test_partition_canonical_class_ids():
-    p = Partition.from_blocks([(2, 4), (0,), (1, 3)], 5)
+    p = Partition.from_keys(["z", "x", "y", "x", "y"])
     assert p.classes == ((0,), (1, 3), (2, 4))
     assert p.class_of == (0, 1, 2, 1, 2)
 
@@ -140,8 +141,8 @@ def test_partition_from_keys():
 @settings(max_examples=150, deadline=None)
 def test_partition_from_keys_matches_from_blocks(keys):
     """Keys grouped by equality, in order of first occurrence (``True``
-    and ``1`` are one key), give the same classes and class ids through
-    ``from_blocks``."""
+    and ``1`` are one key): the groups are the classes, and each element's
+    class id is the index of its group."""
     groups = []
     for x, k in enumerate(keys):
         group = next((g for g in groups if keys[g[0]] == k), None)
@@ -149,18 +150,9 @@ def test_partition_from_keys_matches_from_blocks(keys):
             groups.append([x])
         else:
             group.append(x)
-    p, q = Partition.from_keys(keys), Partition.from_blocks(groups, len(keys))
-    assert (p.classes, p.class_of) == (q.classes, q.class_of)
-
-
-def test_partition_rejects_overlap_and_gaps():
-    with pytest.raises(DomainError):
-        Partition.from_blocks([(0, 1), (1, 2)], 3)
-    with pytest.raises(DomainError):
-        Partition.from_blocks([(0, 1)], 3)
-    for blocks in ([[]], [[0], []]):
-        with pytest.raises(DomainError, match="empty class"):
-            Partition.from_blocks(blocks, 1)
+    class_of = tuple(next(i for i, g in enumerate(groups) if x in g) for x in range(len(keys)))
+    p = Partition.from_keys(keys)
+    assert (p.classes, p.class_of) == (tuple(map(tuple, groups)), class_of)
 
 
 def test_hypergraph_invariants():
@@ -213,6 +205,34 @@ def test_json_format_errors(doc):
 def test_json_rejects_bool_arity():
     with pytest.raises(FormatError, match="'ell' must be an integer"):
         hypergraph_from_json({"ell": True, "vertices": ["a", "b", "c"], "edges": []})
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([["a", "b", "z"]], "edge ['a', 'b', 'z'] references unknown vertex"),
+        ([["a", "b", ["c"]]], "edge ['a', 'b', ['c']] references unknown vertex"),
+        (
+            [["c", "b", "a"], ["a", "z", "b"], ["a", "b"]],
+            "edge ['a', 'z', 'b'] references unknown vertex",
+        ),
+        (
+            [["a", "b", "c"], ["a", "b"], ["z", "b", "c"]],
+            "edge ['a', 'b'] must be an array of 3 vertex labels",
+        ),
+    ],
+    ids=["unknown", "unhashable", "unknown-before-short", "short-before-unknown"],
+)
+def test_json_edge_messages_name_the_first_faulty_edge(edges, message):
+    doc = {"ell": 3, "vertices": ["a", "b", "c"], "edges": edges}
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        hypergraph_from_json(doc)
+
+
+def test_from_labels_rejects_unhashable_label_as_domain_error():
+    message = "edge ('a', 'b', ['c']) references unknown vertex"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        Hypergraph.from_labels(3, ["a", "b", "c"], [("a", "b", ["c"])])
 
 
 label_strategy = st.lists(

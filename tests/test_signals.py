@@ -16,6 +16,7 @@ from conftest import (
     random_loose_map,
     random_multiset_instance,
 )
+import hypersig.linalg
 import hypersig.signals
 from hypersig import (
     DisconnectedError,
@@ -33,6 +34,7 @@ from hypersig import (
     components,
     constant_space,
     embed_to_universal,
+    fan,
     find_violation,
     frame,
     generating_signal,
@@ -598,6 +600,21 @@ def test_signal_space_solves_no_vertex_system_outside_rank_one(monkeypatch):
     monkeypatch.setattr(hypersig.signals, "_kernel_basis", only_the_map)
     for (h, t), basis in zip(cases, expected):
         assert signal_space(h, t).basis == basis, (h, t)
+
+
+def test_signal_space_converts_the_map_to_integers_once(monkeypatch):
+    """The closed form reads the map's kernel off the integer rows that
+    ``signal_space`` builds for the re-verification."""
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return _integral_rows(rows)
+
+    monkeypatch.setattr(hypersig.signals, "_integral_rows", counted)
+    monkeypatch.setattr(hypersig.linalg, "_integral_rows", counted)
+    signal_space(fan(5), centroid_map(3))
+    assert len(calls) == 1
 
 
 def _assert_canonical(basis) -> None:
