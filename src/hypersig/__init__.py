@@ -42,7 +42,6 @@ from .hypergraph import (
     quotient,
     save_hypergraph,
 )
-from .linalg import Basis, SparseMatrix, nullspace
 from .signals import (
     LinearMap,
     Signal,

@@ -1,64 +1,20 @@
-"""Exact rational linear algebra: sparse matrices and nullspace bases.
+"""Exact integer linear algebra: one elimination and its kernel vectors.
 
-Matrices hold integer rows and bases ``fractions.Fraction`` values, so
-every result in this module is exact; no floating point appears
-anywhere. There is one elimination, a fraction-free forward echelon
-form. Back-substitution from it gives one kernel vector for given free
-values: seeded random values for callers that need the rank and one
-vector, one-hot values for the canonical kernel basis of
-:func:`nullspace` and of the signal spaces.
+The elimination takes integer rows, each its ``(column, value)`` pairs,
+so every result in this module is exact; no floating point appears
+anywhere, and callers build ``fractions.Fraction`` values only for
+output. There is one elimination, a fraction-free forward echelon form.
+Back-substitution from it gives one kernel vector for given free values:
+seeded random values for callers that need the rank and one vector,
+one-hot values for the canonical kernel basis of a map and of the
+signal spaces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-from .errors import DomainError
-
-_ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Immutable sparse integer matrix, stored by rows.
-
-    Each row is a tuple of ``(col, value)`` pairs with strictly ascending
-    columns in ``range(ncols)`` and nonzero ``int`` values; an empty row
-    is a zero row. A rational matrix enters through :meth:`from_dense`,
-    which scales each row to integers.
-    """
-
-    ncols: int
-    rows: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.ncols < 0:
-            raise DomainError("matrix dimensions must be non-negative")
-        for r, row in enumerate(self.rows):
-            prev = -1
-            for c, v in row:
-                if not prev < c < self.ncols:
-                    raise DomainError(f"row {r}: column {c} out of range or not ascending")
-                if type(v) is not int or not v:
-                    raise DomainError(f"row {r}: value {v!r} at column {c} is not a nonzero int")
-                prev = c
-
-    @classmethod
-    def from_dense(cls, rows: Sequence[Sequence[Fraction | int]]) -> "SparseMatrix":
-        """Each row scaled by the lcm of its denominators, which keeps the
-        kernel."""
-        ncols = len(rows[0]) if rows else 0
-        if any(len(row) != ncols for row in rows):
-            raise DomainError("ragged dense matrix")
-        ints = _integral_rows(rows)
-        return cls(ncols, tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in ints))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
 
 
 def _integral_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
@@ -70,28 +26,6 @@ def _integral_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
         k = lcm(*(v.denominator for v in row))
         out.append([v.numerator * (k // v.denominator) for v in row])
     return out
-
-
-@dataclass(frozen=True)
-class Basis:
-    """Basis of a subspace of the rational vector space of a given dimension.
-
-    Vectors are dense tuples in reduced echelon form: each one carries a
-    pivot coordinate equal to 1 at which every other basis vector is 0,
-    which makes linear independence self-evident.
-    """
-
-    dimension_ambient: int
-    vectors: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        for v in self.vectors:
-            if len(v) != self.dimension_ambient:
-                raise DomainError("basis vector of wrong length")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
 
 
 def _subtract(r: dict[int, int], c: int, p: dict[int, int]) -> None:
@@ -196,17 +130,3 @@ def _kernel_basis(
         out.append((f, [x // g for x in v]))
     return out
 
-
-def nullspace(m: SparseMatrix) -> Basis:
-    """Canonical basis of ``{v : m @ v = 0}``.
-
-    One vector per free column of the forward echelon form of ``m``, in
-    ascending column order, with that free coordinate set to 1 and all
-    other free coordinates 0 (:func:`_kernel_basis`). The kernel fixes
-    these vectors, so the output is deterministic and invariant under row
-    permutation and row scaling of the input.
-    """
-    vectors = []
-    for f, v in _kernel_basis(m.rows, m.ncols):
-        vectors.append(tuple(Fraction(x, v[f]) if x else _ZERO for x in v))
-    return Basis(m.ncols, tuple(vectors))

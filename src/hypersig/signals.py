@@ -48,16 +48,9 @@ from .hypergraph import (
     _write_texts,
     is_connected,
 )
-from .linalg import (
-    _ZERO,
-    Basis,
-    SparseMatrix,
-    _forward_echelon,
-    _integral_rows,
-    _kernel_basis,
-    _kernel_vector,
-    nullspace,
-)
+from .linalg import _forward_echelon, _integral_rows, _kernel_basis, _kernel_vector
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -137,20 +130,24 @@ class Signal:
 
 @dataclass(frozen=True)
 class SignalSpace:
-    """A space of admissible signals: map and an exact basis over the
-    ambient dimension ``ell * n_vertices``."""
+    """A space of admissible signals: the map and the canonical basis,
+    each vector a signal flattened axis-major. Each vector is 1 at its
+    last nonzero coordinate, its pivot, where every other vector is 0,
+    and the pivots ascend."""
 
     linear_map: LinearMap
-    basis: Basis
+    vectors: tuple[tuple[Fraction, ...], ...]
 
     @property
     def dimension(self) -> int:
-        return self.basis.dimension
+        return len(self.vectors)
 
     def signals(self) -> list[Signal]:
-        ell, vectors = self.linear_map.ell, self.basis.vectors
-        n = self.basis.dimension_ambient // ell
-        return [Signal(tuple(v[a * n : (a + 1) * n] for a in range(ell))) for v in vectors]
+        ell, out = self.linear_map.ell, []
+        for v in self.vectors:
+            n = len(v) // ell
+            out.append(Signal(tuple(v[a * n : (a + 1) * n] for a in range(ell))))
+        return out
 
 
 def _check_arity(h: Hypergraph, t: LinearMap) -> None:
@@ -275,9 +272,8 @@ def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
     Both return each basis vector as integers ``y`` over its value ``d``
     at the pivot. Every basis signal is re-verified exactly as that
     integer table, a failure an internal error that raises; only then is
-    it expanded to ``Fraction(y, d)``, one per distinct ``y``. Dividing
-    by ``d`` keeps every constraint's zero set, so the emitted signals
-    are the verified ones.
+    it expanded by :func:`_space`. Dividing by ``d`` keeps every
+    constraint's zero set, so the emitted signals are the verified ones.
     """
     _check_arity(h, t)
     n = h.n_vertices
@@ -285,12 +281,27 @@ def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
     v = _rank_one_row(maps)
     basis = _closed_form_basis(h, maps) if v is None else _rank_one_basis(h, v)
     _check_basis(h, maps, ([ys[a * n : (a + 1) * n] for a in range(h.ell)] for ys, _ in basis))
+    return _space(t, basis)
+
+
+def _space(t: LinearMap, basis: Iterable[tuple[Sequence[int], int]]) -> SignalSpace:
+    """The space under ``t`` of integer basis vectors ``(ys, d)``, ``d``
+    the value at the pivot, each expanded to ``Fraction(y, d)``: one per
+    distinct ``y``, and one shared zero."""
     vectors = []
     for ys, d in basis:
         fractions = {y: Fraction(y, d) for y in set(ys)}
         fractions[0] = _ZERO  # one shared zero
         vectors.append(tuple(map(fractions.__getitem__, ys)))
-    return SignalSpace(t, Basis(h.ell * n, tuple(vectors)))
+    return SignalSpace(t, tuple(vectors))
+
+
+def _map_kernel(maps: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
+    """The canonical kernel basis of a map given by its integer rows, as
+    :func:`hypersig.linalg._kernel_basis` gives it: ``(f, lam)``, ``lam``
+    positive at its free column ``f`` and 0 after it."""
+    rows = [tuple((a, y) for a, y in enumerate(r) if y) for r in maps]
+    return _kernel_basis(rows, len(maps[0]))
 
 
 def _rank_one_row(maps: Sequence[Sequence[int]]) -> Sequence[int] | None:
@@ -394,8 +405,7 @@ def _closed_form_basis(h: Hypergraph, maps: list[list[int]]) -> list[tuple[list[
     members: dict[int, list[int]] = {}
     for x in sorted(covered):
         members.setdefault(comp[x], []).append(x)
-    rows = tuple(tuple((a, y) for a, y in enumerate(r) if y) for r in maps)
-    for f, lam in _kernel_basis(rows, ell):
+    for f, lam in _map_kernel(maps):
         if f not in zero:  # a zero column is free, so the other lam are 0 there
             for k, xs in members.items():
                 by_pivot[f * n + tops[k]] = {
@@ -425,11 +435,10 @@ def constant_space(t: LinearMap, n_vertices: int) -> SignalSpace:
     """Signals that are constant on every axis, with axis values drawn
     from the kernel of the map. Admissible for every hypergraph of
     matching arity."""
-    kernel = nullspace(SparseMatrix.from_dense(t.entries))
-    vectors = tuple(
-        tuple(x for x in lam for _ in range(n_vertices)) for lam in kernel.vectors
-    )
-    return SignalSpace(t, Basis(t.ell * n_vertices, vectors))
+    if n_vertices < 1:
+        raise DomainError(f"vertex count must be >= 1, got {n_vertices}")
+    kernel = _map_kernel(_integral_rows(t.entries))
+    return _space(t, [([y for y in lam for _ in range(n_vertices)], lam[f]) for f, lam in kernel])
 
 
 def component_count_via_C(h: Hypergraph) -> int:

@@ -10,9 +10,9 @@ frozensets.
 The one exception is :func:`assemble_constraints`, the sparse
 sum-matrix (Birkhoff) assembly on all ``ell * n`` coordinates: the
 differential reference for ``signal_space``'s reduced system, fast
-enough for larger inputs. It shares ``nullspace``, the integer map rows
-and the arity check with the library; the brute-force references check
-it in turn.
+enough for larger inputs. It shares the canonical kernel basis, the
+integer map rows and the arity check with the library; the brute-force
+references check it in turn.
 """
 
 from __future__ import annotations
@@ -20,14 +20,34 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, combinations, permutations, product
+from typing import NamedTuple
 
-from hypersig import Hypergraph, LinearMap, SparseMatrix, nullspace
-from hypersig.linalg import Basis, _integral_rows
+from hypersig import Hypergraph, LinearMap
+from hypersig.linalg import _integral_rows, _kernel_basis
 from hypersig.signals import _check_arity
 
 
-def assemble_constraints(h: Hypergraph, t: LinearMap) -> SparseMatrix:
-    """Sparse integer constraint system whose nullspace is the signal space.
+class IntegerRows(NamedTuple):
+    """Integer rows over ``ncols`` columns, each row its ``(column,
+    value)`` pairs with ascending columns and nonzero values."""
+
+    ncols: int
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+
+def canonical_kernel(m: IntegerRows) -> tuple[tuple[Fraction, ...], ...]:
+    """The library's canonical kernel basis of ``m`` in ``Fraction``s:
+    each vector of :func:`_kernel_basis` divided by its value at its free
+    column, which makes it 1 there."""
+    return tuple(tuple(Fraction(x, v[f]) for x in v) for f, v in _kernel_basis(m.rows, m.ncols))
+
+
+def assemble_constraints(h: Hypergraph, t: LinearMap) -> IntegerRows:
+    """Sparse integer constraint system whose kernel is the signal space.
 
     For edge ``e`` (a sorted tuple) and integer map row ``w`` (see
     :func:`_integral_rows`), every arrangement constraint is a permutation
@@ -61,12 +81,12 @@ def assemble_constraints(h: Hypergraph, t: LinearMap) -> SparseMatrix:
                     if wa:
                         row += ((x0 + base, -wa), (x + base, wa))
                     rows[row] = None
-    return SparseMatrix(t.ell * n, tuple(rows))
+    return IntegerRows(t.ell * n, tuple(rows))
 
 
-def sparse_signal_basis(h: Hypergraph, t: LinearMap) -> Basis:
+def sparse_signal_basis(h: Hypergraph, t: LinearMap) -> tuple[tuple[Fraction, ...], ...]:
     """The canonical signal-space basis from the full assembly."""
-    return nullspace(assemble_constraints(h, t))
+    return canonical_kernel(assemble_constraints(h, t))
 
 
 def edge_sum_rows(edges, col) -> list[tuple[tuple[int, int], ...]]:

@@ -14,7 +14,6 @@ from hypersig import (
     HypersigError,
     LinearMap,
     Partition,
-    SparseMatrix,
     attach_simplex,
     fan,
     fold_pairs,
@@ -25,13 +24,18 @@ from hypersig import (
     is_stable,
     mountain_range,
     centroid_map,
-    nullspace,
     random_hypergraph,
     signal_space,
     universal_map,
     verify_signal,
 )
-from oracle import edge_sum_rows, oracle_fusion_blocks, partition_blocks
+from oracle import (
+    IntegerRows,
+    canonical_kernel,
+    edge_sum_rows,
+    oracle_fusion_blocks,
+    partition_blocks,
+)
 
 
 def blocks(partition, h):
@@ -207,7 +211,7 @@ def edge_sum_nullspace_fusion(h):
     at column n)."""
     n = h.n_vertices
     rows = tuple(edge_sum_rows(h.edges, range(n)))
-    kernel = nullspace(SparseMatrix(n + 1, rows)).vectors
+    kernel = canonical_kernel(IntegerRows(n + 1, rows))
     return Partition.from_keys([tuple(v[x] for v in kernel) for x in range(n)])
 
 

@@ -40,6 +40,8 @@ CASES = {
     "signals-disconnected": "signals --in {in}/two_triangles.json --map U --out {out}/basis.json",
     "signals-rank2": "signals --in {in}/split_ell4.json --map {in}/two_row_ell4.json "
     "--out {out}/basis.json",
+    "signals-full-rank": "signals --in {in}/triangle.json --map {in}/identity3.json "
+    "--out {out}/basis.json",
     "frame-fan": "frame --in {in}/fan5.json --out {out}/frame.json",
     "frame-ell4": "frame --in {in}/ell4_repeat.json --out {out}/frame.json",
     "frame-random": "frame --in {in}/random12.json --out {out}/frame.json --classes {out}/classes.json",
