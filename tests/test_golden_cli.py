@@ -42,11 +42,13 @@ CASES = {
     "--out {out}/basis.json",
     "signals-full-rank": "signals --in {in}/triangle.json --map {in}/identity3.json "
     "--out {out}/basis.json",
+    "signals-hostile-labels": "signals --in {in}/hostile.json --map U --out {out}/basis.json",
     "frame-fan": "frame --in {in}/fan5.json --out {out}/frame.json",
     "frame-ell4": "frame --in {in}/ell4_repeat.json --out {out}/frame.json",
     "frame-random": "frame --in {in}/random12.json --out {out}/frame.json --classes {out}/classes.json",
     "frame-stdout": "frame --in {in}/random12.json",
     "frame-disconnected": "frame --in {in}/two_triangles.json",
+    "frame-hostile-labels": "frame --in {in}/hostile.json --out {out}/frame.json",
     "components-fan": "components --in {in}/fan5.json",
     "components-two": "components --in {in}/two_triangles.json",
     "components-ell4": "components --in {in}/ell4_repeat.json",
