@@ -100,12 +100,8 @@ def attach_simplex(
     if clash:
         raise DomainError(f"labels already present: {sorted(clash)}")
     n = h.n_vertices
-    new_edge = tuple(sorted([z_id] + list(range(n, n + len(labels)))))
-    return Hypergraph(
-        h.ell,
-        h.vertices + tuple(labels),
-        tuple(sorted(set(h.edges) | {new_edge})),
-    )
+    new_edge = (z_id, *range(n, n + len(labels)))
+    return Hypergraph.build(h.ell, h.vertices + tuple(labels), h.edges + (new_edge,))
 
 
 def fan(n: int) -> Hypergraph:

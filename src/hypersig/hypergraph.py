@@ -14,14 +14,17 @@ import errno
 import json
 import logging
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, permutations, repeat
+from operator import lt
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DomainError, FormatError
 
 log = logging.getLogger(__name__)
+_encode = json.encoder.encode_basestring_ascii
 
 MIN_ARITY = 3
 
@@ -48,6 +51,14 @@ class Hypergraph:
         if len(set(self.vertices)) != len(self.vertices):
             raise DomainError("vertex labels must be distinct")
         n = len(self.vertices)
+        with suppress(TypeError):  # whole-sequence checks; the loop below words the fault
+            if (
+                set(map(len, edges := self.edges)) <= {self.ell}
+                and tuple(map(tuple, map(sorted, edges))) == edges
+                and all(map(lt, edges, edges[1:]))  # sorted, distinct: edges[0][0] is least
+                and (not edges or 0 <= edges[0][0] and max(chain.from_iterable(edges)) < n)
+            ):
+                return
         for e in self.edges:
             if len(e) != self.ell:
                 raise DomainError(f"edge {e} has wrong arity")
@@ -69,7 +80,7 @@ class Hypergraph:
     ) -> "Hypergraph":
         """Construct from arbitrary edge tuples, canonicalizing and
         collapsing duplicate orbits silently."""
-        canon = {tuple(sorted(e)) for e in edges}
+        canon = set(map(tuple, map(sorted, edges)))
         return cls(ell, tuple(vertices), tuple(sorted(canon)))
 
     @classmethod
@@ -80,6 +91,13 @@ class Hypergraph:
         edges: Iterable[Sequence[str]] = (),
     ) -> "Hypergraph":
         index = {lab: i for i, lab in enumerate(vertices)}
+        ids = None
+        if isinstance(edges, (list, tuple)):
+            with suppress(KeyError, TypeError, ValueError):  # the loop below words the fault
+                (k,) = set(map(len, edges))
+                ids = list(map(index.__getitem__, chain.from_iterable(edges)))
+        if ids:  # every edge has k labels, all known
+            return cls.build(ell, vertices, zip(*[iter(ids)] * k))
         id_edges = []
         for e in edges:
             try:
@@ -226,7 +244,7 @@ def hypergraph_from_json(obj) -> Hypergraph:
         raise FormatError(f"missing field {exc.args[0]!r}") from None
     if isinstance(ell, bool) or not isinstance(ell, int):
         raise FormatError("'ell' must be an integer")
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+    if not isinstance(vertices, list) or not all(map(isinstance, vertices, repeat(str))):
         raise FormatError("'vertices' must be an array of strings")
     if not isinstance(edges, list):
         raise FormatError("'edges' must be an array")
@@ -236,8 +254,10 @@ def hypergraph_from_json(obj) -> Hypergraph:
             raise FormatError(f"edge {e!r} must be an array of {ell} vertex labels")
         return e
 
+    well_shaped = all(map(isinstance, edges, repeat(list))) and set(map(len, edges)) <= {ell}
+    labelled = edges if well_shaped else map(shaped, edges)  # lazy: the first faulty edge is named
     try:
-        h = Hypergraph.from_labels(ell, vertices, map(shaped, edges))
+        h = Hypergraph.from_labels(ell, vertices, labelled)
     except DomainError as exc:
         raise FormatError(str(exc)) from exc
     if h.n_edges != len(edges):
@@ -254,8 +274,45 @@ def save_hypergraph(h: Hypergraph, path: str | Path) -> None:
 
 
 def _dumps(obj) -> str:
-    """JSON text as every file of this package is written: indent 2, newline."""
-    return json.dumps(obj, indent=2) + "\n"
+    """JSON text as every file of this package is written: byte for byte
+    what :func:`json.dumps` writes at indent 2, plus a newline."""
+    return _text(obj, "") + "\n"
+
+
+def _text(obj, pad: str) -> str:
+    """:func:`json.dumps` at indent 2 of a str, int, list or str-keyed dict
+    nested at indent ``pad``, per element in C; other types are a TypeError.
+    A list of nonempty lists of strings is one ``%`` of the encoded strings
+    into ``%s`` slots, so a ``%`` in a label is never part of the template."""
+    if isinstance(obj, str):
+        return _encode(obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return int.__repr__(obj)
+    if not isinstance(obj, (list, dict)):
+        raise TypeError(f"cannot write {type(obj).__name__} {obj!r} as JSON")
+    if not obj:
+        return "[]" if isinstance(obj, list) else "{}"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not all(map(isinstance, obj, repeat(str))):
+            raise TypeError("JSON object keys must be strings")
+        values = obj.values()
+        strings = all(map(isinstance, values, repeat(str)))
+        values = map(_encode, values) if strings else map(_text, values, repeat(inner))
+        body = sep.join(map("%s: %s".__mod__, zip(map(_encode, obj), values)))
+        return f"{{\n{inner}{body}\n{pad}}}"
+    rows = all(map(isinstance, obj, repeat(list))) and all(obj)
+    flat = tuple(chain.from_iterable(obj)) if rows else ()
+    if all(map(isinstance, obj, repeat(str))):
+        body = sep.join(map(_encode, obj))
+    elif flat and all(map(isinstance, flat, repeat(str))):
+        slot = ",\n" + inner + "  "
+        template = {k: f"[\n{inner}  {slot.join(['%s'] * k)}\n{inner}]" for k in set(map(len, obj))}
+        body = sep.join(map(template.__getitem__, map(len, obj))) % tuple(map(_encode, flat))
+    else:
+        body = sep.join(map(_text, obj, repeat(inner)))
+    return f"[\n{inner}{body}\n{pad}]"
 
 
 def _read_json(path: str | Path):

@@ -29,9 +29,12 @@ def _integral_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
 
 
 def _subtract(r: dict[int, int], c: int, p: dict[int, int]) -> None:
-    """Clear column ``c`` of ``r`` in place: ``r := p[c]*r - r[c]*p``,
-    then divide out the content."""
+    """Clear column ``c`` of ``r`` in place: ``r := (p[c]/g)*r - (r[c]/g)*p``,
+    ``g`` their gcd signed as ``p[c]``, then divide out the content; ``r``
+    is scaled, by a positive factor, only where ``p[c]`` does not divide ``r[c]``."""
     lead, x = p[c], r.pop(c)
+    g = gcd(lead, x) if lead > 0 else -gcd(lead, x)
+    lead, x = lead // g, x // g
     if lead != 1:
         for k in r:
             r[k] *= lead

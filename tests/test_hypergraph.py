@@ -167,6 +167,65 @@ def test_hypergraph_invariants():
     Hypergraph.build(3, ["a"])
 
 
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        (((0, 1),), "edge (0, 1) has wrong arity"),
+        (((0, 1, 3),), "edge (0, 1, 3) references unknown vertex id"),
+        (((-1, 0, 1),), "edge (-1, 0, 1) references unknown vertex id"),
+        (((1, 0, 2),), "edge (1, 0, 2) is not canonical (sorted)"),
+        (((0, 1, 2), (0, 1, 2)), "duplicate edges"),
+        (((0, 1, 2), (0, 0, 1)), "edges not in canonical order"),
+        (((0, 1, 2), (0, 1, 2), (2, 1, 0)), "edge (2, 1, 0) is not canonical (sorted)"),
+        (((0, 0, 1), (0, 1, 7), (0, 1)), "edge (0, 1, 7) references unknown vertex id"),
+    ],
+    ids=["arity", "id-too-large", "negative-id", "unsorted-edge", "duplicate", "out-of-order",
+         "edge-fault-before-duplicate", "first-faulty-edge"],
+)
+def test_direct_construction_names_the_fault(edges, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        Hypergraph(3, ("a", "b", "c"), edges)
+
+
+@pytest.mark.parametrize("edge", [(0, 1, "c"), (0, 1, None)], ids=repr)
+def test_direct_construction_with_a_non_int_id_is_a_type_error(edge):
+    with pytest.raises(TypeError):
+        Hypergraph(3, ("a", "b", "c"), (edge,))
+
+
+def _checked_edges(ell, n, edges):
+    """The per-edge checks of a directly built Hypergraph, one at a time:
+    the reference its whole-sequence checks must agree with."""
+    for e in edges:
+        if len(e) != ell:
+            return f"edge {e} has wrong arity"
+        if any(not (0 <= v < n) for v in e):
+            return f"edge {e} references unknown vertex id"
+        if tuple(sorted(e)) != e:
+            return f"edge {e} is not canonical (sorted)"
+    if len(set(edges)) != len(edges):
+        return "duplicate edges"
+    if tuple(sorted(edges)) != edges:
+        return "edges not in canonical order"
+    return None
+
+
+ids_edge = st.lists(st.integers(-1, 4), min_size=2, max_size=4)
+edge_lists = st.lists(st.one_of(ids_edge.map(tuple), ids_edge.map(sorted).map(tuple)), max_size=5)
+
+
+@given(st.one_of(edge_lists.map(tuple), edge_lists.map(sorted).map(tuple)))
+@settings(max_examples=300, deadline=None)
+def test_direct_construction_agrees_with_the_per_edge_checks(edges):
+    expected = _checked_edges(3, 4, edges)
+    try:
+        Hypergraph(3, ("a", "b", "c", "d"), edges)
+    except DomainError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+
+
 def test_duplicate_orbits_collapse_with_warning(caplog):
     doc = {
         "ell": 3,
@@ -226,6 +285,30 @@ def test_json_rejects_bool_arity():
 def test_json_edge_messages_name_the_first_faulty_edge(edges, message):
     doc = {"ell": 3, "vertices": ["a", "b", "c"], "edges": edges}
     with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        hypergraph_from_json(doc)
+
+
+json_labels = st.sampled_from(["a", "b", "c", "z", ["c"], 1])
+json_edges = st.one_of(
+    st.lists(json_labels, min_size=2, max_size=4), st.sampled_from(["abc", {"a": 1}, None])
+)
+
+
+@given(st.lists(json_edges, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_json_edge_message_names_the_first_faulty_edge_in_list_order(edges):
+    doc = {"ell": 3, "vertices": ["a", "b", "c"], "edges": edges}
+    for e in edges:  # the first edge of wrong shape or with an unknown label is named
+        if not isinstance(e, list) or len(e) != 3:
+            expected = f"edge {e!r} must be an array of 3 vertex labels"
+            break
+        if not all(lab in ("a", "b", "c") for lab in e):
+            expected = f"edge {e!r} references unknown vertex"
+            break
+    else:
+        assert hypergraph_from_json(doc).n_edges <= len(edges)
+        return
+    with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
         hypergraph_from_json(doc)
 
 
