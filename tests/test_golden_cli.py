@@ -49,6 +49,10 @@ CASES = {
     "frame-stdout": "frame --in {in}/random12.json",
     "frame-disconnected": "frame --in {in}/two_triangles.json",
     "frame-hostile-labels": "frame --in {in}/hostile.json --out {out}/frame.json",
+    "frame-random60-collapsing": "frame --in {in}/random60_m60.json --out {out}/frame.json "
+    "--classes {out}/classes.json",
+    "frame-random60-near-discrete": "frame --in {in}/random60_m52.json --out {out}/frame.json "
+    "--classes {out}/classes.json",
     "components-fan": "components --in {in}/fan5.json",
     "components-two": "components --in {in}/two_triangles.json",
     "components-ell4": "components --in {in}/ell4_repeat.json",
