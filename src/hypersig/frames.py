@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .hypergraph import Hypergraph, Partition, hypergraph_to_json, quotient
+from .hypergraph import Hypergraph, Partition, hypergraph_to_json
 from .signals import LinearMap, _certified_signal, universal_map
 
 
@@ -44,19 +44,19 @@ def fusion(h: Hypergraph, t: LinearMap) -> Partition:
     ``(w'_a/sigma_a - w'_0/sigma_0) * (u_0(e[j]) - u_0(e[0])) = 0``, so
     ``u_0`` and then every axis is constant: one class. Under rank 1,
     every row a multiple of ``v``, ``s`` is admissible iff ``v_a * s_a``
-    is under the coordinate-sum map, whose fusion is certified from one
-    kernel vector of the edge-sum system
+    is under the coordinate-sum map, whose fusion is certified on the
+    frame: the frame's edge-sum nullity equals H's
     (:func:`~hypersig.signals._universal_fusion`). Every case returns
     the level sets of one signal re-verified under ``t``.
     """
-    return _certified_signal(h, t)[1]
+    return _certified_signal(h, t)[2]
 
 
 def frame(h: Hypergraph, t: LinearMap | None = None) -> FrameResult:
     """Frame of ``h`` under ``t`` (default: the coordinate-sum map): the
-    quotient by the fusion partition."""
-    part = fusion(h, universal_map(h.ell) if t is None else t)
-    return FrameResult(frame=quotient(h, part), fusion=part)
+    quotient by the fusion partition, built once with the partition."""
+    _, g, part = _certified_signal(h, universal_map(h.ell) if t is None else t)
+    return FrameResult(frame=g, fusion=part)
 
 
 def is_stable(h: Hypergraph) -> bool:

@@ -17,7 +17,7 @@ import os
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain, permutations, repeat
-from operator import lt
+from operator import le, lt
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -52,9 +52,12 @@ class Hypergraph:
             raise DomainError("vertex labels must be distinct")
         n = len(self.vertices)
         with suppress(TypeError):  # whole-sequence checks; the loop below words the fault
+            edges = self.edges
+            cols = tuple(zip(*edges))  # cols[j][i] is edges[i][j]: le below pairs e[j], e[j + 1]
             if (
-                set(map(len, edges := self.edges)) <= {self.ell}
-                and tuple(map(tuple, map(sorted, edges))) == edges
+                isinstance(edges, tuple) and all(map(isinstance, edges, repeat(tuple)))
+                and set(map(len, edges)) <= {self.ell}
+                and all(map(le, chain.from_iterable(cols[:-1]), chain.from_iterable(cols[1:])))
                 and all(map(lt, edges, edges[1:]))  # sorted, distinct: edges[0][0] is least
                 and (not edges or 0 <= edges[0][0] and max(chain.from_iterable(edges)) < n)
             ):

@@ -47,6 +47,7 @@ from .hypergraph import (
     _read_json,
     _write_texts,
     is_connected,
+    quotient,
 )
 from .linalg import _forward_echelon, _integral_rows, _kernel_basis, _kernel_vector
 
@@ -531,27 +532,11 @@ def _draw(rng: random.Random, k: int) -> list[int]:
     return [rng.getrandbits(32) for _ in range(k)]
 
 
-def _edge_sum_rows(
-    edges: Sequence[tuple[int, ...]], col: Sequence[int]
-) -> list[tuple[tuple[int, int], ...]]:
-    """The edge-sum system with vertex ``x`` at column ``col[x]``: one row
-    per edge, the number of the edge's vertices at each column and 1 at
-    column ``len(col)`` (``C``, after every vertex column), each distinct
-    row once, in order of first occurrence. Rows are built from the
-    distinct sorted column images, and only an image with a repeated
-    column is counted."""
-    c = len(col)
-    rows = []
-    for image in dict.fromkeys(tuple(sorted(map(col.__getitem__, e))) for e in edges):
-        counts = zip(image, repeat(1)) if len(set(image)) == len(image) else Counter(image).items()
-        rows.append((*counts, (c, 1)))
-    return rows
-
-
-def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[list[list[int]], Partition]:
+def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[list[list[int]], Hypergraph, Partition]:
     """One re-verified admissible signal of connected ``h`` under ``t``, as
-    its integer table ``values[a][x]``, and the fusion partition, which
-    the signal's level sets, on the axes together, realize.
+    its integer table ``values[a][x]``, the frame, built once, and the
+    fusion partition, which the signal's level sets, on the axes together,
+    realize.
 
     The map decides the case (:func:`hypersig.frames.fusion` says why): a
     zero column gives the discrete partition, and the vertex index on that
@@ -567,53 +552,61 @@ def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[list[list[int]], Par
     maps = _integral_rows(t.entries)
     v = _rank_one_row(maps)
     if v is not None:
-        f, c, part = _universal_fusion(h)
+        f, c, g, part = _universal_fusion(h)
         scale = lcm(*v)
         lift = [[x + c for x in f]] + [f] * (ell - 1)
         values = [[x * (scale // v[a]) for x in lift[a]] for a in range(ell)]
-    elif zero := _zero_columns(maps):
-        values = [list(range(n)) if a == zero[0] else [0] * n for a in range(ell)]
-        part = Partition.from_keys(range(n))
     else:
-        values, part = [[0] * n] * ell, Partition.from_keys([0] * n)
+        zero = _zero_columns(maps)
+        values = [list(range(n)) if zero and a == zero[0] else [0] * n for a in range(ell)]
+        part = Partition.from_keys(range(n) if zero else [0] * n)
+        g = quotient(h, part)
     _check_basis(h, maps, [values])
-    return values, part
+    return values, g, part
 
 
-def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Partition]:
-    """Fusion of connected ``h`` under the coordinate-sum map, certified
-    from one kernel vector ``(f, C)`` of the edge-sum system of
-    :func:`_edge_sum_rows`; the signal ``s_0 = f + C``, ``s_a = f``
-    (a >= 1) realizes it, and the partition is the level sets of ``f``.
+def _edge_sum_echelon(h: Hypergraph) -> tuple[dict[int, dict[int, int]], list[int]]:
+    """Forward echelon of the edge-sum system of ``h``, and each vertex's
+    column, vertices in order of increasing degree, ties by id: one row
+    per edge, distinct as the edges are, the number of the edge's vertices
+    at each column (counted only where one repeats) and 1 at column ``n``
+    (``C``, after every vertex column)."""
+    n, edges = h.n_vertices, h.edges
+    degree = Counter(chain.from_iterable(edges))
+    col = [0] * n
+    for i, x in enumerate(sorted(range(n), key=degree.__getitem__)):
+        col[x] = i
+    rows = []
+    for e in edges:
+        image = sorted(map(col.__getitem__, e))
+        counts = zip(image, repeat(1)) if len(set(e)) == len(e) else Counter(image).items()
+        rows.append((*counts, (n, 1)))
+    return _forward_echelon(rows), col
 
-    1. forward echelon of the system, vertices by increasing degree and
-       ``C`` last, rows in descending order of their highest vertex
-       column, which gives its nullity;
+
+def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Hypergraph, Partition]:
+    """Fusion of connected ``h`` under the coordinate-sum map, certified on
+    its frame: one kernel vector ``(f, C)`` of the edge-sum system of
+    :func:`_edge_sum_echelon`, the frame, and the partition, the level
+    sets of ``f``; the signal ``s_0 = f + C``, ``s_a = f`` (a >= 1)
+    realizes it.
+
+    1. the edge-sum echelon of ``h``, which gives its nullity;
     2. one kernel vector, back-substituted from seeded random free values;
-    3. the level sets of its ``f`` as the candidate partition ``P``;
-    4. the certificate: ``P`` is discrete, or the system with the columns
-       of each block of ``P`` summed has the full system's nullity. Its
-       kernel vectors lift injectively to the full kernel vectors that
-       are constant on the blocks, so equal nullity means every kernel
-       vector is constant on the blocks and ``P`` is the fusion.
+    3. the level sets of its ``f`` as the candidate ``P``, and the frame ``h/P``;
+    4. the certificate: ``P`` is discrete, or the frame's edge-sum nullity
+       equals ``h``'s. The frame's system is ``h``'s with the columns of
+       each block of ``P`` summed, each distinct row once, so its kernel
+       vectors lift injectively to those of ``h`` constant on the blocks:
+       equal nullity means every kernel vector is, and ``P`` is the fusion.
 
     A rejected candidate is replaced by a fresh draw, never merged with
     it, so the returned vector alone realizes the partition, and the
     partition does not depend on the draws. ``_MAX_DRAWS`` rejections in
     a row raise an internal error.
     """
-    n, edges = h.n_vertices, h.edges
-
-    def eliminate(group: Sequence[int], k: int) -> tuple[dict[int, dict[int, int]], list[int]]:
-        """Echelon of the system with the vertices of each of the ``k``
-        groups sharing one column, groups in order of increasing degree,
-        and each vertex's column."""
-        degree = Counter(map(group.__getitem__, chain.from_iterable(edges)))
-        place = {g: i for i, g in enumerate(sorted(range(k), key=degree.__getitem__))}
-        col = [place[g] for g in group]
-        return _forward_echelon(_edge_sum_rows(edges, col)), col
-
-    echelon, col = eliminate(range(n), n)
+    n = h.n_vertices
+    echelon, col = _edge_sum_echelon(h)
     free_desc = [c for c in range(n, -1, -1) if c not in echelon]
     nullity = len(free_desc)
     rng = random.Random(_DRAW_SEED)
@@ -621,9 +614,10 @@ def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Partition]:
         v = _kernel_vector(echelon, n + 1, dict(zip(free_desc, _draw(rng, nullity))))
         f = [v[c] for c in col]
         part = Partition.from_keys(f)
-        k = part.n_classes
-        if k == n or k + 1 - len(eliminate(part.class_of, k)[0]) == nullity:
-            return f, v[-1], part
+        g = quotient(h, part)
+        k = g.n_vertices
+        if k == n or k + 1 - len(_edge_sum_echelon(g)[0]) == nullity:
+            return f, v[-1], g, part
     raise HypersigError(f"internal error: no fusion certified in {_MAX_DRAWS} draws")
 
 

@@ -24,6 +24,7 @@ from hypersig import (
     is_stable,
     mountain_range,
     centroid_map,
+    quotient,
     random_hypergraph,
     signal_space,
     universal_map,
@@ -194,7 +195,8 @@ def test_reduced_fusion_matches_assembly_and_oracle(h):
         LinearMap.from_rows([steps, [1] * ell, [c + 1 for c in steps]]),
     ]
     for t in others:
-        values, part = hypersig.signals._certified_signal(h, t)
+        values, g, part = hypersig.signals._certified_signal(h, t)
+        assert g == quotient(h, part)
         assert part == fusion(h, t) == assembly_fusion(h, t)
         assert Partition.from_keys(list(zip(*values))) == part
         assert partition_blocks(part.classes) == oracle_fusion_blocks(h, t)
@@ -299,6 +301,52 @@ def test_certificate_never_accepts_a_wrong_candidate(fan_five, monkeypatch):
         fusion(fan_five, universal_map(3))
     with pytest.raises(HypersigError, match="no fusion certified"):
         fusion(fan(5), LinearMap.from_rows([[1, 2, 3]]))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [fan(5), random_hypergraph(50, 50, 3, 5), random_hypergraph(60, 60, 3, 0)],
+    ids=["fan5", "n50-m50", "n60-m60"],
+)
+def test_certificate_runs_on_the_frame(h, monkeypatch):
+    """The certificate is a fact about the frame it returns: with one
+    frame edge dropped, whichever it is, fusion under U rejects every
+    draw and raises an internal error, never a partition."""
+    real = hypersig.signals.quotient
+    frame_edges = frame(h).frame.n_edges
+    assert frame_edges < h.n_edges
+    for i in range(frame_edges):
+
+        def dropped(g, part, i=i):
+            q = real(g, part)
+            return Hypergraph(q.ell, q.vertices, q.edges[:i] + q.edges[i + 1 :])
+
+        monkeypatch.setattr(hypersig.signals, "quotient", dropped)
+        with pytest.raises(HypersigError, match="no fusion certified"):
+            fusion(h, universal_map(3))
+
+
+def test_frame_builds_its_quotient_once(fan_five, monkeypatch):
+    """``frame`` takes the frame its fusion built: one quotient under U
+    (collapsing inputs included), under C and under a map with a zero
+    column, and the frame is the quotient by the returned partition."""
+    calls = []
+    real = hypersig.hypergraph.quotient
+
+    def counting(h, part):
+        calls.append(part)
+        return real(h, part)
+
+    for module in (hypersig.hypergraph, hypersig.signals, hypersig.frames):
+        if hasattr(module, "quotient"):
+            monkeypatch.setattr(module, "quotient", counting)
+    zero_column = LinearMap.from_rows([[1, 1, 0]])
+    for h in (fan_five, random_hypergraph(60, 60, 3, 0), random_hypergraph(300, 300, 3, 1)):
+        for t in (None, centroid_map(3), zero_column):
+            calls.clear()
+            result = frame(h, t)
+            assert calls == [result.fusion]
+            assert result.frame == real(h, result.fusion)
 
 
 @pytest.mark.parametrize(

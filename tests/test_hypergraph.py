@@ -178,9 +178,13 @@ def test_hypergraph_invariants():
         (((0, 1, 2), (0, 0, 1)), "edges not in canonical order"),
         (((0, 1, 2), (0, 1, 2), (2, 1, 0)), "edge (2, 1, 0) is not canonical (sorted)"),
         (((0, 0, 1), (0, 1, 7), (0, 1)), "edge (0, 1, 7) references unknown vertex id"),
+        (((0, 0, 1), (0, 2, 1)), "edge (0, 2, 1) is not canonical (sorted)"),
+        (((0, 0, 1), [0, 1, 2]), "edge [0, 1, 2] is not canonical (sorted)"),
+        ([(0, 0, 1), (0, 1, 2)], "edges not in canonical order"),
     ],
     ids=["arity", "id-too-large", "negative-id", "unsorted-edge", "duplicate", "out-of-order",
-         "edge-fault-before-duplicate", "first-faulty-edge"],
+         "edge-fault-before-duplicate", "first-faulty-edge", "unsorted-edge-in-order",
+         "list-edge", "list-of-edges"],
 )
 def test_direct_construction_names_the_fault(edges, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):

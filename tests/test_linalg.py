@@ -1,15 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersig import Hypergraph, LinearMap, random_hypergraph
+import hypersig.signals
+from hypersig import Hypergraph, LinearMap, Partition, frame, quotient, random_hypergraph
 from hypersig.linalg import _forward_echelon, _integral_rows, _kernel_basis
-from hypersig.signals import _edge_sum_rows
+from hypersig.signals import _edge_sum_echelon
 from conftest import random_engaged_map, random_multiset_instance
 from oracle import (
     IntegerRows,
@@ -229,22 +231,48 @@ def test_basis_reduced_echelon_shape(m):
         assert pivot, "each basis vector owns a pivot coordinate"
 
 
-def test_edge_sum_rows_match_the_counter_reference():
-    """Rows built from the distinct column images equal the rows counted
-    edge by edge: edges with repeated vertices, a many-to-one ``col`` as
-    in the certificate's quotient system, and equal images kept once."""
-    edges = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (2, 2, 3)]
-    col = [0, 0, 1, 1]
-    assert _edge_sum_rows(edges, col) == [
-        ((0, 2), (1, 1), (4, 1)), ((0, 1), (1, 2), (4, 1)), ((1, 3), (4, 1))
+def _edge_sum_system(h):
+    """The rows :func:`_edge_sum_echelon` hands to the forward echelon,
+    the echelon it returns and each vertex's column."""
+    seen = []
+
+    def capture(rows):
+        seen.append(list(rows))
+        return _forward_echelon(seen[-1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypersig.signals, "_forward_echelon", capture)
+        echelon, col = _edge_sum_echelon(h)
+    (rows,) = seen
+    return rows, echelon, col
+
+
+def test_edge_sum_echelon_rows_match_the_counter_reference():
+    """The rows the one edge-sum routine eliminates equal the rows counted
+    edge by edge, with vertices in order of increasing degree, ties by id:
+    on inputs with repeated vertices and on quotients of them, where
+    more vertices repeat, as on a frame."""
+    h = Hypergraph.build(3, "abcd", [(0, 1, 2), (0, 1, 3), (0, 2, 3), (2, 2, 3)])
+    rows, echelon, col = _edge_sum_system(h)
+    assert col == [1, 0, 3, 2]
+    assert rows == [
+        ((0, 1), (1, 1), (3, 1), (4, 1)),
+        ((0, 1), (1, 1), (2, 1), (4, 1)),
+        ((1, 1), (2, 1), (3, 1), (4, 1)),
+        ((2, 1), (3, 2), (4, 1)),
     ]
     rng = random.Random(14)
     for ell in (3, 4, 5):
         for _ in range(40):
             h = random_multiset_instance(rng, ell, n_max=9, m_max=8)
-            n, k = h.n_vertices, rng.randint(1, h.n_vertices)
-            for col in (list(range(n)), [rng.randrange(k) for _ in range(n)]):
-                assert _edge_sum_rows(h.edges, col) == edge_sum_rows(h.edges, col)
+            k = rng.randint(1, h.n_vertices)
+            for g in (h, quotient(h, Partition.from_keys([rng.randrange(k) for _ in h.vertices]))):
+                rows, echelon, col = _edge_sum_system(g)
+                degree = Counter(chain.from_iterable(g.edges))
+                order = sorted(range(g.n_vertices), key=col.__getitem__)
+                assert order == sorted(range(g.n_vertices), key=degree.__getitem__)
+                assert rows == edge_sum_rows(g.edges, col)
+                assert echelon == _forward_echelon(rows)
 
 
 def _assert_forward_rank_on_shuffles(rows, ncols, rng):
@@ -254,19 +282,20 @@ def _assert_forward_rank_on_shuffles(rows, ncols, rng):
         pivots = _forward_echelon(rows)
         assert len(pivots) == rank
         assert all(min(p) == c for c, p in pivots.items())
+    return rank
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_forward_echelon_rank_matches_reduced_echelon_on_edge_sum_rows(seed):
     """The rank from the forward echelon, which sorts its rows, equals the
     number of pivots of the oracle's reduced echelon form (its Gauss-Jordan
-    ``dense_kernel``), on shuffled copies of the edge-sum rows of
-    sweep-sized inputs and of a quotient of them."""
+    ``dense_kernel``): for the one edge-sum routine, and on shuffled copies
+    of its rows, on sweep-sized inputs and on their frames."""
     rng = random.Random(seed)
     h = random_hypergraph(50, rng.choice((38, 43, 50)), 3, seed)
-    n = h.n_vertices
-    for col in (list(range(n)), [rng.randrange(n // 3) for _ in range(n)]):
-        _assert_forward_rank_on_shuffles(_edge_sum_rows(h.edges, col), n + 1, rng)
+    for g in (h, frame(h).frame):
+        rows, echelon, _ = _edge_sum_system(g)
+        assert len(echelon) == _assert_forward_rank_on_shuffles(rows, g.n_vertices + 1, rng)
 
 
 @given(small_matrices, st.randoms(use_true_random=False))
