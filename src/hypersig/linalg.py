@@ -1,13 +1,16 @@
-"""Exact integer linear algebra: one elimination and its kernel vectors.
+"""Integer linear algebra: two eliminations and their kernel vectors.
 
-The elimination takes integer rows, each its ``(column, value)`` pairs,
-so every result in this module is exact; no floating point appears
-anywhere, and callers build ``fractions.Fraction`` values only for
-output. There is one elimination, a fraction-free forward echelon form.
-Back-substitution from it gives one kernel vector for given free values:
-seeded random values for callers that need the rank and one vector,
-one-hot values for the canonical kernel basis of a map and of the
-signal spaces.
+No floating point appears anywhere, and callers build
+``fractions.Fraction`` values only for output. There are two
+eliminations. The exact one is a fraction-free forward echelon form of
+integer rows, each its ``(column, value)`` pairs: back-substitution from
+it gives one kernel vector for given free values, seeded random values
+for callers that need the rank and one vector, one-hot values for the
+canonical kernel basis of a map and of the signal spaces. The other is a
+bound: the same forward elimination modulo 3 on bitsliced rows, which
+gives the rank modulo 3, at most the rational rank, and each column's
+values over the whole kernel modulo 3, a candidate that the exact
+elimination then certifies on a smaller system.
 """
 
 from __future__ import annotations
@@ -84,6 +87,56 @@ def _forward_echelon(
                 break
             _subtract(r, c, p)
     return pivots
+
+
+def _gf3_kernel(rows: Iterable[tuple[int, int]], ncols: int) -> tuple[int, list[tuple[int, int]]]:
+    """Rank modulo 3 of bitsliced rows, and each column's values over a
+    basis of their kernel modulo 3.
+
+    A vector over GF(3) is two bitmask ints: the columns whose value is 1
+    and those whose value is 2. A difference is seven ``|``/``^``
+    operations on them, and negation swaps the two, so a sum is a
+    difference. The elimination is :func:`_forward_echelon`'s: a row is
+    cleared at its smallest column while that column has a pivot, pivot
+    rows scaled to 1 there, rows furthest right first (support masks in
+    descending order). One back-substitution, from the last column down,
+    then solves every pivot column over the whole kernel basis at once,
+    packed as a vector: the basis vector of free column ``f`` is bit ``f``
+    of each column's packed value. Two columns take equal values on every
+    kernel vector iff their packed values are equal, whatever the basis.
+    """
+    pivots: list[tuple[int, int] | None] = [None] * ncols
+    for one, two in sorted(rows, key=lambda r: r[0] | r[1], reverse=True):
+        while s := one | two:
+            low = s & -s
+            c = low.bit_length() - 1
+            p = pivots[c]
+            if p is None:
+                pivots[c] = (two, one) if two & low else (one, two)
+                break
+            p1, p2 = p if one & low else p[::-1]  # subtract p, or add it
+            t = (one | p1) ^ (two | p2)
+            one, two = (two | p1) ^ t, (one | p2) ^ t
+    pivot_mask = sum(1 << c for c, p in enumerate(pivots) if p)
+    free = (1 << ncols) - 1 ^ pivot_mask
+    values = [(1 << c, 0) for c in range(ncols)]
+    for c in range(ncols - 1, -1, -1):
+        if (p := pivots[c]) is None:
+            continue
+        p1, p2 = p
+        # v[c] = -(sum of p[k] * v[k] for k > c): the free columns' unit
+        # vectors negated at once, then each pivot column's packed value
+        one, two = p2 & free, p1 & free
+        ks = (p1 | p2) & pivot_mask ^ 1 << c
+        while ks:
+            low = ks & -ks
+            ks ^= low
+            v = values[low.bit_length() - 1]
+            b1, b2 = v if p1 & low else v[::-1]  # subtract v[k], or 2 * v[k]
+            t = (one | b1) ^ (two | b2)
+            one, two = (two | b1) ^ t, (one | b2) ^ t
+        values[c] = (one, two)
+    return pivot_mask.bit_count(), values
 
 
 def _kernel_vector(

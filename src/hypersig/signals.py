@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DisconnectedError, DomainError, FormatError, HypersigError, NotEngagedError
 from .hypergraph import (
@@ -49,7 +49,7 @@ from .hypergraph import (
     is_connected,
     quotient,
 )
-from .linalg import _forward_echelon, _integral_rows, _kernel_basis, _kernel_vector
+from .linalg import _forward_echelon, _gf3_kernel, _integral_rows, _kernel_basis, _kernel_vector
 
 _ZERO = Fraction(0)
 
@@ -552,61 +552,160 @@ def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[list[list[int]], Hyp
     maps = _integral_rows(t.entries)
     v = _rank_one_row(maps)
     if v is not None:
-        f, c, g, part = _universal_fusion(h)
         scale = lcm(*v)
-        lift = [[x + c for x in f]] + [f] * (ell - 1)
-        values = [[x * (scale // v[a]) for x in lift[a]] for a in range(ell)]
-    else:
-        zero = _zero_columns(maps)
-        values = [list(range(n)) if zero and a == zero[0] else [0] * n for a in range(ell)]
-        part = Partition.from_keys(range(n) if zero else [0] * n)
-        g = quotient(h, part)
+
+        def lift(f: list[int], c: int) -> list[list[int]]:
+            u = [[x + c for x in f]] + [f] * (ell - 1)
+            return [[x * (scale // v[a]) for x in u[a]] for a in range(ell)]
+
+        return _universal_fusion(h, maps, lift)
+    zero = _zero_columns(maps)
+    values = [list(range(n)) if zero and a == zero[0] else [0] * n for a in range(ell)]
+    part = Partition.from_keys(range(n) if zero else [0] * n)
     _check_basis(h, maps, [values])
-    return values, g, part
+    return values, quotient(h, part), part
+
+
+def _edge_sum_columns(h: Hypergraph) -> list[int]:
+    """Each vertex's column in the edge-sum system of ``h``: vertices in
+    order of increasing degree, ties by id; column ``n`` is ``C``."""
+    degree = Counter(chain.from_iterable(h.edges))
+    col = [0] * h.n_vertices
+    for i, x in enumerate(sorted(range(h.n_vertices), key=degree.__getitem__)):
+        col[x] = i
+    return col
 
 
 def _edge_sum_echelon(h: Hypergraph) -> tuple[dict[int, dict[int, int]], list[int]]:
     """Forward echelon of the edge-sum system of ``h``, and each vertex's
-    column, vertices in order of increasing degree, ties by id: one row
-    per edge, distinct as the edges are, the number of the edge's vertices
-    at each column (counted only where one repeats) and 1 at column ``n``
-    (``C``, after every vertex column)."""
-    n, edges = h.n_vertices, h.edges
-    degree = Counter(chain.from_iterable(edges))
-    col = [0] * n
-    for i, x in enumerate(sorted(range(n), key=degree.__getitem__)):
-        col[x] = i
+    column (:func:`_edge_sum_columns`): one row per edge, distinct as the
+    edges are, the number of the edge's vertices at each column (counted
+    only where one repeats) and 1 at column ``n``."""
+    n, col = h.n_vertices, _edge_sum_columns(h)
     rows = []
-    for e in edges:
+    for e in h.edges:
         image = sorted(map(col.__getitem__, e))
         counts = zip(image, repeat(1)) if len(set(e)) == len(e) else Counter(image).items()
         rows.append((*counts, (n, 1)))
     return _forward_echelon(rows), col
 
 
-def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Hypergraph, Partition]:
+def _edge_sum_gf3_rows(h: Hypergraph, col: list[int]) -> list[tuple[int, int]]:
+    """The rows of :func:`_edge_sum_echelon` modulo 3, bitsliced for
+    :func:`_gf3_kernel`: each edge's columns with count 1 and with count
+    2 modulo 3, ``C`` among the first."""
+    bit, last = [1 << c for c in col], 1 << h.n_vertices
+    rows = []
+    for e in h.edges:
+        one, two = last, 0
+        for b in map(bit.__getitem__, e):  # count each occurrence: 0 -> 1 -> 2 -> 0
+            if one & b:
+                one, two = one ^ b, two | b
+            elif two & b:
+                two ^= b
+            else:
+                one |= b
+        rows.append((one, two))
+    return rows
+
+
+Lift = Callable[[list[int], int], list[list[int]]]
+
+
+def _universal_fusion(
+    h: Hypergraph, maps: list[list[int]], lift: Lift
+) -> tuple[list[list[int]], Hypergraph, Partition]:
     """Fusion of connected ``h`` under the coordinate-sum map, certified on
-    its frame: one kernel vector ``(f, C)`` of the edge-sum system of
-    :func:`_edge_sum_echelon`, the frame, and the partition, the level
-    sets of ``f``; the signal ``s_0 = f + C``, ``s_a = f`` (a >= 1)
-    realizes it.
+    its frame: the table ``lift(f, C)`` of one kernel vector ``(f, C)`` of
+    the edge-sum system, re-verified under the integer map rows ``maps``,
+    the frame, and the partition, the level sets of ``f``; the signal
+    ``s_0 = f + C``, ``s_a = f`` (a >= 1) realizes it under ``U``.
+
+    The certificate: a candidate ``P`` is discrete, or the frame ``h/P``
+    has the edge-sum nullity of ``h``. The frame's system is ``h``'s with
+    the columns of each block of ``P`` summed, each distinct row once, so
+    its kernel vectors lift injectively to those of ``h`` constant on the
+    blocks: equal nullity means every kernel vector is, and the blocks fuse.
+
+    When ``h`` has at least as many edges as vertices, where fusion
+    collapses, ``P`` and the nullity bound come from the kernel modulo 3
+    (:func:`_frame_fusion`): nullity(h/P) <= nullity(h) <= nullity_3(h)
+    over the rationals, so a frame that reaches the bound certifies ``P``
+    without eliminating ``h`` exactly. With fewer edges, fusion is near
+    discrete, the frame nearly ``h``, and the pass modulo 3 pure overhead.
+    Those inputs, and any shortfall, take the exact route:
 
     1. the edge-sum echelon of ``h``, which gives its nullity;
-    2. one kernel vector, back-substituted from seeded random free values;
-    3. the level sets of its ``f`` as the candidate ``P``, and the frame ``h/P``;
-    4. the certificate: ``P`` is discrete, or the frame's edge-sum nullity
-       equals ``h``'s. The frame's system is ``h``'s with the columns of
-       each block of ``P`` summed, each distinct row once, so its kernel
-       vectors lift injectively to those of ``h`` constant on the blocks:
-       equal nullity means every kernel vector is, and ``P`` is the fusion.
+    2. :func:`_certified_draw` on ``h``: ``P`` the level sets of a seeded
+       random kernel vector, certified on its frame;
+    3. the lift re-verified; a failure raises an internal error.
+    """
+    if h.n_edges >= h.n_vertices:
+        found = _frame_fusion(h, maps, lift)
+        if found is not None:
+            return found
+    echelon, col = _edge_sum_echelon(h)
+    found = _certified_draw(h, echelon, col)
+    if found is None:
+        raise HypersigError(f"internal error: no fusion certified in {_MAX_DRAWS} draws")
+    f, c, g, part = found
+    values = lift(f, c)
+    _check_basis(h, maps, [values])
+    return values, g, part
 
-    A rejected candidate is replaced by a fresh draw, never merged with
-    it, so the returned vector alone realizes the partition, and the
-    partition does not depend on the draws. ``_MAX_DRAWS`` rejections in
-    a row raise an internal error.
+
+def _frame_fusion(
+    h: Hypergraph, maps: list[list[int]], lift: Lift
+) -> tuple[list[list[int]], Hypergraph, Partition] | None:
+    """:func:`_universal_fusion` from the kernel of the edge-sum system
+    modulo 3, or None on any shortfall.
+
+    The candidate ``P`` groups the vertices by their values over the whole
+    kernel modulo 3 (:func:`_gf3_kernel`). Its frame ``g = h/P`` is
+    accepted when its exact edge-sum nullity equals the nullity modulo 3
+    of ``h``: rank_3 <= rank_Q bounds the chain nullity(g) <= nullity(h) <=
+    nullity_3(h), so equality makes every kernel vector of ``h`` constant
+    on ``P``'s blocks. :func:`_certified_draw` then runs on the small
+    frame, and the level sets of its vector, lifted through ``P``, are the
+    partition; when ``P`` is the fusion, one draw and no second quotient.
+    A shortfall is a discrete ``P`` (its frame is ``h``), a ``P`` too
+    coarse or a rank modulo 3 below the rational one (the nullities
+    differ), draws that run out, or a lift that fails re-verification on
+    ``h``.
+    """
+    n, col = h.n_vertices, _edge_sum_columns(h)
+    rank, packed = _gf3_kernel(_edge_sum_gf3_rows(h, col), n + 1)
+    p = Partition.from_keys([packed[c] for c in col])
+    if p.is_discrete():
+        return None
+    g = quotient(h, p)
+    echelon, g_col = _edge_sum_echelon(g)
+    if g.n_vertices - len(echelon) != n - rank:
+        return None
+    found = _certified_draw(g, echelon, g_col)
+    if found is None:
+        return None
+    f_g, c, frame, _ = found
+    f = [f_g[x] for x in p.class_of]
+    values = lift(f, c)
+    if _violation(h, maps, values) is not None:
+        return None
+    return values, frame, Partition.from_keys(f)
+
+
+def _certified_draw(
+    h: Hypergraph, echelon: dict[int, dict[int, int]], col: list[int]
+) -> tuple[list[int], int, Hypergraph, Partition] | None:
+    """The first certified draw of fusion on ``h`` under the coordinate-sum
+    map, from its edge-sum echelon and columns: a kernel vector ``(f, C)``
+    back-substituted from seeded random free values, the frame, and the
+    level sets of ``f``, accepted when they are discrete (the frame is
+    ``h``) or their frame's edge-sum nullity equals ``h``'s. A rejected
+    candidate is replaced by a fresh draw, never merged with it, so the
+    returned vector alone realizes the partition, and the partition does
+    not depend on the draws. None after ``_MAX_DRAWS`` rejections.
     """
     n = h.n_vertices
-    echelon, col = _edge_sum_echelon(h)
     free_desc = [c for c in range(n, -1, -1) if c not in echelon]
     nullity = len(free_desc)
     rng = random.Random(_DRAW_SEED)
@@ -614,11 +713,12 @@ def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Hypergraph, Partit
         v = _kernel_vector(echelon, n + 1, dict(zip(free_desc, _draw(rng, nullity))))
         f = [v[c] for c in col]
         part = Partition.from_keys(f)
+        if part.is_discrete():
+            return f, v[-1], h, part
         g = quotient(h, part)
-        k = g.n_vertices
-        if k == n or k + 1 - len(_edge_sum_echelon(g)[0]) == nullity:
+        if g.n_vertices + 1 - len(_edge_sum_echelon(g)[0]) == nullity:
             return f, v[-1], g, part
-    raise HypersigError(f"internal error: no fusion certified in {_MAX_DRAWS} draws")
+    return None
 
 
 # ---------------------------------------------------------------------------

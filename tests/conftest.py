@@ -83,6 +83,32 @@ def random_multiset_instance(
             return h
 
 
+def random_chained_instance(
+    rng: random.Random, ell: int, n: int, m: int, repeats: bool
+) -> Hypergraph:
+    """Connected ``ell``-uniform hypergraph with ``m`` distinct edges
+    covering all ``n`` vertices, deterministic per rng: a spanning chain
+    of edges over a shuffled vertex order, topped up with random edges.
+    With ``repeats``, about a third of the random edges repeat a vertex,
+    some of them three times."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges: set[tuple[int, ...]] = set()
+    covered, i = order[:1], 1
+    while i < n:
+        fresh = order[i : i + ell - 1]
+        i += len(fresh)
+        edges.add(tuple(sorted(fresh + rng.sample(covered, ell - len(fresh)))))
+        covered += fresh
+    while len(edges) < m:
+        e = rng.sample(range(n), ell)
+        if repeats and rng.random() < 0.3:
+            k = rng.randint(2, 3)  # e[0] two or three times
+            e[1:k] = [e[0]] * (k - 1)
+        edges.add(tuple(sorted(e)))
+    return Hypergraph.build(ell, [f"x{i}" for i in range(n)], edges)
+
+
 def random_engaged_map(rng: random.Random, ell: int = 3) -> LinearMap:
     """Random small-integer map with no zero column, r in {1, 2}."""
     r = rng.choice((1, 2))

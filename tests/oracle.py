@@ -4,8 +4,8 @@ The brute-force references are deliberately naive and share no code with
 the library paths they check: constraint systems enumerate all ell!
 permutations per edge, elimination is textbook dense Gauss-Jordan on
 lists of Fractions (identical rows dropped first, which leaves the row
-space and so the RREF kernel basis unchanged), and partitions are plain
-frozensets.
+space and so the RREF kernel basis unchanged), or on residues modulo 3
+for the rank bound of fusion, and partitions are plain frozensets.
 
 The one exception is :func:`assemble_constraints`, the sparse
 sum-matrix (Birkhoff) assembly on all ``ell * n`` coordinates: the
@@ -158,6 +158,41 @@ def dense_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]
         v[f] = Fraction(1)
         for r, c in enumerate(pivot_cols):
             v[c] = -mat[r][f]
+        basis.append(v)
+    return basis
+
+
+def dense_gf3_kernel(rows, ncols: int) -> list[list[int]]:
+    """Kernel basis modulo 3 of integer rows, each its ``(column, value)``
+    pairs, via textbook dense Gauss-Jordan on residues 0, 1, 2: pivots
+    scaled to 1 (2 is its own inverse), one vector per free column, 1
+    there and 0 at the other free columns."""
+    mat = []
+    for row in rows:
+        dense = [0] * ncols
+        for c, v in row:
+            dense[c] = v % 3
+        mat.append(dense)
+    pivot_cols: list[int] = []
+    for col in range(ncols):
+        prow = len(pivot_cols)
+        sel = next((r for r in range(prow, len(mat)) if mat[r][col]), None)
+        if sel is None:
+            continue
+        mat[prow], mat[sel] = mat[sel], mat[prow]
+        inv = mat[prow][col]
+        mat[prow] = [v * inv % 3 for v in mat[prow]]
+        for r in range(len(mat)):
+            if r != prow and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [(a - f * b) % 3 for a, b in zip(mat[r], mat[prow])]
+        pivot_cols.append(col)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivot_cols):
+        v = [0] * ncols
+        v[f] = 1
+        for r, c in enumerate(pivot_cols):
+            v[c] = -mat[r][f] % 3
         basis.append(v)
     return basis
 

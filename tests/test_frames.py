@@ -4,7 +4,12 @@ from itertools import permutations
 
 import pytest
 
-from conftest import random_connected_instance, random_engaged_map, random_multiset_instance
+from conftest import (
+    random_chained_instance,
+    random_connected_instance,
+    random_engaged_map,
+    random_multiset_instance,
+)
 import hypersig.linalg
 import hypersig.signals
 from hypersig import (
@@ -239,12 +244,8 @@ def test_certified_fusion_matches_edge_sum_nullspace():
     assert collapsed >= len(cases) // 2
 
 
-def test_fusion_elimination_work_stays_within_its_guard(monkeypatch):
-    """Entries touched by ``_subtract`` while fusion under U runs on a
-    fixed collapsing input, the certificate's elimination included. A
-    count repeats exactly, so this catches a lost row order without a
-    timing: rows in edge order touch 21,508 entries, rows furthest right
-    first 14,520."""
+def count_touched(monkeypatch) -> list[int]:
+    """Entries touched by each ``_subtract`` of the exact elimination."""
     touched = []
     subtract = hypersig.linalg._subtract
 
@@ -253,9 +254,172 @@ def test_fusion_elimination_work_stays_within_its_guard(monkeypatch):
         subtract(r, c, p)
 
     monkeypatch.setattr(hypersig.linalg, "_subtract", counting)
+    return touched
+
+
+def test_fusion_elimination_work_stays_within_its_guard(monkeypatch):
+    """Entries touched by ``_subtract`` while the exact edge-sum
+    elimination runs on a fixed collapsing input. A count repeats
+    exactly, so this catches a lost row order without a timing: rows in
+    edge order touch 21,508 entries, rows furthest right first 14,520."""
+    touched = count_touched(monkeypatch)
+    hypersig.signals._edge_sum_echelon(random_hypergraph(300, 300, 3, 1))
+    assert sum(touched) <= 16_000
+
+
+def record_eliminations(monkeypatch) -> list[int]:
+    """The vertex count of every hypergraph whose edge-sum system is
+    eliminated exactly, in order."""
+    sizes = []
+    real = hypersig.signals._edge_sum_echelon
+
+    def recording(g):
+        sizes.append(g.n_vertices)
+        return real(g)
+
+    monkeypatch.setattr(hypersig.signals, "_edge_sum_echelon", recording)
+    return sizes
+
+
+def test_collapsing_fusion_eliminates_only_the_frame_exactly(monkeypatch):
+    """With at least as many edges as vertices, the candidate comes from
+    the kernel modulo 3 and only its 17-vertex frame is eliminated
+    exactly: ``_subtract`` touches no entry where the exact route on the
+    input touches 14,520. With fewer edges than vertices the exact route
+    runs as before, to the entry."""
+    touched, sizes = count_touched(monkeypatch), record_eliminations(monkeypatch)
     part = fusion(random_hypergraph(300, 300, 3, 1), universal_map(3))
     assert part.n_classes == 17
-    assert sum(touched) <= 16_000
+    assert sizes == [17]
+    assert sum(touched) == 0
+    part = fusion(random_hypergraph(60, 52, 3, 3), universal_map(3))
+    assert part.n_classes == 49
+    assert sizes == [17, 60, 49]
+    assert sum(touched) == 421
+
+
+def record_frame_route(monkeypatch) -> list[bool]:
+    """Whether each call of the route through the candidate modulo 3
+    returned a certified fusion (False: it fell back)."""
+    outcomes = []
+    real = hypersig.signals._frame_fusion
+
+    def recording(*args):
+        found = real(*args)
+        outcomes.append(found is not None)
+        return found
+
+    monkeypatch.setattr(hypersig.signals, "_frame_fusion", recording)
+    return outcomes
+
+
+def candidate_mod_3(h):
+    """The candidate partition modulo 3 and the two ranks it is checked
+    against: modulo 3 and over the rationals."""
+    col = hypersig.signals._edge_sum_columns(h)
+    rows = hypersig.signals._edge_sum_gf3_rows(h, col)
+    rank, packed = hypersig.linalg._gf3_kernel(rows, h.n_vertices + 1)
+    rational = len(hypersig.signals._edge_sum_echelon(h)[0])
+    return Partition.from_keys([packed[c] for c in col]), rank, rational
+
+
+def assert_fusion_is_the_oracles(h, result):
+    assert result.fusion == edge_sum_nullspace_fusion(h)
+    assert result.frame == quotient(h, result.fusion)
+
+
+def test_too_coarse_candidate_falls_back_to_the_exact_route(monkeypatch):
+    """The candidate modulo 3 has 3 classes where the fusion has 4, with
+    equal ranks: its frame's nullity falls short of the bound, so the
+    exact route runs on the input and gives the oracle's partition and
+    frame."""
+    h = random_hypergraph(50, 50, 3, 5)
+    p, rank, rational = candidate_mod_3(h)
+    assert (p.n_classes, rank, rational) == (3, 49, 49)
+    outcomes, sizes = record_frame_route(monkeypatch), record_eliminations(monkeypatch)
+    result = frame(h)
+    assert outcomes == [False]
+    assert sizes == [3, 50, 4]  # candidate frame, the input, the fusion's frame
+    assert result.fusion.n_classes == 4
+    assert_fusion_is_the_oracles(h, result)
+
+
+@pytest.mark.parametrize(
+    "edges,candidate,ranks,sizes",
+    [
+        ([(0, 0, 1), (0, 2, 3), (1, 2, 3), (1, 3, 4), (3, 3, 3), (4, 4, 4)], 3, (4, 5), [3, 5, 1]),
+        ([(0, 0, 1), (0, 2, 2), (1, 1, 2)], 3, (2, 3), [3, 1]),
+    ],
+    ids=["three-classes", "discrete"],
+)
+def test_rank_deficient_candidate_falls_back_to_the_exact_route(
+    edges, candidate, ranks, sizes, monkeypatch
+):
+    """A vertex three times in an edge vanishes modulo 3, as do the
+    three twice-counted vertices of the second input, so the rank modulo
+    3 is below the rational one: no frame reaches the bound, and the
+    exact route gives the oracle's partition and frame. A discrete
+    candidate, whose frame is the input, goes to the exact route without
+    eliminating the input twice."""
+    n = 1 + max(map(max, edges))
+    h = Hypergraph.build(3, [f"v{i}" for i in range(n)], edges)
+    p, rank, rational = candidate_mod_3(h)
+    assert (p.n_classes, (rank, rational)) == (candidate, ranks)
+    outcomes, sizes_seen = record_frame_route(monkeypatch), record_eliminations(monkeypatch)
+    result = frame(h)
+    assert outcomes == [False]
+    assert sizes_seen == sizes
+    assert result.fusion.n_classes == 1
+    assert_fusion_is_the_oracles(h, result)
+    assert partition_blocks(result.fusion.classes) == oracle_fusion_blocks(h, universal_map(3))
+
+
+def test_lift_that_fails_reverification_falls_back_to_the_exact_route(monkeypatch):
+    """A candidate frame missing an edge reaches the bound, and the lift
+    of its kernel vector breaks an edge of the input: the route falls back
+    on the failed re-verification, not on an error, and the exact route
+    gives the oracle's partition and frame."""
+    h = random_hypergraph(50, 50, 3, 5)
+    real = hypersig.signals.quotient
+    calls = []
+
+    def first_drops_an_edge(g, part):
+        q = real(g, part)
+        calls.append(part)
+        return q if len(calls) > 1 else Hypergraph(q.ell, q.vertices, q.edges[1:])
+
+    witnesses = []
+    violation = hypersig.signals._violation
+
+    def recording(*args):
+        witnesses.append(violation(*args))
+        return witnesses[-1]
+
+    monkeypatch.setattr(hypersig.signals, "quotient", first_drops_an_edge)
+    monkeypatch.setattr(hypersig.signals, "_violation", recording)
+    outcomes = record_frame_route(monkeypatch)
+    result = frame(h)
+    assert outcomes == [False]
+    assert witnesses[0] is not None and witnesses[-1] is None
+    assert_fusion_is_the_oracles(h, result)
+
+
+def test_frame_route_matches_the_exact_route_and_the_oracle(monkeypatch):
+    """Differential on seeded inputs with at least as many edges as
+    vertices (ell 3-6, n <= 80, m up to 2n, every other one with repeated
+    vertices): the partition and frame equal the exact route's on the
+    input and the oracle's whole edge-sum kernel; the candidate route and
+    its fallback both run."""
+    rng = random.Random(22)
+    outcomes = record_frame_route(monkeypatch)
+    for i in range(100):
+        ell, n = rng.randint(3, 6), rng.randint(8, 80)
+        h = random_chained_instance(rng, ell, n, rng.randint(n, 2 * n), repeats=i % 2 == 1)
+        result = frame(h)
+        _, _, g, part = hypersig.signals._certified_draw(h, *hypersig.signals._edge_sum_echelon(h))
+        assert (result.fusion, result.frame) == (part, g)
+        assert_fusion_is_the_oracles(h, result)
+    assert len(outcomes) == 100 and 0 < outcomes.count(False) < 10
 
 
 def test_certificate_rejects_a_draw_that_merges_too_much(fan_five, monkeypatch):

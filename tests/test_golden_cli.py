@@ -53,6 +53,8 @@ CASES = {
     "--classes {out}/classes.json",
     "frame-random60-near-discrete": "frame --in {in}/random60_m52.json --out {out}/frame.json "
     "--classes {out}/classes.json",
+    "frame-random50-too-coarse": "frame --in {in}/random50_m50.json --out {out}/frame.json "
+    "--classes {out}/classes.json",
     "components-fan": "components --in {in}/fan5.json",
     "components-two": "components --in {in}/two_triangles.json",
     "components-ell4": "components --in {in}/ell4_repeat.json",

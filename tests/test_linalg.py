@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 import hypersig.signals
 from hypersig import Hypergraph, LinearMap, Partition, frame, quotient, random_hypergraph
-from hypersig.linalg import _forward_echelon, _integral_rows, _kernel_basis
-from hypersig.signals import _edge_sum_echelon
+from hypersig.linalg import _forward_echelon, _gf3_kernel, _integral_rows, _kernel_basis
+from hypersig.signals import _edge_sum_echelon, _edge_sum_gf3_rows
 from conftest import random_engaged_map, random_multiset_instance
 from oracle import (
     IntegerRows,
     assemble_constraints,
     canonical_kernel,
     dense_constraint_rows,
+    dense_gf3_kernel,
     dense_kernel,
     edge_sum_rows,
 )
@@ -249,9 +250,10 @@ def _edge_sum_system(h):
 
 def test_edge_sum_echelon_rows_match_the_counter_reference():
     """The rows the one edge-sum routine eliminates equal the rows counted
-    edge by edge, with vertices in order of increasing degree, ties by id:
-    on inputs with repeated vertices and on quotients of them, where
-    more vertices repeat, as on a frame."""
+    edge by edge, with vertices in order of increasing degree, ties by id,
+    and so do the bitsliced rows modulo 3: on inputs with repeated
+    vertices and on quotients of them, where more vertices repeat, as on
+    a frame."""
     h = Hypergraph.build(3, "abcd", [(0, 1, 2), (0, 1, 3), (0, 2, 3), (2, 2, 3)])
     rows, echelon, col = _edge_sum_system(h)
     assert col == [1, 0, 3, 2]
@@ -273,6 +275,7 @@ def test_edge_sum_echelon_rows_match_the_counter_reference():
                 assert order == sorted(range(g.n_vertices), key=degree.__getitem__)
                 assert rows == edge_sum_rows(g.edges, col)
                 assert echelon == _forward_echelon(rows)
+                assert _edge_sum_gf3_rows(g, col) == bitsliced(rows)
 
 
 def _assert_forward_rank_on_shuffles(rows, ncols, rng):
@@ -319,3 +322,60 @@ def test_kernel_basis_vectors_are_primitive_and_one_hot_on_the_free_columns(m):
         assert all(v[c] == 0 for c in free if c != f)
         assert not any(v[f + 1 :])
         assert all(sum(x * v[c] for c, x in row) == 0 for row in m.rows)
+
+
+gf3_systems = st.integers(min_value=1, max_value=10).flatmap(
+    lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(
+            st.lists(st.integers(min_value=-9, max_value=9), min_size=ncols, max_size=ncols).map(
+                lambda r: tuple((c, v) for c, v in enumerate(r) if v)
+            ),
+            max_size=10,
+        ),
+    )
+)
+
+
+def bitsliced(rows):
+    """Integer rows modulo 3 as the bitmask pairs of their columns valued
+    1 and valued 2."""
+    return [
+        tuple(sum(1 << c for c, v in row if v % 3 == r) for r in (1, 2)) for row in rows
+    ]
+
+
+def _assert_gf3_kernel_matches_the_oracle(rows, ncols):
+    basis = dense_gf3_kernel(rows, ncols)
+    rank, packed = _gf3_kernel(bitsliced(rows), ncols)
+    assert rank == ncols - len(basis)
+    signatures = [tuple(v[c] for v in basis) for c in range(ncols)]
+    assert Partition.from_keys(packed) == Partition.from_keys(signatures)
+    return rank
+
+
+@given(gf3_systems)
+@settings(max_examples=150, deadline=None)
+def test_gf3_kernel_matches_dense_gauss_jordan_mod_3(system):
+    """The rank modulo 3 and the grouping of columns by their values over
+    the kernel modulo 3 equal the oracle's dense Gauss-Jordan on residues,
+    on integer rows with entries that vanish modulo 3 and negative ones."""
+    ncols, rows = system
+    _assert_gf3_kernel_matches_the_oracle(rows, ncols)
+
+
+def test_gf3_rank_bounds_the_edge_sum_rank_from_below():
+    """On edge-sum systems with repeated vertices at ell 3 to 6, the GF(3)
+    kernel matches the oracle and its rank is at most the rational one;
+    a vertex three times in an edge makes it smaller on some of them."""
+    rng = random.Random(22)
+    below = 0
+    for ell in (3, 4, 5, 6) * 15:
+        h = random_multiset_instance(rng, ell, n_max=9, m_max=10)
+        rows, _, _ = _edge_sum_system(h)
+        rank = _assert_gf3_kernel_matches_the_oracle(rows, h.n_vertices + 1)
+        rational = len(_forward_echelon(rows))
+        assert rank <= rational
+        below += rank < rational
+    assert below > 0
+
