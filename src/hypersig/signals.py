@@ -32,8 +32,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, count, islice, repeat
 from math import lcm
+from operator import add, ne, sub
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -168,10 +169,14 @@ def find_violation(
     permutation sum of ``A``, and the permutation matrices span exactly
     the matrices whose row and column sums are all equal (Birkhoff), so
     every one holds iff the trace of ``A`` is zero and
-    ``A[a][j] - A[a][0] == A[0][j] - A[0][0]`` for all ``a, j >= 1``.
-    Only on the first edge that fails is the first violated (arrangement,
-    map row) located, in the lexicographic order of the edge's distinct
-    arrangements, by the prefix search of :func:`_first_witness`.
+    ``A[a][j] - A[a][0] == A[0][j] - A[0][0]`` for all ``a, j >= 1``. In
+    column form, with ``V_a = w_a * s_a``: the trace ``sum_a V_a[e[a]]``
+    is zero, and ``D_a = V_a - V_0`` is constant on the edge for every
+    ``a >= 1``; :func:`_violation` checks both over the edge columns.
+    Only the first edge that fails reaches the prefix search of
+    :func:`_first_witness`, which locates the first violated
+    (arrangement, map row) in the lexicographic order of the edge's
+    distinct arrangements.
 
     Integer only: the signal is scaled by the lcm of all its value
     denominators and each map row by the lcm of its own, which keeps
@@ -192,23 +197,42 @@ def _violation(
     h: Hypergraph, maps: Sequence[Sequence[int]], values: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
     """:func:`find_violation` on an integer signal table ``values[a][x]``,
-    with the map given by its integer rows."""
-    # per map row w, the pairs (w_a, s_a), so that A[a][j] = w_a * s_a(e[j])
-    terms = [list(zip(w, values)) for w in maps]
-    checks = [(row, *row[0], row[1:]) for row in terms]
-    for e in h.edges:
-        x0, tail = e[0], e[1:]
-        # the sum-matrix test: a zero trace, and for all a, j >= 1
-        # A[a][j] - A[a][0] == A[0][j] - A[0][0]
-        for row, c0, v0, rest in checks:
-            if sum(c * col[x] for (c, col), x in zip(row, e)) or any(
-                c * (col[x] - col[x0]) != c0 * (v0[x] - v0[x0]) for x in tail for c, col in rest
-            ):
-                break
-        else:
-            continue
-        return (e, *_first_witness(e, terms))
-    return None
+    with the map given by its integer rows.
+
+    The edges are read as their ``ell`` columns ``col_j``, the ``j``-th
+    vertex of every edge, and each map row ``w`` is decided in C-level
+    passes over them. With ``V_a = w_a * s_a``, the test
+    ``A[a][j] - A[a][0] == A[0][j] - A[0][0]`` says that
+    ``D_a = V_a - V_0`` takes one value on the edge, so an edge holds iff
+    its trace ``sum_a V_a[e[a]]`` is zero and every ``D_a``, ``a >= 1``,
+    is constant on it: one pass for the trace, and one per pair
+    ``a, j >= 1`` comparing ``D_a`` at ``col_j`` with ``D_a`` at
+    ``col_0`` (none for a ``D_a`` constant on every vertex). Only the
+    first failing edge, over every pass and map row, reaches the prefix
+    search of :func:`_first_witness`.
+    """
+    edges = h.edges
+    if not edges:
+        return None
+    col0, *cols = zip(*edges)
+    first = len(edges)  # the first failing edge found so far, or len(edges)
+    for w in maps:
+        v0, *vs = (s if c == 1 else list(map(c.__mul__, s)) for c, s in zip(w, values))
+        trace = map(v0.__getitem__, col0)
+        for va, col in zip(vs, cols):
+            trace = map(add, trace, map(va.__getitem__, col))
+        checks = [trace]
+        for va in vs:
+            d = list(map(sub, va, v0))
+            if d.count(d[0]) < len(d):
+                at0 = list(map(d.__getitem__, col0))
+                checks += (map(ne, map(d.__getitem__, col), at0) for col in cols)
+        for check in checks:  # a check is truthy at each edge it fails
+            first = next(compress(count(), islice(check, first)), first)
+    if first == len(edges):
+        return None
+    e = edges[first]
+    return (e, *_first_witness(e, [list(zip(w, values)) for w in maps]))
 
 
 def _first_witness(
@@ -552,11 +576,11 @@ def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[list[list[int]], Hyp
     maps = _integral_rows(t.entries)
     v = _rank_one_row(maps)
     if v is not None:
-        scale = lcm(*v)
+        mu = [lcm(*v) // x for x in v]
 
         def lift(f: list[int], c: int) -> list[list[int]]:
             u = [[x + c for x in f]] + [f] * (ell - 1)
-            return [[x * (scale // v[a]) for x in u[a]] for a in range(ell)]
+            return [row if m == 1 else [x * m for x in row] for m, row in zip(mu, u)]
 
         return _universal_fusion(h, maps, lift)
     zero = _zero_columns(maps)
@@ -667,7 +691,8 @@ def _frame_fusion(
     nullity_3(h), so equality makes every kernel vector of ``h`` constant
     on ``P``'s blocks. :func:`_certified_draw` then runs on the small
     frame, and the level sets of its vector, lifted through ``P``, are the
-    partition; when ``P`` is the fusion, one draw and no second quotient.
+    partition; when ``P`` is the fusion, one draw, no second quotient, and
+    ``P`` itself is the partition.
     A shortfall is a discrete ``P`` (its frame is ``h``), a ``P`` too
     coarse or a rank modulo 3 below the rational one (the nullities
     differ), draws that run out, or a lift that fails re-verification on
@@ -690,7 +715,7 @@ def _frame_fusion(
     values = lift(f, c)
     if _violation(h, maps, values) is not None:
         return None
-    return values, frame, Partition.from_keys(f)
+    return values, frame, p if frame is g else Partition.from_keys(f)
 
 
 def _certified_draw(

@@ -12,7 +12,10 @@ sum-matrix (Birkhoff) assembly on all ``ell * n`` coordinates: the
 differential reference for ``signal_space``'s reduced system, fast
 enough for larger inputs. It shares the canonical kernel basis, the
 integer map rows and the arity check with the library; the brute-force
-references check it in turn.
+references check it in turn. :func:`edge_loop_violation` runs the
+verifier's sum-matrix test edge by edge in plain Python, the
+differential reference for its columnar passes; it shares the witness
+locator with the library.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, combinations, permutations, product
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from hypersig import Hypergraph, LinearMap
 from hypersig.linalg import _integral_rows, _kernel_basis
-from hypersig.signals import _check_arity
+from hypersig.signals import _check_arity, _first_witness
 
 
 class IntegerRows(NamedTuple):
@@ -96,6 +99,27 @@ def edge_sum_rows(edges, col) -> list[tuple[tuple[int, int], ...]]:
     c = len(col)
     rows = {tuple(sorted(Counter(col[v] for v in e).items())) + ((c, 1),): None for e in edges}
     return list(rows)
+
+
+def edge_loop_violation(
+    h: Hypergraph, maps: Sequence[Sequence[int]], values: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+    """First (edge, arrangement, map row) that the integer signal table
+    ``values[a][x]`` violates under the integer map rows ``maps``, or
+    None: the sum-matrix test edge by edge and map row by map row, a zero
+    trace and ``A[a][j] - A[a][0] == A[0][j] - A[0][0]`` for all
+    ``a, j >= 1``, the first failing edge handed to ``_first_witness``."""
+    # per map row w, the pairs (w_a, s_a), so that A[a][j] = w_a * s_a(e[j])
+    terms = [list(zip(w, values)) for w in maps]
+    checks = [(row, *row[0], row[1:]) for row in terms]
+    for e in h.edges:
+        x0, tail = e[0], e[1:]
+        for row, c0, v0, rest in checks:
+            if sum(c * col[x] for (c, col), x in zip(row, e)) or any(
+                c * (col[x] - col[x0]) != c0 * (v0[x] - v0[x0]) for x in tail for c, col in rest
+            ):
+                return (e, *_first_witness(e, terms))
+    return None
 
 
 def grid_search_functional(t: LinearMap) -> tuple[int, ...]:

@@ -3,12 +3,14 @@ import re
 import time
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    random_chained_instance,
     random_connected_instance,
     random_covered_instance,
     random_engaged_map,
@@ -55,6 +57,7 @@ from oracle import (
     assemble_constraints,
     dense_constraint_rows,
     dense_kernel,
+    edge_loop_violation,
     grid_search_functional,
     oracle_signal_basis,
     oracle_signal_dimension,
@@ -388,6 +391,104 @@ def test_find_violation_sum_matrix_test_catches_trace_and_single_minor():
         witness = find_violation(h, t, sig)
         assert witness == dense_witness(h, t, sig)
         assert witness == ((0, 0, 1, 2), arrangement, 0)
+
+
+def integer_table(sig):
+    """The signal's values over the lcm of their denominators, the
+    integer table find_violation checks."""
+    scale = lcm(*(v.denominator for row in sig.values for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in sig.values]
+
+
+def test_violation_matches_the_edge_loop_reference():
+    """The columnar verifier reports the edge loop's whole witness, or
+    None, on seeded inputs (ell 3-6, n <= 40, m <= 80, every other one
+    with repeated vertices) under 1-3 integer map rows with zero entries,
+    a quarter of them with a zero row. The signals are integer
+    combinations of basis signals admissible under the whole map or under
+    its first row alone (so later rows fail), perturbed at 0-2 vertices
+    first met in the edge list's second half, so that the first failing
+    edge is often deep."""
+    rng = random.Random(2323)
+    passed, deep, rows = 0, 0, set()
+    for i in range(60):
+        ell = rng.randint(3, 6)
+        n = rng.randint(ell + 4, 40)
+        m = rng.randint(-(-(n - 1) // (ell - 1)), min(80, 2 * n))
+        h = random_chained_instance(rng, ell, n, m, repeats=i % 2 == 1)
+        maps = [[rng.choice((-2, -1, 0, 1, 1, 2, 3)) for _ in range(ell)] for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.25:
+            maps[rng.randrange(len(maps))] = [0] * ell
+        t = LinearMap.from_rows(maps)
+        first_edge = {}
+        for k, e in enumerate(h.edges):
+            first_edge.update((x, k) for x in e if x not in first_edge)
+        late = [x for x, k in first_edge.items() if k >= m // 2] or list(first_edge)
+        bases = [signal_space(h, t).signals(), signal_space(h, LinearMap(1, ell, t.entries[:1])).signals()]
+        for j in range(4):
+            values = [[0] * n for _ in range(ell)]
+            for sig in rng.sample(bases[j % 2], min(len(bases[j % 2]), 2)):
+                c = rng.choice((-3, -2, -1, 1, 2, 3))
+                for a, row in enumerate(integer_table(sig)):
+                    values[a] = [v + c * y for v, y in zip(values[a], row)]
+            for _ in range(rng.choice((0, 1, 2))):
+                values[rng.randrange(ell)][rng.choice(late)] += rng.choice((-1, 1))
+            witness = hypersig.signals._violation(h, maps, values)
+            assert witness == edge_loop_violation(h, maps, values)
+            if witness is None:
+                passed += 1
+            else:
+                deep += h.edges.index(witness[0]) >= m / 2
+                rows.add(witness[2])
+    assert passed > 40 and deep > 20 and rows == {0, 1, 2}
+
+
+def test_violation_names_the_earlier_edge_of_a_later_map_row():
+    """Map row 1 fails at the second edge, row 0 only at the third: the
+    witness is the second edge, with row 1."""
+    h = Hypergraph.build(3, [f"x{i}" for i in range(5)], [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
+    maps = [[0, 1, -1], [1, 0, 0]]
+    values = [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0] * 5]
+    assert edge_loop_violation(h, maps[:1], values)[0] == (2, 3, 4)
+    witness = ((1, 2, 3), (3, 1, 2), 1)
+    assert hypersig.signals._violation(h, maps, values) == witness
+    assert edge_loop_violation(h, maps, values) == witness
+
+
+def test_violation_finds_a_failure_at_the_last_edge_only():
+    h = Hypergraph.build(3, [f"x{i}" for i in range(7)], [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
+    sig = Signal.from_rows([[0] * 6 + [1], [0] * 7, [0] * 7])
+    assert find_violation(h, universal_map(3), sig) == ((4, 5, 6), (6, 4, 5), 0)
+    assert find_violation(h, universal_map(3), sig) == dense_witness(h, universal_map(3), sig)
+
+
+def test_violation_on_an_edge_free_hypergraph_is_none():
+    h = Hypergraph.build(3, ["a", "b"], [])
+    assert hypersig.signals._violation(h, [[1, 2, 3]], [[1, 2], [3, 4], [5, 6]]) is None
+    assert find_violation(h, centroid_map(3), Signal.from_rows([[1, 2], [3, 4], [5, 6]])) is None
+
+
+def test_violation_under_a_map_with_a_zero_column():
+    """Under the row (2, -1, 0) axis 2 is free, so its values never fail;
+    s_1 moved at vertex 2 fails the second arrangement of the first edge."""
+    h = Hypergraph.build(3, [f"x{i}" for i in range(7)], [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
+    t = LinearMap.from_rows([[2, -1, 0]])
+    sig = Signal.from_rows([[1] * 7, [2] * 7, range(7)])
+    assert find_violation(h, t, sig) is None
+    moved = Signal.from_rows([[1] * 7, [2, 2, 3, 2, 2, 2, 2], range(7)])
+    assert find_violation(h, t, moved) == ((0, 1, 2), (0, 2, 1), 0)
+    assert find_violation(h, t, moved) == dense_witness(h, t, moved)
+
+
+def test_check_basis_raises_with_the_first_witness():
+    h = Hypergraph.build(3, [f"x{i}" for i in range(5)], [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
+    maps = [[0, 1, -1], [1, 0, 0]]
+    admissible = [[0] * 5, [1] * 5, [1] * 5]
+    failing = [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0] * 5]
+    hypersig.signals._check_basis(h, maps, [admissible])
+    message = "internal error: basis signal fails at ((1, 2, 3), (3, 1, 2), 1)"
+    with pytest.raises(HypersigError, match=f"^{re.escape(message)}$"):
+        hypersig.signals._check_basis(h, maps, [admissible, failing])
 
 
 def test_verify_shape_mismatch(triangle):
