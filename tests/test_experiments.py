@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import random
 from fractions import Fraction
 from math import comb
@@ -50,16 +51,21 @@ def test_random_hypergraph_bridging_fallback():
 def test_sampler_draws_exactly_as_random_sample(ell):
     # random.sample keeps a pool list up to n = 21 (n = 85 at ell 6-7) and
     # a set of chosen values above; both sides of both thresholds
-    for n in [*range(ell, 31), 50, 84, 85, 86, 300]:
-        for seed in range(3):
-            m = min(comb(n, ell), 1 + 4 * seed)
-            start = {tuple(range(ell))} if seed == 2 else set()
-            ours, theirs = random.Random(seed), random.Random(seed)
-            expected = set(start)
-            while len(expected) < m:
-                expected.add(tuple(sorted(theirs.sample(range(n), ell))))
-            assert _sample_simple_edges(ours, n, m, ell, start) == expected, (n, seed)
-            assert ours.getstate() == theirs.getstate(), (n, seed)
+    cases = [
+        (n, min(comb(n, ell), 1 + 4 * seed), seed)
+        for n in [*range(ell, 31), 50, 84, 85, 86, 300]
+        for seed in range(3)
+    ]
+    if ell == 3:  # sweep-sized m: duplicate edges get redrawn, every order gets sorted
+        cases += [(n, m, seed) for n, m in ((50, 38), (50, 50), (300, 300)) for seed in range(3)]
+    for n, m, seed in cases:
+        start = {tuple(range(ell))} if seed == 2 else set()
+        ours, theirs = random.Random(seed), random.Random(seed)
+        expected = set(start)
+        while len(expected) < m:
+            expected.add(tuple(sorted(theirs.sample(range(n), ell))))
+        assert _sample_simple_edges(ours, n, m, ell, start) == expected, (n, m, seed)
+        assert ours.getstate() == theirs.getstate(), (n, m, seed)
 
 
 def test_random_hypergraph_draws_are_pinned_at_ell_6():
@@ -73,6 +79,23 @@ def test_random_hypergraph_draws_are_pinned_at_ell_6():
                 digest.update(dumps_hypergraph(h).encode())
     assert digest.hexdigest() == (
         "c7ec625d1328c4c2323071082e3b96e99c2085d23bc5e22b6a70b6bc782e910a"
+    )
+
+
+def test_random_hypergraph_draws_are_pinned_at_ell_3(caplog):
+    # digest of these instances as random.sample drew them: n = 22 is the
+    # first n above sample's pool threshold, m is near-discrete (average
+    # degree 2.6) or m = n; 6 of the 16 take the chained fallback
+    digest = hashlib.sha256()
+    with caplog.at_level(logging.INFO, logger="hypersig.experiments"):
+        for n in (22, 50, 60, 200):
+            for m in (round(2.6 * n / 3), n):
+                for seed in range(2):
+                    h = random_hypergraph(n, m, 3, seed)
+                    digest.update(dumps_hypergraph(h).encode())
+    assert sum("fell back" in r.getMessage() for r in caplog.records) == 6
+    assert digest.hexdigest() == (
+        "b90cdba3803f30f37137146eeebdee4cef9c76eb151ef66b36010720d1871539"
     )
 
 

@@ -59,12 +59,14 @@ CASES = {
     "components-two": "components --in {in}/two_triangles.json",
     "components-ell4": "components --in {in}/ell4_repeat.json",
     "generate-random": "generate random --n 12 --m 9 --seed 4",
+    "generate-random60": "generate random --n 60 --m 52 --seed 5",
     "generate-random-ell4": "generate random --n 9 --m 5 --ell 4 --seed 1",
     "generate-fan": "generate fan --n 4",
     "generate-mountain": "generate mountain --n 3 --out {out}/mountain.json",
     "sweep": "sweep --sizes 8,10 --densities 1,1.5 --runs 2 --seed 3",
     "sweep-avg-degree": "sweep --sizes 12 --densities 2.5,3 --runs 2 --seed 1 "
     "--density-mode avg-degree --out {out}/sweep.csv",
+    "sweep-n50": "sweep --sizes 50 --densities 2.3,3 --runs 3 --seed 0 --density-mode avg-degree",
     "verify-pass": "verify --in {in}/triangle.json --signal {in}/sig_pass.json --map {in}/skew.json",
     "verify-fail": "verify --in {in}/triangle.json --signal {in}/sig_fail.json --map {in}/skew.json",
     "verify-fail-ell5": "verify --in {in}/ell5_repeat.json --signal {in}/sig_fail_ell5.json "
