@@ -53,7 +53,10 @@ def _sample_simple_edges(
     call when ``n`` is at most ``sample``'s set-size threshold. Above it,
     ``sample`` redraws chosen values, inlined here to skip its per-call
     overhead: the same ``getrandbits`` calls in the same order, so the
-    edges and the RNG state afterwards match CPython's ``sample``.
+    edges and the RNG state afterwards match CPython's ``sample``. At
+    ``ell == 3`` (the sweep's arity) those draws are written out as
+    ``a``, ``b``, ``c`` and three comparisons pick the sorted tuple, with
+    no per-edge list, sort or ``tuple`` call.
     """
     getrandbits = rng.getrandbits
     edges = set(start)
@@ -61,11 +64,26 @@ def _sample_simple_edges(
     setsize = 21
     if ell > 5:
         setsize += 4 ** ceil(_log(ell * 3, 4))
+    k = n.bit_length()
     if n <= setsize:
         while len(edges) < m:
             add(tuple(sorted(rng.sample(range(n), ell))))
+    elif ell == 3:
+        while len(edges) < m:
+            a = getrandbits(k)
+            while a >= n:
+                a = getrandbits(k)
+            b = getrandbits(k)
+            while b >= n or b == a:
+                b = getrandbits(k)
+            c = getrandbits(k)
+            while c >= n or c == a or c == b:
+                c = getrandbits(k)
+            if a < b:
+                add((a, b, c) if b < c else (a, c, b) if a < c else (c, a, b))
+            else:
+                add((b, a, c) if a < c else (b, c, a) if b < c else (c, b, a))
     else:
-        k = n.bit_length()
         picks = range(ell)
         while len(edges) < m:
             edge = []
@@ -117,8 +135,8 @@ def random_hypergraph(n: int, m: int, ell: int, seed: int) -> Hypergraph:
             "fell back to chained bridges",
             n, m, ell, seed,
         )
-    labels = [f"x{i}" for i in range(n)]
-    h = Hypergraph.build(ell, labels, sorted(edges))
+    # the edges are already sorted, distinct tuples: no need for build's canonicalization
+    h = Hypergraph(ell, tuple(f"x{i}" for i in range(n)), tuple(sorted(edges)))
     assert is_connected(h)
     return h
 
