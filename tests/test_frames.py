@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -420,6 +421,45 @@ def test_frame_route_matches_the_exact_route_and_the_oracle(monkeypatch):
         assert (result.fusion, result.frame) == (part, g)
         assert_fusion_is_the_oracles(h, result)
     assert len(outcomes) == 100 and 0 < outcomes.count(False) < 10
+
+
+def certified_signal_pin_inputs():
+    """Inputs of the ``_certified_signal`` pin: seeded differential inputs
+    (ell 3-6, m >= n) that the candidate modulo 3 certifies, the four
+    inputs whose candidate falls short (too coarse or rank deficient
+    modulo 3), and inputs with fewer edges than vertices, which take the
+    exact route."""
+    rng = random.Random(25)
+    cases = []
+    for i in range(24):
+        ell, n = rng.randint(3, 6), rng.randint(8, 60)
+        cases.append(random_chained_instance(rng, ell, n, rng.randint(n, 2 * n), repeats=i % 2 == 1))
+    for edges in (
+        [(0, 0, 1), (0, 2, 3), (1, 2, 3), (1, 3, 4), (3, 3, 3), (4, 4, 4)],
+        [(0, 0, 1), (0, 2, 2), (1, 1, 2)],
+    ):
+        cases.append(Hypergraph.build(3, [f"v{i}" for i in range(1 + max(map(max, edges)))], edges))
+    cases += [random_hypergraph(50, 50, 3, s) for s in (5, 1, 0)]
+    cases += [random_hypergraph(60, 60, 3, 0), random_hypergraph(300, 300, 3, 1)]
+    cases += [random_hypergraph(40, 45, 4, 0), random_hypergraph(40, 30, 4, 0)]
+    cases += [random_hypergraph(60, 52, 3, 3), fan(5), mountain_range(6)]
+    cases += [random_hypergraph(50, 38, 3, s) for s in range(4)]
+    return cases
+
+
+def test_certified_signal_pin():
+    """Digest of the signal table, frame edges and fusion classes of
+    ``_certified_signal`` on 40 inputs, under U and under ``[1..ell]``,
+    which lifts the fusion signal axis-wise: every route, mod-3
+    certified, fallen back and exact, gives these exact integers."""
+    digest = hashlib.sha256()
+    for h in certified_signal_pin_inputs():
+        for t in (universal_map(h.ell), LinearMap.from_rows([list(range(1, h.ell + 1))])):
+            values, g, part = hypersig.signals._certified_signal(h, t)
+            digest.update(repr((values, g.edges, part.classes)).encode())
+    assert digest.hexdigest() == (
+        "4814767454e7f870c517ecb02c516e6952a7ec21e5f8eeaa75df2e42d497c3b9"
+    )
 
 
 def test_certificate_rejects_a_draw_that_merges_too_much(fan_five, monkeypatch):
