@@ -45,13 +45,12 @@ def fusion(h: Hypergraph, t: LinearMap) -> Partition:
     ``u_0`` and then every axis is constant: one class. Under rank 1,
     every row a multiple of ``v``, ``s`` is admissible iff ``v_a * s_a``
     is under the coordinate-sum map, whose fusion is certified on the
-    frame: the frame's edge-sum nullity equals H's
-    (:func:`~hypersig.signals._universal_fusion`). When H has at least
-    as many edges as vertices, the candidate P and the nullity bound come
-    from the kernel modulo 3: nullity(H/P) <= nullity(H) <= nullity_3(H)
-    over the rationals, so a frame that reaches nullity_3(H) certifies P
-    without an exact elimination of H; any shortfall falls back to it.
-    Every case returns the level sets of one signal re-verified under ``t``.
+    frame: :func:`~hypersig.signals._universal_fusion` states the
+    certificate once, for its two routes (the candidate modulo 3 when H
+    has at least as many edges as vertices, else the exact elimination
+    of H), the three reasons the first declines, all decided before any
+    draw, and the failures that raise. Every case returns the level sets
+    of one signal re-verified under ``t``.
     """
     return _certified_signal(h, t)[2]
 

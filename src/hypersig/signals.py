@@ -36,7 +36,7 @@ from itertools import chain, compress, count, islice, repeat
 from math import lcm
 from operator import add, ne, sub
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DisconnectedError, DomainError, FormatError, HypersigError, NotEngagedError
 from .hypergraph import (
@@ -566,8 +566,11 @@ def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[list[list[int]], Hyp
     zero column gives the discrete partition, and the vertex index on that
     axis; an engaged map of rank >= 2 one class, and the zero signal; an
     engaged map of rank 1, every row a multiple of the row ``v`` of
-    :func:`_rank_one_row`, the fusion of :func:`_universal_fusion`, and its lift
-    divided axis-wise by ``v``, kept in integers as ``u_a * (lcm(v) / v_a)``.
+    :func:`_rank_one_row`, the fusion of :func:`_universal_fusion`, and
+    the lift of its signal ``u_0 = f + C``, ``u_a = f`` divided axis-wise
+    by ``v``, kept in integers as ``u_a * (lcm(v) / v_a)``. One
+    :func:`_check_basis` call re-verifies the signal under every map; a
+    failure is an internal error.
     """
     if not is_connected(h):
         raise DisconnectedError("fusion requires a connected hypergraph")
@@ -576,18 +579,17 @@ def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[list[list[int]], Hyp
     maps = _integral_rows(t.entries)
     v = _rank_one_row(maps)
     if v is not None:
+        f, c, g, part = _universal_fusion(h)
+        u = [[x + c for x in f]] + [f] * (ell - 1)
         mu = [lcm(*v) // x for x in v]
-
-        def lift(f: list[int], c: int) -> list[list[int]]:
-            u = [[x + c for x in f]] + [f] * (ell - 1)
-            return [row if m == 1 else [x * m for x in row] for m, row in zip(mu, u)]
-
-        return _universal_fusion(h, maps, lift)
-    zero = _zero_columns(maps)
-    values = [list(range(n)) if zero and a == zero[0] else [0] * n for a in range(ell)]
-    part = Partition.from_keys(range(n) if zero else [0] * n)
+        values = [row if m == 1 else [x * m for x in row] for m, row in zip(mu, u)]
+    else:
+        zero = _zero_columns(maps)
+        values = [list(range(n)) if zero and a == zero[0] else [0] * n for a in range(ell)]
+        part = Partition.from_keys(range(n) if zero else [0] * n)
+        g = quotient(h, part)
     _check_basis(h, maps, [values])
-    return values, quotient(h, part), part
+    return values, g, part
 
 
 def _edge_sum_columns(h: Hypergraph) -> list[int]:
@@ -633,70 +635,66 @@ def _edge_sum_gf3_rows(h: Hypergraph, col: list[int]) -> list[tuple[int, int]]:
     return rows
 
 
-Lift = Callable[[list[int], int], list[list[int]]]
-
-
-def _universal_fusion(
-    h: Hypergraph, maps: list[list[int]], lift: Lift
-) -> tuple[list[list[int]], Hypergraph, Partition]:
+def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Hypergraph, Partition]:
     """Fusion of connected ``h`` under the coordinate-sum map, certified on
-    its frame: the table ``lift(f, C)`` of one kernel vector ``(f, C)`` of
-    the edge-sum system, re-verified under the integer map rows ``maps``,
-    the frame, and the partition, the level sets of ``f``; the signal
+    its frame: one kernel vector ``(f, C)`` of the edge-sum system, the
+    frame, and the partition, the level sets of ``f``; the signal
     ``s_0 = f + C``, ``s_a = f`` (a >= 1) realizes it under ``U``.
 
-    The certificate: a candidate ``P`` is discrete, or the frame ``h/P``
-    has the edge-sum nullity of ``h``. The frame's system is ``h``'s with
-    the columns of each block of ``P`` summed, each distinct row once, so
-    its kernel vectors lift injectively to those of ``h`` constant on the
-    blocks: equal nullity means every kernel vector is, and the blocks fuse.
+    The certificate. The frame ``h/P`` of a partition ``P`` has the
+    edge-sum system of ``h`` with the columns of each block summed, each
+    distinct row once, so its kernel vectors lift injectively to exactly
+    those of ``h`` constant on the blocks: nullity(h/P) <= nullity(h),
+    with equality iff every kernel vector is constant on the blocks, that
+    is, iff ``P`` refines the fusion. Two routes propose ``P``, and one
+    :func:`_certified_draw` ends both:
 
-    When ``h`` has at least as many edges as vertices, where fusion
-    collapses, ``P`` and the nullity bound come from the kernel modulo 3
-    (:func:`_frame_fusion`): nullity(h/P) <= nullity(h) <= nullity_3(h)
-    over the rationals, so a frame that reaches the bound certifies ``P``
-    without eliminating ``h`` exactly. With fewer edges, fusion is near
-    discrete, the frame nearly ``h``, and the pass modulo 3 pure overhead.
-    Those inputs, and any shortfall, take the exact route:
+    - With at least as many edges as vertices, where fusion collapses,
+      :func:`_frame_fusion` proposes ``P``, the level sets of the whole
+      kernel modulo 3, and its frame when that reaches the bound: the
+      rank modulo a prime is at most the rational one, so
+      nullity(h/P) <= nullity(h) <= nullity_3(h), and equality makes ``P``
+      refine the fusion without an exact elimination of ``h``. It also
+      gives rank_3 = rank_Q, and then ``P`` is the fusion: the integer
+      kernel of ``h`` is saturated, so its reduction modulo 3 has
+      dimension nullity(h) = nullity_3(h) and is the whole kernel modulo
+      3, and a pair no rational kernel vector separates is not separated
+      modulo 3 either. The frame of the fusion is stable, its own fusion
+      discrete, so the draw on it can certify only a discrete partition:
+      its frame is ``h/P``, and its vector, lifted through ``P``, has
+      ``P``'s level sets.
+    - Otherwise the draw runs on ``h`` from its exact echelon: ``P`` is
+      the level sets of a seeded random kernel vector, which separates no
+      fused pair, so certifying that it refines the fusion makes it the
+      fusion. With fewer edges than vertices, fusion is near discrete,
+      the frame nearly ``h``, and the pass modulo 3 pure overhead.
 
-    1. the edge-sum echelon of ``h``, which gives its nullity;
-    2. :func:`_certified_draw` on ``h``: ``P`` the level sets of a seeded
-       random kernel vector, certified on its frame;
-    3. the lift re-verified; a failure raises an internal error.
+    :func:`_frame_fusion` declines for three reasons, each decided before
+    any draw: a discrete candidate (its frame is ``h``), a candidate too
+    coarse, or rank_3 < rank_Q (in both, the nullities differ). Draws
+    that run out, and a lift that fails re-verification in
+    :func:`_certified_signal`, take a wrong elimination or quotient, and
+    raise an internal error on either route.
     """
-    if h.n_edges >= h.n_vertices:
-        found = _frame_fusion(h, maps, lift)
-        if found is not None:
-            return found
-    echelon, col = _edge_sum_echelon(h)
-    found = _certified_draw(h, echelon, col)
-    if found is None:
-        raise HypersigError(f"internal error: no fusion certified in {_MAX_DRAWS} draws")
-    f, c, g, part = found
-    values = lift(f, c)
-    _check_basis(h, maps, [values])
-    return values, g, part
+    found = _frame_fusion(h) if h.n_edges >= h.n_vertices else None
+    p, g, echelon, col = found or (None, h, *_edge_sum_echelon(h))
+    f, c, frame, part = _certified_draw(g, echelon, col)
+    if p is not None:
+        f, part = [f[x] for x in p.class_of], p
+    return f, c, frame, part
 
 
 def _frame_fusion(
-    h: Hypergraph, maps: list[list[int]], lift: Lift
-) -> tuple[list[list[int]], Hypergraph, Partition] | None:
-    """:func:`_universal_fusion` from the kernel of the edge-sum system
-    modulo 3, or None on any shortfall.
-
-    The candidate ``P`` groups the vertices by their values over the whole
-    kernel modulo 3 (:func:`_gf3_kernel`). Its frame ``g = h/P`` is
-    accepted when its exact edge-sum nullity equals the nullity modulo 3
-    of ``h``: rank_3 <= rank_Q bounds the chain nullity(g) <= nullity(h) <=
-    nullity_3(h), so equality makes every kernel vector of ``h`` constant
-    on ``P``'s blocks. :func:`_certified_draw` then runs on the small
-    frame, and the level sets of its vector, lifted through ``P``, are the
-    partition; when ``P`` is the fusion, one draw, no second quotient, and
-    ``P`` itself is the partition.
-    A shortfall is a discrete ``P`` (its frame is ``h``), a ``P`` too
-    coarse or a rank modulo 3 below the rational one (the nullities
-    differ), draws that run out, or a lift that fails re-verification on
-    ``h``.
+    h: Hypergraph,
+) -> tuple[Partition, Hypergraph, dict[int, dict[int, int]], list[int]] | None:
+    """The candidate ``P`` of :func:`_universal_fusion` from the kernel of
+    the edge-sum system modulo 3 (:func:`_gf3_kernel`), the vertices
+    grouped by their values over all of it, with its frame ``g = h/P`` and
+    the edge-sum echelon and columns of ``g``, when the frame's exact
+    nullity equals nullity_3(h); None for a discrete candidate, one too
+    coarse, or rank_3 < rank_Q. It only proposes: :func:`_universal_fusion`
+    draws on the frame and says why a frame that reaches the bound is the
+    fusion's.
     """
     n, col = h.n_vertices, _edge_sum_columns(h)
     rank, packed = _gf3_kernel(_edge_sum_gf3_rows(h, col), n + 1)
@@ -707,20 +705,12 @@ def _frame_fusion(
     echelon, g_col = _edge_sum_echelon(g)
     if g.n_vertices - len(echelon) != n - rank:
         return None
-    found = _certified_draw(g, echelon, g_col)
-    if found is None:
-        return None
-    f_g, c, frame, _ = found
-    f = [f_g[x] for x in p.class_of]
-    values = lift(f, c)
-    if _violation(h, maps, values) is not None:
-        return None
-    return values, frame, p if frame is g else Partition.from_keys(f)
+    return p, g, echelon, g_col
 
 
 def _certified_draw(
     h: Hypergraph, echelon: dict[int, dict[int, int]], col: list[int]
-) -> tuple[list[int], int, Hypergraph, Partition] | None:
+) -> tuple[list[int], int, Hypergraph, Partition]:
     """The first certified draw of fusion on ``h`` under the coordinate-sum
     map, from its edge-sum echelon and columns: a kernel vector ``(f, C)``
     back-substituted from seeded random free values, the frame, and the
@@ -728,7 +718,8 @@ def _certified_draw(
     ``h``) or their frame's edge-sum nullity equals ``h``'s. A rejected
     candidate is replaced by a fresh draw, never merged with it, so the
     returned vector alone realizes the partition, and the partition does
-    not depend on the draws. None after ``_MAX_DRAWS`` rejections.
+    not depend on the draws. ``_MAX_DRAWS`` rejections are an internal
+    error and raise.
     """
     n = h.n_vertices
     free_desc = [c for c in range(n, -1, -1) if c not in echelon]
@@ -743,7 +734,7 @@ def _certified_draw(
         g = quotient(h, part)
         if g.n_vertices + 1 - len(_edge_sum_echelon(g)[0]) == nullity:
             return f, v[-1], g, part
-    return None
+    raise HypersigError(f"internal error: no fusion certified in {_MAX_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 
@@ -20,8 +21,10 @@ from hypersig import (
     HypersigError,
     LinearMap,
     Partition,
+    Signal,
     attach_simplex,
     fan,
+    find_violation,
     fold_pairs,
     frame,
     frame_result_to_json,
@@ -299,16 +302,16 @@ def test_collapsing_fusion_eliminates_only_the_frame_exactly(monkeypatch):
     assert sum(touched) == 421
 
 
-def record_frame_route(monkeypatch) -> list[bool]:
-    """Whether each call of the route through the candidate modulo 3
-    returned a certified fusion (False: it fell back)."""
+def record_frame_route(monkeypatch) -> list:
+    """What each call of the route through the candidate modulo 3
+    proposed: the candidate, its frame, and the frame's echelon and
+    columns, or None when it fell back."""
     outcomes = []
     real = hypersig.signals._frame_fusion
 
-    def recording(*args):
-        found = real(*args)
-        outcomes.append(found is not None)
-        return found
+    def recording(h):
+        outcomes.append(real(h))
+        return outcomes[-1]
 
     monkeypatch.setattr(hypersig.signals, "_frame_fusion", recording)
     return outcomes
@@ -339,7 +342,7 @@ def test_too_coarse_candidate_falls_back_to_the_exact_route(monkeypatch):
     assert (p.n_classes, rank, rational) == (3, 49, 49)
     outcomes, sizes = record_frame_route(monkeypatch), record_eliminations(monkeypatch)
     result = frame(h)
-    assert outcomes == [False]
+    assert outcomes == [None]
     assert sizes == [3, 50, 4]  # candidate frame, the input, the fusion's frame
     assert result.fusion.n_classes == 4
     assert_fusion_is_the_oracles(h, result)
@@ -368,18 +371,18 @@ def test_rank_deficient_candidate_falls_back_to_the_exact_route(
     assert (p.n_classes, (rank, rational)) == (candidate, ranks)
     outcomes, sizes_seen = record_frame_route(monkeypatch), record_eliminations(monkeypatch)
     result = frame(h)
-    assert outcomes == [False]
+    assert outcomes == [None]
     assert sizes_seen == sizes
     assert result.fusion.n_classes == 1
     assert_fusion_is_the_oracles(h, result)
     assert partition_blocks(result.fusion.classes) == oracle_fusion_blocks(h, universal_map(3))
 
 
-def test_lift_that_fails_reverification_falls_back_to_the_exact_route(monkeypatch):
+def test_lift_that_fails_reverification_is_an_internal_error(monkeypatch):
     """A candidate frame missing an edge reaches the bound, and the lift
-    of its kernel vector breaks an edge of the input: the route falls back
-    on the failed re-verification, not on an error, and the exact route
-    gives the oracle's partition and frame."""
+    of its kernel vector breaks an edge of the input. Only a wrong
+    quotient or elimination gets there, so it is an internal error, not a
+    fallback: the input is never eliminated exactly."""
     h = random_hypergraph(50, 50, 3, 5)
     real = hypersig.signals.quotient
     calls = []
@@ -389,20 +392,14 @@ def test_lift_that_fails_reverification_falls_back_to_the_exact_route(monkeypatc
         calls.append(part)
         return q if len(calls) > 1 else Hypergraph(q.ell, q.vertices, q.edges[1:])
 
-    witnesses = []
-    violation = hypersig.signals._violation
-
-    def recording(*args):
-        witnesses.append(violation(*args))
-        return witnesses[-1]
-
     monkeypatch.setattr(hypersig.signals, "quotient", first_drops_an_edge)
-    monkeypatch.setattr(hypersig.signals, "_violation", recording)
-    outcomes = record_frame_route(monkeypatch)
-    result = frame(h)
-    assert outcomes == [False]
-    assert witnesses[0] is not None and witnesses[-1] is None
-    assert_fusion_is_the_oracles(h, result)
+    sizes = record_eliminations(monkeypatch)
+    with pytest.raises(HypersigError) as failure:
+        frame(h)
+    assert str(failure.value) == (
+        "internal error: basis signal fails at ((13, 21, 24), (13, 21, 24), 0)"
+    )
+    assert sizes == [3]  # the candidate frame only
 
 
 def test_frame_route_matches_the_exact_route_and_the_oracle(monkeypatch):
@@ -410,17 +407,59 @@ def test_frame_route_matches_the_exact_route_and_the_oracle(monkeypatch):
     vertices (ell 3-6, n <= 80, m up to 2n, every other one with repeated
     vertices): the partition and frame equal the exact route's on the
     input and the oracle's whole edge-sum kernel; the candidate route and
-    its fallback both run."""
+    its fallback both run. A certified candidate's frame is the fusion's,
+    which is stable: it takes exactly one draw, and frame returns the
+    candidate and its frame as they were proposed."""
     rng = random.Random(22)
-    outcomes = record_frame_route(monkeypatch)
+    outcomes, draws = record_frame_route(monkeypatch), []
+    real_draw = hypersig.signals._draw
+
+    def counting(rng, k):
+        draws.append(k)
+        return real_draw(rng, k)
+
+    monkeypatch.setattr(hypersig.signals, "_draw", counting)
+    fallbacks = 0
     for i in range(100):
         ell, n = rng.randint(3, 6), rng.randint(8, 80)
         h = random_chained_instance(rng, ell, n, rng.randint(n, 2 * n), repeats=i % 2 == 1)
+        outcomes.clear()
+        draws.clear()
         result = frame(h)
+        (found,) = outcomes
+        if found is None:
+            fallbacks += 1
+        else:
+            assert len(draws) == 1
+            assert result.fusion is found[0] and result.frame is found[1]
         _, _, g, part = hypersig.signals._certified_draw(h, *hypersig.signals._edge_sum_echelon(h))
         assert (result.fusion, result.frame) == (part, g)
         assert_fusion_is_the_oracles(h, result)
-    assert len(outcomes) == 100 and 0 < outcomes.count(False) < 10
+    assert 0 < fallbacks < 10
+
+
+@pytest.mark.parametrize("rows", [[[1, 2, 3]], [[-3, 1, 2]]], ids=["[[1,2,3]]", "[[-3,1,2]]"])
+@pytest.mark.parametrize(
+    "h",
+    [random_hypergraph(60, 60, 3, 0), random_hypergraph(300, 300, 3, 1)],
+    ids=["n60-m60", "n300-m300"],
+)
+def test_rank_one_lift_on_the_frame_route(h, rows, monkeypatch):
+    """Under a rank-1 map other than U, on inputs the candidate modulo 3
+    certifies, the fusion signal is U's scaled on axis a by
+    ``lcm(v) / v_a``, a negative factor included: admissible under the
+    map, its level sets U's partition."""
+    outcomes = record_frame_route(monkeypatch)
+    u_values, _, u_part = hypersig.signals._certified_signal(h, universal_map(3))
+    t = LinearMap.from_rows(rows)
+    values, g, part = hypersig.signals._certified_signal(h, t)
+    assert len(outcomes) == 2 and None not in outcomes
+    assert part == u_part
+    assert g == quotient(h, part)
+    assert find_violation(h, t, Signal.from_rows(values)) is None
+    assert Partition.from_keys(list(zip(*values))) == part
+    scale = lcm(*rows[0])
+    assert values == [[x * (scale // v) for x in row] for v, row in zip(rows[0], u_values)]
 
 
 def certified_signal_pin_inputs():
@@ -507,18 +546,34 @@ def test_certificate_never_accepts_a_wrong_candidate(fan_five, monkeypatch):
         fusion(fan(5), LinearMap.from_rows([[1, 2, 3]]))
 
 
+NO_FUSION = "internal error: no fusion certified in 64 draws"
+
+
 @pytest.mark.parametrize(
-    "h",
-    [fan(5), random_hypergraph(50, 50, 3, 5), random_hypergraph(60, 60, 3, 0)],
+    "h,messages",
+    [
+        (fan(5), [NO_FUSION]),
+        (
+            random_hypergraph(50, 50, 3, 5),
+            [
+                f"internal error: basis signal fails at ({e}, {e}, 0)"
+                for e in ((13, 21, 24), (0, 7, 33), (3, 10, 13))
+            ],
+        ),
+        (random_hypergraph(60, 60, 3, 0), [NO_FUSION] * 2),
+    ],
     ids=["fan5", "n50-m50", "n60-m60"],
 )
-def test_certificate_runs_on_the_frame(h, monkeypatch):
+def test_certificate_runs_on_the_frame(h, messages, monkeypatch):
     """The certificate is a fact about the frame it returns: with one
-    frame edge dropped, whichever it is, fusion under U rejects every
-    draw and raises an internal error, never a partition."""
+    frame edge dropped, whichever it is, fusion under U raises an
+    internal error, never a partition. Either every draw is rejected, or
+    (on n50-m50, whose too coarse candidate frame then reaches the bound)
+    the lift fails re-verification on the input."""
     real = hypersig.signals.quotient
     frame_edges = frame(h).frame.n_edges
     assert frame_edges < h.n_edges
+    raised = []
     for i in range(frame_edges):
 
         def dropped(g, part, i=i):
@@ -526,8 +581,10 @@ def test_certificate_runs_on_the_frame(h, monkeypatch):
             return Hypergraph(q.ell, q.vertices, q.edges[:i] + q.edges[i + 1 :])
 
         monkeypatch.setattr(hypersig.signals, "quotient", dropped)
-        with pytest.raises(HypersigError, match="no fusion certified"):
+        with pytest.raises(HypersigError) as failure:
             fusion(h, universal_map(3))
+        raised.append(str(failure.value))
+    assert raised == messages
 
 
 def test_frame_builds_its_quotient_once(fan_five, monkeypatch):
