@@ -28,17 +28,19 @@ from .hypergraph import (
     dumps_hypergraph,
     load_hypergraph,
 )
+from .linalg import _integral_rows
 from .signals import (
     LinearMap,
+    _basis_chunks,
+    _check_arity,
+    _map_kernel,
+    _verified_basis,
     centroid_map,
     component_count_via_C,
-    constant_space,
     find_violation,
     is_engaged,
     load_linear_map,
     load_signal,
-    signal_space,
-    signal_to_json,
     universal_map,
 )
 
@@ -70,17 +72,19 @@ def _write_or_print(text: str, out: str | None) -> None:
 def cmd_signals(args: argparse.Namespace) -> int:
     h = load_hypergraph(args.infile)
     t = _resolve_map(args.map, h.ell)
-    space = signal_space(h, t)  # a map of the wrong arity fails here, before any warning
+    _check_arity(h, t)  # a map of the wrong arity fails here, before any warning
+    maps = _integral_rows(t.entries)
+    kernel = _map_kernel(maps)
+    basis = _verified_basis(h, maps, kernel)
     if not is_engaged(t):
         print(
             "warning: map is not engaged (it has a zero column); "
             "the corresponding axis is unconstrained",
             file=sys.stderr,
         )
-    print(f"dim {space.dimension}, constant {constant_space(t, h.n_vertices).dimension}")
+    print(f"dim {len(basis)}, constant {len(kernel)}")
     if args.out:
-        docs = [signal_to_json(h, sig) for sig in space.signals()]
-        _write_texts([(args.out, _dumps(docs))])
+        _write_texts([(args.out, _basis_chunks(h, basis))])
     return EXIT_OK
 
 

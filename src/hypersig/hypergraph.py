@@ -328,22 +328,24 @@ def _read_json(path: str | Path):
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _write_texts(files: Sequence[tuple[str | Path, str]]) -> None:
+def _write_texts(files: Sequence[tuple[str | Path, str | Iterable[str]]]) -> None:
     """Replace each ``(path, text)`` file with its UTF-8 text, atomically
     per file and all or nothing up to the renames: every text goes to a
     temporary file in its target's directory before the first
     ``os.replace`` renames one over its target, and the temporaries not
-    yet renamed are removed if anything fails. A directory target fails
-    while staging. A pipe or device is written through, in turn with the
-    renames: there is no file to replace."""
-    staged: list[tuple[Path, Path | None, str]] = []
+    yet renamed are removed if anything fails. A text is a ``str`` or an
+    iterable of ``str`` chunks, each written as it is produced, so a
+    failure while producing one is a failure while staging. A directory
+    target fails while staging. A pipe or device is written through, in
+    turn with the renames: there is no file to replace."""
+    staged: list[tuple[Path, Path | None, Iterable[str]]] = []
     try:
         for i, (path, text) in enumerate(files):
-            path = Path(path)
+            path, chunks = Path(path), (text,) if isinstance(text, str) else text
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
             if path.exists() and not path.is_file():
-                staged.append((path, None, text))
+                staged.append((path, None, chunks))
                 continue
             tmp = path.parent / f".{path.name}.{os.getpid()}.{i}.tmp"
             try:
@@ -351,13 +353,14 @@ def _write_texts(files: Sequence[tuple[str | Path, str]]) -> None:
             except OSError as exc:
                 # name the target, not the temporary file
                 raise OSError(exc.errno, exc.strerror, str(path)) from None
-            staged.append((path, tmp, text))
+            staged.append((path, tmp, chunks))
             with f:
-                f.write(text)
+                f.writelines(chunks)
         while staged:
-            path, tmp, text = staged[0]
+            path, tmp, chunks = staged[0]
             if tmp is None:
-                path.write_text(text, encoding="utf-8")
+                with open(path, "w", encoding="utf-8") as f:
+                    f.writelines(chunks)
             else:
                 os.replace(tmp, path)
             del staged[0]

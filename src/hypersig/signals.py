@@ -33,10 +33,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, islice, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import add, ne, sub
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DisconnectedError, DomainError, FormatError, HypersigError, NotEngagedError
 from .hypergraph import (
@@ -46,6 +46,7 @@ from .hypergraph import (
     _component_roots,
     _dumps,
     _read_json,
+    _text,
     _write_texts,
     is_connected,
     quotient,
@@ -289,24 +290,34 @@ def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
     """The space of admissible signals of ``h`` under ``t``, with its
     canonical basis: each vector 1 at its last nonzero coordinate, its
     pivot, where every other vector is 0, in ascending pivot order. The
-    map decides the case, as it decides fusion: an engaged map of rank 1
-    solves one forward elimination in :func:`_rank_one_basis`, every
-    other map takes the closed form of :func:`_closed_form_basis`; both
-    read their kernels off :func:`hypersig.linalg._kernel_basis`.
-
-    Both return each basis vector as integers ``y`` over its value ``d``
-    at the pivot. Every basis signal is re-verified exactly as that
-    integer table, a failure an internal error that raises; only then is
-    it expanded by :func:`_space`. Dividing by ``d`` keeps every
-    constraint's zero set, so the emitted signals are the verified ones.
+    basis is solved and re-verified in integers by :func:`_verified_basis`
+    and only then expanded to ``Fraction`` vectors by :func:`_space`.
+    Dividing by the value at the pivot keeps every constraint's zero set,
+    so the emitted signals are the verified ones.
     """
     _check_arity(h, t)
-    n = h.n_vertices
     maps = _integral_rows(t.entries)
+    return _space(t, _verified_basis(h, maps, _map_kernel(maps)))
+
+
+def _verified_basis(
+    h: Hypergraph, maps: list[list[int]], kernel: list[tuple[int, list[int]]]
+) -> list[tuple[list[int], int]]:
+    """The canonical basis of :func:`signal_space` under the map given by
+    its integer rows and its :func:`_map_kernel`, each vector as integers
+    ``ys`` over its value ``d`` at the pivot. The map decides the case, as
+    it decides fusion: an engaged map of rank 1 solves one forward
+    elimination in :func:`_rank_one_basis`, every other map takes the
+    closed form of :func:`_closed_form_basis`; both read their kernels off
+    :func:`hypersig.linalg._kernel_basis`. Every basis signal is
+    re-verified exactly as its integer table, a failure an internal error
+    that raises.
+    """
+    n = h.n_vertices
     v = _rank_one_row(maps)
-    basis = _closed_form_basis(h, maps) if v is None else _rank_one_basis(h, v)
+    basis = _closed_form_basis(h, maps, kernel) if v is None else _rank_one_basis(h, v)
     _check_basis(h, maps, ([ys[a * n : (a + 1) * n] for a in range(h.ell)] for ys, _ in basis))
-    return _space(t, basis)
+    return basis
 
 
 def _space(t: LinearMap, basis: Iterable[tuple[Sequence[int], int]]) -> SignalSpace:
@@ -400,10 +411,13 @@ def _rank_one_basis(h: Hypergraph, v: Sequence[int]) -> list[tuple[list[int], in
     return vectors
 
 
-def _closed_form_basis(h: Hypergraph, maps: list[list[int]]) -> list[tuple[list[int], int]]:
+def _closed_form_basis(
+    h: Hypergraph, maps: list[list[int]], kernel: list[tuple[int, list[int]]]
+) -> list[tuple[list[int], int]]:
     """Canonical basis of the signal space of a map with a zero column or
-    an engaged map of rank >= 2, given by its integer rows, in closed
-    form: no elimination but of the map itself, for its kernel.
+    an engaged map of rank >= 2, given by its integer rows and its
+    :func:`_map_kernel`, in closed form: no elimination but of the map
+    itself, for its kernel.
 
     An axis whose column is zero is free. Every row ``r`` is zero there, so
     the minor rows ``r_b * (s_b(y) - s_b(x)) = 0`` make every other axis
@@ -430,7 +444,7 @@ def _closed_form_basis(h: Hypergraph, maps: list[list[int]]) -> list[tuple[list[
     members: dict[int, list[int]] = {}
     for x in sorted(covered):
         members.setdefault(comp[x], []).append(x)
-    for f, lam in _map_kernel(maps):
+    for f, lam in kernel:
         if f not in zero:  # a zero column is free, so the other lam are 0 there
             for k, xs in members.items():
                 by_pivot[f * n + tops[k]] = {
@@ -778,6 +792,39 @@ def signal_to_json(h: Hypergraph, s: Signal) -> dict:
         "ell": h.ell,
         "values": [[str(v) for v in row] for row in s.values],
     }
+
+
+def _basis_chunks(h: Hypergraph, basis: Sequence[tuple[Sequence[int], int]]) -> Iterator[str]:
+    """The text of ``signals --out`` for a verified basis of integer
+    vectors ``ys`` over their value ``d`` at the pivot: byte for byte
+    ``_dumps`` of the :func:`signal_to_json` documents of its signals, one
+    chunk per document and the closing bracket last, so a file can take
+    each document as it is rendered. The vertex-label block is rendered
+    once for all of them. Each distinct ``y`` of a vector is rendered
+    once, as the quoted ``str(Fraction(y, d))``: divided by ``gcd(y, d)``,
+    the sign on the numerator, as ``d`` is negative for some rank-1 maps.
+    These strings match ``-?[0-9]+(/[0-9]+)?``, so they need no escaping.
+    """
+    if not basis:
+        yield "[]\n"
+        return
+    n, ell = h.n_vertices, h.ell
+    head = (
+        f'{{\n    "vertices": {_text(list(h.vertices), "    ")},\n'
+        f'    "ell": {ell},\n    "values": [\n      [\n        '
+    )
+    value_sep, row_sep, tail = ",\n        ", "\n      ],\n      [\n        ", "\n      ]\n    ]\n  }"
+    lead = "[\n  "
+    for ys, d in basis:
+        quoted = {}
+        for y in set(ys):
+            g = gcd(y, d) if d > 0 else -gcd(y, d)
+            p, q = y // g, d // g
+            quoted[y] = f'"{p}"' if q == 1 else f'"{p}/{q}"'
+        rows = (value_sep.join(map(quoted.__getitem__, ys[a * n : (a + 1) * n])) for a in range(ell))
+        yield lead + head + row_sep.join(rows) + tail
+        lead = ",\n  "
+    yield "\n]\n"
 
 
 def signal_from_json(obj) -> tuple[tuple[str, ...], int, Signal]:

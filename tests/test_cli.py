@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,16 @@ from hypersig import (
     verify_signal,
     universal_map,
     signal_from_json,
+    signal_space,
+    signal_to_json,
     Hypergraph,
 )
+import hypersig.linalg
+import hypersig.signals
 from hypersig import cli
 from hypersig.cli import main, to_dot
+from hypersig.hypergraph import _dumps
+from hypersig.linalg import _integral_rows
 
 
 def write(path, h):
@@ -63,6 +70,37 @@ def test_signals_command_warns_on_unengaged_map(tmp_path, fan_path, capsys):
     map_path.write_text(json.dumps([["1", "0", "1"]]))
     assert main(["signals", "--in", fan_path, "--map", str(map_path)]) == 0
     assert "not engaged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("map_arg", ["U", "C", "skew"])
+def test_signals_command_converts_the_map_once(tmp_path, fan_path, map_arg, monkeypatch, capsys):
+    """One ``signals --out`` converts the map to integer rows once and
+    eliminates the map's own kernel once: the closed form and the printed
+    constant count share it."""
+    if map_arg == "skew":
+        map_arg = str(tmp_path / "skew.json")
+        Path(map_arg).write_text(json.dumps([["1", "-2", "1"], ["1/2", "0", "-1/2"]]))
+    conversions, kernels = [], []
+
+    def converting(rows):
+        rows = _integral_rows(rows)
+        conversions.append(rows)
+        return rows
+
+    def eliminating(rows, ncols):
+        rows = tuple(rows)
+        if rows == tuple(tuple((a, y) for a, y in enumerate(r) if y) for r in conversions[0]):
+            kernels.append(rows)
+        return kernel_basis(rows, ncols)
+
+    kernel_basis = hypersig.signals._kernel_basis
+    for module in (hypersig.linalg, hypersig.signals, cli):
+        monkeypatch.setattr(module, "_integral_rows", converting, raising=False)
+    monkeypatch.setattr(hypersig.signals, "_kernel_basis", eliminating)
+    argv = ["signals", "--in", fan_path, "--map", map_arg, "--out", str(tmp_path / "b.json")]
+    assert main(argv) == 0
+    assert len(conversions) == 1 and len(kernels) == 1
+    assert capsys.readouterr().out == {"U": "dim 4, constant 2\n"}.get(map_arg, "dim 1, constant 1\n")
 
 
 def test_signals_command_arity_mismatch(tmp_path, fan_path, capsys):
@@ -403,13 +441,17 @@ def test_frame_rejects_out_and_classes_naming_one_file(tmp_path, spelling, capsy
     )
 
 
-def test_out_to_a_pipe_writes_through(tmp_path, capsys):
+def test_out_to_a_pipe_writes_through(tmp_path, fan_path, fan_five, capsys):
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
     try:
         assert main(["generate", "fan", "--n", "1", "--out", str(fifo)]) == 0
         assert os.read(reader, 1 << 16) == dumps_hypergraph(fan(1)).encode()
+        # the basis file's text comes in chunks, written through in turn
+        assert main(["signals", "--in", fan_path, "--out", str(fifo)]) == 0
+        docs = [signal_to_json(fan_five, s) for s in signal_space(fan_five, universal_map(3)).signals()]
+        assert os.read(reader, 1 << 16) == _dumps(docs).encode()
     finally:
         os.close(reader)
 

@@ -20,6 +20,7 @@ from hypersig import (
     quotient,
     save_hypergraph,
 )
+from hypersig.hypergraph import _write_texts
 
 
 def two_triangles():
@@ -371,3 +372,26 @@ def test_dumps_has_fixed_key_order(triangle):
     doc = json.loads(text)
     assert list(doc) == ["ell", "vertices", "edges"]
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["first", "second"])
+def test_write_texts_keeps_every_target_when_chunks_raise(tmp_path, failing):
+    """A text given as chunks is staged as it is produced: one that raises
+    after its first chunk, before or after a text already staged, leaves
+    every target byte-identical, renames no file of the call and leaves no
+    temporary file."""
+
+    def chunks():
+        yield "new "
+        raise RuntimeError("injected failure")
+
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for p in paths:
+        p.write_bytes(b"old " + p.name.encode())
+    texts = ["new a", "new b"]
+    texts[failing] = chunks()
+    with pytest.raises(RuntimeError, match="injected failure"):
+        _write_texts(list(zip(paths, texts)))
+    assert [p.read_bytes() for p in paths] == [b"old a.json", b"old b.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+

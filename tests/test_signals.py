@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import time
@@ -6,7 +7,7 @@ from itertools import permutations
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -51,8 +52,15 @@ from hypersig import (
     universal_map,
     verify_signal,
 )
+from hypersig.hypergraph import _dumps
 from hypersig.linalg import _integral_rows
-from hypersig.signals import _rank_one_row, _search_functional
+from hypersig.signals import (
+    _basis_chunks,
+    _map_kernel,
+    _rank_one_row,
+    _search_functional,
+    _verified_basis,
+)
 from oracle import (
     assemble_constraints,
     dense_constraint_rows,
@@ -63,6 +71,7 @@ from oracle import (
     oracle_signal_dimension,
     sparse_signal_basis,
 )
+from test_json_render import texts
 
 
 def test_universal_map_matrix():
@@ -820,8 +829,8 @@ def test_signal_space_check_catches_one_changed_basis_integer(fan_five, rows, mo
     name = "_rank_one_basis" if rank_one else "_closed_form_basis"
     basis = getattr(hypersig.signals, name)
 
-    def changed(h, m):
-        vectors = basis(h, m)
+    def changed(h, *args):
+        vectors = basis(h, *args)
         vectors[0][0][0] += 1
         return vectors
 
@@ -848,6 +857,67 @@ def test_signal_json_uses_rational_strings(triangle):
     # JSON integers and unreduced fractions are accepted too
     doc["values"][1][:3] = [7, "-2/4", "0"]
     assert signal_from_json(doc)[2].values[1] == (7, Fraction(-1, 2), 0)
+
+
+@st.composite
+def written_bases(draw):
+    """An input with labels that stress escaping, repeated vertices,
+    vertices in no edge and several components, and a map of one of the
+    kinds that decide the basis's shape: U, C, rank 1 with negative and
+    fractional entries (one or two rows), two rows of rank 2, a zero
+    column, and the identity."""
+    ell = draw(st.integers(3, 5))
+    n = draw(st.integers(1, 7))
+    labels = draw(st.lists(texts, min_size=n, max_size=n, unique=True))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.lists(vertex, min_size=ell, max_size=ell), max_size=5))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    row = st.lists(value, min_size=ell, max_size=ell)
+    kind = draw(st.sampled_from(["U", "C", "rank-1", "rank-2", "zero-column", "identity"]))
+    if kind == "U":
+        t = universal_map(ell)
+    elif kind == "C":
+        t = centroid_map(ell)
+    elif kind == "rank-1":
+        v = draw(st.lists(value.filter(bool), min_size=ell, max_size=ell))
+        scales = draw(st.lists(value.filter(bool), max_size=1))
+        t = LinearMap.from_rows([v, *([c * x for x in v] for c in scales)])
+    elif kind == "rank-2":
+        t = LinearMap.from_rows(draw(st.lists(row, min_size=2, max_size=2)))
+    elif kind == "zero-column":
+        rows, z = draw(st.lists(row, min_size=1, max_size=2)), draw(st.integers(0, ell - 1))
+        t = LinearMap.from_rows([[0 if a == z else x for a, x in enumerate(r)] for r in rows])
+    else:
+        t = LinearMap.from_rows([[int(a == b) for b in range(ell)] for a in range(ell)])
+    return Hypergraph.build(ell, labels, edges), t
+
+
+@given(written_bases())
+@example((fan(5), LinearMap.from_rows([[Fraction(1, 2), -3, 2]])))  # pivot values -2, 3, 3, 3
+@example((fan(5), LinearMap.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])))  # dim 0
+@example((Hypergraph.build(3, ["%s", '"', "\\"], []), universal_map(3)))
+@settings(max_examples=200, deadline=None)
+def test_basis_chunks_match_the_rendered_signal_documents(problem):
+    """The streamed ``signals --out`` text equals ``_dumps`` of the
+    :func:`signal_to_json` documents of the space's ``Fraction`` signals,
+    whatever the sign of the pivot values and the dimension, 0 included."""
+    h, t = problem
+    maps = _integral_rows(t.entries)
+    text = "".join(_basis_chunks(h, _verified_basis(h, maps, _map_kernel(maps))))
+    assert text == _dumps([signal_to_json(h, s) for s in signal_space(h, t).signals()])
+
+
+def test_basis_chunks_are_one_per_document():
+    """Each document is its own chunk, so a file takes it as it is
+    rendered; the closing bracket comes last."""
+    t = LinearMap.from_rows([[Fraction(1, 2), -3, 2]])
+    maps = _integral_rows(t.entries)
+    basis = _verified_basis(fan(5), maps, _map_kernel(maps))
+    assert [d for _, d in basis] == [-2, 3, 3, 3]
+    chunks = list(_basis_chunks(fan(5), basis))
+    assert len(chunks) == 5 and chunks[-1] == "\n]\n"
+    assert [json.loads(c.lstrip("[,")) for c in chunks[:-1]] == json.loads("".join(chunks))
+    assert list(_basis_chunks(fan(5), [])) == ["[]\n"]
 
 
 @pytest.mark.parametrize(
