@@ -208,14 +208,16 @@ def quotient(h: Hypergraph, p: Partition) -> Hypergraph:
     Each class becomes one vertex, labelled by the original label of its
     smallest member; edges are mapped entrywise through the class map and
     canonicalized, with duplicate images collapsed (the quotient edge set
-    is a set of orbits).
+    is a set of orbits). The edges are mapped column by column, the
+    ``j``-th vertex of every edge at once, and zipped back into edges.
     """
     if p.n_elements != h.n_vertices:
         raise DomainError(
             f"partition covers {p.n_elements} elements, hypergraph has {h.n_vertices}"
         )
     labels = tuple(h.vertices[block[0]] for block in p.classes)
-    return Hypergraph.build(h.ell, labels, ([p.class_of[v] for v in e] for e in h.edges))
+    get = p.class_of.__getitem__
+    return Hypergraph.build(h.ell, labels, zip(*(map(get, c) for c in zip(*h.edges))))
 
 
 # ---------------------------------------------------------------------------

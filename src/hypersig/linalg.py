@@ -99,44 +99,56 @@ def _gf3_kernel(rows: Iterable[tuple[int, int]], ncols: int) -> tuple[int, list[
     difference. The elimination is :func:`_forward_echelon`'s: a row is
     cleared at its smallest column while that column has a pivot, pivot
     rows scaled to 1 there, rows furthest right first (support masks in
-    descending order). One back-substitution, from the last column down,
-    then solves every pivot column over the whole kernel basis at once,
-    packed as a vector: the basis vector of free column ``f`` is bit ``f``
-    of each column's packed value. Two columns take equal values on every
-    kernel vector iff their packed values are equal, whatever the basis.
+    descending order). Each pivot row is kept as itself and as its
+    negation, so adding it costs no copy.
+
+    One back-substitution, from the last column down, then solves every
+    pivot column over the whole kernel basis at once, packed as a vector
+    of ``k`` bits for ``k`` free columns: the free columns are numbered
+    ``0..k-1`` from the left, and the basis vector of the ``i``-th is bit
+    ``i`` of each column's packed value, so a free column's value is its
+    unit vector. A pivot column's value is minus the sum of its row's
+    entries times the values of their columns, free and pivot alike, all
+    right of it. Two columns take equal values on every kernel vector iff
+    their packed values are equal, whatever the basis.
     """
-    pivots: list[tuple[int, int] | None] = [None] * ncols
+    pivots: list[tuple[int, int, int, int] | None] = [None] * ncols
     for one, two in sorted(rows, key=lambda r: r[0] | r[1], reverse=True):
         while s := one | two:
             low = s & -s
             c = low.bit_length() - 1
             p = pivots[c]
             if p is None:
-                pivots[c] = (two, one) if two & low else (one, two)
+                pivots[c] = (two, one, one, two) if two & low else (one, two, two, one)
                 break
-            p1, p2 = p if one & low else p[::-1]  # subtract p, or add it
+            if one & low:  # subtract p
+                p1, p2, _, _ = p
+            else:  # add p: subtract its negation
+                _, _, p1, p2 = p
             t = (one | p1) ^ (two | p2)
             one, two = (two | p1) ^ t, (one | p2) ^ t
-    pivot_mask = sum(1 << c for c, p in enumerate(pivots) if p)
-    free = (1 << ncols) - 1 ^ pivot_mask
-    values = [(1 << c, 0) for c in range(ncols)]
+    ones, twos, k = [0] * ncols, [0] * ncols, 0
+    for c, p in enumerate(pivots):
+        if p is None:
+            ones[c], k = 1 << k, k + 1
     for c in range(ncols - 1, -1, -1):
         if (p := pivots[c]) is None:
             continue
-        p1, p2 = p
-        # v[c] = -(sum of p[k] * v[k] for k > c): the free columns' unit
-        # vectors negated at once, then each pivot column's packed value
-        one, two = p2 & free, p1 & free
-        ks = (p1 | p2) & pivot_mask ^ 1 << c
+        p1, p2, _, _ = p
+        one = two = 0
+        ks = (p1 | p2) ^ 1 << c
         while ks:
             low = ks & -ks
             ks ^= low
-            v = values[low.bit_length() - 1]
-            b1, b2 = v if p1 & low else v[::-1]  # subtract v[k], or 2 * v[k]
+            i = low.bit_length() - 1
+            if p1 & low:  # subtract v[i]
+                b1, b2 = ones[i], twos[i]
+            else:  # subtract 2 * v[i], that is, add v[i]
+                b2, b1 = ones[i], twos[i]
             t = (one | b1) ^ (two | b2)
             one, two = (two | b1) ^ t, (one | b2) ^ t
-        values[c] = (one, two)
-    return pivot_mask.bit_count(), values
+        ones[c], twos[c] = one, two
+    return ncols - k, list(zip(ones, twos))
 
 
 def _kernel_vector(

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, islice, repeat
 from math import gcd, lcm
-from operator import add, ne, sub
+from operator import add, eq, ne, or_, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -630,22 +630,72 @@ def _edge_sum_echelon(h: Hypergraph) -> tuple[dict[int, dict[int, int]], list[in
     return _forward_echelon(rows), col
 
 
+def _edge_sum_rank(h: Hypergraph) -> int:
+    """Rank of the edge-sum system of ``h``, peeled before it is
+    eliminated. A row that holds a vertex no other row left holds is
+    independent of the others: it adds 1 to the rank and leaves, which
+    may leave another vertex in one row. What peeling leaves, the 2-core,
+    goes to :func:`_edge_sum_echelon`, and an empty core is not
+    eliminated at all. Each vertex keeps the number of rows left that
+    hold it and the XOR of their indices, which is that row's index when
+    the number is 1."""
+    edges = h.edges
+    held, xor = [0] * h.n_vertices, [0] * h.n_vertices
+    rows = list(map(set, edges))
+    for i, row in enumerate(rows):
+        for x in row:
+            held[x] += 1
+            xor[x] ^= i
+    leaves = [x for x, k in enumerate(held) if k == 1]
+    left = [True] * len(edges)
+    rank = 0
+    while leaves and rank < len(edges):  # each row leaves once
+        x = leaves.pop()
+        if held[x] != 1:  # its row left through another vertex
+            continue
+        i = xor[x]
+        left[i] = False
+        rank += 1
+        for y in rows[i]:
+            held[y] -= 1
+            xor[y] ^= i
+            if held[y] == 1:
+                leaves.append(y)
+    if rank == len(edges):
+        return rank
+    core = Hypergraph(h.ell, h.vertices, tuple(compress(edges, left)))
+    return rank + len(_edge_sum_echelon(core)[0])
+
+
 def _edge_sum_gf3_rows(h: Hypergraph, col: list[int]) -> list[tuple[int, int]]:
     """The rows of :func:`_edge_sum_echelon` modulo 3, bitsliced for
     :func:`_gf3_kernel`: each edge's columns with count 1 and with count
-    2 modulo 3, ``C`` among the first."""
+    2 modulo 3, ``C`` among the first.
+
+    Built from the edge columns in C-level passes: an edge's columns ORed
+    together are its row when its vertices are distinct. An edge is
+    sorted, so a repeated vertex sits in two adjacent columns, and only
+    those edges are counted occurrence by occurrence."""
+    if not h.edges:
+        return []
     bit, last = [1 << c for c in col], 1 << h.n_vertices
-    rows = []
-    for e in h.edges:
+    first, *cols = zip(*h.edges)
+    ones = map(or_, repeat(last), map(bit.__getitem__, first))
+    repeats = repeat(False)
+    for left, right in zip((first, *cols), cols):
+        ones = map(or_, ones, map(bit.__getitem__, right))
+        repeats = map(or_, repeats, map(eq, left, right))
+    rows = list(zip(ones, repeat(0)))
+    for i in compress(count(), repeats):
         one, two = last, 0
-        for b in map(bit.__getitem__, e):  # count each occurrence: 0 -> 1 -> 2 -> 0
+        for b in map(bit.__getitem__, h.edges[i]):  # count each occurrence: 0 -> 1 -> 2 -> 0
             if one & b:
                 one, two = one ^ b, two | b
             elif two & b:
                 two ^= b
             else:
                 one |= b
-        rows.append((one, two))
+        rows[i] = (one, two)
     return rows
 
 
@@ -660,8 +710,11 @@ def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Hypergraph, Partit
     distinct row once, so its kernel vectors lift injectively to exactly
     those of ``h`` constant on the blocks: nullity(h/P) <= nullity(h),
     with equality iff every kernel vector is constant on the blocks, that
-    is, iff ``P`` refines the fusion. Two routes propose ``P``, and one
-    :func:`_certified_draw` ends both:
+    is, iff ``P`` refines the fusion. The frame's rank is read by peeling
+    (:func:`_edge_sum_rank`): a row holding a vertex no other row holds
+    adds 1 and leaves, and only the 2-core left is eliminated exactly,
+    none of it on a near-discrete frame. Two routes propose ``P``, and
+    one :func:`_certified_draw` ends both:
 
     - With at least as many edges as vertices, where fusion collapses,
       :func:`_frame_fusion` proposes ``P``, the level sets of the whole
@@ -729,7 +782,9 @@ def _certified_draw(
     map, from its edge-sum echelon and columns: a kernel vector ``(f, C)``
     back-substituted from seeded random free values, the frame, and the
     level sets of ``f``, accepted when they are discrete (the frame is
-    ``h``) or their frame's edge-sum nullity equals ``h``'s. A rejected
+    ``h``) or their frame's edge-sum nullity equals ``h``'s. The frame's
+    rank comes from :func:`_edge_sum_rank`, which peels the rows that
+    hold a vertex alone and eliminates only the 2-core left. A rejected
     candidate is replaced by a fresh draw, never merged with it, so the
     returned vector alone realizes the partition, and the partition does
     not depend on the draws. ``_MAX_DRAWS`` rejections are an internal
@@ -746,7 +801,7 @@ def _certified_draw(
         if part.is_discrete():
             return f, v[-1], h, part
         g = quotient(h, part)
-        if g.n_vertices + 1 - len(_edge_sum_echelon(g)[0]) == nullity:
+        if g.n_vertices + 1 - _edge_sum_rank(g) == nullity:
             return f, v[-1], g, part
     raise HypersigError(f"internal error: no fusion certified in {_MAX_DRAWS} draws")
 

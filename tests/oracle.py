@@ -101,6 +101,17 @@ def edge_sum_rows(edges, col) -> list[tuple[tuple[int, int], ...]]:
     return list(rows)
 
 
+def edge_loop_quotient(h: Hypergraph, class_of: Sequence[int]) -> Hypergraph:
+    """The quotient of ``h`` built edge by edge: each edge's vertices
+    mapped through ``class_of`` one at a time, each class labelled by its
+    smallest member's label."""
+    first: dict[int, str] = {}
+    for x, k in enumerate(class_of):
+        first.setdefault(k, h.vertices[x])
+    labels = [first[k] for k in range(len(first))]
+    return Hypergraph.build(h.ell, labels, [[class_of[v] for v in e] for e in h.edges])
+
+
 def edge_loop_violation(
     h: Hypergraph, maps: Sequence[Sequence[int]], values: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:

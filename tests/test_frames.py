@@ -285,21 +285,51 @@ def record_eliminations(monkeypatch) -> list[int]:
     return sizes
 
 
+def record_ranks(monkeypatch) -> list[int]:
+    """The vertex count of every hypergraph whose edge-sum rank is taken
+    by peeling (``_edge_sum_rank``, the certificate), in order. Only a
+    nonempty 2-core is then eliminated exactly, and shows up in
+    :func:`record_eliminations` too."""
+    sizes = []
+    real = hypersig.signals._edge_sum_rank
+
+    def recording(g):
+        sizes.append(g.n_vertices)
+        return real(g)
+
+    monkeypatch.setattr(hypersig.signals, "_edge_sum_rank", recording)
+    return sizes
+
+
 def test_collapsing_fusion_eliminates_only_the_frame_exactly(monkeypatch):
     """With at least as many edges as vertices, the candidate comes from
     the kernel modulo 3 and only its 17-vertex frame is eliminated
     exactly: ``_subtract`` touches no entry where the exact route on the
     input touches 14,520. With fewer edges than vertices the exact route
-    runs as before, to the entry."""
+    runs as before, to the entry, and the certificate peels its 49-vertex
+    frame before it eliminates the 2-core left."""
     touched, sizes = count_touched(monkeypatch), record_eliminations(monkeypatch)
+    ranks = record_ranks(monkeypatch)
     part = fusion(random_hypergraph(300, 300, 3, 1), universal_map(3))
     assert part.n_classes == 17
-    assert sizes == [17]
+    assert (sizes, ranks) == ([17], [])
     assert sum(touched) == 0
     part = fusion(random_hypergraph(60, 52, 3, 3), universal_map(3))
     assert part.n_classes == 49
-    assert sizes == [17, 60, 49]
-    assert sum(touched) == 421
+    assert (sizes, ranks) == ([17, 60, 49], [49])  # the input, then the frame's core
+    assert sum(touched) == 385
+
+
+def test_certifying_an_empty_core_frame_eliminates_no_frame(monkeypatch):
+    """Near discrete, the certified frame peels away to an empty 2-core:
+    the certificate takes its rank with no elimination, and only the
+    input's edge-sum system is eliminated exactly."""
+    h = random_hypergraph(200, 173, 3, 3)
+    sizes, ranks = record_eliminations(monkeypatch), record_ranks(monkeypatch)
+    result = frame(h)
+    assert result.fusion.n_classes == 195
+    assert (sizes, ranks) == ([200], [195])
+    assert_fusion_is_the_oracles(h, result)
 
 
 def record_frame_route(monkeypatch) -> list:
@@ -341,9 +371,11 @@ def test_too_coarse_candidate_falls_back_to_the_exact_route(monkeypatch):
     p, rank, rational = candidate_mod_3(h)
     assert (p.n_classes, rank, rational) == (3, 49, 49)
     outcomes, sizes = record_frame_route(monkeypatch), record_eliminations(monkeypatch)
+    ranks = record_ranks(monkeypatch)
     result = frame(h)
     assert outcomes == [None]
-    assert sizes == [3, 50, 4]  # candidate frame, the input, the fusion's frame
+    assert sizes == [3, 50]  # candidate frame, the input
+    assert ranks == [4]  # the fusion's frame, peeled to an empty core
     assert result.fusion.n_classes == 4
     assert_fusion_is_the_oracles(h, result)
 
@@ -351,8 +383,8 @@ def test_too_coarse_candidate_falls_back_to_the_exact_route(monkeypatch):
 @pytest.mark.parametrize(
     "edges,candidate,ranks,sizes",
     [
-        ([(0, 0, 1), (0, 2, 3), (1, 2, 3), (1, 3, 4), (3, 3, 3), (4, 4, 4)], 3, (4, 5), [3, 5, 1]),
-        ([(0, 0, 1), (0, 2, 2), (1, 1, 2)], 3, (2, 3), [3, 1]),
+        ([(0, 0, 1), (0, 2, 3), (1, 2, 3), (1, 3, 4), (3, 3, 3), (4, 4, 4)], 3, (4, 5), [3, 5]),
+        ([(0, 0, 1), (0, 2, 2), (1, 1, 2)], 3, (2, 3), [3]),
     ],
     ids=["three-classes", "discrete"],
 )
@@ -364,15 +396,18 @@ def test_rank_deficient_candidate_falls_back_to_the_exact_route(
     3 is below the rational one: no frame reaches the bound, and the
     exact route gives the oracle's partition and frame. A discrete
     candidate, whose frame is the input, goes to the exact route without
-    eliminating the input twice."""
+    eliminating the input twice. The fusion's one-vertex frame is
+    certified by peeling alone."""
     n = 1 + max(map(max, edges))
     h = Hypergraph.build(3, [f"v{i}" for i in range(n)], edges)
     p, rank, rational = candidate_mod_3(h)
     assert (p.n_classes, (rank, rational)) == (candidate, ranks)
     outcomes, sizes_seen = record_frame_route(monkeypatch), record_eliminations(monkeypatch)
+    ranks_seen = record_ranks(monkeypatch)
     result = frame(h)
     assert outcomes == [None]
     assert sizes_seen == sizes
+    assert ranks_seen == [1]
     assert result.fusion.n_classes == 1
     assert_fusion_is_the_oracles(h, result)
     assert partition_blocks(result.fusion.classes) == oracle_fusion_blocks(h, universal_map(3))

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 from math import gcd, lcm
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import hypersig.signals
 from hypersig import Hypergraph, LinearMap, Partition, frame, quotient, random_hypergraph
 from hypersig.linalg import _forward_echelon, _gf3_kernel, _integral_rows, _kernel_basis
-from hypersig.signals import _edge_sum_echelon, _edge_sum_gf3_rows
+from hypersig.signals import _edge_sum_echelon, _edge_sum_gf3_rows, _edge_sum_rank
 from conftest import random_engaged_map, random_multiset_instance
 from oracle import (
     IntegerRows,
@@ -20,6 +20,7 @@ from oracle import (
     dense_constraint_rows,
     dense_gf3_kernel,
     dense_kernel,
+    edge_loop_quotient,
     edge_sum_rows,
 )
 
@@ -248,12 +249,41 @@ def _edge_sum_system(h):
     return rows, echelon, col
 
 
+def _assert_edge_sum_rows_match_the_counter_reference(g):
+    rows, echelon, col = _edge_sum_system(g)
+    degree = Counter(chain.from_iterable(g.edges))
+    order = sorted(range(g.n_vertices), key=col.__getitem__)
+    assert order == sorted(range(g.n_vertices), key=degree.__getitem__)
+    assert rows == edge_sum_rows(g.edges, col)
+    assert echelon == _forward_echelon(rows)
+    assert _edge_sum_gf3_rows(g, col) == bitsliced(rows)
+
+
+def _quotient_matches_the_edge_loop(h, p):
+    g = quotient(h, p)
+    assert g == edge_loop_quotient(h, p.class_of)
+    return g
+
+
+def repeats_at_every_position_pair(ell):
+    """One edge per pair of positions ``i < j``, its vertex ``i`` at
+    positions ``i..j`` (so 3 times and more when ``j > i + 1``), plus an
+    edge of distinct vertices."""
+    edges = [tuple(range(ell))]
+    for i, j in combinations(range(ell), 2):
+        edges.append(tuple(min(a, i) if a <= j else a for a in range(ell)))
+    return Hypergraph.build(ell, [f"x{a}" for a in range(ell)], edges)
+
+
 def test_edge_sum_echelon_rows_match_the_counter_reference():
     """The rows the one edge-sum routine eliminates equal the rows counted
     edge by edge, with vertices in order of increasing degree, ties by id,
-    and so do the bitsliced rows modulo 3: on inputs with repeated
-    vertices and on quotients of them, where more vertices repeat, as on
-    a frame."""
+    and so do the bitsliced rows modulo 3, which are built from the edge
+    columns: on inputs with repeated vertices, a repeat at every pair of
+    positions at ell 4-6 and a vertex three times in an edge among them,
+    and on quotients of them, where more vertices repeat, as on a frame.
+    Each quotient equals the one mapped edge by edge, the edge-free one
+    too."""
     h = Hypergraph.build(3, "abcd", [(0, 1, 2), (0, 1, 3), (0, 2, 3), (2, 2, 3)])
     rows, echelon, col = _edge_sum_system(h)
     assert col == [1, 0, 3, 2]
@@ -263,19 +293,99 @@ def test_edge_sum_echelon_rows_match_the_counter_reference():
         ((1, 1), (2, 1), (3, 1), (4, 1)),
         ((2, 1), (3, 2), (4, 1)),
     ]
+    assert _edge_sum_gf3_rows(Hypergraph.build(3, "ab", [(0, 0, 0), (0, 0, 1)]), [0, 1]) == [
+        (0b100, 0b000),  # three times vanishes modulo 3: C alone
+        (0b110, 0b001),
+    ]
+    for ell in (4, 5, 6):
+        h = repeats_at_every_position_pair(ell)
+        assert h.n_edges == 1 + ell * (ell - 1) // 2
+        _assert_edge_sum_rows_match_the_counter_reference(h)
+        # merging two vertices of the distinct edge repeats a vertex there
+        g = _quotient_matches_the_edge_loop(h, Partition.from_keys([0, 0, *range(1, ell - 1)]))
+        assert any(e[0] == e[1] for e in g.edges)
+        _assert_edge_sum_rows_match_the_counter_reference(g)
+    edge_free = Hypergraph.build(3, "abc")
+    assert _edge_sum_gf3_rows(edge_free, [0, 1, 2]) == []
+    _quotient_matches_the_edge_loop(edge_free, Partition.from_keys([0, 1, 0]))
     rng = random.Random(14)
     for ell in (3, 4, 5):
         for _ in range(40):
             h = random_multiset_instance(rng, ell, n_max=9, m_max=8)
             k = rng.randint(1, h.n_vertices)
-            for g in (h, quotient(h, Partition.from_keys([rng.randrange(k) for _ in h.vertices]))):
-                rows, echelon, col = _edge_sum_system(g)
-                degree = Counter(chain.from_iterable(g.edges))
-                order = sorted(range(g.n_vertices), key=col.__getitem__)
-                assert order == sorted(range(g.n_vertices), key=degree.__getitem__)
-                assert rows == edge_sum_rows(g.edges, col)
-                assert echelon == _forward_echelon(rows)
-                assert _edge_sum_gf3_rows(g, col) == bitsliced(rows)
+            p = Partition.from_keys([rng.randrange(k) for _ in h.vertices])
+            for g in (h, _quotient_matches_the_edge_loop(h, p)):
+                _assert_edge_sum_rows_match_the_counter_reference(g)
+
+
+edge_sum_inputs = st.tuples(st.integers(3, 6), st.integers(1, 8)).flatmap(
+    lambda shape: st.tuples(
+        st.just(shape),
+        # each edge with its first vertex put 1, 2 or 3 times
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, shape[1] - 1), min_size=shape[0], max_size=shape[0]),
+                st.integers(1, 3),
+            ),
+            max_size=10,
+        ),
+        st.lists(st.integers(0, shape[1] - 1), min_size=shape[1], max_size=shape[1]),
+    )
+)
+
+
+def _assert_edge_sum_rank(g, dense=True):
+    """The rank by peeling equals the exact echelon's, and the dense
+    oracle's Gauss-Jordan rank of the rows counted edge by edge."""
+    rank = _edge_sum_rank(g)
+    assert rank == len(_edge_sum_echelon(g)[0])
+    if dense:
+        ncols = g.n_vertices + 1
+        rows = IntegerRows(ncols, tuple(edge_sum_rows(g.edges, range(g.n_vertices))))
+        assert rank == ncols - len(dense_kernel(_dense(rows), ncols))
+    return rank
+
+
+@given(edge_sum_inputs)
+@settings(max_examples=200, deadline=None)
+def test_edge_sum_rank_matches_the_echelon_and_the_dense_oracle(system):
+    """Differential of the peeled rank at ell 3-6 on inputs with a vertex
+    two and three times in an edge, isolated vertices and no edge at all,
+    and on their quotients by a random partition."""
+    (ell, n), drawn, keys = system
+    edges = []
+    for e, times in drawn:
+        e[1:times] = [e[0]] * (times - 1)
+        edges.append(e)
+    h = Hypergraph.build(ell, [f"x{i}" for i in range(n)], edges)
+    _assert_edge_sum_rank(h)
+    _assert_edge_sum_rank(quotient(h, Partition.from_keys(keys)))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        Hypergraph.build(3, "ab"),
+        Hypergraph.build(3, "abcd", [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]),  # a 2-core
+        repeats_at_every_position_pair(4),
+        repeats_at_every_position_pair(6),
+    ],
+    ids=["edge-free", "two-vertices", "repeats-ell4", "repeats-ell6"],
+)
+def test_edge_sum_rank_on_pinned_inputs(h):
+    _assert_edge_sum_rank(h)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_edge_sum_rank_peels_an_empty_core_without_eliminating(seed, monkeypatch):
+    """Near discrete, every row peels away: the rank is the edge count,
+    as the exact echelon says, and nothing is eliminated to get it."""
+    h = random_hypergraph(200, 173, 3, seed)
+    rank = _assert_edge_sum_rank(h, dense=False)
+    calls = []
+    monkeypatch.setattr(hypersig.signals, "_edge_sum_echelon", calls.append)
+    assert _edge_sum_rank(h) == rank == h.n_edges
+    assert calls == []
 
 
 def _assert_forward_rank_on_shuffles(rows, ncols, rng):
