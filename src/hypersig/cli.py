@@ -19,10 +19,9 @@ from pathlib import Path
 
 from .errors import DisconnectedError, DomainError, FormatError
 from .experiments import DENSITY_MODES, SweepConfig, random_hypergraph, rows_to_csv, run_sweep
-from .frames import fan, frame, frame_result_to_json, mountain_range
+from .frames import _classes_text, fan, frame, mountain_range
 from .hypergraph import (
     Hypergraph,
-    _dumps,
     _write_texts,
     components,
     dumps_hypergraph,
@@ -107,7 +106,7 @@ def cmd_frame(args: argparse.Namespace) -> int:
     files = [(args.out, frame_text)] if args.out else []
     classes = args.classes or (args.out and _default_classes_path(args.out))
     if classes:
-        files.append((classes, _dumps(frame_result_to_json(result, h))))
+        files.append((classes, _classes_text(result, h, frame_text)))
     if not args.out:
         sys.stdout.write(frame_text)
     _write_texts(files)

@@ -15,10 +15,11 @@ closure on connected uniform hypergraphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .errors import DomainError
-from .hypergraph import Hypergraph, Partition, hypergraph_to_json
+from .hypergraph import Hypergraph, Partition, _encode, _rows_text, hypergraph_to_json
 from .signals import LinearMap, _certified_signal, universal_map
 
 
@@ -144,3 +145,23 @@ def frame_result_to_json(result: FrameResult, source: Hypergraph) -> dict:
         "class_map": {x: frame_labels[c] for x, c in zip(source.vertices, class_of)},
     }
 
+
+def _classes_text(result: FrameResult, source: Hypergraph, frame_text: str) -> str:
+    """Byte for byte ``_dumps(frame_result_to_json(result, source))``, given
+    ``frame_text``, the :func:`dumps_hypergraph` of ``result.frame``. The
+    frame is nested by re-indenting that text, which is safe because every
+    label is encoded with its newlines escaped. Each source label is
+    encoded once: the classes fill :func:`_rows_text`, and each frame label
+    is the encoding of its class's smallest member."""
+    classes = result.fusion.classes
+    enc = list(map(_encode, source.vertices))
+    frame_enc = [enc[block[0]] for block in classes]
+    cells = tuple(map(enc.__getitem__, chain.from_iterable(classes)))
+    pairs = zip(enc, map(frame_enc.__getitem__, result.fusion.class_of))
+    class_map = ",\n    ".join(map(": ".join, pairs))
+    frame_block = frame_text[:-1].replace("\n", "\n  ")
+    return (
+        f'{{\n  "frame": {frame_block},\n'
+        f'  "classes": {_rows_text(list(map(len, classes)), cells, "  ")},\n'
+        f'  "class_map": {{\n    {class_map}\n  }}\n}}\n'
+    )

@@ -93,6 +93,14 @@ class Hypergraph:
         vertices: Sequence[str],
         edges: Iterable[Sequence[str]] = (),
     ) -> "Hypergraph":
+        """Construct from edges given as label sequences. When every edge
+        has the same number of labels, all known, and the edges are
+        distinct and in order, the ids are regrouped and trusted as they
+        come: ``__post_init__``'s whole-sequence checks accept edges that
+        are already canonical, as every document this package writes holds
+        them, with no second sort. Edges out of order, and edges those
+        checks reject, go through :meth:`build`, which canonicalizes them,
+        collapses duplicate orbits and words every other fault."""
         index = {lab: i for i, lab in enumerate(vertices)}
         ids = None
         if isinstance(edges, (list, tuple)):
@@ -100,7 +108,11 @@ class Hypergraph:
                 (k,) = set(map(len, edges))
                 ids = list(map(index.__getitem__, chain.from_iterable(edges)))
         if ids:  # every edge has k labels, all known
-            return cls.build(ell, vertices, zip(*[iter(ids)] * k))
+            id_edges = tuple(zip(*[iter(ids)] * k))
+            if all(map(lt, id_edges, id_edges[1:])):  # else failing the checks costs more
+                with suppress(DomainError):
+                    return cls(ell, tuple(vertices), id_edges)
+            return cls.build(ell, vertices, id_edges)
         id_edges = []
         for e in edges:
             try:
@@ -174,22 +186,26 @@ class Partition:
 
 def _component_roots(n: int, edges: Iterable[Sequence[int]]) -> list[int]:
     """Union-find over ``range(n)`` merging all vertices of each edge; the
-    root of every vertex, so equal roots mean one component."""
+    root of every vertex, so equal roots mean one component. Each edge's
+    later vertices are hung under the root of its first, and every find
+    halves its path; the finds are written out inline, as a call per find
+    costs more than the find itself on sparse inputs."""
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for e in edges:
-        r = find(e[0])
+        r = e[0]
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
         for v in e[1:]:
-            rv = find(v)
-            if rv != r:
-                parent[rv] = r
-    return [find(x) for x in range(n)]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if v != r:
+                parent[v] = r
+    roots = []
+    for x in range(n):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        roots.append(x)
+    return roots
 
 
 def components(h: Hypergraph) -> Partition:
@@ -271,7 +287,17 @@ def hypergraph_from_json(obj) -> Hypergraph:
 
 
 def dumps_hypergraph(h: Hypergraph) -> str:
-    return _dumps(hypergraph_to_json(h))
+    """Byte for byte ``_dumps(hypergraph_to_json(h))``, rendered from the
+    integer edges without the document: each vertex label is encoded
+    once, and the edge block is filled from those encodings by
+    :func:`_rows_text`."""
+    enc = list(map(_encode, h.vertices))
+    cells = tuple(map(enc.__getitem__, chain.from_iterable(h.edges)))
+    sep = ",\n    "
+    return (
+        f'{{\n  "ell": {h.ell},\n  "vertices": [\n    {sep.join(enc)}\n  ],\n'
+        f'  "edges": {_rows_text((h.ell,) * h.n_edges, cells, "  ")}\n}}\n'
+    )
 
 
 def save_hypergraph(h: Hypergraph, path: str | Path) -> None:
@@ -287,8 +313,7 @@ def _dumps(obj) -> str:
 def _text(obj, pad: str) -> str:
     """:func:`json.dumps` at indent 2 of a str, int, list or str-keyed dict
     nested at indent ``pad``, per element in C; other types are a TypeError.
-    A list of nonempty lists of strings is one ``%`` of the encoded strings
-    into ``%s`` slots, so a ``%`` in a label is never part of the template."""
+    A list of nonempty lists of strings goes to :func:`_rows_text`."""
     if isinstance(obj, str):
         return _encode(obj)
     if isinstance(obj, int) and not isinstance(obj, bool):
@@ -312,11 +337,24 @@ def _text(obj, pad: str) -> str:
     if all(map(isinstance, obj, repeat(str))):
         body = sep.join(map(_encode, obj))
     elif flat and all(map(isinstance, flat, repeat(str))):
-        slot = ",\n" + inner + "  "
-        template = {k: f"[\n{inner}  {slot.join(['%s'] * k)}\n{inner}]" for k in set(map(len, obj))}
-        body = sep.join(map(template.__getitem__, map(len, obj))) % tuple(map(_encode, flat))
+        return _rows_text(list(map(len, obj)), tuple(map(_encode, flat)), pad)
     else:
         body = sep.join(map(_text, obj, repeat(inner)))
+    return f"[\n{inner}{body}\n{pad}]"
+
+
+def _rows_text(lengths: Sequence[int], cells: tuple[str, ...], pad: str) -> str:
+    """:func:`json.dumps` at indent 2, nested at indent ``pad``, of a list
+    of nonempty rows of strings, given each row's length and the encoded
+    strings of all rows in order. The rows are one ``%`` of ``cells`` into
+    a template of ``%s`` slots, so a ``%`` in a string is never part of the
+    template."""
+    if not lengths:
+        return "[]"
+    inner = pad + "  "
+    slot = ",\n" + inner + "  "
+    template = {k: f"[\n{inner}  {slot.join(['%s'] * k)}\n{inner}]" for k in set(lengths)}
+    body = (",\n" + inner).join(map(template.__getitem__, lengths)) % cells
     return f"[\n{inner}{body}\n{pad}]"
 
 

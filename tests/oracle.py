@@ -269,6 +269,29 @@ def covers_all(n: int, edges) -> bool:
     return len(seen) == n
 
 
+def component_roots(n: int, edges) -> list[int]:
+    """The union-find of ``hypersig.hypergraph._component_roots`` with its
+    find as a nested function, the reference for the finds written out
+    inline: each edge's later vertices hang under the root of its first,
+    and every find halves its path, so the roots lists are equal, not only
+    the components."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in edges:
+        r = find(e[0])
+        for v in e[1:]:
+            rv = find(v)
+            if rv != r:
+                parent[rv] = r
+    return [find(x) for x in range(n)]
+
+
 def edges_connected(n: int, edges) -> bool:
     parent = list(range(n))
 

@@ -20,7 +20,8 @@ from hypersig import (
     quotient,
     save_hypergraph,
 )
-from hypersig.hypergraph import _write_texts
+from hypersig.hypergraph import _component_roots, _write_texts
+from oracle import component_roots
 
 
 def two_triangles():
@@ -30,7 +31,8 @@ def two_triangles():
 
 
 # Edges are canonicalized in one place, Hypergraph.build, which every
-# other constructor and the JSON reader go through.
+# other constructor goes through. The JSON reader goes through it only for
+# edges that do not arrive canonical.
 
 
 def test_canonicalize_edge_sorts(fan_five):
@@ -61,6 +63,47 @@ def test_arrangements_counts(edge, count):
     arrs = arrangements(edge)
     assert len(arrs) == count
     assert arrs == sorted(set(arrs))
+
+
+@st.composite
+def union_find_inputs(draw):
+    """Vertex counts from 1, edges of one to five vertices that may repeat
+    one, and vertices in no edge."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.lists(vertex, min_size=1, max_size=5), max_size=10))
+
+
+def chain_inputs():
+    """Long chains in both directions: hanging each old root under a new
+    vertex builds one path of every vertex, which the finds must halve."""
+    n = 2000
+    forward = [(i, i + 1, i + 2) for i in range(0, n - 2, 2)]
+    yield n, forward
+    yield n, forward[::-1]
+    yield n, [(k, k - 1) for k in range(1, n)]
+    yield n, [(k - 1, k) for k in range(n - 1, 0, -1)]
+    yield n, [(k, k, k - 1) for k in range(1, n, 2)]  # repeated vertices, isolated odd tail
+
+
+@given(union_find_inputs())
+@settings(max_examples=300, deadline=None)
+def test_component_roots_match_the_reference_roots(case):
+    n, edges = case
+    assert _component_roots(n, edges) == component_roots(n, edges)
+
+
+@pytest.mark.parametrize(
+    "case", chain_inputs(), ids=["forward", "backward", "pairs-up", "pairs-down", "repeats"]
+)
+def test_component_roots_match_the_reference_on_long_chains(case):
+    n, edges = case
+    assert _component_roots(n, edges) == component_roots(n, edges)
+
+
+def test_component_roots_of_one_vertex():
+    assert _component_roots(1, []) == [0]
+    assert _component_roots(1, [(0, 0, 0)]) == [0]
 
 
 def test_components_single_class(fan_five):
@@ -243,6 +286,100 @@ def test_duplicate_orbits_collapse_with_warning(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "collapsed 1 duplicate edge orbit(s)"
     ]
+
+
+def _counted_builds(monkeypatch) -> list:
+    """Patch ``Hypergraph.build`` to record each call, then build as before."""
+    calls = []
+    build = Hypergraph.build.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Hypergraph, "build", classmethod(counting))
+    return calls
+
+
+def test_a_canonical_document_is_read_without_a_build(monkeypatch, fan_five):
+    doc = json.loads(dumps_hypergraph(fan_five))
+    calls = _counted_builds(monkeypatch)
+    assert hypergraph_from_json(doc) == fan_five
+    assert calls == []
+    doc["edges"].reverse()
+    assert hypergraph_from_json(doc) == fan_five
+    assert len(calls) == 1
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _read_logged(doc):
+    """``hypergraph_from_json(doc)`` and the messages it logged."""
+    logger = logging.getLogger("hypersig.hypergraph")
+    handler = _Records()
+    logger.addHandler(handler)
+    try:
+        return hypergraph_from_json(doc), handler.messages
+    finally:
+        logger.removeHandler(handler)
+
+
+@st.composite
+def label_documents(draw):
+    """Documents of canonical edges, then maybe with labels shuffled inside
+    edges, edges shuffled, and edges repeated."""
+    ell = draw(st.integers(3, 5))
+    labels = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6, unique=True))
+    vertex = st.sampled_from(labels)
+    edges = draw(st.lists(st.lists(vertex, min_size=ell, max_size=ell), max_size=8))
+    h = Hypergraph.build(ell, labels, [[labels.index(x) for x in e] for e in edges])
+    rows = [list(h.edge_labels(e)) for e in h.edges]
+    if draw(st.booleans()):
+        rows = [draw(st.permutations(row)) for row in rows]
+    if draw(st.booleans()):
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    return {"ell": ell, "vertices": labels, "edges": rows}
+
+
+@given(label_documents())
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_building_from_ids(doc):
+    index = {lab: i for i, lab in enumerate(doc["vertices"])}
+    ids = [[index[x] for x in e] for e in doc["edges"]]
+    expected = Hypergraph.build(doc["ell"], doc["vertices"], ids)
+    collapsed = len(doc["edges"]) - expected.n_edges
+    h, messages = _read_logged(doc)
+    assert h == expected
+    assert messages == ([f"collapsed {collapsed} duplicate edge orbit(s)"] if collapsed else [])
+
+
+@pytest.mark.parametrize(
+    "edges,collapsed",
+    [
+        ([["b", "a", "c"], ["a", "c", "d"]], 0),
+        ([["a", "c", "b"], ["a", "c", "d"]], 0),
+        ([["a", "c", "d"], ["a", "b", "c"]], 0),
+        ([["a", "b", "c"], ["a", "b", "c"], ["a", "c", "d"]], 1),
+        ([["a", "c", "d"], ["c", "b", "a"], ["a", "b", "c"], ["d", "c", "a"]], 2),
+    ],
+    ids=["unsorted-edge", "unsorted-edge-in-order", "out-of-order", "duplicate", "all-three"],
+)
+def test_non_canonical_documents_build_once(monkeypatch, edges, collapsed):
+    doc = {"ell": 3, "vertices": ["a", "b", "c", "d"], "edges": edges}
+    calls = _counted_builds(monkeypatch)
+    h, messages = _read_logged(doc)
+    assert h.edges == ((0, 1, 2), (0, 2, 3))
+    assert len(calls) == 1
+    assert messages == ([f"collapsed {collapsed} duplicate edge orbit(s)"] if collapsed else [])
 
 
 @pytest.mark.parametrize(

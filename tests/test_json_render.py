@@ -1,6 +1,8 @@
 """Every file is written as ``json.dumps(doc, indent=2)`` plus a newline;
 ``hypersig.hypergraph._dumps`` renders that text without the pure-Python
-encoder, so these tests hold it to ``json.dumps`` byte for byte."""
+encoder, so these tests hold it to ``json.dumps`` byte for byte. The
+``frame`` documents are rendered from the integer structure without a
+document at all, and are held to ``_dumps`` of the reference documents."""
 
 import json
 from pathlib import Path
@@ -9,6 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hypersig import (
+    FrameResult,
+    Hypergraph,
+    Partition,
+    dumps_hypergraph,
+    frame_result_to_json,
+    hypergraph_to_json,
+    quotient,
+)
+from hypersig.frames import _classes_text
 from hypersig.hypergraph import _dumps
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -38,6 +50,39 @@ json_docs = st.recursive(
 @settings(max_examples=400, deadline=None)
 def test_dumps_matches_json_dumps_at_indent_two(doc):
     assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@st.composite
+def quotients(draw):
+    """A labelled hypergraph at arity 3-6, its edges free to repeat a
+    vertex, and a discrete, one-class or mixed partition of its vertices."""
+    ell = draw(st.integers(3, 6))
+    labels = draw(st.lists(texts, min_size=1, max_size=8, unique=True))
+    n = len(labels)
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.lists(vertex, min_size=ell, max_size=ell), max_size=8))
+    kind = draw(st.sampled_from(["discrete", "one-class", "mixed"]))
+    if kind == "discrete":
+        keys = range(n)
+    elif kind == "one-class":
+        keys = [0] * n
+    else:
+        keys = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return Hypergraph.build(ell, labels, edges), Partition.from_keys(keys)
+
+
+@given(quotients())
+@example((Hypergraph.build(3, ["a"]), Partition.from_keys([0])))  # one vertex, no edge
+@example((Hypergraph.build(4, ["%s", "a\nb"], [(0, 1, 1, 1)]), Partition.from_keys([0, 0])))
+@example((Hypergraph.build(3, ["x", "y", "z"], [(0, 1, 2)]), Partition.from_keys([1, 0, 1])))
+@settings(max_examples=300, deadline=None)
+def test_frame_documents_match_the_reference_documents(case):
+    h, fusion = case
+    result = FrameResult(frame=quotient(h, fusion), fusion=fusion)
+    frame_text = dumps_hypergraph(result.frame)
+    assert dumps_hypergraph(h) == _dumps(hypergraph_to_json(h))
+    assert frame_text == _dumps(hypergraph_to_json(result.frame))
+    assert _classes_text(result, h, frame_text) == _dumps(frame_result_to_json(result, h))
 
 
 # every JSON document the CLI wrote or printed in the golden corpus (the
