@@ -147,12 +147,13 @@ def frame_result_to_json(result: FrameResult, source: Hypergraph) -> dict:
 
 
 def _classes_text(result: FrameResult, source: Hypergraph, frame_text: str) -> str:
-    """Byte for byte ``_dumps(frame_result_to_json(result, source))``, given
-    ``frame_text``, the :func:`dumps_hypergraph` of ``result.frame``. The
-    frame is nested by re-indenting that text, which is safe because every
-    label is encoded with its newlines escaped. Each source label is
-    encoded once: the classes fill :func:`_rows_text`, and each frame label
-    is the encoding of its class's smallest member."""
+    """Byte for byte ``json.dumps(frame_result_to_json(result, source),
+    indent=2)`` plus a newline, given ``frame_text``, the
+    :func:`dumps_hypergraph` of ``result.frame``. The frame is nested by
+    re-indenting that text, which is safe because every label is encoded
+    with its newlines escaped. Each source label is encoded once: the
+    classes fill :func:`_rows_text`, and each frame label is the encoding
+    of its class's smallest member."""
     classes = result.fusion.classes
     enc = list(map(_encode, source.vertices))
     frame_enc = [enc[block[0]] for block in classes]

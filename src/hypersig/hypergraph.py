@@ -287,10 +287,10 @@ def hypergraph_from_json(obj) -> Hypergraph:
 
 
 def dumps_hypergraph(h: Hypergraph) -> str:
-    """Byte for byte ``_dumps(hypergraph_to_json(h))``, rendered from the
-    integer edges without the document: each vertex label is encoded
-    once, and the edge block is filled from those encodings by
-    :func:`_rows_text`."""
+    """Byte for byte ``json.dumps(hypergraph_to_json(h), indent=2)`` plus a
+    newline, rendered from the integer edges without the document: each
+    vertex label is encoded once, and the edge block is filled from those
+    encodings by :func:`_rows_text`."""
     enc = list(map(_encode, h.vertices))
     cells = tuple(map(enc.__getitem__, chain.from_iterable(h.edges)))
     sep = ",\n    "
@@ -302,45 +302,6 @@ def dumps_hypergraph(h: Hypergraph) -> str:
 
 def save_hypergraph(h: Hypergraph, path: str | Path) -> None:
     _write_texts([(path, dumps_hypergraph(h))])
-
-
-def _dumps(obj) -> str:
-    """JSON text as every file of this package is written: byte for byte
-    what :func:`json.dumps` writes at indent 2, plus a newline."""
-    return _text(obj, "") + "\n"
-
-
-def _text(obj, pad: str) -> str:
-    """:func:`json.dumps` at indent 2 of a str, int, list or str-keyed dict
-    nested at indent ``pad``, per element in C; other types are a TypeError.
-    A list of nonempty lists of strings goes to :func:`_rows_text`."""
-    if isinstance(obj, str):
-        return _encode(obj)
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return int.__repr__(obj)
-    if not isinstance(obj, (list, dict)):
-        raise TypeError(f"cannot write {type(obj).__name__} {obj!r} as JSON")
-    if not obj:
-        return "[]" if isinstance(obj, list) else "{}"
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        if not all(map(isinstance, obj, repeat(str))):
-            raise TypeError("JSON object keys must be strings")
-        values = obj.values()
-        strings = all(map(isinstance, values, repeat(str)))
-        values = map(_encode, values) if strings else map(_text, values, repeat(inner))
-        body = sep.join(map("%s: %s".__mod__, zip(map(_encode, obj), values)))
-        return f"{{\n{inner}{body}\n{pad}}}"
-    rows = all(map(isinstance, obj, repeat(list))) and all(obj)
-    flat = tuple(chain.from_iterable(obj)) if rows else ()
-    if all(map(isinstance, obj, repeat(str))):
-        body = sep.join(map(_encode, obj))
-    elif flat and all(map(isinstance, flat, repeat(str))):
-        return _rows_text(list(map(len, obj)), tuple(map(_encode, flat)), pad)
-    else:
-        body = sep.join(map(_text, obj, repeat(inner)))
-    return f"[\n{inner}{body}\n{pad}]"
 
 
 def _rows_text(lengths: Sequence[int], cells: tuple[str, ...], pad: str) -> str:

@@ -27,6 +27,7 @@ dumps are stable across runs.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from collections import Counter
@@ -44,9 +45,8 @@ from .hypergraph import (
     Hypergraph,
     Partition,
     _component_roots,
-    _dumps,
+    _encode,
     _read_json,
-    _text,
     _write_texts,
     is_connected,
     quotient,
@@ -852,9 +852,10 @@ def signal_to_json(h: Hypergraph, s: Signal) -> dict:
 def _basis_chunks(h: Hypergraph, basis: Sequence[tuple[Sequence[int], int]]) -> Iterator[str]:
     """The text of ``signals --out`` for a verified basis of integer
     vectors ``ys`` over their value ``d`` at the pivot: byte for byte
-    ``_dumps`` of the :func:`signal_to_json` documents of its signals, one
-    chunk per document and the closing bracket last, so a file can take
-    each document as it is rendered. The vertex-label block is rendered
+    ``json.dumps(docs, indent=2)`` plus a newline, for ``docs`` the
+    :func:`signal_to_json` documents of its signals, one chunk per
+    document and the closing bracket last, so a file can take each
+    document as it is rendered. The vertex-label block is rendered
     once for all of them. Each distinct ``y`` of a vector is rendered
     once, as the quoted ``str(Fraction(y, d))``: divided by ``gcd(y, d)``,
     the sign on the numerator, as ``d`` is negative for some rank-1 maps.
@@ -864,8 +865,9 @@ def _basis_chunks(h: Hypergraph, basis: Sequence[tuple[Sequence[int], int]]) -> 
         yield "[]\n"
         return
     n, ell = h.n_vertices, h.ell
+    labels = ",\n      ".join(map(_encode, h.vertices))
     head = (
-        f'{{\n    "vertices": {_text(list(h.vertices), "    ")},\n'
+        f'{{\n    "vertices": [\n      {labels}\n    ],\n'
         f'    "ell": {ell},\n    "values": [\n      [\n        '
     )
     value_sep, row_sep, tail = ",\n        ", "\n      ],\n      [\n        ", "\n      ]\n    ]\n  }"
@@ -915,7 +917,7 @@ def signal_from_json(obj) -> tuple[tuple[str, ...], int, Signal]:
 
 
 def save_signal(h: Hypergraph, s: Signal, path: str | Path) -> None:
-    _write_texts([(path, _dumps(signal_to_json(h, s)))])
+    _write_texts([(path, json.dumps(signal_to_json(h, s), indent=2) + "\n")])
 
 
 def load_signal(path: str | Path) -> tuple[tuple[str, ...], int, Signal]:

@@ -52,7 +52,6 @@ from hypersig import (
     universal_map,
     verify_signal,
 )
-from hypersig.hypergraph import _dumps
 from hypersig.linalg import _integral_rows
 from hypersig.signals import (
     _basis_chunks,
@@ -840,12 +839,19 @@ def test_signal_space_check_catches_one_changed_basis_integer(fan_five, rows, mo
 
 
 def test_signal_json_roundtrip(tmp_path, triangle, skew_signal):
+    # labels that need escaping (a non-BMP character and a lone surrogate
+    # included) and negative fractional values
+    labels = ["%s", '"', "\\", "a\nb", "\U0001f4a1", "\ud83d"]
+    hostile = Hypergraph.build(3, labels, [(0, 1, 2), (3, 4, 5)])
+    values = [[Fraction(-1, 2), 0, Fraction(7, 3), -4, Fraction(-9, 8), 1]] * 3
     path = tmp_path / "sig.json"
-    save_signal(triangle, skew_signal, path)
-    vertices, ell, sig = load_signal(path)
-    assert vertices == triangle.vertices
-    assert ell == 3
-    assert sig == skew_signal
+    for h, s in [(triangle, skew_signal), (hostile, Signal.from_rows(values))]:
+        save_signal(h, s, path)
+        assert path.read_text(encoding="utf-8") == json.dumps(signal_to_json(h, s), indent=2) + "\n"
+        vertices, ell, sig = load_signal(path)
+        assert vertices == h.vertices
+        assert ell == 3
+        assert sig == s
 
 
 def test_signal_json_uses_rational_strings(triangle):
@@ -898,13 +904,15 @@ def written_bases(draw):
 @example((Hypergraph.build(3, ["%s", '"', "\\"], []), universal_map(3)))
 @settings(max_examples=200, deadline=None)
 def test_basis_chunks_match_the_rendered_signal_documents(problem):
-    """The streamed ``signals --out`` text equals ``_dumps`` of the
-    :func:`signal_to_json` documents of the space's ``Fraction`` signals,
-    whatever the sign of the pivot values and the dimension, 0 included."""
+    """The streamed ``signals --out`` text equals ``json.dumps`` at indent
+    2, plus a newline, of the :func:`signal_to_json` documents of the
+    space's ``Fraction`` signals, whatever the sign of the pivot values and
+    the dimension, 0 included."""
     h, t = problem
     maps = _integral_rows(t.entries)
     text = "".join(_basis_chunks(h, _verified_basis(h, maps, _map_kernel(maps))))
-    assert text == _dumps([signal_to_json(h, s) for s in signal_space(h, t).signals()])
+    docs = [signal_to_json(h, s) for s in signal_space(h, t).signals()]
+    assert text == json.dumps(docs, indent=2) + "\n"
 
 
 def test_basis_chunks_are_one_per_document():
