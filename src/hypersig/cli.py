@@ -27,12 +27,9 @@ from .hypergraph import (
     dumps_hypergraph,
     load_hypergraph,
 )
-from .linalg import _integral_rows
 from .signals import (
     LinearMap,
     _basis_chunks,
-    _check_arity,
-    _map_kernel,
     _verified_basis,
     centroid_map,
     component_count_via_C,
@@ -71,17 +68,15 @@ def _write_or_print(text: str, out: str | None) -> None:
 def cmd_signals(args: argparse.Namespace) -> int:
     h = load_hypergraph(args.infile)
     t = _resolve_map(args.map, h.ell)
-    _check_arity(h, t)  # a map of the wrong arity fails here, before any warning
-    maps = _integral_rows(t.entries)
-    kernel = _map_kernel(maps)
-    basis = _verified_basis(h, maps, kernel)
+    # a map of the wrong arity fails here, before any warning
+    basis, constant = _verified_basis(h, t)
     if not is_engaged(t):
         print(
             "warning: map is not engaged (it has a zero column); "
             "the corresponding axis is unconstrained",
             file=sys.stderr,
         )
-    print(f"dim {len(basis)}, constant {len(kernel)}")
+    print(f"dim {len(basis)}, constant {constant}")
     if args.out:
         _write_texts([(args.out, _basis_chunks(h, basis))])
     return EXIT_OK

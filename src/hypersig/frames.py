@@ -163,6 +163,6 @@ def _classes_text(result: FrameResult, source: Hypergraph, frame_text: str) -> s
     frame_block = frame_text[:-1].replace("\n", "\n  ")
     return (
         f'{{\n  "frame": {frame_block},\n'
-        f'  "classes": {_rows_text(list(map(len, classes)), cells, "  ")},\n'
+        f'  "classes": {_rows_text(list(map(len, classes)), cells)},\n'
         f'  "class_map": {{\n    {class_map}\n  }}\n}}\n'
     )

@@ -296,7 +296,7 @@ def dumps_hypergraph(h: Hypergraph) -> str:
     sep = ",\n    "
     return (
         f'{{\n  "ell": {h.ell},\n  "vertices": [\n    {sep.join(enc)}\n  ],\n'
-        f'  "edges": {_rows_text((h.ell,) * h.n_edges, cells, "  ")}\n}}\n'
+        f'  "edges": {_rows_text((h.ell,) * h.n_edges, cells)}\n}}\n'
     )
 
 
@@ -304,19 +304,18 @@ def save_hypergraph(h: Hypergraph, path: str | Path) -> None:
     _write_texts([(path, dumps_hypergraph(h))])
 
 
-def _rows_text(lengths: Sequence[int], cells: tuple[str, ...], pad: str) -> str:
-    """:func:`json.dumps` at indent 2, nested at indent ``pad``, of a list
-    of nonempty rows of strings, given each row's length and the encoded
-    strings of all rows in order. The rows are one ``%`` of ``cells`` into
-    a template of ``%s`` slots, so a ``%`` in a string is never part of the
-    template."""
+def _rows_text(lengths: Sequence[int], cells: tuple[str, ...]) -> str:
+    """:func:`json.dumps` at indent 2 of a list of nonempty rows of
+    strings, as the value of a field of a top-level object, given each
+    row's length and the encoded strings of all rows in order. The rows
+    are one ``%`` of ``cells`` into a template of ``%s`` slots, so a ``%``
+    in a string is never part of the template."""
     if not lengths:
         return "[]"
-    inner = pad + "  "
-    slot = ",\n" + inner + "  "
-    template = {k: f"[\n{inner}  {slot.join(['%s'] * k)}\n{inner}]" for k in set(lengths)}
-    body = (",\n" + inner).join(map(template.__getitem__, lengths)) % cells
-    return f"[\n{inner}{body}\n{pad}]"
+    slot = ",\n      "
+    template = {k: f"[\n      {slot.join(['%s'] * k)}\n    ]" for k in set(lengths)}
+    body = ",\n    ".join(map(template.__getitem__, lengths)) % cells
+    return f"[\n    {body}\n  ]"
 
 
 def _read_json(path: str | Path):

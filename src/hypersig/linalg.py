@@ -99,8 +99,8 @@ def _gf3_kernel(rows: Iterable[tuple[int, int]], ncols: int) -> tuple[int, list[
     difference. The elimination is :func:`_forward_echelon`'s: a row is
     cleared at its smallest column while that column has a pivot, pivot
     rows scaled to 1 there, rows furthest right first (support masks in
-    descending order). Each pivot row is kept as itself and as its
-    negation, so adding it costs no copy.
+    descending order). Each pivot row is stored once: its negation is the
+    same pair read in the other order, so adding it costs no copy.
 
     One back-substitution, from the last column down, then solves every
     pivot column over the whole kernel basis at once, packed as a vector
@@ -112,19 +112,19 @@ def _gf3_kernel(rows: Iterable[tuple[int, int]], ncols: int) -> tuple[int, list[
     right of it. Two columns take equal values on every kernel vector iff
     their packed values are equal, whatever the basis.
     """
-    pivots: list[tuple[int, int, int, int] | None] = [None] * ncols
+    pivots: list[tuple[int, int] | None] = [None] * ncols
     for one, two in sorted(rows, key=lambda r: r[0] | r[1], reverse=True):
         while s := one | two:
             low = s & -s
             c = low.bit_length() - 1
             p = pivots[c]
             if p is None:
-                pivots[c] = (two, one, one, two) if two & low else (one, two, two, one)
+                pivots[c] = (two, one) if two & low else (one, two)
                 break
             if one & low:  # subtract p
-                p1, p2, _, _ = p
+                p1, p2 = p
             else:  # add p: subtract its negation
-                _, _, p1, p2 = p
+                p2, p1 = p
             t = (one | p1) ^ (two | p2)
             one, two = (two | p1) ^ t, (one | p2) ^ t
     ones, twos, k = [0] * ncols, [0] * ncols, 0
@@ -134,7 +134,7 @@ def _gf3_kernel(rows: Iterable[tuple[int, int]], ncols: int) -> tuple[int, list[
     for c in range(ncols - 1, -1, -1):
         if (p := pivots[c]) is None:
             continue
-        p1, p2, _, _ = p
+        p1, p2 = p
         one = two = 0
         ks = (p1 | p2) ^ 1 << c
         while ks:

@@ -295,29 +295,28 @@ def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
     Dividing by the value at the pivot keeps every constraint's zero set,
     so the emitted signals are the verified ones.
     """
-    _check_arity(h, t)
-    maps = _integral_rows(t.entries)
-    return _space(t, _verified_basis(h, maps, _map_kernel(maps)))
+    return _space(t, _verified_basis(h, t)[0])
 
 
-def _verified_basis(
-    h: Hypergraph, maps: list[list[int]], kernel: list[tuple[int, list[int]]]
-) -> list[tuple[list[int], int]]:
-    """The canonical basis of :func:`signal_space` under the map given by
-    its integer rows and its :func:`_map_kernel`, each vector as integers
-    ``ys`` over its value ``d`` at the pivot. The map decides the case, as
-    it decides fusion: an engaged map of rank 1 solves one forward
-    elimination in :func:`_rank_one_basis`, every other map takes the
-    closed form of :func:`_closed_form_basis`; both read their kernels off
+def _verified_basis(h: Hypergraph, t: LinearMap) -> tuple[list[tuple[list[int], int]], int]:
+    """The canonical basis of :func:`signal_space` under ``t``, each vector
+    as integers ``ys`` over its value ``d`` at the pivot, and the number of
+    constant signals, the dimension of :func:`_map_kernel`. The arity is
+    checked, and the map converted to integer rows and its kernel
+    eliminated, each once. The map decides the case, as it decides fusion:
+    an engaged map of rank 1 solves one forward elimination in
+    :func:`_rank_one_basis`, every other map takes the closed form of
+    :func:`_closed_form_basis`; both read their kernels off
     :func:`hypersig.linalg._kernel_basis`. Every basis signal is
     re-verified exactly as its integer table, a failure an internal error
     that raises.
     """
-    n = h.n_vertices
-    v = _rank_one_row(maps)
-    basis = _closed_form_basis(h, maps, kernel) if v is None else _rank_one_basis(h, v)
+    _check_arity(h, t)
+    n, maps = h.n_vertices, _integral_rows(t.entries)
+    kernel, mu = _map_kernel(maps), _rank_one_lift(maps)
+    basis = _closed_form_basis(h, maps, kernel) if mu is None else _rank_one_basis(h, mu)
     _check_basis(h, maps, ([ys[a * n : (a + 1) * n] for a in range(h.ell)] for ys, _ in basis))
-    return basis
+    return basis, len(kernel)
 
 
 def _space(t: LinearMap, basis: Iterable[tuple[Sequence[int], int]]) -> SignalSpace:
@@ -340,13 +339,14 @@ def _map_kernel(maps: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
     return _kernel_basis(rows, len(maps[0]))
 
 
-def _rank_one_row(maps: Sequence[Sequence[int]]) -> Sequence[int] | None:
-    """The row ``v`` of an engaged map of rank 1, from its integer rows:
-    the first nonzero row, if it has no zero entry and every row is a
-    multiple of it; None under a zero column or rank >= 2."""
+def _rank_one_lift(maps: Sequence[Sequence[int]]) -> list[int] | None:
+    """The lift ``mu_a = lcm(v) / v_a`` of a map given by its integer rows
+    when it is engaged of rank 1: its first nonzero row ``v`` has no zero
+    entry and every row is a multiple of ``v``. None under a zero column
+    or rank >= 2. Axis-wise, ``mu`` rescales U-signals to the map's."""
     v = next((row for row in maps if any(row)), None)
     if v and all(v) and all(r[a] * v[0] == r[0] * v[a] for r in maps for a in range(len(v))):
-        return v
+        return [lcm(*v) // x for x in v]
     return None
 
 
@@ -360,17 +360,16 @@ def _ranked_components(h: Hypergraph) -> tuple[list[int], list[int]]:
     return [rank[r] for r in roots], tops
 
 
-def _rank_one_basis(h: Hypergraph, v: Sequence[int]) -> list[tuple[list[int], int]]:
+def _rank_one_basis(h: Hypergraph, mu: Sequence[int]) -> list[tuple[list[int], int]]:
     """Canonical basis of the signal space of an engaged map of rank 1,
-    every row a multiple of ``v``, solved on ``n + (ell-1) * kappa``
-    unknowns instead of ``ell * n`` (``kappa`` components, a vertex in no
-    edge its own).
+    every row a multiple of ``v``, from its :func:`_rank_one_lift` ``mu``,
+    solved on ``n + (ell-1) * kappa`` unknowns instead of ``ell * n``
+    (``kappa`` components, a vertex in no edge its own).
 
     A signal ``s`` is admissible iff ``v_a * s_a`` is under the
     coordinate-sum map, where ``u_a - u_{ell-1}`` is constant on every
-    component. So with ``mu_a = lcm(v) / v_a`` (the lift of fusion),
-    ``g = u_{ell-1}`` and ``h[a][k]`` the value of ``u_a`` at the largest
-    vertex ``top_k`` of component ``k``,
+    component. So with ``g = u_{ell-1}`` and ``h[a][k]`` the value of
+    ``u_a`` at the largest vertex ``top_k`` of component ``k``,
     ``s_a(x) = mu_a * (g(x) + h[a][k(x)] - g(top_k(x)))`` for ``a < ell-1``
     and ``s_{ell-1} = mu_{ell-1} * g``. Column ``a * kappa + k`` holds
     ``h[a][k]`` and column ``(ell-1) * kappa + x`` holds ``g(x)``, and an
@@ -389,8 +388,6 @@ def _rank_one_basis(h: Hypergraph, v: Sequence[int]) -> list[tuple[list[int], in
     comp, tops = _ranked_components(h)
     kappa = len(tops)
     base = (ell - 1) * kappa
-    scale = lcm(*v)
-    mu = [scale // x for x in v]
     rows: dict[tuple[tuple[int, int], ...], None] = {}
     for e in h.edges:  # sorted and within the component, so columns ascend
         k = comp[e[0]]
@@ -499,7 +496,9 @@ def _search_functional(t: LinearMap) -> tuple[int, ...]:
     once the prefix reaches its last nonzero entry, so a prefix that makes
     one zero there has no good completion and is skipped: the centroid
     map's w takes about two prefix tests per coordinate, where a plain
-    enumeration of the grid passes more than ``2^(ell-3)`` points.
+    enumeration of the grid passes more than ``2^(ell-3)`` points. A
+    complete prefix at height ``H`` has height ``H``: one below is good at
+    a lower height, which would have returned it.
     """
     r, ends = t.r, [[] for _ in range(t.r)]
     # each column scaled to integers alone keeps the zero set of w . T(a)
@@ -510,10 +509,8 @@ def _search_functional(t: LinearMap) -> tuple[int, ...]:
         w, i = [0] * r, 0
         while i >= 0:
             if i == r:
-                if max(w) == height:
-                    return tuple(w)
-                i -= 1
-            elif w[i] == height:
+                return tuple(w)
+            if w[i] == height:
                 w[i] = 0
                 i -= 1
             else:
@@ -579,23 +576,21 @@ def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[list[list[int]], Hyp
     The map decides the case (:func:`hypersig.frames.fusion` says why): a
     zero column gives the discrete partition, and the vertex index on that
     axis; an engaged map of rank >= 2 one class, and the zero signal; an
-    engaged map of rank 1, every row a multiple of the row ``v`` of
-    :func:`_rank_one_row`, the fusion of :func:`_universal_fusion`, and
-    the lift of its signal ``u_0 = f + C``, ``u_a = f`` divided axis-wise
-    by ``v``, kept in integers as ``u_a * (lcm(v) / v_a)``. One
-    :func:`_check_basis` call re-verifies the signal under every map; a
-    failure is an internal error.
+    engaged map of rank 1, the fusion of :func:`_universal_fusion`, and
+    its signal ``u_0 = f + C``, ``u_a = f`` multiplied on each axis by
+    the map's :func:`_rank_one_lift`. One :func:`_check_basis` call
+    re-verifies the signal under every map; a failure is an internal
+    error.
     """
     if not is_connected(h):
         raise DisconnectedError("fusion requires a connected hypergraph")
     _check_arity(h, t)
     n, ell = h.n_vertices, h.ell
     maps = _integral_rows(t.entries)
-    v = _rank_one_row(maps)
-    if v is not None:
+    mu = _rank_one_lift(maps)
+    if mu is not None:
         f, c, g, part = _universal_fusion(h)
         u = [[x + c for x in f]] + [f] * (ell - 1)
-        mu = [lcm(*v) // x for x in v]
         values = [row if m == 1 else [x * m for x in row] for m, row in zip(mu, u)]
     else:
         zero = _zero_columns(maps)
@@ -742,6 +737,10 @@ def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Hypergraph, Partit
     that run out, and a lift that fails re-verification in
     :func:`_certified_signal`, take a wrong elimination or quotient, and
     raise an internal error on either route.
+
+    Nothing here needs ``h`` connected: met with the components, the level
+    sets of ``f`` are each component's fusion, as a constant vector solves
+    every component's system for any ``C``; ``f`` alone may merge them.
     """
     found = _frame_fusion(h) if h.n_edges >= h.n_vertices else None
     p, g, echelon, col = found or (None, h, *_edge_sum_echelon(h))

@@ -12,6 +12,7 @@ from hypersig import (
     Hypergraph,
     InfeasibleError,
     SweepConfig,
+    SweepRow,
     dumps_hypergraph,
     is_connected,
     random_hypergraph,
@@ -108,6 +109,11 @@ def test_random_hypergraph_infeasible(n, m, ell):
         random_hypergraph(n, m, ell, seed=0)
 
 
+def test_random_hypergraph_rejects_arity_two():
+    with pytest.raises(DomainError, match="^arity must be >= 3$"):
+        random_hypergraph(5, 2, 2, seed=0)
+
+
 def test_reduction_proportion_examples(triangle, fan_five, folding_free_six):
     assert reduction_proportion(triangle) == 1
     assert reduction_proportion(fan_five) == Fraction(1, 3)
@@ -178,10 +184,16 @@ def test_infeasible_cell_reported_and_sweep_continues():
         seed=5,
     )
     rows = run_sweep(cfg)
-    assert rows[0].error is not None and rows[0].runs == 0
+    assert rows[0].error is not None and rows[0].runs == 0 and rows[0].stddev is None
     assert rows[1].error is None and rows[1].runs == 2
     csv = rows_to_csv(rows)
     assert csv.splitlines()[1].endswith(",0,,")
+
+
+@pytest.mark.parametrize("mean", [Fraction(-1, 2), Fraction(3, 2)], ids=str)
+def test_sweep_row_rejects_mean_out_of_range(mean):
+    with pytest.raises(DomainError, match=r"^mean reduction proportion out of \[0, 1\]$"):
+        SweepRow(6, 6, Fraction(1), mean, Fraction(0), 2)
 
 
 def test_csv_format():

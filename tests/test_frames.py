@@ -1,7 +1,8 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import lcm
 
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
 )
 import hypersig.linalg
 import hypersig.signals
+from hypersig.hypergraph import _component_roots
 from hypersig import (
     DisconnectedError,
     DomainError,
@@ -758,6 +760,63 @@ def test_universal_fusion_refines_engaged_maps():
                 assert len(cids) == 1
 
 
+def per_component_fusion(h):
+    """U-fusion of each component of ``h``: the level sets of
+    ``_universal_fusion``'s vector met with the components."""
+    f = hypersig.signals._universal_fusion(h)[0]
+    roots = _component_roots(h.n_vertices, h.edges)
+    return partition_blocks(Partition.from_keys(list(zip(f, roots))).classes)
+
+
+def disconnected_instance(rng, ell, n):
+    """``ell``-uniform input on ``n`` vertices split into two or three
+    parts with edges only inside a part, drawn with repeats, so most
+    inputs are disconnected and repeat a vertex; every other one leaves
+    its last vertex in no edge."""
+    loose = rng.random() < 0.5
+    order = list(range(n - loose))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, len(order)), min(rng.randint(1, 2), len(order) - 1)))
+    edges = set()
+    for part in (order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])):
+        for _ in range(rng.randint(1, 2 * len(part))):
+            edges.add(tuple(sorted(rng.choices(part, k=ell))))
+    return Hypergraph.build(ell, [f"x{i}" for i in range(n)], edges)
+
+
+def test_universal_fusion_per_component_matches_the_oracle():
+    """``_universal_fusion`` runs on disconnected input as it is: met with
+    the components, its vector's level sets are the U-fusion, as a
+    constant vector solves every component's edge-sum system for any
+    ``C``. Seeded inputs (ell 3-4, n <= 8) cover disconnected input,
+    vertices in no edge, repeated vertices, and both routes (m >= n and
+    m < n). On two disjoint complete 3-uniform K4s and a vertex in no
+    edge, the vector alone merges the two K4s; the meet separates them."""
+    k4s = Hypergraph.build(
+        3, [f"v{i}" for i in range(9)], [*combinations(range(4), 3), *combinations(range(4, 8), 3)]
+    )
+    f = hypersig.signals._universal_fusion(k4s)[0]
+    assert partition_blocks(Partition.from_keys(f).classes) == {frozenset(range(8)), frozenset({8})}
+    expected = {frozenset(range(4)), frozenset(range(4, 8)), frozenset({8})}
+    assert per_component_fusion(k4s) == oracle_fusion_blocks(k4s, universal_map(3)) == expected
+    rng = random.Random(30)
+    seen = Counter()
+    for i in range(24):
+        ell = 3 + i % 2
+        h = disconnected_instance(rng, ell, rng.randint(3, 8))
+        assert per_component_fusion(h) == oracle_fusion_blocks(h, universal_map(ell)), h
+        roots = _component_roots(h.n_vertices, h.edges)
+        seen.update(
+            disconnected=len(set(roots)) > 1,
+            loose=len({x for e in h.edges for x in e}) < h.n_vertices,
+            repeats=any(len(set(e)) < ell for e in h.edges),
+            frame_route=h.n_edges >= h.n_vertices,
+            exact_route=h.n_edges < h.n_vertices,
+        )
+    kinds = ("disconnected", "loose", "repeats", "frame_route", "exact_route")
+    assert min(map(seen.__getitem__, kinds)) >= 4, seen
+
+
 def test_is_stable(triangle, fan_five):
     assert is_stable(triangle)
     assert not is_stable(fan_five)
@@ -779,6 +838,31 @@ def test_fold_pairs_triangle_empty(triangle):
 
 def test_fold_pairs_folding_free_six(folding_free_six):
     assert fold_pairs(folding_free_six) == set()
+
+
+def defined_fold_pairs(h):
+    """Pairs ``x < y`` of two edges that agree as multisets once one
+    occurrence of ``x`` resp. ``y`` is removed, straight from the
+    definition."""
+    pairs = set()
+    for e in h.edges:
+        for f in h.edges:
+            for x in set(e):
+                for y in set(f):
+                    if x < y and Counter(e) - Counter([x]) == Counter(f) - Counter([y]):
+                        pairs.add((x, y))
+    return pairs
+
+
+def test_fold_pairs_match_the_definition_on_repeated_vertices():
+    """An edge that repeats a vertex gives that vertex's residual once,
+    and the pairs are the definition's."""
+    pinned = Hypergraph.build(3, "abcd", [(0, 0, 1), (0, 0, 2), (0, 1, 1), (3, 3, 3)])
+    assert fold_pairs(pinned) == defined_fold_pairs(pinned) == {(0, 1), (1, 2)}
+    rng = random.Random(31)
+    for i in range(30):
+        h = random_multiset_instance(rng, 3 + i % 3, n_max=5, m_max=6)
+        assert fold_pairs(h) == defined_fold_pairs(h), h
 
 
 def test_fold_pairs_fuse():

@@ -73,6 +73,8 @@ CASES = {
     "--map {in}/two_row_ell5.json",
     "verify-mixed-rationals": "verify --in {in}/fan5.json --signal {in}/sig_mixed.json --map U",
     "verify-bool-value": "verify --in {in}/triangle.json --signal {in}/sig_bool.json --map U",
+    "verify-misaligned-values": "verify --in {in}/triangle.json --signal {in}/sig_misaligned.json "
+    "--map U",
     "export-dot-ell4": "export-dot --in {in}/ell4_repeat.json",
     "export-dot-fan": "export-dot --in {in}/fan5.json --out {out}/fan.dot",
 }

@@ -421,8 +421,9 @@ def test_json_rejects_bool_arity():
             [["a", "b", "c"], ["a", "b"], ["z", "b", "c"]],
             "edge ['a', 'b'] must be an array of 3 vertex labels",
         ),
+        ("abc", "'edges' must be an array"),
     ],
-    ids=["unknown", "unhashable", "unknown-before-short", "short-before-unknown"],
+    ids=["unknown", "unhashable", "unknown-before-short", "short-before-unknown", "not-an-array"],
 )
 def test_json_edge_messages_name_the_first_faulty_edge(edges, message):
     doc = {"ell": 3, "vertices": ["a", "b", "c"], "edges": edges}

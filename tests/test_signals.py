@@ -55,8 +55,7 @@ from hypersig import (
 from hypersig.linalg import _integral_rows
 from hypersig.signals import (
     _basis_chunks,
-    _map_kernel,
-    _rank_one_row,
+    _rank_one_lift,
     _search_functional,
     _verified_basis,
 )
@@ -719,7 +718,7 @@ def test_signal_space_solves_no_vertex_system_outside_rank_one(monkeypatch):
     for ell, n, m in ((3, 30, 24), (4, 20, 14), (5, 12, 8)):
         h = _with_repeats(rng, random_hypergraph(n, m, ell, rng.randrange(2**32)), 4)
         skew = _skew(rng, ell)
-        while not is_engaged(skew) or _rank_one_row(_integral_rows(skew.entries)):
+        while not is_engaged(skew) or _rank_one_lift(_integral_rows(skew.entries)):
             skew = _skew(rng, ell)
         while True:
             rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ell)]
@@ -824,7 +823,7 @@ def test_signal_space_check_catches_one_changed_basis_integer(fan_five, rows, mo
     covered vertex on a constrained axis), fails the check. The builder
     changed is the one the map's case selects."""
     t = LinearMap.from_rows(rows)
-    rank_one = _rank_one_row(_integral_rows(t.entries)) is not None
+    rank_one = _rank_one_lift(_integral_rows(t.entries)) is not None
     name = "_rank_one_basis" if rank_one else "_closed_form_basis"
     basis = getattr(hypersig.signals, name)
 
@@ -909,8 +908,7 @@ def test_basis_chunks_match_the_rendered_signal_documents(problem):
     space's ``Fraction`` signals, whatever the sign of the pivot values and
     the dimension, 0 included."""
     h, t = problem
-    maps = _integral_rows(t.entries)
-    text = "".join(_basis_chunks(h, _verified_basis(h, maps, _map_kernel(maps))))
+    text = "".join(_basis_chunks(h, _verified_basis(h, t)[0]))
     docs = [signal_to_json(h, s) for s in signal_space(h, t).signals()]
     assert text == json.dumps(docs, indent=2) + "\n"
 
@@ -919,8 +917,7 @@ def test_basis_chunks_are_one_per_document():
     """Each document is its own chunk, so a file takes it as it is
     rendered; the closing bracket comes last."""
     t = LinearMap.from_rows([[Fraction(1, 2), -3, 2]])
-    maps = _integral_rows(t.entries)
-    basis = _verified_basis(fan(5), maps, _map_kernel(maps))
+    basis = _verified_basis(fan(5), t)[0]
     assert [d for _, d in basis] == [-2, 3, 3, 3]
     chunks = list(_basis_chunks(fan(5), basis))
     assert len(chunks) == 5 and chunks[-1] == "\n]\n"
@@ -983,6 +980,54 @@ def test_signal_json_rejects_bool_arity(triangle):
     doc["values"] = doc["values"][:1]
     with pytest.raises(FormatError, match="'ell' must be an integer"):
         signal_from_json(doc)
+
+
+SHAPE_FAULTS = {
+    "vertices": "'vertices' must be an array of strings",
+    "values": "'values' must hold one array per axis",
+    "row": "each value array must align with the vertex list",
+}
+
+
+@pytest.mark.parametrize(
+    "field,value,fault",
+    [
+        ("vertices", ["u", 1, "w"], "vertices"),
+        ("vertices", "uvw", "vertices"),
+        ("values", [["0"] * 3] * 2, "values"),
+        ("values", "000", "values"),
+        ("values", [["0"] * 3, ["0"] * 2, ["0"] * 3], "row"),
+        ("values", [["0"] * 3, "000", ["0"] * 3], "row"),
+    ],
+    ids=["label", "vertices", "two-rows", "values", "short-row", "string-row"],
+)
+def test_signal_json_shape_messages(triangle, field, value, fault):
+    doc = signal_to_json(triangle, Signal.from_rows([[0] * 3] * 3))
+    doc[field] = value
+    with pytest.raises(FormatError, match=f"^{re.escape(SHAPE_FAULTS[fault])}$"):
+        signal_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: LinearMap(0, 3, ()), "map dimensions must be positive"),
+        (lambda: LinearMap(1, 0, ((),)), "map dimensions must be positive"),
+        (lambda: LinearMap.from_rows([]), "map dimensions must be positive"),
+        (lambda: LinearMap(2, 3, ((1, 1, 1),)), "entry matrix shape mismatch"),
+        (lambda: LinearMap(1, 3, ((1, 1),)), "entry matrix shape mismatch"),
+    ],
+    ids=["no-rows", "no-columns", "from-no-rows", "missing-row", "short-row"],
+)
+def test_linear_map_shape_messages(build, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        build()
+
+
+@pytest.mark.parametrize("ell,n", [(3, 4), (2, 3)], ids=["long", "two-axes"])
+def test_signal_to_json_shape_message(triangle, ell, n):
+    with pytest.raises(DomainError, match="^signal shape does not match hypergraph$"):
+        signal_to_json(triangle, Signal.from_rows([[0] * n] * ell))
 
 
 def test_linear_map_json():
