@@ -538,6 +538,21 @@ def test_certified_signal_pin():
     )
 
 
+def test_certified_partition_pin():
+    """Digest of the frame edges and fusion classes of
+    ``_certified_signal`` on the inputs of :func:`test_certified_signal_pin`,
+    under U and under ``[1..ell]``: whichever kernel vectors a route draws,
+    the certified partition and frame are these."""
+    digest = hashlib.sha256()
+    for h in certified_signal_pin_inputs():
+        for t in (universal_map(h.ell), LinearMap.from_rows([list(range(1, h.ell + 1))])):
+            _, g, part = hypersig.signals._certified_signal(h, t)
+            digest.update(repr((g.edges, part.classes)).encode())
+    assert digest.hexdigest() == (
+        "c1cf579ac8e4dbcfd6719e721543fa22f078d59c2a3489f2fc44e0490a082e46"
+    )
+
+
 def test_certificate_rejects_a_draw_that_merges_too_much(fan_five, monkeypatch):
     """Free values all zero give the zero vector, whose one level set is
     a wrong candidate: the rank certificate rejects it and a fresh draw
