@@ -48,9 +48,11 @@ def fusion(h: Hypergraph, t: LinearMap) -> Partition:
     is under the coordinate-sum map, whose fusion is certified on the
     frame: :func:`~hypersig.signals._universal_fusion` states the
     certificate once, for its two routes (the candidate modulo 3 when H
-    has at least as many edges as vertices, else the exact elimination
-    of H), the three reasons the first declines, all decided before any
-    draw, and the failures that raise. Every case returns the level sets
+    has at least as many edges as vertices, else a draw on H peeled: its
+    2-core eliminated exactly, each peeled row's private vertex solved
+    from that row, free values one to one with kernel vectors), the
+    three reasons the first declines, all decided before any draw, and
+    the failures that raise. Every case returns the level sets
     of one signal re-verified under ``t``.
     """
     return _certified_signal(h, t)[2]

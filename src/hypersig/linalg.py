@@ -5,8 +5,11 @@ No floating point appears anywhere, and callers build
 eliminations. The exact one is a fraction-free forward echelon form of
 integer rows, each its ``(column, value)`` pairs: back-substitution from
 it gives one kernel vector for given free values, seeded random values
-for callers that need the rank and one vector, one-hot values for the
-canonical kernel basis of a map and of the signal spaces. The other is a
+for fusion, one-hot values for the canonical kernel basis of a map and
+of the signal spaces. Fusion peels its edge-sum system first
+(``signals._edge_sum_peel``) and hands only the 2-core left to the
+exact elimination; the rows peeled are solved one private vertex each,
+after the core's back-substitution. The other is a
 bound: the same forward elimination modulo 3 on bitsliced rows, which
 gives the rank modulo 3, at most the rational rank, and each column's
 values over the whole kernel modulo 3, a candidate that the exact

@@ -72,12 +72,33 @@ class LinearMap:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "LinearMap":
-        ents = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        """The map of rows of ``int`` and ``Fraction`` entries; any other
+        value, a ``bool`` or a ``float`` included, raises ``DomainError``."""
+        ents = _fraction_rows(rows, "map entry")
         return cls(len(ents), len(ents[0]) if ents else 0, ents)
 
     def column(self, a: int) -> tuple[Fraction, ...]:
         """Image of the ``a``-th standard basis vector of axis space."""
         return tuple(self.entries[i][a] for i in range(self.r))
+
+
+def _fraction_rows(
+    rows: Iterable[Iterable[Fraction | int]], what: str
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows of ``int`` (not ``bool``) and ``Fraction`` values as
+    ``Fraction`` tuples. Any other value raises ``DomainError`` naming
+    ``what``, its ``[row][col]`` and its type: a ``float`` would enter as
+    its binary fraction, a string as whatever it parses to."""
+    out = []
+    for i, row in enumerate(rows):
+        row = tuple(row)
+        for j, v in enumerate(row):
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise DomainError(
+                    f"{what} [{i}][{j}] has type {type(v).__name__}; expected int or Fraction"
+                )
+        out.append(tuple(map(Fraction, row)))
+    return tuple(out)
 
 
 def universal_map(ell: int) -> LinearMap:
@@ -120,7 +141,10 @@ class Signal:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "Signal":
-        return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
+        """The signal of rows of ``int`` and ``Fraction`` values, one row
+        per axis; any other value, a ``bool`` or a ``float`` included,
+        raises ``DomainError``."""
+        return cls(_fraction_rows(rows, "signal value"))
 
     @property
     def ell(self) -> int:
@@ -557,8 +581,11 @@ def generating_signal(h: Hypergraph) -> Signal:
 _DRAW_SEED = 20251031
 
 # A draw fails only when some separable pair of the n vertices collides,
-# with probability below n^2 / 2^33 for 32-bit free values, so running
-# out of draws means the elimination is wrong.
+# with probability below n^2 / 2^33 for 32-bit free values: free values
+# map one to one onto kernel vectors, the peeled rows' private vertices
+# solved after the 2-core (_certified_draw), so a pair collides on a
+# hyperplane of the draws. Running out of draws means the elimination
+# or the peel is wrong.
 _MAX_DRAWS = 64
 
 
@@ -615,7 +642,8 @@ def _edge_sum_echelon(h: Hypergraph) -> tuple[dict[int, dict[int, int]], list[in
     """Forward echelon of the edge-sum system of ``h``, and each vertex's
     column (:func:`_edge_sum_columns`): one row per edge, distinct as the
     edges are, the number of the edge's vertices at each column (counted
-    only where one repeats) and 1 at column ``n``."""
+    only where one repeats) and 1 at column ``n``. :func:`_edge_sum_peel`
+    calls it on a 2-core only."""
     n, col = h.n_vertices, _edge_sum_columns(h)
     rows = []
     for e in h.edges:
@@ -625,16 +653,29 @@ def _edge_sum_echelon(h: Hypergraph) -> tuple[dict[int, dict[int, int]], list[in
     return _forward_echelon(rows), col
 
 
-def _edge_sum_rank(h: Hypergraph) -> int:
-    """Rank of the edge-sum system of ``h``, peeled before it is
-    eliminated. A row that holds a vertex no other row left holds is
-    independent of the others: it adds 1 to the rank and leaves, which
-    may leave another vertex in one row. What peeling leaves, the 2-core,
-    goes to :func:`_edge_sum_echelon`, and an empty core is not
-    eliminated at all. Each vertex keeps the number of rows left that
-    hold it and the XOR of their indices, which is that row's index when
-    the number is 1."""
-    edges = h.edges
+# A peeled edge-sum system (:func:`_edge_sum_peel`): the peel order as
+# (row, private vertex) pairs, the 2-core's forward echelon, its columns.
+_Peeled = tuple[list[tuple[int, int]], dict[int, dict[int, int]], list[int]]
+
+
+def _edge_sum_peel(h: Hypergraph) -> _Peeled:
+    """The edge-sum system of ``h``, peeled before it is eliminated: the
+    peel order as ``(row, private vertex)`` pairs, and the forward echelon
+    and columns of the 2-core left (:func:`_edge_sum_echelon`). Its rank
+    is ``len(order) + len(echelon)``.
+
+    A row that holds a vertex no other row left holds, its private
+    vertex, is independent of the others: it adds 1 to the rank and
+    leaves, which may leave another vertex in one row. No row peeled
+    after it and no core row holds a private vertex, so the rows solve
+    theirs in reverse peel order (:func:`_solve_peeled`). A private vertex that occurs
+    once in its row is preferred, as solving it then needs no division.
+    An empty core is not eliminated at all, and its columns are the
+    vertex ids. Each vertex keeps the number of rows left that hold it
+    and the XOR of their indices, which is that row's index when the
+    number is 1.
+    """
+    edges, ell = h.edges, h.ell
     held, xor = [0] * h.n_vertices, [0] * h.n_vertices
     rows = list(map(set, edges))
     for i, row in enumerate(rows):
@@ -642,24 +683,36 @@ def _edge_sum_rank(h: Hypergraph) -> int:
             held[x] += 1
             xor[x] ^= i
     leaves = [x for x, k in enumerate(held) if k == 1]
+    repeated = []  # leaves that repeat in their row, taken when no other is left
     left = [True] * len(edges)
-    rank = 0
-    while leaves and rank < len(edges):  # each row leaves once
-        x = leaves.pop()
+    order = []
+    while leaves or repeated:
+        late = not leaves
+        x = (leaves or repeated).pop()
         if held[x] != 1:  # its row left through another vertex
             continue
         i = xor[x]
+        if not late and len(rows[i]) < ell and edges[i].count(x) > 1:
+            repeated.append(x)
+            continue
+        order.append((i, x))
         left[i] = False
-        rank += 1
         for y in rows[i]:
             held[y] -= 1
             xor[y] ^= i
             if held[y] == 1:
                 leaves.append(y)
-    if rank == len(edges):
-        return rank
+    if len(order) == len(edges):
+        return order, {}, list(range(h.n_vertices))
     core = Hypergraph(h.ell, h.vertices, tuple(compress(edges, left)))
-    return rank + len(_edge_sum_echelon(core)[0])
+    return (order, *_edge_sum_echelon(core))
+
+
+def _edge_sum_rank(h: Hypergraph) -> int:
+    """Rank of the edge-sum system of ``h``: its peeled rows and the
+    pivots of its 2-core (:func:`_edge_sum_peel`)."""
+    order, echelon, _ = _edge_sum_peel(h)
+    return len(order) + len(echelon)
 
 
 def _edge_sum_gf3_rows(h: Hypergraph, col: list[int]) -> list[tuple[int, int]]:
@@ -705,11 +758,11 @@ def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Hypergraph, Partit
     distinct row once, so its kernel vectors lift injectively to exactly
     those of ``h`` constant on the blocks: nullity(h/P) <= nullity(h),
     with equality iff every kernel vector is constant on the blocks, that
-    is, iff ``P`` refines the fusion. The frame's rank is read by peeling
-    (:func:`_edge_sum_rank`): a row holding a vertex no other row holds
-    adds 1 and leaves, and only the 2-core left is eliminated exactly,
-    none of it on a near-discrete frame. Two routes propose ``P``, and
-    one :func:`_certified_draw` ends both:
+    is, iff ``P`` refines the fusion. Every edge-sum system here is read
+    peeled (:func:`_edge_sum_peel`): a row holding a vertex no other row
+    holds adds 1 to the rank and leaves, and only the 2-core left is
+    eliminated exactly, none of it when the system is near discrete. Two
+    routes propose ``P``, and one :func:`_certified_draw` ends both:
 
     - With at least as many edges as vertices, where fusion collapses,
       :func:`_frame_fusion` proposes ``P``, the level sets of the whole
@@ -725,11 +778,13 @@ def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Hypergraph, Partit
       discrete, so the draw on it can certify only a discrete partition:
       its frame is ``h/P``, and its vector, lifted through ``P``, has
       ``P``'s level sets.
-    - Otherwise the draw runs on ``h`` from its exact echelon: ``P`` is
-      the level sets of a seeded random kernel vector, which separates no
-      fused pair, so certifying that it refines the fusion makes it the
+    - Otherwise the draw runs on ``h`` peeled: ``P`` is the level sets of
+      a seeded random kernel vector, its 2-core back-substituted and each
+      private vertex solved from its own row, which separates no fused
+      pair, so certifying that it refines the fusion makes it the
       fusion. With fewer edges than vertices, fusion is near discrete,
-      the frame nearly ``h``, and the pass modulo 3 pure overhead.
+      the frame nearly ``h``, the pass modulo 3 pure overhead, and the
+      2-core often empty: then nothing is eliminated exactly.
 
     :func:`_frame_fusion` declines for three reasons, each decided before
     any draw: a discrete candidate (its frame is ``h``), a candidate too
@@ -743,24 +798,22 @@ def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Hypergraph, Partit
     every component's system for any ``C``; ``f`` alone may merge them.
     """
     found = _frame_fusion(h) if h.n_edges >= h.n_vertices else None
-    p, g, echelon, col = found or (None, h, *_edge_sum_echelon(h))
-    f, c, frame, part = _certified_draw(g, echelon, col)
+    p, g, peeled = found or (None, h, _edge_sum_peel(h))
+    f, c, frame, part = _certified_draw(g, peeled)
     if p is not None:
         f, part = [f[x] for x in p.class_of], p
     return f, c, frame, part
 
 
-def _frame_fusion(
-    h: Hypergraph,
-) -> tuple[Partition, Hypergraph, dict[int, dict[int, int]], list[int]] | None:
+def _frame_fusion(h: Hypergraph) -> tuple[Partition, Hypergraph, _Peeled] | None:
     """The candidate ``P`` of :func:`_universal_fusion` from the kernel of
     the edge-sum system modulo 3 (:func:`_gf3_kernel`), the vertices
     grouped by their values over all of it, with its frame ``g = h/P`` and
-    the edge-sum echelon and columns of ``g``, when the frame's exact
-    nullity equals nullity_3(h); None for a discrete candidate, one too
-    coarse, or rank_3 < rank_Q. It only proposes: :func:`_universal_fusion`
-    draws on the frame and says why a frame that reaches the bound is the
-    fusion's.
+    the peeled edge-sum system of ``g`` (:func:`_edge_sum_peel`), when the
+    frame's exact nullity equals nullity_3(h); None for a discrete
+    candidate, one too coarse, or rank_3 < rank_Q. It only proposes:
+    :func:`_universal_fusion` draws on the frame and says why a frame that
+    reaches the bound is the fusion's.
     """
     n, col = h.n_vertices, _edge_sum_columns(h)
     rank, packed = _gf3_kernel(_edge_sum_gf3_rows(h, col), n + 1)
@@ -768,41 +821,85 @@ def _frame_fusion(
     if p.is_discrete():
         return None
     g = quotient(h, p)
-    echelon, g_col = _edge_sum_echelon(g)
-    if g.n_vertices - len(echelon) != n - rank:
+    peeled = _edge_sum_peel(g)
+    if g.n_vertices - len(peeled[0]) - len(peeled[1]) != n - rank:
         return None
-    return p, g, echelon, g_col
+    return p, g, peeled
 
 
-def _certified_draw(
-    h: Hypergraph, echelon: dict[int, dict[int, int]], col: list[int]
-) -> tuple[list[int], int, Hypergraph, Partition]:
+def _certified_draw(h: Hypergraph, peeled: _Peeled) -> tuple[list[int], int, Hypergraph, Partition]:
     """The first certified draw of fusion on ``h`` under the coordinate-sum
-    map, from its edge-sum echelon and columns: a kernel vector ``(f, C)``
-    back-substituted from seeded random free values, the frame, and the
-    level sets of ``f``, accepted when they are discrete (the frame is
-    ``h``) or their frame's edge-sum nullity equals ``h``'s. The frame's
-    rank comes from :func:`_edge_sum_rank`, which peels the rows that
-    hold a vertex alone and eliminates only the 2-core left. A rejected
-    candidate is replaced by a fresh draw, never merged with it, so the
-    returned vector alone realizes the partition, and the partition does
-    not depend on the draws. ``_MAX_DRAWS`` rejections are an internal
-    error and raise.
+    map, from its peeled edge-sum system (:func:`_edge_sum_peel`): a
+    kernel vector ``(f, C)``, the frame, and the level sets of ``f``,
+    accepted when they are discrete (the frame is ``h``) or their frame's
+    edge-sum nullity equals ``h``'s. The frame's rank comes from
+    :func:`_edge_sum_rank`, which eliminates only the frame's 2-core.
+
+    Every column that is neither a pivot of the 2-core nor a private
+    vertex takes a seeded random 32-bit free value. The core is
+    back-substituted by :func:`_kernel_vector`; no core row holds a
+    private vertex, so each is then solved from its own row, in reverse
+    peel order (:func:`_solve_peeled`). The free columns number exactly
+    the nullity, and the solve is linear and reads each free value back
+    at its column, so free values map bijectively onto kernel vectors,
+    each scaled by a positive integer. A separable pair, which some
+    kernel vector separates, thus collides only on a hyperplane of the
+    draws.
+
+    A rejected candidate is replaced by a fresh draw, never merged with
+    it, so the returned vector alone realizes the partition, and the
+    partition does not depend on the draws. ``_MAX_DRAWS`` rejections are
+    an internal error and raise.
     """
+    order, echelon, col = peeled
     n = h.n_vertices
-    free_desc = [c for c in range(n, -1, -1) if c not in echelon]
+    private = {col[x] for _, x in order}
+    free_desc = [c for c in range(n, -1, -1) if c not in echelon and c not in private]
     nullity = len(free_desc)
     rng = random.Random(_DRAW_SEED)
     for _ in range(_MAX_DRAWS):
         v = _kernel_vector(echelon, n + 1, dict(zip(free_desc, _draw(rng, nullity))))
-        f = [v[c] for c in col]
+        f, c = _solve_peeled(h.edges, order, [v[k] for k in col], v[-1])
         part = Partition.from_keys(f)
         if part.is_discrete():
-            return f, v[-1], h, part
+            return f, c, h, part
         g = quotient(h, part)
         if g.n_vertices + 1 - _edge_sum_rank(g) == nullity:
-            return f, v[-1], g, part
+            return f, c, g, part
     raise HypersigError(f"internal error: no fusion certified in {_MAX_DRAWS} draws")
+
+
+def _solve_peeled(
+    edges: Sequence[tuple[int, ...]], order: list[tuple[int, int]], f: list[int], c: int
+) -> tuple[list[int], int]:
+    """The kernel vector ``(f, C)`` of the edge-sum system with each
+    private vertex of ``order`` solved from its row, in reverse peel
+    order, from values ``f`` that solve the 2-core and are 0 at the
+    private vertices. A row holds its own private vertex and maybe those
+    of rows peeled after it, which are solved before it, and never one
+    of a row peeled before it: so each row has one unknown. A private
+    vertex ``x`` that occurs ``k > 1`` times in its row may not divide:
+    the vector is then scaled by the factor missing, once at the end.
+    Until then each solved value is kept at the scale of its solve
+    (``at[x]``, 1 if absent) and converted where a row reads it, so no
+    row rescales the whole vector."""
+    scale, at = 1, {}
+    for i, x in reversed(order):
+        e = edges[i]
+        if scale == 1:
+            s = c + sum(map(f.__getitem__, e))  # f[x] is still 0
+        else:
+            s = c * scale + sum(f[y] * (scale // at.get(y, 1)) for y in e)
+        k = e.count(x)
+        if k > 1 and s % k:
+            m = k // gcd(s, k)
+            scale, s = scale * m, s * m
+        f[x] = -s // k
+        if scale > 1:
+            at[x] = scale
+    if scale > 1:
+        f = [y * (scale // at.get(x, 1)) for x, y in enumerate(f)]
+    return f, c * scale
 
 
 # ---------------------------------------------------------------------------

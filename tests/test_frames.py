@@ -6,6 +6,8 @@ from itertools import combinations, permutations
 from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     random_chained_instance,
@@ -273,9 +275,81 @@ def test_fusion_elimination_work_stays_within_its_guard(monkeypatch):
     assert sum(touched) <= 16_000
 
 
+def build(ell, n, edges):
+    return Hypergraph.build(ell, [f"x{i}" for i in range(n)], edges)
+
+
+def chain(kind, n=2000):
+    """``n`` rows along a path of ``n + 1`` vertices: ``(i, i+1, i+1)``,
+    ``(i, i, i+1)``, or ``(i, i, i+1)`` hanging off a 2-core of four
+    rows on ``n..n+5`` in which each vertex lies twice (``"hanging"``).
+    There the path peels from vertex 0, whose row repeats it, and so
+    does every row after: each private vertex repeats in its row."""
+    if kind == "right":
+        return build(3, n + 1, [(i, i + 1, i + 1) for i in range(n)])
+    edges = [(i, i, i + 1) for i in range(n)]
+    if kind == "left":
+        return build(3, n + 1, edges)
+    core = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
+    return build(3, n + 6, edges + [tuple(n + a for a in e) for e in core])
+
+
+def count_arithmetic(monkeypatch) -> list[int]:
+    """Arithmetic operations made with the drawn free values and every
+    int computed from them: ``_draw`` returns ints that count each
+    operation and pass the count on to its result."""
+    ops = [0]
+
+    def counted(name):
+        op = getattr(int, name)
+
+        def method(self, *other):
+            ops[0] += 1
+            return Counted(op(self, *other))
+
+        return method
+
+    names = ("add", "sub", "mul", "floordiv", "mod")
+    names = ("neg", *names, *(f"r{name}" for name in names))
+    Counted = type("Counted", (int,), {f"__{name}__": counted(f"__{name}__") for name in names})
+    real = hypersig.signals._draw
+    monkeypatch.setattr(hypersig.signals, "_draw", lambda rng, k: list(map(Counted, real(rng, k))))
+    return ops
+
+
+@pytest.mark.parametrize(
+    "kind,touched,ops,bits,classes",
+    [
+        ("right", 0, 10_001, 2032, 2001),
+        ("left", 0, 12_001, 2032, 2001),
+        ("hanging", 25, 18_029, 2029, 2003),
+    ],
+)
+def test_peeled_draw_work_stays_within_its_guard(kind, touched, ops, bits, classes, monkeypatch):
+    """Arithmetic operations on drawn values, and the largest entry's bit
+    length, while ``_universal_fusion`` solves a 2000-row chain. Every
+    path row peels, so nothing but the four-row core is eliminated
+    exactly. On the first two chains each row holds a private vertex
+    once, so each is solved by a few operations and no division. On the
+    hanging chain every private vertex repeats in its row and most
+    divisions by its count are inexact: the scaling they need is
+    deferred to the end, where rescaling the vector once per row takes
+    about two million operations. A count repeats exactly, so this needs
+    no timing."""
+    h = chain(kind)
+    entries, counted = count_touched(monkeypatch), count_arithmetic(monkeypatch)
+    f, c, _, part = hypersig.signals._universal_fusion(h)
+    assert part.n_classes == classes
+    assert sum(entries) == touched
+    assert max(abs(x).bit_length() for x in [*f, c]) == bits
+    assert counted[0] == ops
+
+
 def record_eliminations(monkeypatch) -> list[int]:
     """The vertex count of every hypergraph whose edge-sum system is
-    eliminated exactly, in order."""
+    eliminated exactly, in order: only a nonempty 2-core left by
+    ``_edge_sum_peel`` is, and it keeps every vertex of the system
+    peeled."""
     sizes = []
     real = hypersig.signals._edge_sum_echelon
 
@@ -284,6 +358,21 @@ def record_eliminations(monkeypatch) -> list[int]:
         return real(g)
 
     monkeypatch.setattr(hypersig.signals, "_edge_sum_echelon", recording)
+    return sizes
+
+
+def record_peels(monkeypatch) -> list[int]:
+    """The vertex count of every hypergraph whose edge-sum system is
+    peeled (``_edge_sum_peel``), in order: the input or the candidate
+    frame a draw runs on, and each frame whose rank a certificate takes."""
+    sizes = []
+    real = hypersig.signals._edge_sum_peel
+
+    def recording(g):
+        sizes.append(g.n_vertices)
+        return real(g)
+
+    monkeypatch.setattr(hypersig.signals, "_edge_sum_peel", recording)
     return sizes
 
 
@@ -305,32 +394,44 @@ def record_ranks(monkeypatch) -> list[int]:
 
 def test_collapsing_fusion_eliminates_only_the_frame_exactly(monkeypatch):
     """With at least as many edges as vertices, the candidate comes from
-    the kernel modulo 3 and only its 17-vertex frame is eliminated
-    exactly: ``_subtract`` touches no entry where the exact route on the
-    input touches 14,520. With fewer edges than vertices the exact route
-    runs as before, to the entry, and the certificate peels its 49-vertex
-    frame before it eliminates the 2-core left."""
+    the kernel modulo 3 and only its 17-vertex frame is peeled, to an
+    empty 2-core: ``_subtract`` touches no entry where an exact
+    elimination of the input touches 14,520. With fewer edges than
+    vertices the draw runs on the input peeled: only its 2-core, 20 of
+    52 rows, is eliminated exactly, and the certificate peels its
+    49-vertex frame before it eliminates the 2-core left. Together they
+    touch 245 entries, where the whole input and the frame's core
+    touched 385."""
+    h = random_hypergraph(60, 52, 3, 3)
+    order, echelon, _ = hypersig.signals._edge_sum_peel(h)
+    assert (len(order), len(echelon)) == (32, 20)
     touched, sizes = count_touched(monkeypatch), record_eliminations(monkeypatch)
-    ranks = record_ranks(monkeypatch)
+    ranks, peels = record_ranks(monkeypatch), record_peels(monkeypatch)
     part = fusion(random_hypergraph(300, 300, 3, 1), universal_map(3))
     assert part.n_classes == 17
-    assert (sizes, ranks) == ([17], [])
+    assert (peels, sizes, ranks) == ([17], [], [])
     assert sum(touched) == 0
-    part = fusion(random_hypergraph(60, 52, 3, 3), universal_map(3))
+    peels.clear()
+    part = fusion(h, universal_map(3))
     assert part.n_classes == 49
-    assert (sizes, ranks) == ([17, 60, 49], [49])  # the input, then the frame's core
-    assert sum(touched) == 385
+    assert (peels, sizes, ranks) == ([60, 49], [60, 49], [49])  # the input's core, the frame's
+    assert sum(touched) == 245
 
 
 def test_certifying_an_empty_core_frame_eliminates_no_frame(monkeypatch):
-    """Near discrete, the certified frame peels away to an empty 2-core:
-    the certificate takes its rank with no elimination, and only the
-    input's edge-sum system is eliminated exactly."""
+    """Near discrete, the input and the certified frame both peel away to
+    an empty 2-core: the draw solves every vertex from its own row and
+    the certificate takes the frame's rank, and nothing is eliminated
+    exactly, neither the input nor the frame."""
     h = random_hypergraph(200, 173, 3, 3)
-    sizes, ranks = record_eliminations(monkeypatch), record_ranks(monkeypatch)
+    order, echelon, _ = hypersig.signals._edge_sum_peel(h)
+    assert (len(order), echelon) == (173, {})
+    touched, sizes = count_touched(monkeypatch), record_eliminations(monkeypatch)
+    ranks, peels = record_ranks(monkeypatch), record_peels(monkeypatch)
     result = frame(h)
     assert result.fusion.n_classes == 195
-    assert (sizes, ranks) == ([200], [195])
+    assert (peels, sizes, ranks) == ([200, 195], [], [195])
+    assert sum(touched) == 0
     assert_fusion_is_the_oracles(h, result)
 
 
@@ -419,7 +520,8 @@ def test_lift_that_fails_reverification_is_an_internal_error(monkeypatch):
     """A candidate frame missing an edge reaches the bound, and the lift
     of its kernel vector breaks an edge of the input. Only a wrong
     quotient or elimination gets there, so it is an internal error, not a
-    fallback: the input is never eliminated exactly."""
+    fallback: only the candidate frame is peeled, to an empty 2-core,
+    and the input is never peeled or eliminated exactly."""
     h = random_hypergraph(50, 50, 3, 5)
     real = hypersig.signals.quotient
     calls = []
@@ -430,13 +532,13 @@ def test_lift_that_fails_reverification_is_an_internal_error(monkeypatch):
         return q if len(calls) > 1 else Hypergraph(q.ell, q.vertices, q.edges[1:])
 
     monkeypatch.setattr(hypersig.signals, "quotient", first_drops_an_edge)
-    sizes = record_eliminations(monkeypatch)
+    sizes, peels = record_eliminations(monkeypatch), record_peels(monkeypatch)
     with pytest.raises(HypersigError) as failure:
         frame(h)
     assert str(failure.value) == (
         "internal error: basis signal fails at ((13, 21, 24), (13, 21, 24), 0)"
     )
-    assert sizes == [3]  # the candidate frame only
+    assert (peels, sizes) == ([3], [])  # the candidate frame only
 
 
 def test_frame_route_matches_the_exact_route_and_the_oracle(monkeypatch):
@@ -469,7 +571,7 @@ def test_frame_route_matches_the_exact_route_and_the_oracle(monkeypatch):
         else:
             assert len(draws) == 1
             assert result.fusion is found[0] and result.frame is found[1]
-        _, _, g, part = hypersig.signals._certified_draw(h, *hypersig.signals._edge_sum_echelon(h))
+        _, _, g, part = hypersig.signals._certified_draw(h, hypersig.signals._edge_sum_peel(h))
         assert (result.fusion, result.frame) == (part, g)
         assert_fusion_is_the_oracles(h, result)
     assert 0 < fallbacks < 10
@@ -527,14 +629,16 @@ def test_certified_signal_pin():
     """Digest of the signal table, frame edges and fusion classes of
     ``_certified_signal`` on 40 inputs, under U and under ``[1..ell]``,
     which lifts the fusion signal axis-wise: every route, mod-3
-    certified, fallen back and exact, gives these exact integers."""
+    certified, fallen back and exact, gives these exact integers. They
+    are the draw's on the peeled edge-sum system, whose free columns
+    leave out the private vertices; ``_check_basis`` re-verifies them."""
     digest = hashlib.sha256()
     for h in certified_signal_pin_inputs():
         for t in (universal_map(h.ell), LinearMap.from_rows([list(range(1, h.ell + 1))])):
             values, g, part = hypersig.signals._certified_signal(h, t)
             digest.update(repr((values, g.edges, part.classes)).encode())
     assert digest.hexdigest() == (
-        "4814767454e7f870c517ecb02c516e6952a7ec21e5f8eeaa75df2e42d497c3b9"
+        "9213b011c169bf65354199c5fa0f9d7889f4d7918900b2b6a562ac8289a70707"
     )
 
 
@@ -777,8 +881,10 @@ def test_universal_fusion_refines_engaged_maps():
 
 def per_component_fusion(h):
     """U-fusion of each component of ``h``: the level sets of
-    ``_universal_fusion``'s vector met with the components."""
-    f = hypersig.signals._universal_fusion(h)[0]
+    ``_universal_fusion``'s vector met with the components. The vector
+    ``(f, C)`` is checked to solve every edge's sum."""
+    f, c, _, _ = hypersig.signals._universal_fusion(h)
+    assert all(c + sum(map(f.__getitem__, e)) == 0 for e in h.edges)
     roots = _component_roots(h.n_vertices, h.edges)
     return partition_blocks(Partition.from_keys(list(zip(f, roots))).classes)
 
@@ -830,6 +936,38 @@ def test_universal_fusion_per_component_matches_the_oracle():
         )
     kinds = ("disconnected", "loose", "repeats", "frame_route", "exact_route")
     assert min(map(seen.__getitem__, kinds)) >= 4, seen
+
+
+@st.composite
+def fewer_edges_than_vertices(draw):
+    """``ell``-uniform input (ell 3-4) on 2-8 vertices with fewer edges
+    than vertices, each edge with its first vertex put 1 to ``ell``
+    times: disconnected inputs and vertices in no edge included."""
+    ell, n = draw(st.integers(3, 4)), draw(st.integers(2, 8))
+    edges = []
+    edge = st.lists(st.integers(0, n - 1), min_size=ell, max_size=ell)
+    for e, times in draw(st.lists(st.tuples(edge, st.integers(1, ell)), max_size=n - 1)):
+        e[1:times] = [e[0]] * (times - 1)
+        edges.append(e)
+    return build(ell, n, edges)
+
+
+@given(fewer_edges_than_vertices())
+@settings(max_examples=150, deadline=None)
+@example(build(3, 6, [(0, 1, 2), (2, 3, 4)]))  # an empty 2-core
+@example(build(3, 4, [(0, 0, 1), (0, 1, 1), (1, 2, 3)]))  # a 2-core and a peeled row
+@example(build(3, 5, [(0, 0, 1), (1, 1, 2), (1, 2, 2)]))  # a private vertex twice in its row
+@example(build(4, 8, [(0, 0, 0, 1), (1, 1, 2, 2), (1, 2, 2, 2), (3, 4, 5, 5)]))  # three times
+@example(  # a path of repeated private vertices off a 2-core whose kernel is not constant
+    build(3, 9, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5), (6, 6, 0), (7, 7, 6), (8, 8, 7)])
+)
+def test_peeled_draw_matches_the_oracle_per_component(h):
+    """With fewer edges than vertices the draw runs on the input peeled:
+    its 2-core eliminated, then each private vertex solved from its own
+    row. The vector solves every edge's sum, and met with the components
+    its level sets are the oracle's U-fusion."""
+    assert h.n_edges < h.n_vertices
+    assert per_component_fusion(h) == oracle_fusion_blocks(h, universal_map(h.ell))
 
 
 def test_is_stable(triangle, fan_five):

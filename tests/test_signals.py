@@ -1024,6 +1024,33 @@ def test_linear_map_shape_messages(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: LinearMap.from_rows([[1, 0.5, 1]]), "map entry [0][1] has type float"),
+        (lambda: LinearMap.from_rows([[1, 1], [1, "2"]]), "map entry [1][1] has type str"),
+        (lambda: LinearMap.from_rows([[True, 1, 1]]), "map entry [0][0] has type bool"),
+        (lambda: Signal.from_rows([[0, 0], [0, 0.1]]), "signal value [1][1] has type float"),
+        (lambda: Signal.from_rows([[0, "1/2"]]), "signal value [0][1] has type str"),
+        (lambda: Signal.from_rows([[0], [False]]), "signal value [1][0] has type bool"),
+        (lambda: Signal.from_rows([[None]]), "signal value [0][0] has type NoneType"),
+    ],
+    ids=["map-float", "map-str", "map-bool", "signal-float", "signal-str", "signal-bool", "signal-none"],
+)
+def test_from_rows_value_type_messages(build, message):
+    """The map and signal constructors take ints and Fractions only: a
+    float, a string or a bool never enters as the fraction it converts
+    to, and the message names its place and type."""
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}; expected int or Fraction$"):
+        build()
+
+
+def test_from_rows_keeps_ints_and_fractions():
+    half = Fraction(1, 2)
+    assert LinearMap.from_rows([[1, half, -3]]).entries == ((1, half, -3),)
+    assert Signal.from_rows(([0, half] for _ in range(2))).values == ((0, half), (0, half))
+
+
 @pytest.mark.parametrize("ell,n", [(3, 4), (2, 3)], ids=["long", "two-axes"])
 def test_signal_to_json_shape_message(triangle, ell, n):
     with pytest.raises(DomainError, match="^signal shape does not match hypergraph$"):
