@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, InfeasibleError
 from .frames import frame
-from .hypergraph import Hypergraph, _component_roots, is_connected
+from .hypergraph import Hypergraph, _component_roots
 
 log = logging.getLogger(__name__)
 
@@ -136,9 +136,7 @@ def random_hypergraph(n: int, m: int, ell: int, seed: int) -> Hypergraph:
             n, m, ell, seed,
         )
     # the edges are already sorted, distinct tuples: no need for build's canonicalization
-    h = Hypergraph(ell, tuple(f"x{i}" for i in range(n)), tuple(sorted(edges)))
-    assert is_connected(h)
-    return h
+    return Hypergraph(ell, tuple(f"x{i}" for i in range(n)), tuple(sorted(edges)))
 
 
 def _chained_instance(

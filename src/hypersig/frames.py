@@ -46,14 +46,12 @@ def fusion(h: Hypergraph, t: LinearMap) -> Partition:
     ``u_0`` and then every axis is constant: one class. Under rank 1,
     every row a multiple of ``v``, ``s`` is admissible iff ``v_a * s_a``
     is under the coordinate-sum map, whose fusion is certified on the
-    frame: :func:`~hypersig.signals._universal_fusion` states the
-    certificate once, for its two routes (the candidate modulo 3 when H
-    has at least as many edges as vertices, else a draw on H peeled: its
-    2-core eliminated exactly, each peeled row's private vertex solved
-    from that row, free values one to one with kernel vectors), the
-    three reasons the first declines, all decided before any draw, and
-    the failures that raise. Every case returns the level sets
-    of one signal re-verified under ``t``.
+    frame by :func:`~hypersig.signals._certified_frame`, which states
+    why. :func:`~hypersig.signals._universal_fusion` gives its two
+    routes (the candidate modulo 3 when H has at least as many edges as
+    vertices, else a draw on H peeled) and the failures that raise.
+    Every case returns the level sets of one signal re-verified under
+    ``t``.
     """
     return _certified_signal(h, t)[2]
 

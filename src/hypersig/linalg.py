@@ -9,11 +9,11 @@ for fusion, one-hot values for the canonical kernel basis of a map and
 of the signal spaces. Fusion peels its edge-sum system first
 (``signals._edge_sum_peel``) and hands only the 2-core left to the
 exact elimination; the rows peeled are solved one private vertex each,
-after the core's back-substitution. The other is a
-bound: the same forward elimination modulo 3 on bitsliced rows, which
-gives the rank modulo 3, at most the rational rank, and each column's
-values over the whole kernel modulo 3, a candidate that the exact
-elimination then certifies on a smaller system.
+after the core's back-substitution. The other is the same forward
+elimination modulo 3 on bitsliced rows, which gives the rank modulo 3
+and each column's values over the whole kernel modulo 3: a candidate
+and a bound for the one certificate of fusion,
+``signals._certified_frame``, which says why they certify it.
 """
 
 from __future__ import annotations

@@ -58,7 +58,8 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Dense ``r x ell`` rational matrix acting on axis space."""
+    """Dense ``r x ell`` rational matrix acting on axis space, its entries
+    checked and kept as ``Fraction`` values by :func:`_fraction_rows`."""
 
     r: int
     ell: int
@@ -69,12 +70,12 @@ class LinearMap:
             raise DomainError("map dimensions must be positive")
         if len(self.entries) != self.r or any(len(row) != self.ell for row in self.entries):
             raise DomainError("entry matrix shape mismatch")
+        object.__setattr__(self, "entries", _fraction_rows(self.entries, "map entry"))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "LinearMap":
-        """The map of rows of ``int`` and ``Fraction`` entries; any other
-        value, a ``bool`` or a ``float`` included, raises ``DomainError``."""
-        ents = _fraction_rows(rows, "map entry")
+        """The map of the given rows of entries."""
+        ents = tuple(map(tuple, rows))
         return cls(len(ents), len(ents[0]) if ents else 0, ents)
 
     def column(self, a: int) -> tuple[Fraction, ...]:
@@ -86,18 +87,22 @@ def _fraction_rows(
     rows: Iterable[Iterable[Fraction | int]], what: str
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Rows of ``int`` (not ``bool``) and ``Fraction`` values as
-    ``Fraction`` tuples. Any other value raises ``DomainError`` naming
+    ``Fraction`` tuples, the one value rule of :class:`LinearMap` and
+    :class:`Signal`. Any other value raises ``DomainError`` naming
     ``what``, its ``[row][col]`` and its type: a ``float`` would enter as
-    its binary fraction, a string as whatever it parses to."""
+    its binary fraction, a string as whatever it parses to. A row of
+    ``Fraction`` values only, as a parsed signal's, is kept as it is."""
     out = []
     for i, row in enumerate(rows):
         row = tuple(row)
-        for j, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-                raise DomainError(
-                    f"{what} [{i}][{j}] has type {type(v).__name__}; expected int or Fraction"
-                )
-        out.append(tuple(map(Fraction, row)))
+        if set(map(type, row)) != {Fraction}:
+            for j, v in enumerate(row):
+                if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                    raise DomainError(
+                        f"{what} [{i}][{j}] has type {type(v).__name__}; expected int or Fraction"
+                    )
+            row = tuple(map(Fraction, row))
+        out.append(row)
     return tuple(out)
 
 
@@ -135,16 +140,18 @@ def _zero_columns(rows: Sequence[Sequence[Fraction | int]]) -> list[int]:
 @dataclass(frozen=True)
 class Signal:
     """Rational value table of shape ell x n_vertices; ``values[a][x]`` is
-    the signal value of vertex ``x`` on axis ``a``."""
+    the signal value of vertex ``x`` on axis ``a``, checked and kept as
+    ``Fraction`` values by :func:`_fraction_rows`."""
 
     values: tuple[tuple[Fraction, ...], ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", _fraction_rows(self.values, "signal value"))
+
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "Signal":
-        """The signal of rows of ``int`` and ``Fraction`` values, one row
-        per axis; any other value, a ``bool`` or a ``float`` included,
-        raises ``DomainError``."""
-        return cls(_fraction_rows(rows, "signal value"))
+    def from_rows(cls, rows: Iterable[Iterable[Fraction | int]]) -> "Signal":
+        """The signal of the given rows of values, one row per axis."""
+        return cls(tuple(map(tuple, rows)))
 
     @property
     def ell(self) -> int:
@@ -581,11 +588,7 @@ def generating_signal(h: Hypergraph) -> Signal:
 _DRAW_SEED = 20251031
 
 # A draw fails only when some separable pair of the n vertices collides,
-# with probability below n^2 / 2^33 for 32-bit free values: free values
-# map one to one onto kernel vectors, the peeled rows' private vertices
-# solved after the 2-core (_certified_draw), so a pair collides on a
-# hyperplane of the draws. Running out of draws means the elimination
-# or the peel is wrong.
+# with probability below n^2 / 2^33 for 32-bit free values.
 _MAX_DRAWS = 64
 
 
@@ -708,13 +711,6 @@ def _edge_sum_peel(h: Hypergraph) -> _Peeled:
     return (order, *_edge_sum_echelon(core))
 
 
-def _edge_sum_rank(h: Hypergraph) -> int:
-    """Rank of the edge-sum system of ``h``: its peeled rows and the
-    pivots of its 2-core (:func:`_edge_sum_peel`)."""
-    order, echelon, _ = _edge_sum_peel(h)
-    return len(order) + len(echelon)
-
-
 def _edge_sum_gf3_rows(h: Hypergraph, col: list[int]) -> list[tuple[int, int]]:
     """The rows of :func:`_edge_sum_echelon` modulo 3, bitsliced for
     :func:`_gf3_kernel`: each edge's columns with count 1 and with count
@@ -751,45 +747,22 @@ def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Hypergraph, Partit
     """Fusion of connected ``h`` under the coordinate-sum map, certified on
     its frame: one kernel vector ``(f, C)`` of the edge-sum system, the
     frame, and the partition, the level sets of ``f``; the signal
-    ``s_0 = f + C``, ``s_a = f`` (a >= 1) realizes it under ``U``.
-
-    The certificate. The frame ``h/P`` of a partition ``P`` has the
-    edge-sum system of ``h`` with the columns of each block summed, each
-    distinct row once, so its kernel vectors lift injectively to exactly
-    those of ``h`` constant on the blocks: nullity(h/P) <= nullity(h),
-    with equality iff every kernel vector is constant on the blocks, that
-    is, iff ``P`` refines the fusion. Every edge-sum system here is read
-    peeled (:func:`_edge_sum_peel`): a row holding a vertex no other row
-    holds adds 1 to the rank and leaves, and only the 2-core left is
-    eliminated exactly, none of it when the system is near discrete. Two
-    routes propose ``P``, and one :func:`_certified_draw` ends both:
+    ``s_0 = f + C``, ``s_a = f`` (a >= 1) realizes it under ``U``. Two
+    routes propose a partition, :func:`_certified_frame` certifies it,
+    and one :func:`_certified_draw` ends both:
 
     - With at least as many edges as vertices, where fusion collapses,
-      :func:`_frame_fusion` proposes ``P``, the level sets of the whole
-      kernel modulo 3, and its frame when that reaches the bound: the
-      rank modulo a prime is at most the rational one, so
-      nullity(h/P) <= nullity(h) <= nullity_3(h), and equality makes ``P``
-      refine the fusion without an exact elimination of ``h``. It also
-      gives rank_3 = rank_Q, and then ``P`` is the fusion: the integer
-      kernel of ``h`` is saturated, so its reduction modulo 3 has
-      dimension nullity(h) = nullity_3(h) and is the whole kernel modulo
-      3, and a pair no rational kernel vector separates is not separated
-      modulo 3 either. The frame of the fusion is stable, its own fusion
-      discrete, so the draw on it can certify only a discrete partition:
-      its frame is ``h/P``, and its vector, lifted through ``P``, has
-      ``P``'s level sets.
-    - Otherwise the draw runs on ``h`` peeled: ``P`` is the level sets of
-      a seeded random kernel vector, its 2-core back-substituted and each
-      private vertex solved from its own row, which separates no fused
-      pair, so certifying that it refines the fusion makes it the
-      fusion. With fewer edges than vertices, fusion is near discrete,
-      the frame nearly ``h``, the pass modulo 3 pure overhead, and the
-      2-core often empty: then nothing is eliminated exactly.
+      :func:`_frame_fusion` proposes the candidate modulo 3 and its
+      certified frame, the fusion's. That frame is stable, so the draw on
+      it certifies only a discrete partition: the frame stays the
+      candidate's, and the vector, lifted through it, has its classes.
+    - Otherwise, or when :func:`_frame_fusion` declines, the draw runs on
+      ``h`` peeled (:func:`_edge_sum_peel`). With fewer edges than
+      vertices, fusion is near discrete, the frame nearly ``h``, the pass
+      modulo 3 pure overhead, and the 2-core often empty: then nothing is
+      eliminated exactly.
 
-    :func:`_frame_fusion` declines for three reasons, each decided before
-    any draw: a discrete candidate (its frame is ``h``), a candidate too
-    coarse, or rank_3 < rank_Q (in both, the nullities differ). Draws
-    that run out, and a lift that fails re-verification in
+    Draws that run out, and a lift that fails re-verification in
     :func:`_certified_signal`, take a wrong elimination or quotient, and
     raise an internal error on either route.
 
@@ -798,42 +771,70 @@ def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Hypergraph, Partit
     every component's system for any ``C``; ``f`` alone may merge them.
     """
     found = _frame_fusion(h) if h.n_edges >= h.n_vertices else None
-    p, g, peeled = found or (None, h, _edge_sum_peel(h))
-    f, c, frame, part = _certified_draw(g, peeled)
-    if p is not None:
-        f, part = [f[x] for x in p.class_of], p
-    return f, c, frame, part
+    if found is None:
+        return _certified_draw(h, _edge_sum_peel(h))
+    p, g, peeled = found
+    f, c, frame, _ = _certified_draw(g, peeled)
+    return [f[x] for x in p.class_of], c, frame, p
+
+
+def _certified_frame(
+    h: Hypergraph, part: Partition, nullity: int
+) -> tuple[Hypergraph, _Peeled] | None:
+    """The certificate of fusion under ``U``: the frame ``g = h/P`` of a
+    candidate ``P`` and its peeled edge-sum system (:func:`_edge_sum_peel`)
+    when its nullity, ``g``'s columns less its peeled rows and 2-core
+    pivots, equals the bound ``nullity``; else None.
+
+    The edge-sum system of ``g`` is that of ``h`` with the columns of each
+    block summed, each distinct row once, so its kernel vectors lift
+    injectively to exactly those of ``h`` constant on the blocks:
+    nullity(g) <= nullity(h), with equality iff every kernel vector is
+    constant on the blocks, iff ``P`` refines the fusion. The bound is
+    one of two:
+
+    - nullity(h), for the level sets of a drawn kernel vector
+      (:func:`_certified_draw`). They separate no fused pair, so if they
+      refine the fusion, they are the fusion.
+    - nullity_3(h), for the kernel modulo 3 (:func:`_frame_fusion`). The
+      rank modulo a prime is at most the rational one, so
+      nullity(g) <= nullity(h) <= nullity_3(h): equality makes ``P``
+      refine the fusion without an exact elimination of ``h``, and gives
+      rank_3 = rank_Q. Then ``P`` is the fusion: the integer kernel of
+      ``h`` is saturated, so its reduction modulo 3 has dimension
+      nullity(h) = nullity_3(h) and is the whole kernel modulo 3, and a
+      pair no rational kernel vector separates is not separated modulo 3
+      either.
+    """
+    g = quotient(h, part)
+    order, echelon, _ = peeled = _edge_sum_peel(g)
+    if g.n_vertices + 1 - len(order) - len(echelon) == nullity:
+        return g, peeled
+    return None
 
 
 def _frame_fusion(h: Hypergraph) -> tuple[Partition, Hypergraph, _Peeled] | None:
-    """The candidate ``P`` of :func:`_universal_fusion` from the kernel of
-    the edge-sum system modulo 3 (:func:`_gf3_kernel`), the vertices
-    grouped by their values over all of it, with its frame ``g = h/P`` and
-    the peeled edge-sum system of ``g`` (:func:`_edge_sum_peel`), when the
-    frame's exact nullity equals nullity_3(h); None for a discrete
-    candidate, one too coarse, or rank_3 < rank_Q. It only proposes:
-    :func:`_universal_fusion` draws on the frame and says why a frame that
-    reaches the bound is the fusion's.
+    """The candidate ``P`` of :func:`_universal_fusion`, the vertices
+    grouped by their values over the kernel of the edge-sum system modulo
+    3 (:func:`_gf3_kernel`), with the frame and its peeled edge-sum system
+    that :func:`_certified_frame` certifies against nullity_3(h). None,
+    decided before any draw, for a discrete candidate (its frame is
+    ``h``), one too coarse, or rank_3 < rank_Q (in both, the nullities
+    differ).
     """
     n, col = h.n_vertices, _edge_sum_columns(h)
     rank, packed = _gf3_kernel(_edge_sum_gf3_rows(h, col), n + 1)
     p = Partition.from_keys([packed[c] for c in col])
-    if p.is_discrete():
-        return None
-    g = quotient(h, p)
-    peeled = _edge_sum_peel(g)
-    if g.n_vertices - len(peeled[0]) - len(peeled[1]) != n - rank:
-        return None
-    return p, g, peeled
+    found = None if p.is_discrete() else _certified_frame(h, p, n + 1 - rank)
+    return found and (p, *found)
 
 
 def _certified_draw(h: Hypergraph, peeled: _Peeled) -> tuple[list[int], int, Hypergraph, Partition]:
     """The first certified draw of fusion on ``h`` under the coordinate-sum
     map, from its peeled edge-sum system (:func:`_edge_sum_peel`): a
     kernel vector ``(f, C)``, the frame, and the level sets of ``f``,
-    accepted when they are discrete (the frame is ``h``) or their frame's
-    edge-sum nullity equals ``h``'s. The frame's rank comes from
-    :func:`_edge_sum_rank`, which eliminates only the frame's 2-core.
+    accepted when they are discrete (the frame is ``h``) or
+    :func:`_certified_frame` certifies them against ``h``'s nullity.
 
     Every column that is neither a pivot of the 2-core nor a private
     vertex takes a seeded random 32-bit free value. The core is
@@ -863,9 +864,9 @@ def _certified_draw(h: Hypergraph, peeled: _Peeled) -> tuple[list[int], int, Hyp
         part = Partition.from_keys(f)
         if part.is_discrete():
             return f, c, h, part
-        g = quotient(h, part)
-        if g.n_vertices + 1 - _edge_sum_rank(g) == nullity:
-            return f, c, g, part
+        found = _certified_frame(h, part, nullity)
+        if found is not None:
+            return f, c, found[0], part
     raise HypersigError(f"internal error: no fusion certified in {_MAX_DRAWS} draws")
 
 

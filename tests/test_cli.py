@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -679,3 +681,33 @@ def test_fuzzed_argv_exits_cleanly(argv):
         assert code in (0, 1, 2), (argv, err)
         if code == 2:
             assert re.search(r"^(hypersig[\w -]*: )?error: ", err, re.M), (argv, err)
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m hypersig.cli`` in a fresh process, with the package's
+    ``src`` directory as its ``PYTHONPATH``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "hypersig.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_process_entry_point_exits_with_the_command_code(tmp_path, fan_path, fan_five):
+    """The process entry point, ``entry()``, exits with ``main``'s code: 2
+    and an ``error:`` line for a missing input file, 0 and ``pass`` for an
+    admissible signal, 1 for one that is not."""
+    missing = run_module("frame", "--in", str(tmp_path / "missing.json"))
+    assert missing.returncode == 2
+    assert missing.stderr.startswith("error: ")
+    admissible, failing = tmp_path / "admissible.json", tmp_path / "failing.json"
+    save_signal(fan_five, Signal.from_rows([[1] * 5, [-1] * 5, [0] * 5]), admissible)
+    save_signal(fan_five, Signal.from_rows([[1, 0, 0, 0, 0], [0] * 5, [0] * 5]), failing)
+    passed = run_module("verify", "--in", fan_path, "--signal", str(admissible))
+    assert (passed.returncode, passed.stdout, passed.stderr) == (0, "pass\n", "")
+    failed = run_module("verify", "--in", fan_path, "--signal", str(failing))
+    assert failed.returncode == 1
+    assert failed.stdout.startswith("fail: ")

@@ -376,19 +376,19 @@ def record_peels(monkeypatch) -> list[int]:
     return sizes
 
 
-def record_ranks(monkeypatch) -> list[int]:
-    """The vertex count of every hypergraph whose edge-sum rank is taken
-    by peeling (``_edge_sum_rank``, the certificate), in order. Only a
-    nonempty 2-core is then eliminated exactly, and shows up in
-    :func:`record_eliminations` too."""
+def record_certificates(monkeypatch) -> list[int]:
+    """The vertex count of every candidate frame whose nullity the
+    certificate (``_certified_frame``) compares, in order, on either
+    route. The frame is peeled; only a nonempty 2-core is then
+    eliminated exactly, and shows up in :func:`record_eliminations` too."""
     sizes = []
-    real = hypersig.signals._edge_sum_rank
+    real = hypersig.signals._certified_frame
 
-    def recording(g):
-        sizes.append(g.n_vertices)
-        return real(g)
+    def recording(h, part, nullity):
+        sizes.append(part.n_classes)
+        return real(h, part, nullity)
 
-    monkeypatch.setattr(hypersig.signals, "_edge_sum_rank", recording)
+    monkeypatch.setattr(hypersig.signals, "_certified_frame", recording)
     return sizes
 
 
@@ -401,20 +401,21 @@ def test_collapsing_fusion_eliminates_only_the_frame_exactly(monkeypatch):
     52 rows, is eliminated exactly, and the certificate peels its
     49-vertex frame before it eliminates the 2-core left. Together they
     touch 245 entries, where the whole input and the frame's core
-    touched 385."""
+    touched 385. One certificate serves both routes."""
     h = random_hypergraph(60, 52, 3, 3)
     order, echelon, _ = hypersig.signals._edge_sum_peel(h)
     assert (len(order), len(echelon)) == (32, 20)
     touched, sizes = count_touched(monkeypatch), record_eliminations(monkeypatch)
-    ranks, peels = record_ranks(monkeypatch), record_peels(monkeypatch)
+    certified, peels = record_certificates(monkeypatch), record_peels(monkeypatch)
     part = fusion(random_hypergraph(300, 300, 3, 1), universal_map(3))
     assert part.n_classes == 17
-    assert (peels, sizes, ranks) == ([17], [], [])
+    assert (peels, sizes, certified) == ([17], [], [17])
     assert sum(touched) == 0
     peels.clear()
+    certified.clear()
     part = fusion(h, universal_map(3))
     assert part.n_classes == 49
-    assert (peels, sizes, ranks) == ([60, 49], [60, 49], [49])  # the input's core, the frame's
+    assert (peels, sizes, certified) == ([60, 49], [60, 49], [49])  # the input's core, the frame's
     assert sum(touched) == 245
 
 
@@ -427,10 +428,10 @@ def test_certifying_an_empty_core_frame_eliminates_no_frame(monkeypatch):
     order, echelon, _ = hypersig.signals._edge_sum_peel(h)
     assert (len(order), echelon) == (173, {})
     touched, sizes = count_touched(monkeypatch), record_eliminations(monkeypatch)
-    ranks, peels = record_ranks(monkeypatch), record_peels(monkeypatch)
+    certified, peels = record_certificates(monkeypatch), record_peels(monkeypatch)
     result = frame(h)
     assert result.fusion.n_classes == 195
-    assert (peels, sizes, ranks) == ([200, 195], [], [195])
+    assert (peels, sizes, certified) == ([200, 195], [], [195])
     assert sum(touched) == 0
     assert_fusion_is_the_oracles(h, result)
 
@@ -474,43 +475,46 @@ def test_too_coarse_candidate_falls_back_to_the_exact_route(monkeypatch):
     p, rank, rational = candidate_mod_3(h)
     assert (p.n_classes, rank, rational) == (3, 49, 49)
     outcomes, sizes = record_frame_route(monkeypatch), record_eliminations(monkeypatch)
-    ranks = record_ranks(monkeypatch)
+    certified = record_certificates(monkeypatch)
     result = frame(h)
     assert outcomes == [None]
     assert sizes == [3, 50]  # candidate frame, the input
-    assert ranks == [4]  # the fusion's frame, peeled to an empty core
+    assert certified == [3, 4]  # the candidate's frame; the fusion's, peeled to an empty core
     assert result.fusion.n_classes == 4
     assert_fusion_is_the_oracles(h, result)
 
 
 @pytest.mark.parametrize(
-    "edges,candidate,ranks,sizes",
+    "edges,candidate,ranks,sizes,certified",
     [
-        ([(0, 0, 1), (0, 2, 3), (1, 2, 3), (1, 3, 4), (3, 3, 3), (4, 4, 4)], 3, (4, 5), [3, 5]),
-        ([(0, 0, 1), (0, 2, 2), (1, 1, 2)], 3, (2, 3), [3]),
+        (
+            [(0, 0, 1), (0, 2, 3), (1, 2, 3), (1, 3, 4), (3, 3, 3), (4, 4, 4)],
+            3, (4, 5), [3, 5], [3, 1],
+        ),
+        ([(0, 0, 1), (0, 2, 2), (1, 1, 2)], 3, (2, 3), [3], [1]),
     ],
     ids=["three-classes", "discrete"],
 )
 def test_rank_deficient_candidate_falls_back_to_the_exact_route(
-    edges, candidate, ranks, sizes, monkeypatch
+    edges, candidate, ranks, sizes, certified, monkeypatch
 ):
     """A vertex three times in an edge vanishes modulo 3, as do the
     three twice-counted vertices of the second input, so the rank modulo
     3 is below the rational one: no frame reaches the bound, and the
     exact route gives the oracle's partition and frame. A discrete
-    candidate, whose frame is the input, goes to the exact route without
-    eliminating the input twice. The fusion's one-vertex frame is
-    certified by peeling alone."""
+    candidate, whose frame is the input, goes to the exact route
+    uncertified, without eliminating the input twice. The fusion's
+    one-vertex frame is certified by peeling alone."""
     n = 1 + max(map(max, edges))
     h = Hypergraph.build(3, [f"v{i}" for i in range(n)], edges)
     p, rank, rational = candidate_mod_3(h)
     assert (p.n_classes, (rank, rational)) == (candidate, ranks)
     outcomes, sizes_seen = record_frame_route(monkeypatch), record_eliminations(monkeypatch)
-    ranks_seen = record_ranks(monkeypatch)
+    certified_seen = record_certificates(monkeypatch)
     result = frame(h)
     assert outcomes == [None]
     assert sizes_seen == sizes
-    assert ranks_seen == [1]
+    assert certified_seen == certified
     assert result.fusion.n_classes == 1
     assert_fusion_is_the_oracles(h, result)
     assert partition_blocks(result.fusion.classes) == oracle_fusion_blocks(h, universal_map(3))

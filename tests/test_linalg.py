@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import hypersig.signals
 from hypersig import Hypergraph, LinearMap, Partition, frame, quotient, random_hypergraph
 from hypersig.linalg import _forward_echelon, _gf3_kernel, _integral_rows, _kernel_basis
-from hypersig.signals import _edge_sum_echelon, _edge_sum_gf3_rows, _edge_sum_rank
+from hypersig.signals import _edge_sum_echelon, _edge_sum_gf3_rows, _edge_sum_peel
 from conftest import random_engaged_map, random_multiset_instance
 from oracle import (
     IntegerRows,
@@ -335,9 +335,11 @@ edge_sum_inputs = st.tuples(st.integers(3, 6), st.integers(1, 8)).flatmap(
 
 
 def _assert_edge_sum_rank(g, dense=True):
-    """The rank by peeling equals the exact echelon's, and the dense
-    oracle's Gauss-Jordan rank of the rows counted edge by edge."""
-    rank = _edge_sum_rank(g)
+    """The rank by peeling, the rows peeled and the 2-core's pivots,
+    equals the exact echelon's, and the dense oracle's Gauss-Jordan rank
+    of the rows counted edge by edge."""
+    order, echelon, _ = _edge_sum_peel(g)
+    rank = len(order) + len(echelon)
     assert rank == len(_edge_sum_echelon(g)[0])
     if dense:
         ncols = g.n_vertices + 1
@@ -384,7 +386,9 @@ def test_edge_sum_rank_peels_an_empty_core_without_eliminating(seed, monkeypatch
     rank = _assert_edge_sum_rank(h, dense=False)
     calls = []
     monkeypatch.setattr(hypersig.signals, "_edge_sum_echelon", calls.append)
-    assert _edge_sum_rank(h) == rank == h.n_edges
+    order, echelon, _ = _edge_sum_peel(h)
+    assert (len(order), echelon) == (rank, {})
+    assert rank == h.n_edges
     assert calls == []
 
 

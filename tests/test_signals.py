@@ -548,6 +548,27 @@ def test_embed_constant_signal_stays_constant(triangle, skew_map):
             assert len(set(row)) == 1
 
 
+def test_embedded_signal_that_fails_reverification_is_an_internal_error(
+    triangle, skew_map, skew_signal, monkeypatch
+):
+    """The embedded signal is re-verified under the coordinate-sum map.
+    Each of its constraints is ``w`` applied to the map's own, so only a
+    wrong verifier fails it: the second verification, patched to fail,
+    raises the internal error."""
+    real = hypersig.signals.verify_signal
+    calls = []
+
+    def second_fails(h, t, s):
+        calls.append(t)
+        return real(h, t, s) and len(calls) < 2
+
+    monkeypatch.setattr(hypersig.signals, "verify_signal", second_fails)
+    message = "internal error: embedded signal fails verification"
+    with pytest.raises(HypersigError, match=f"^{re.escape(message)}$"):
+        embed_to_universal(triangle, skew_map, skew_signal)
+    assert calls == [skew_map, universal_map(3)]
+
+
 def test_search_functional_matches_grid_enumeration():
     """The depth-first search returns the grid enumeration's w, on the
     centroid maps and on random engaged rational maps with 1 to 5 rows."""
