@@ -15,7 +15,7 @@ closure on connected uniform hypergraphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from typing import Sequence
 
 from .errors import DomainError
@@ -80,13 +80,7 @@ def fold_pairs(h: Hypergraph) -> set[tuple[int, int]]:
                 continue  # same residual as the previous occurrence
             residual = e[:i] + e[i + 1 :]
             groups.setdefault(residual, set()).add(v)
-    pairs: set[tuple[int, int]] = set()
-    for members in groups.values():
-        ordered = sorted(members)
-        for i, x in enumerate(ordered):
-            for y in ordered[i + 1 :]:
-                pairs.add((x, y))
-    return pairs
+    return {pair for members in groups.values() for pair in combinations(sorted(members), 2)}
 
 
 def attach_simplex(

@@ -19,10 +19,6 @@ space scaled axis-wise, solved on ``n + (ell-1) * kappa`` unknowns for
 on every axis. On connected input fusion is discrete, one class, or the
 coordinate-sum map's fusion in these cases; only rank 1 solves a system,
 and every basis and fusion signal is re-verified.
-
-Coordinate layout for flattened signals is fixed: coordinate ``(a, x)``
-lives at index ``a * n_vertices + x`` (axis-major), so bases and file
-dumps are stable across runs.
 """
 
 from __future__ import annotations
@@ -141,12 +137,17 @@ def _zero_columns(rows: Sequence[Sequence[Fraction | int]]) -> list[int]:
 class Signal:
     """Rational value table of shape ell x n_vertices; ``values[a][x]`` is
     the signal value of vertex ``x`` on axis ``a``, checked and kept as
-    ``Fraction`` values by :func:`_fraction_rows`."""
+    ``Fraction`` values by :func:`_fraction_rows`. Every row has row 0's
+    length; a ragged table raises ``DomainError``."""
 
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _fraction_rows(self.values, "signal value"))
+        values = _fraction_rows(self.values, "signal value")
+        for a, row in enumerate(values):
+            if len(row) != len(values[0]):
+                raise DomainError(f"signal row {a} has {len(row)} values, row 0 {len(values[0])}")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Fraction | int]]) -> "Signal":
@@ -167,7 +168,9 @@ class SignalSpace:
     """A space of admissible signals: the map and the canonical basis,
     each vector a signal flattened axis-major. Each vector is 1 at its
     last nonzero coordinate, its pivot, where every other vector is 0,
-    and the pivots ascend."""
+    and the pivots ascend. The layout is fixed, and known here only:
+    coordinate ``(a, x)`` lives at index ``a * n_vertices + x``, so bases
+    are stable across runs; every other signal is a table."""
 
     linear_map: LinearMap
     vectors: tuple[tuple[Fraction, ...], ...]
@@ -329,36 +332,39 @@ def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
     return _space(t, _verified_basis(h, t)[0])
 
 
-def _verified_basis(h: Hypergraph, t: LinearMap) -> tuple[list[tuple[list[int], int]], int]:
-    """The canonical basis of :func:`signal_space` under ``t``, each vector
-    as integers ``ys`` over its value ``d`` at the pivot, and the number of
-    constant signals, the dimension of :func:`_map_kernel`. The arity is
-    checked, and the map converted to integer rows and its kernel
-    eliminated, each once. The map decides the case, as it decides fusion:
-    an engaged map of rank 1 solves one forward elimination in
-    :func:`_rank_one_basis`, every other map takes the closed form of
-    :func:`_closed_form_basis`; both read their kernels off
-    :func:`hypersig.linalg._kernel_basis`. Every basis signal is
-    re-verified exactly as its integer table, a failure an internal error
-    that raises.
+# A basis as integer tables: each vector its table ``table[a][x]`` and its
+# value ``d`` at the pivot, the signal ``table / d``.
+_Basis = list[tuple[list[list[int]], int]]
+
+
+def _verified_basis(h: Hypergraph, t: LinearMap) -> tuple[_Basis, int]:
+    """The canonical basis of :func:`signal_space` under ``t`` as integer
+    tables, and the number of constant signals, the dimension of
+    :func:`_map_kernel`. The arity is checked, and the map converted to
+    integer rows and its kernel eliminated, each once. The map decides
+    the case, as it decides fusion: an engaged map of rank 1 solves one
+    forward elimination in :func:`_rank_one_basis`, every other map takes
+    the closed form of :func:`_closed_form_basis`; both read their kernels
+    off :func:`hypersig.linalg._kernel_basis`. Every table is re-verified
+    exactly as it is built, a failure an internal error that raises.
     """
     _check_arity(h, t)
-    n, maps = h.n_vertices, _integral_rows(t.entries)
+    maps = _integral_rows(t.entries)
     kernel, mu = _map_kernel(maps), _rank_one_lift(maps)
     basis = _closed_form_basis(h, maps, kernel) if mu is None else _rank_one_basis(h, mu)
-    _check_basis(h, maps, ([ys[a * n : (a + 1) * n] for a in range(h.ell)] for ys, _ in basis))
+    _check_basis(h, maps, (table for table, _ in basis))
     return basis, len(kernel)
 
 
-def _space(t: LinearMap, basis: Iterable[tuple[Sequence[int], int]]) -> SignalSpace:
-    """The space under ``t`` of integer basis vectors ``(ys, d)``, ``d``
-    the value at the pivot, each expanded to ``Fraction(y, d)``: one per
-    distinct ``y``, and one shared zero."""
+def _space(t: LinearMap, basis: _Basis) -> SignalSpace:
+    """The space under ``t`` of a basis of integer tables, each flattened
+    to :class:`SignalSpace`'s layout and expanded to ``Fraction(y, d)``:
+    one per distinct ``y``, and one shared zero."""
     vectors = []
-    for ys, d in basis:
-        fractions = {y: Fraction(y, d) for y in set(ys)}
+    for table, d in basis:
+        fractions = {y: Fraction(y, d) for y in set(chain.from_iterable(table))}
         fractions[0] = _ZERO  # one shared zero
-        vectors.append(tuple(map(fractions.__getitem__, ys)))
+        vectors.append(tuple(map(fractions.__getitem__, chain.from_iterable(table))))
     return SignalSpace(t, tuple(vectors))
 
 
@@ -391,7 +397,7 @@ def _ranked_components(h: Hypergraph) -> tuple[list[int], list[int]]:
     return [rank[r] for r in roots], tops
 
 
-def _rank_one_basis(h: Hypergraph, mu: Sequence[int]) -> list[tuple[list[int], int]]:
+def _rank_one_basis(h: Hypergraph, mu: Sequence[int]) -> _Basis:
     """Canonical basis of the signal space of an engaged map of rank 1,
     every row a multiple of ``v``, from its :func:`_rank_one_lift` ``mu``,
     solved on ``n + (ell-1) * kappa`` unknowns instead of ``ell * n``
@@ -412,8 +418,8 @@ def _rank_one_basis(h: Hypergraph, mu: Sequence[int]) -> list[tuple[list[int], i
     ``h[a][k]`` at ``(a, top_k)`` and ``g(x)`` at ``(ell-1, x)``, in the
     same order as the columns, and a signal's last nonzero coordinate is
     the image of its last nonzero unknown. So the kernel vectors of
-    :func:`_kernel_basis` expand to the canonical basis as they are, each
-    with its value at the pivot.
+    :func:`_kernel_basis` expand to the canonical basis as they are, one
+    table row per axis, each with its value at the pivot.
     """
     n, ell = h.n_vertices, h.ell
     comp, tops = _ranked_components(h)
@@ -430,18 +436,18 @@ def _rank_one_basis(h: Hypergraph, mu: Sequence[int]) -> list[tuple[list[int], i
     vectors = []
     for f, u in _kernel_basis(rows, base + n):
         g = u[base:]
-        ys: list[int] = []
+        table = []
         for a, m in enumerate(mu[:-1]):
             off = [u[a * kappa + k] - g[x] for k, x in enumerate(tops)]
-            ys += [m * (y + off[k]) for y, k in zip(g, comp)]
-        ys += [mu[-1] * y for y in g]
-        vectors.append((ys, mu[f // kappa if f < base else ell - 1] * u[f]))
+            table.append([m * (y + off[k]) for y, k in zip(g, comp)])
+        table.append([mu[-1] * y for y in g])
+        vectors.append((table, mu[f // kappa if f < base else ell - 1] * u[f]))
     return vectors
 
 
 def _closed_form_basis(
     h: Hypergraph, maps: list[list[int]], kernel: list[tuple[int, list[int]]]
-) -> list[tuple[list[int], int]]:
+) -> _Basis:
     """Canonical basis of the signal space of a map with a zero column or
     an engaged map of rank >= 2, given by its integer rows and its
     :func:`_map_kernel`, in closed form: no elimination but of the map
@@ -459,14 +465,14 @@ def _closed_form_basis(
     columns, ``lam_a`` at ``(a, x)`` for every vertex ``x`` of the
     component. Ordered by their last nonzero coordinate, which for
     ``lam`` is ``(f, largest vertex of the component)``, ``f`` the free
-    column of ``lam``. Each ``lam`` is kept in integers, ``lam_f`` at
-    the pivot.
+    column of ``lam``; keyed by ``(a, x)``, they sort in that order. Each
+    ``lam`` is kept in integers, ``lam_f`` at the pivot.
     """
     n, ell = h.n_vertices, h.ell
     zero = _zero_columns(maps)
     covered = {x for e in h.edges for x in e}
-    units = {z * n + x for z in zero for x in range(n)}
-    units |= {a * n + x for x in set(range(n)) - covered for a in range(ell)}
+    units = {(z, x) for z in zero for x in range(n)}
+    units |= {(a, x) for x in set(range(n)) - covered for a in range(ell)}
     by_pivot = {p: {p: 1} for p in units}
     comp, tops = _ranked_components(h)
     members: dict[int, list[int]] = {}
@@ -475,15 +481,13 @@ def _closed_form_basis(
     for f, lam in kernel:
         if f not in zero:  # a zero column is free, so the other lam are 0 there
             for k, xs in members.items():
-                by_pivot[f * n + tops[k]] = {
-                    a * n + x: y for a, y in enumerate(lam) if y for x in xs
-                }
+                by_pivot[f, tops[k]] = {(a, x): y for a, y in enumerate(lam) if y for x in xs}
     vectors = []
-    for p in sorted(by_pivot):
-        ys = [0] * (ell * n)
-        for i, y in by_pivot[p].items():
-            ys[i] = y
-        vectors.append((ys, ys[p]))
+    for p, entries in sorted(by_pivot.items()):
+        table = [[0] * n for _ in range(ell)]
+        for (a, x), y in entries.items():
+            table[a][x] = y
+        vectors.append((table, entries[p]))
     return vectors
 
 
@@ -505,16 +509,17 @@ def constant_space(t: LinearMap, n_vertices: int) -> SignalSpace:
     if n_vertices < 1:
         raise DomainError(f"vertex count must be >= 1, got {n_vertices}")
     kernel = _map_kernel(_integral_rows(t.entries))
-    return _space(t, [([y for y in lam for _ in range(n_vertices)], lam[f]) for f, lam in kernel])
+    return _space(t, [([[y] * n_vertices for y in lam], lam[f]) for f, lam in kernel])
 
 
 def component_count_via_C(h: Hypergraph) -> int:
     """Number of connected components, read off as the dimension of the
-    signal space under the consecutive-difference map. Its rank is
-    ``ell - 1 >= 2``, so the closed form builds that space from the
-    union-find components, re-verified by :func:`_check_basis`; the
-    full-assembly oracle test checks the count independently."""
-    return signal_space(h, centroid_map(h.ell)).dimension
+    signal space under the consecutive-difference map, the length of its
+    :func:`_verified_basis`. Its rank is ``ell - 1 >= 2``, so the closed
+    form builds that basis from the union-find components, re-verified by
+    :func:`_check_basis`; the full-assembly oracle test checks the count
+    independently."""
+    return len(_verified_basis(h, centroid_map(h.ell))[0])
 
 
 def _search_functional(t: LinearMap) -> tuple[int, ...]:
@@ -946,9 +951,9 @@ def signal_to_json(h: Hypergraph, s: Signal) -> dict:
     }
 
 
-def _basis_chunks(h: Hypergraph, basis: Sequence[tuple[Sequence[int], int]]) -> Iterator[str]:
+def _basis_chunks(h: Hypergraph, basis: _Basis) -> Iterator[str]:
     """The text of ``signals --out`` for a verified basis of integer
-    vectors ``ys`` over their value ``d`` at the pivot: byte for byte
+    tables, each table row rendered as one value array: byte for byte
     ``json.dumps(docs, indent=2)`` plus a newline, for ``docs`` the
     :func:`signal_to_json` documents of its signals, one chunk per
     document and the closing bracket last, so a file can take each
@@ -961,21 +966,20 @@ def _basis_chunks(h: Hypergraph, basis: Sequence[tuple[Sequence[int], int]]) -> 
     if not basis:
         yield "[]\n"
         return
-    n, ell = h.n_vertices, h.ell
     labels = ",\n      ".join(map(_encode, h.vertices))
     head = (
         f'{{\n    "vertices": [\n      {labels}\n    ],\n'
-        f'    "ell": {ell},\n    "values": [\n      [\n        '
+        f'    "ell": {h.ell},\n    "values": [\n      [\n        '
     )
     value_sep, row_sep, tail = ",\n        ", "\n      ],\n      [\n        ", "\n      ]\n    ]\n  }"
     lead = "[\n  "
-    for ys, d in basis:
+    for table, d in basis:
         quoted = {}
-        for y in set(ys):
+        for y in set(chain.from_iterable(table)):
             g = gcd(y, d) if d > 0 else -gcd(y, d)
             p, q = y // g, d // g
             quoted[y] = f'"{p}"' if q == 1 else f'"{p}/{q}"'
-        rows = (value_sep.join(map(quoted.__getitem__, ys[a * n : (a + 1) * n])) for a in range(ell))
+        rows = (value_sep.join(map(quoted.__getitem__, row)) for row in table)
         yield lead + head + row_sep.join(rows) + tail
         lead = ",\n  "
     yield "\n]\n"

@@ -519,6 +519,29 @@ def test_component_count_matches_union_find_on_random_instances():
         assert component_count_via_C(h) == components(h).n_classes
 
 
+def test_component_count_reads_the_verified_basis(monkeypatch):
+    """The count is the length of the verified integer basis: no
+    ``Fraction`` space is built for it, and the basis is still
+    re-verified."""
+
+    def no_space(*args):
+        raise AssertionError("component_count_via_C built a SignalSpace")
+
+    monkeypatch.setattr(hypersig.signals, "_space", no_space)
+    h = Hypergraph.build(3, "abcdefgh", [(0, 1, 2), (2, 3, 4), (5, 6, 7)])
+    assert component_count_via_C(h) == 2
+    basis = hypersig.signals._closed_form_basis
+
+    def changed(*args):
+        vectors = basis(*args)
+        vectors[0][0][0][0] += 1
+        return vectors
+
+    monkeypatch.setattr(hypersig.signals, "_closed_form_basis", changed)
+    with pytest.raises(HypersigError, match="^internal error: basis signal fails"):
+        component_count_via_C(h)
+
+
 def test_full_assembly_counts_components_under_C():
     """``component_count_via_C`` reads its dimension off the closed form,
     which is built from the union-find components; the full assembly
@@ -850,7 +873,7 @@ def test_signal_space_check_catches_one_changed_basis_integer(fan_five, rows, mo
 
     def changed(h, *args):
         vectors = basis(h, *args)
-        vectors[0][0][0] += 1
+        vectors[0][0][0][0] += 1
         return vectors
 
     monkeypatch.setattr(hypersig.signals, name, changed)
@@ -1063,6 +1086,23 @@ def test_from_rows_value_type_messages(build, message):
     float, a string or a bool never enters as the fraction it converts
     to, and the message names its place and type."""
     with pytest.raises(DomainError, match=f"^{re.escape(message)}; expected int or Fraction$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Signal.from_rows([[0, 0, 0], [0, 0], [0, 0, 0]]),
+        lambda: Signal(((0, 0, 0), (0, 0), (0, 0, 0))),
+    ],
+    ids=["from_rows", "constructor"],
+)
+def test_signal_rejects_a_ragged_table(build):
+    """A table whose rows differ in length is no signal: it would read as
+    ``n_vertices`` from row 0, pass a verifier that stops at the shorter
+    row, and be written as a document that does not load back. The first
+    row unlike row 0 is named with both lengths."""
+    with pytest.raises(DomainError, match="^signal row 1 has 2 values, row 0 3$"):
         build()
 
 
