@@ -36,7 +36,10 @@ class Hypergraph:
     ``vertices`` is an ordered tuple of distinct labels (index = vertex id);
     ``edges`` is a lexicographically sorted tuple of canonical edge tuples.
     Repeated vertices inside an edge are allowed; repeated edges are not
-    (the edge set is a set of orbits).
+    (the edge set is a set of orbits). The constructor checks each of these
+    facts once and refuses any other value with a ``DomainError`` naming
+    it: an arity that is not an int >= 3, labels that are not distinct
+    strings, and ids that are not ints (bools included) in range.
     """
 
     ell: int
@@ -44,35 +47,51 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.ell < MIN_ARITY:
-            raise DomainError(f"arity must be >= {MIN_ARITY}, got {self.ell}")
-        if not self.vertices:
+        ell, vertices, edges = self.ell, self.vertices, self.edges
+        if type(ell) is not int:
+            raise DomainError(f"arity {ell!r} has type {type(ell).__name__}; expected int")
+        if ell < MIN_ARITY:
+            raise DomainError(f"arity must be >= {MIN_ARITY}, got {ell}")
+        if not isinstance(vertices, tuple):
+            raise DomainError(f"vertices must be a tuple, got {type(vertices).__name__}")
+        if not all(map(isinstance, vertices, repeat(str))):
+            i, x = next((i, x) for i, x in enumerate(vertices) if not isinstance(x, str))
+            kind = type(x).__name__
+            raise DomainError(f"vertex {i} has label {x!r} of type {kind}; expected str")
+        if not vertices:
             raise DomainError("vertex set must be nonempty")
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(vertices)) != len(vertices):
             raise DomainError("vertex labels must be distinct")
-        n = len(self.vertices)
-        with suppress(TypeError):  # whole-sequence checks; the loop below words the fault
-            edges = self.edges
+        n = len(vertices)
+        with suppress(TypeError):  # whole-sequence checks; the loop below names a faulty edge
             cols = tuple(zip(*edges))  # cols[j][i] is edges[i][j]: le below pairs e[j], e[j + 1]
             if (
                 isinstance(edges, tuple) and all(map(isinstance, edges, repeat(tuple)))
-                and set(map(len, edges)) <= {self.ell}
+                and set(map(len, edges)) <= {ell}
+                and set(map(type, chain.from_iterable(cols))) <= {int}
                 and all(map(le, chain.from_iterable(cols[:-1]), chain.from_iterable(cols[1:])))
-                and all(map(lt, edges, edges[1:]))  # sorted, distinct: edges[0][0] is least
-                and (not edges or 0 <= edges[0][0] and max(chain.from_iterable(edges)) < n)
-            ):
-                return
-        for e in self.edges:
-            if len(e) != self.ell:
+                and (not edges or 0 <= min(cols[0]) and max(cols[-1]) < n)  # ends bound edges
+            ):  # every edge is canonical: only their order is left
+                if all(map(lt, edges, edges[1:])):
+                    return
+                if len(set(edges)) < len(edges):
+                    raise DomainError("duplicate edges")
+                raise DomainError("edges not in canonical order")
+        if not isinstance(edges, tuple):
+            raise DomainError(f"edges must be a tuple of tuples, got {type(edges).__name__}")
+        for e in edges:
+            if not isinstance(e, tuple):
+                raise DomainError(f"edge {e!r} has type {type(e).__name__}; expected tuple")
+            if len(e) != ell:
                 raise DomainError(f"edge {e} has wrong arity")
+            odd = [v for v in e if type(v) is not int]
+            if odd:
+                kind = type(odd[0]).__name__
+                raise DomainError(f"edge {e} has vertex id {odd[0]!r} of type {kind}; expected int")
             if any(not (0 <= v < n) for v in e):
                 raise DomainError(f"edge {e} references unknown vertex id")
             if tuple(sorted(e)) != e:
                 raise DomainError(f"edge {e} is not canonical (sorted)")
-        if len(set(self.edges)) != len(self.edges):
-            raise DomainError("duplicate edges")
-        if tuple(sorted(self.edges)) != self.edges:
-            raise DomainError("edges not in canonical order")
 
     @classmethod
     def build(
@@ -82,9 +101,14 @@ class Hypergraph:
         edges: Iterable[Sequence[int]] = (),
     ) -> "Hypergraph":
         """Construct from arbitrary edge tuples, canonicalizing and
-        collapsing duplicate orbits silently."""
-        canon = set(map(tuple, map(sorted, edges)))
-        return cls(ell, tuple(vertices), tuple(sorted(canon)))
+        collapsing duplicate orbits silently. Edges that do not sort, as
+        with a ``None`` id, raise ``DomainError`` before the constructor
+        sees them."""
+        try:
+            canon = sorted(set(map(tuple, map(sorted, edges))))
+        except TypeError as exc:
+            raise DomainError(f"edges must be sequences of int vertex ids: {exc}") from None
+        return cls(ell, tuple(vertices), tuple(canon))
 
     @classmethod
     def from_labels(
@@ -94,14 +118,16 @@ class Hypergraph:
         edges: Iterable[Sequence[str]] = (),
     ) -> "Hypergraph":
         """Construct from edges given as label sequences. When every edge
-        has the same number of labels, all known, and the edges are
-        distinct and in order, the ids are regrouped and trusted as they
-        come: ``__post_init__``'s whole-sequence checks accept edges that
-        are already canonical, as every document this package writes holds
-        them, with no second sort. Edges out of order, and edges those
-        checks reject, go through :meth:`build`, which canonicalizes them,
-        collapses duplicate orbits and words every other fault."""
-        index = {lab: i for i, lab in enumerate(vertices)}
+        has the same number of labels, all known, the ids are regrouped and
+        tried as they come: ``__post_init__``'s whole-sequence checks
+        accept edges that are already canonical, as every document this
+        package writes holds them, with no sort. Edges those checks reject
+        go through :meth:`build`, which canonicalizes them, collapses
+        duplicate orbits and words every other fault."""
+        try:
+            index = {lab: i for i, lab in enumerate(vertices)}
+        except TypeError:  # an unhashable label, which the constructor rejects by name
+            return cls(ell, tuple(vertices), ())
         ids = None
         if isinstance(edges, (list, tuple)):
             with suppress(KeyError, TypeError, ValueError):  # the loop below words the fault
@@ -109,9 +135,8 @@ class Hypergraph:
                 ids = list(map(index.__getitem__, chain.from_iterable(edges)))
         if ids:  # every edge has k labels, all known
             id_edges = tuple(zip(*[iter(ids)] * k))
-            if all(map(lt, id_edges, id_edges[1:])):  # else failing the checks costs more
-                with suppress(DomainError):
-                    return cls(ell, tuple(vertices), id_edges)
+            with suppress(DomainError):
+                return cls(ell, tuple(vertices), id_edges)
             return cls.build(ell, vertices, id_edges)
         id_edges = []
         for e in edges:

@@ -636,25 +636,25 @@ def _certified_signal(h: Hypergraph, t: LinearMap) -> tuple[list[list[int]], Hyp
     return values, g, part
 
 
-def _edge_sum_columns(h: Hypergraph) -> list[int]:
-    """Each vertex's column in the edge-sum system of ``h``: vertices in
-    order of increasing degree, ties by id; column ``n`` is ``C``."""
-    degree = Counter(chain.from_iterable(h.edges))
-    col = [0] * h.n_vertices
-    for i, x in enumerate(sorted(range(h.n_vertices), key=degree.__getitem__)):
+def _edge_sum_columns(n: int, edges: Sequence) -> list[int]:
+    """Each vertex's column in the edge-sum system of ``edges`` on ``n``
+    vertices: in order of increasing degree, ties by id; column ``n`` is ``C``."""
+    degree = Counter(chain.from_iterable(edges))
+    col = [0] * n
+    for i, x in enumerate(sorted(range(n), key=degree.__getitem__)):
         col[x] = i
     return col
 
 
-def _edge_sum_echelon(h: Hypergraph) -> tuple[dict[int, dict[int, int]], list[int]]:
-    """Forward echelon of the edge-sum system of ``h``, and each vertex's
-    column (:func:`_edge_sum_columns`): one row per edge, distinct as the
-    edges are, the number of the edge's vertices at each column (counted
-    only where one repeats) and 1 at column ``n``. :func:`_edge_sum_peel`
-    calls it on a 2-core only."""
-    n, col = h.n_vertices, _edge_sum_columns(h)
+def _edge_sum_echelon(n: int, edges: Sequence) -> tuple[dict[int, dict[int, int]], list[int]]:
+    """Forward echelon of the edge-sum system of ``edges`` on ``n``
+    vertices, and each vertex's column (:func:`_edge_sum_columns`): one
+    row per edge, distinct as the edges are, the number of the edge's
+    vertices at each column (counted only where one repeats) and 1 at
+    column ``n``. :func:`_edge_sum_peel` calls it on a 2-core only."""
+    col = _edge_sum_columns(n, edges)
     rows = []
-    for e in h.edges:
+    for e in edges:
         image = sorted(map(col.__getitem__, e))
         counts = zip(image, repeat(1)) if len(set(e)) == len(e) else Counter(image).items()
         rows.append((*counts, (n, 1)))
@@ -712,8 +712,7 @@ def _edge_sum_peel(h: Hypergraph) -> _Peeled:
                 leaves.append(y)
     if len(order) == len(edges):
         return order, {}, list(range(h.n_vertices))
-    core = Hypergraph(h.ell, h.vertices, tuple(compress(edges, left)))
-    return (order, *_edge_sum_echelon(core))
+    return (order, *_edge_sum_echelon(h.n_vertices, list(compress(edges, left))))
 
 
 def _edge_sum_gf3_rows(h: Hypergraph, col: list[int]) -> list[tuple[int, int]]:
@@ -827,7 +826,7 @@ def _frame_fusion(h: Hypergraph) -> tuple[Partition, Hypergraph, _Peeled] | None
     ``h``), one too coarse, or rank_3 < rank_Q (in both, the nullities
     differ).
     """
-    n, col = h.n_vertices, _edge_sum_columns(h)
+    n, col = h.n_vertices, _edge_sum_columns(h.n_vertices, h.edges)
     rank, packed = _gf3_kernel(_edge_sum_gf3_rows(h, col), n + 1)
     p = Partition.from_keys([packed[c] for c in col])
     found = None if p.is_discrete() else _certified_frame(h, p, n + 1 - rank)

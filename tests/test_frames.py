@@ -271,7 +271,8 @@ def test_fusion_elimination_work_stays_within_its_guard(monkeypatch):
     exactly, so this catches a lost row order without a timing: rows in
     edge order touch 21,508 entries, rows furthest right first 14,520."""
     touched = count_touched(monkeypatch)
-    hypersig.signals._edge_sum_echelon(random_hypergraph(300, 300, 3, 1))
+    h = random_hypergraph(300, 300, 3, 1)
+    hypersig.signals._edge_sum_echelon(h.n_vertices, h.edges)
     assert sum(touched) <= 16_000
 
 
@@ -346,16 +347,15 @@ def test_peeled_draw_work_stays_within_its_guard(kind, touched, ops, bits, class
 
 
 def record_eliminations(monkeypatch) -> list[int]:
-    """The vertex count of every hypergraph whose edge-sum system is
-    eliminated exactly, in order: only a nonempty 2-core left by
-    ``_edge_sum_peel`` is, and it keeps every vertex of the system
-    peeled."""
+    """The vertex count of every edge-sum system eliminated exactly, in
+    order: only a nonempty 2-core left by ``_edge_sum_peel`` is, and it
+    keeps every vertex of the system peeled."""
     sizes = []
     real = hypersig.signals._edge_sum_echelon
 
-    def recording(g):
-        sizes.append(g.n_vertices)
-        return real(g)
+    def recording(n, edges):
+        sizes.append(n)
+        return real(n, edges)
 
     monkeypatch.setattr(hypersig.signals, "_edge_sum_echelon", recording)
     return sizes
@@ -454,10 +454,10 @@ def record_frame_route(monkeypatch) -> list:
 def candidate_mod_3(h):
     """The candidate partition modulo 3 and the two ranks it is checked
     against: modulo 3 and over the rationals."""
-    col = hypersig.signals._edge_sum_columns(h)
+    col = hypersig.signals._edge_sum_columns(h.n_vertices, h.edges)
     rows = hypersig.signals._edge_sum_gf3_rows(h, col)
     rank, packed = hypersig.linalg._gf3_kernel(rows, h.n_vertices + 1)
-    rational = len(hypersig.signals._edge_sum_echelon(h)[0])
+    rational = len(hypersig.signals._edge_sum_echelon(h.n_vertices, h.edges)[0])
     return Partition.from_keys([packed[c] for c in col]), rank, rational
 
 

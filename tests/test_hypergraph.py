@@ -223,8 +223,8 @@ def test_hypergraph_invariants():
         (((0, 1, 2), (0, 1, 2), (2, 1, 0)), "edge (2, 1, 0) is not canonical (sorted)"),
         (((0, 0, 1), (0, 1, 7), (0, 1)), "edge (0, 1, 7) references unknown vertex id"),
         (((0, 0, 1), (0, 2, 1)), "edge (0, 2, 1) is not canonical (sorted)"),
-        (((0, 0, 1), [0, 1, 2]), "edge [0, 1, 2] is not canonical (sorted)"),
-        ([(0, 0, 1), (0, 1, 2)], "edges not in canonical order"),
+        (((0, 0, 1), [0, 1, 2]), "edge [0, 1, 2] has type list; expected tuple"),
+        ([(0, 0, 1), (0, 1, 2)], "edges must be a tuple of tuples, got list"),
     ],
     ids=["arity", "id-too-large", "negative-id", "unsorted-edge", "duplicate", "out-of-order",
          "edge-fault-before-duplicate", "first-faulty-edge", "unsorted-edge-in-order",
@@ -235,18 +235,72 @@ def test_direct_construction_names_the_fault(edges, message):
         Hypergraph(3, ("a", "b", "c"), edges)
 
 
-@pytest.mark.parametrize("edge", [(0, 1, "c"), (0, 1, None)], ids=repr)
-def test_direct_construction_with_a_non_int_id_is_a_type_error(edge):
-    with pytest.raises(TypeError):
+NON_INT_IDS = [(0, 1, "c"), (0, 1, None), (0, 1, 2.0), (0, 1, True)]
+
+
+@pytest.mark.parametrize(
+    "edge,kind",
+    zip(NON_INT_IDS, ["str", "NoneType", "float", "bool"]),
+    ids=list(map(repr, NON_INT_IDS)),
+)
+def test_direct_construction_with_a_non_int_id_is_a_domain_error(edge, kind):
+    """A float id would index a list, a bool would stand for vertex 1: the
+    constructor names the edge, the id and its type."""
+    message = f"edge {edge} has vertex id {edge[2]!r} of type {kind}; expected int"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         Hypergraph(3, ("a", "b", "c"), (edge,))
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        Hypergraph(3, ("a", "b", "c"), ((0, 0, 1), edge))
+
+
+@pytest.mark.parametrize(
+    "ell,vertices,message",
+    [
+        (3, (1, 2, 3), "vertex 0 has label 1 of type int; expected str"),
+        (3, ("a", None, "c"), "vertex 1 has label None of type NoneType; expected str"),
+        (3, ("a", "b", ["c"]), "vertex 2 has label ['c'] of type list; expected str"),
+        (3, ["a", "b", "c"], "vertices must be a tuple, got list"),
+        (3.0, ("a", "b", "c"), "arity 3.0 has type float; expected int"),
+        (True, ("a", "b", "c"), "arity True has type bool; expected int"),
+    ],
+    ids=["int-labels", "none-label", "unhashable-label", "list-of-labels", "float-arity",
+         "bool-arity"],
+)
+def test_direct_construction_names_a_label_or_arity_of_the_wrong_type(ell, vertices, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        Hypergraph(ell, vertices, ())
+
+
+def test_build_and_from_labels_refuse_what_they_cannot_sort_or_hash():
+    """``build`` sorts each edge before the constructor sees it, and
+    ``from_labels`` indexes the labels first: an id that sorts against no
+    int, and a label that does not hash, are refused there by name."""
+    with pytest.raises(DomainError, match="^edges must be sequences of int vertex ids: "):
+        Hypergraph.build(3, "abc", [(0, 1, None)])
+    message = "edge (0, 1, 2.0) has vertex id 2.0 of type float; expected int"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        Hypergraph.build(3, "abc", [(2.0, 1, 0)])
+    message = "vertex 1 has label ['b'] of type list; expected str"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        Hypergraph.from_labels(3, ["a", ["b"], "c"], [["a", "a", "c"]])
+    message = "vertex 0 has label 1 of type int; expected str"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        Hypergraph.from_labels(3, [1, 2, 3], [[1, 2, 3]])
 
 
 def _checked_edges(ell, n, edges):
     """The per-edge checks of a directly built Hypergraph, one at a time:
     the reference its whole-sequence checks must agree with."""
+    if not isinstance(edges, tuple):
+        return f"edges must be a tuple of tuples, got {type(edges).__name__}"
     for e in edges:
+        if not isinstance(e, tuple):
+            return f"edge {e!r} has type {type(e).__name__}; expected tuple"
         if len(e) != ell:
             return f"edge {e} has wrong arity"
+        odd = [v for v in e if isinstance(v, bool) or not isinstance(v, int)]
+        if odd:
+            return f"edge {e} has vertex id {odd[0]!r} of type {type(odd[0]).__name__}; expected int"
         if any(not (0 <= v < n) for v in e):
             return f"edge {e} references unknown vertex id"
         if tuple(sorted(e)) != e:
@@ -260,9 +314,20 @@ def _checked_edges(ell, n, edges):
 
 ids_edge = st.lists(st.integers(-1, 4), min_size=2, max_size=4)
 edge_lists = st.lists(st.one_of(ids_edge.map(tuple), ids_edge.map(sorted).map(tuple)), max_size=5)
+odd_id = st.sampled_from([True, False, 2.0, None, "c", [1]])
+odd_edges = st.one_of(  # an id of another type at any position, or a list
+    st.tuples(ids_edge, st.integers(0, 3), odd_id).map(lambda t: (*t[0][: t[1]], t[2], *t[0][t[1] :])),
+    ids_edge.map(sorted),
+)
+mixed_edge_lists = st.lists(st.one_of(ids_edge.map(sorted).map(tuple), odd_edges), max_size=5)
 
 
-@given(st.one_of(edge_lists.map(tuple), edge_lists.map(sorted).map(tuple)))
+@given(
+    st.one_of(
+        edge_lists.map(tuple), edge_lists.map(sorted).map(tuple), mixed_edge_lists.map(tuple),
+        edge_lists.map(sorted),
+    )
+)
 @settings(max_examples=300, deadline=None)
 def test_direct_construction_agrees_with_the_per_edge_checks(edges):
     expected = _checked_edges(3, 4, edges)

@@ -244,7 +244,7 @@ def _edge_sum_system(h):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hypersig.signals, "_forward_echelon", capture)
-        echelon, col = _edge_sum_echelon(h)
+        echelon, col = _edge_sum_echelon(h.n_vertices, h.edges)
     (rows,) = seen
     return rows, echelon, col
 
@@ -340,7 +340,7 @@ def _assert_edge_sum_rank(g, dense=True):
     of the rows counted edge by edge."""
     order, echelon, _ = _edge_sum_peel(g)
     rank = len(order) + len(echelon)
-    assert rank == len(_edge_sum_echelon(g)[0])
+    assert rank == len(_edge_sum_echelon(g.n_vertices, g.edges)[0])
     if dense:
         ncols = g.n_vertices + 1
         rows = IntegerRows(ncols, tuple(edge_sum_rows(g.edges, range(g.n_vertices))))
@@ -385,11 +385,23 @@ def test_edge_sum_rank_peels_an_empty_core_without_eliminating(seed, monkeypatch
     h = random_hypergraph(200, 173, 3, seed)
     rank = _assert_edge_sum_rank(h, dense=False)
     calls = []
-    monkeypatch.setattr(hypersig.signals, "_edge_sum_echelon", calls.append)
+    monkeypatch.setattr(hypersig.signals, "_edge_sum_echelon", lambda *args: calls.append(args))
     order, echelon, _ = _edge_sum_peel(h)
     assert (len(order), echelon) == (rank, {})
     assert rank == h.n_edges
     assert calls == []
+
+
+@pytest.mark.parametrize("n,m,seed,core", [(60, 52, 3, 20), (200, 173, 1, 96), (300, 300, 1, 214)])
+def test_edge_sum_peel_builds_no_hypergraph(n, m, seed, core, monkeypatch):
+    """The peel hands a nonempty 2-core to the exact elimination as a
+    list of edges: no ``Hypergraph`` is built, or checked, on the way."""
+    h = random_hypergraph(n, m, 3, seed)
+    built = []
+    monkeypatch.setattr(Hypergraph, "__post_init__", built.append)
+    order, echelon, _ = _edge_sum_peel(h)
+    assert (m - len(order), built) == (core, [])
+    assert echelon
 
 
 def _assert_forward_rank_on_shuffles(rows, ncols, rng):
