@@ -101,14 +101,19 @@ class Hypergraph:
         edges: Iterable[Sequence[int]] = (),
     ) -> "Hypergraph":
         """Construct from arbitrary edge tuples, canonicalizing and
-        collapsing duplicate orbits silently. Edges that do not sort, as
-        with a ``None`` id, raise ``DomainError`` before the constructor
-        sees them."""
+        collapsing duplicate orbits silently. Vertices that do not iterate,
+        and edges that do not sort, as with a ``None`` id, raise
+        ``DomainError`` before the constructor sees them."""
+        try:
+            labels = tuple(vertices)
+        except TypeError:
+            kind = type(vertices).__name__
+            raise DomainError(f"vertices must be a sequence of labels, got {kind}") from None
         try:
             canon = sorted(set(map(tuple, map(sorted, edges))))
         except TypeError as exc:
             raise DomainError(f"edges must be sequences of int vertex ids: {exc}") from None
-        return cls(ell, tuple(vertices), tuple(canon))
+        return cls(ell, labels, tuple(canon))
 
     @classmethod
     def from_labels(
@@ -126,8 +131,8 @@ class Hypergraph:
         duplicate orbits and words every other fault."""
         try:
             index = {lab: i for i, lab in enumerate(vertices)}
-        except TypeError:  # an unhashable label, which the constructor rejects by name
-            return cls(ell, tuple(vertices), ())
+        except TypeError:  # vertices that do not iterate, or an unhashable label: both named
+            return cls.build(ell, vertices)
         ids = None
         if isinstance(edges, (list, tuple)):
             with suppress(KeyError, TypeError, ValueError):  # the loop below words the fault
@@ -138,6 +143,11 @@ class Hypergraph:
             with suppress(DomainError):
                 return cls(ell, tuple(vertices), id_edges)
             return cls.build(ell, vertices, id_edges)
+        try:
+            edges = iter(edges)
+        except TypeError:
+            kind = type(edges).__name__
+            raise DomainError(f"edges must be a sequence of label sequences, got {kind}") from None
         id_edges = []
         for e in edges:
             try:
@@ -189,9 +199,14 @@ class Partition:
     @classmethod
     def from_keys(cls, keys: Sequence) -> "Partition":
         """Group elements by equal key; one class per distinct key. Classes
-        in order of first occurrence are already canonical."""
+        in order of first occurrence are already canonical. Keys that do
+        not iterate or do not hash raise ``DomainError``."""
         ids: dict = {}
-        class_of = tuple(ids.setdefault(k, len(ids)) for k in keys)
+        try:
+            class_of = tuple(ids.setdefault(k, len(ids)) for k in keys)
+        except TypeError as exc:
+            kind = type(keys).__name__
+            raise DomainError(f"keys must be a sequence of hashables, got {kind}: {exc}") from None
         classes: list[list[int]] = [[] for _ in ids]
         for x, cid in enumerate(class_of):
             classes[cid].append(x)

@@ -54,24 +54,30 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Dense ``r x ell`` rational matrix acting on axis space, its entries
-    checked and kept as ``Fraction`` values by :func:`_fraction_rows`."""
+    """Dense ``r x ell`` rational matrix acting on axis space, ``r`` and
+    ``ell`` ints, its entries checked and kept as ``Fraction`` values by
+    :func:`_fraction_rows`."""
 
     r: int
     ell: int
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
+        for name, v in (("r", self.r), ("ell", self.ell)):
+            if type(v) is not int:
+                kind = type(v).__name__
+                raise DomainError(f"map dimension {name} = {v!r} has type {kind}; expected int")
         if self.r < 1 or self.ell < 1:
             raise DomainError("map dimensions must be positive")
-        if len(self.entries) != self.r or any(len(row) != self.ell for row in self.entries):
+        entries = _fraction_rows(self.entries, "map", "entry")
+        if len(entries) != self.r or any(len(row) != self.ell for row in entries):
             raise DomainError("entry matrix shape mismatch")
-        object.__setattr__(self, "entries", _fraction_rows(self.entries, "map entry"))
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "LinearMap":
         """The map of the given rows of entries."""
-        ents = tuple(map(tuple, rows))
+        ents = _fraction_rows(rows, "map", "entry")
         return cls(len(ents), len(ents[0]) if ents else 0, ents)
 
     def column(self, a: int) -> tuple[Fraction, ...]:
@@ -80,22 +86,33 @@ class LinearMap:
 
 
 def _fraction_rows(
-    rows: Iterable[Iterable[Fraction | int]], what: str
+    rows: Iterable[Iterable[Fraction | int]], table: str, item: str
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Rows of ``int`` (not ``bool``) and ``Fraction`` values as
     ``Fraction`` tuples, the one value rule of :class:`LinearMap` and
-    :class:`Signal`. Any other value raises ``DomainError`` naming
-    ``what``, its ``[row][col]`` and its type: a ``float`` would enter as
-    its binary fraction, a string as whatever it parses to. A row of
-    ``Fraction`` values only, as a parsed signal's, is kept as it is."""
+    :class:`Signal`. Any other value raises ``DomainError`` naming the
+    ``table``'s ``item``, its ``[row][col]`` and its type: a ``float``
+    would enter as its binary fraction, a string as whatever it parses
+    to. So do rows, or a row, that do not iterate. A row of ``Fraction``
+    values only, as a parsed signal's, is kept as it is."""
+    try:
+        rows = list(rows)
+    except TypeError:
+        kind = type(rows).__name__
+        raise DomainError(f"{table} rows must be a sequence of rows, got {kind}") from None
     out = []
     for i, row in enumerate(rows):
-        row = tuple(row)
+        try:
+            row = tuple(row)
+        except TypeError:
+            kind = type(row).__name__
+            raise DomainError(f"{table} row {i} has type {kind}; expected a sequence") from None
         if set(map(type, row)) != {Fraction}:
             for j, v in enumerate(row):
                 if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                    kind = type(v).__name__
                     raise DomainError(
-                        f"{what} [{i}][{j}] has type {type(v).__name__}; expected int or Fraction"
+                        f"{table} {item} [{i}][{j}] has type {kind}; expected int or Fraction"
                     )
             row = tuple(map(Fraction, row))
         out.append(row)
@@ -143,7 +160,7 @@ class Signal:
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        values = _fraction_rows(self.values, "signal value")
+        values = _fraction_rows(self.values, "signal", "value")
         for a, row in enumerate(values):
             if len(row) != len(values[0]):
                 raise DomainError(f"signal row {a} has {len(row)} values, row 0 {len(values[0])}")
@@ -152,7 +169,7 @@ class Signal:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Fraction | int]]) -> "Signal":
         """The signal of the given rows of values, one row per axis."""
-        return cls(tuple(map(tuple, rows)))
+        return cls(rows)
 
     @property
     def ell(self) -> int:

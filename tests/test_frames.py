@@ -2,6 +2,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from math import lcm
 
@@ -17,7 +18,7 @@ from conftest import (
 )
 import hypersig.linalg
 import hypersig.signals
-from hypersig.hypergraph import _component_roots
+from hypersig.linalg import _integral_rows
 from hypersig import (
     DisconnectedError,
     DomainError,
@@ -46,7 +47,10 @@ from hypersig import (
 from oracle import (
     IntegerRows,
     canonical_kernel,
+    component_roots,
+    edge_loop_violation,
     edge_sum_rows,
+    edges_connected,
     oracle_fusion_blocks,
     partition_blocks,
 )
@@ -131,23 +135,6 @@ def test_frame_general_centroid_collapses_to_point(fan_five):
     assert result.frame.edges == ((0, 0, 0),)
 
 
-@pytest.mark.parametrize("ell,m_max,instances", [(4, 4, 12), (5, 3, 6)])
-def test_frame_matches_dense_oracle_at_higher_arity(ell, m_max, instances):
-    """Differential check of frame(h, t) against the dense oracle at arity
-    4 and 5, with repeated-vertex edges, under U and random engaged maps."""
-    rng = random.Random(326 + ell)
-    for _ in range(instances):
-        h = random_multiset_instance(rng, ell, n_max=6, m_max=m_max)
-        for t in (universal_map(ell), random_engaged_map(rng, ell)):
-            result = frame(h, t)
-            assert partition_blocks(result.fusion.classes) == oracle_fusion_blocks(h, t)
-            assert result.frame.n_vertices == result.fusion.n_classes
-            class_map = frame_result_to_json(result, h)["class_map"]
-            for x, label in enumerate(h.vertices):
-                block = result.fusion.classes[result.fusion.class_of[x]]
-                assert class_map[label] == h.vertices[block[0]]
-
-
 def assembly_fusion(h, t):
     """Fusion read off the full constraint assembly: the level sets of
     every basis signal of ``signal_space`` on every axis."""
@@ -155,69 +142,6 @@ def assembly_fusion(h, t):
     return Partition.from_keys(
         [tuple(s.values[a][x] for s in sigs for a in range(h.ell)) for x in range(h.n_vertices)]
     )
-
-
-def differential_instances():
-    rng = random.Random(327)
-    cases = [random_connected_instance(rng, n_max=7, m_max=6) for _ in range(6)]
-    for ell, count in ((3, 6), (4, 6), (5, 2)):
-        cases += [random_multiset_instance(rng, ell, n_max=6, m_max=3) for _ in range(count)]
-    cases += [Hypergraph.build(ell, ["x"], [(0,) * ell]) for ell in (3, 4, 5)]
-    cases += [random_multiset_instance(rng, 6, n_max=3, m_max=2)]
-    return cases
-
-
-DIFFERENTIAL = differential_instances()
-
-
-def random_rational_map(rng, ell):
-    """Random engaged map with rational entries, r in {1, 2}."""
-    rows = random_engaged_map(rng, ell).entries
-    return LinearMap.from_rows([[c / rng.randint(1, 4) for c in row] for row in rows])
-
-
-@pytest.mark.parametrize(
-    "h", DIFFERENTIAL, ids=[f"{i}-ell{h.ell}-n{h.n_vertices}" for i, h in enumerate(DIFFERENTIAL)]
-)
-def test_reduced_fusion_matches_assembly_and_oracle(h):
-    """Three-way check of fusion: it equals the level sets of signal_space
-    and the dense oracle under every case the map decides. Under
-    coordinate-sum maps and rank-1 maps (a two-row rational one included)
-    the edge-sum engine runs; C, random engaged rational maps, a rank-2
-    map whose first row starts with 0 and a three-row rank-2 map give one
-    class; a non-engaged map and the zero map give the discrete
-    partition. Under every map but U and its multiples, the one
-    re-verified signal's level sets are the partition."""
-    ell = h.ell
-    rng = random.Random(repr(h.edges))
-    u_blocks = partition_blocks(assembly_fusion(h, universal_map(ell)).classes)
-    assert u_blocks == oracle_fusion_blocks(h, universal_map(ell))
-    for rows in ([[1] * ell], [[2] * ell], [[-1] * ell], [[0] * ell, [Fraction(-3, 2)] * ell]):
-        t = LinearMap.from_rows(rows)
-        part = fusion(h, t)
-        assert partition_blocks(part.classes) == u_blocks == oracle_fusion_blocks(h, t)
-    steps = list(range(1, ell + 1))
-    half = [Fraction(1, 2)] + steps[1:]
-    others = [
-        centroid_map(ell),
-        random_rational_map(rng, ell),
-        random_rational_map(rng, ell),
-        LinearMap.from_rows([[1] * (ell - 1) + [0]]),
-        LinearMap.from_rows([half, [-2 * c for c in half]]),
-        LinearMap.from_rows([[0] + [1] * (ell - 1), [1] + [0] * (ell - 1)]),
-        LinearMap.from_rows([steps, [1] * ell, [c + 1 for c in steps]]),
-    ]
-    for t in others:
-        values, g, part = hypersig.signals._certified_signal(h, t)
-        assert g == quotient(h, part)
-        assert part == fusion(h, t) == assembly_fusion(h, t)
-        assert Partition.from_keys(list(zip(*values))) == part
-        assert partition_blocks(part.classes) == oracle_fusion_blocks(h, t)
-    zero = LinearMap.from_rows([[0] * ell])
-    part = fusion(h, zero)
-    assert part == assembly_fusion(h, zero)
-    assert partition_blocks(part.classes) == oracle_fusion_blocks(h, zero)
-    assert part.is_discrete()
 
 
 def edge_sum_nullspace_fusion(h):
@@ -545,41 +469,6 @@ def test_lift_that_fails_reverification_is_an_internal_error(monkeypatch):
     assert (peels, sizes) == ([3], [])  # the candidate frame only
 
 
-def test_frame_route_matches_the_exact_route_and_the_oracle(monkeypatch):
-    """Differential on seeded inputs with at least as many edges as
-    vertices (ell 3-6, n <= 80, m up to 2n, every other one with repeated
-    vertices): the partition and frame equal the exact route's on the
-    input and the oracle's whole edge-sum kernel; the candidate route and
-    its fallback both run. A certified candidate's frame is the fusion's,
-    which is stable: it takes exactly one draw, and frame returns the
-    candidate and its frame as they were proposed."""
-    rng = random.Random(22)
-    outcomes, draws = record_frame_route(monkeypatch), []
-    real_draw = hypersig.signals._draw
-
-    def counting(rng, k):
-        draws.append(k)
-        return real_draw(rng, k)
-
-    monkeypatch.setattr(hypersig.signals, "_draw", counting)
-    fallbacks = 0
-    for i in range(100):
-        ell, n = rng.randint(3, 6), rng.randint(8, 80)
-        h = random_chained_instance(rng, ell, n, rng.randint(n, 2 * n), repeats=i % 2 == 1)
-        outcomes.clear()
-        draws.clear()
-        result = frame(h)
-        (found,) = outcomes
-        if found is None:
-            fallbacks += 1
-        else:
-            assert len(draws) == 1
-            assert result.fusion is found[0] and result.frame is found[1]
-        _, _, g, part = hypersig.signals._certified_draw(h, hypersig.signals._edge_sum_peel(h))
-        assert (result.fusion, result.frame) == (part, g)
-        assert_fusion_is_the_oracles(h, result)
-    assert 0 < fallbacks < 10
-
 
 @pytest.mark.parametrize("rows", [[[1, 2, 3]], [[-3, 1, 2]]], ids=["[[1,2,3]]", "[[-3,1,2]]"])
 @pytest.mark.parametrize(
@@ -883,14 +772,235 @@ def test_universal_fusion_refines_engaged_maps():
                 assert len(cids) == 1
 
 
-def per_component_fusion(h):
-    """U-fusion of each component of ``h``: the level sets of
-    ``_universal_fusion``'s vector met with the components. The vector
-    ``(f, C)`` is checked to solve every edge's sum."""
-    f, c, _, _ = hypersig.signals._universal_fusion(h)
-    assert all(c + sum(map(f.__getitem__, e)) == 0 for e in h.edges)
-    roots = _component_roots(h.n_vertices, h.edges)
-    return partition_blocks(Partition.from_keys(list(zip(f, roots))).classes)
+def u_signal(f, c, ell):
+    """The U-signal ``s_0 = f + C``, ``s_a = f`` of a kernel vector ``(f, C)``."""
+    return [[x + c for x in f]] + [f] * (ell - 1)
+
+
+def draw_route(h, t):
+    """The draw on ``h`` peeled, at any m: its U-signal, frame and partition."""
+    f, c, g, part = hypersig.signals._certified_draw(h, hypersig.signals._edge_sum_peel(h))
+    return u_signal(f, c, h.ell), g, part
+
+
+def candidate_route(h, t):
+    """The candidate modulo 3 and its certified frame, at any m, with the
+    draw on that frame lifted to ``h``; None when it declines, as it must
+    for a discrete candidate, whose frame is ``h``."""
+    found = hypersig.signals._frame_fusion(h)
+    if found is None:
+        return None
+    p, g, peeled = found
+    assert not p.is_discrete()
+    f, c, _, _ = hypersig.signals._certified_draw(g, peeled)
+    return u_signal([f[x] for x in p.class_of], c, h.ell), g, p
+
+
+def universal_route(h, t):
+    """``_universal_fusion``, the dispatch under U that takes disconnected
+    input as it is: met with the components, its vector's level sets are
+    the U-fusion of every component."""
+    f, c, g, part = hypersig.signals._universal_fusion(h)
+    return u_signal(f, c, h.ell), g, part
+
+
+def frame_route(h, t):
+    """``frame``'s dispatch under ``t``, with the one signal it re-verified.
+    Under U that is the candidate's when m >= n and it does not decline,
+    else the draw's. Disconnected input raises."""
+    if not edges_connected(h.n_vertices, h.edges):
+        with pytest.raises(DisconnectedError):
+            frame(h, t)
+        return None
+    checked, real = [], hypersig.signals._check_basis
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hypersig.signals, "_check_basis", lambda *args: checked.append(args) or real(*args))
+        result = frame(h, t)
+    [(verified, maps, [values])] = checked
+    assert verified == h and maps == _integral_rows(t.entries)
+    if t == universal_map(h.ell):
+        picked = h.n_edges >= h.n_vertices and candidate_route(h, t) or draw_route(h, t)
+        assert (values, result.frame, result.fusion) == picked
+    return values, result.frame, result.fusion
+
+
+def rank_one(ell):
+    """A zero row and two rational multiples of one row, one negative."""
+    half = [Fraction(1, 2), *range(2, ell + 1)]
+    return LinearMap.from_rows([[0] * ell, half, [-2 * c for c in half]])
+
+
+def rank_two(ell):
+    """Three rows of rank 2, the first with a zero."""
+    first = [0] + [1] * (ell - 1)
+    return LinearMap.from_rows([first, [1] + [0] * (ell - 1), [1] * ell])
+
+
+MAPS = {
+    "U": universal_map,
+    "rank1": rank_one,
+    "C": centroid_map,
+    "rank2": rank_two,
+    "zero-column": lambda ell: LinearMap.from_rows([[1] * (ell - 1) + [0]]),
+    "zero-map": lambda ell: LinearMap.from_rows([[0] * ell]),
+}
+ROUTES = [(frame_route, kind) for kind in MAPS] + [(candidate_route, "U"), (draw_route, "U")]
+U_ROUTES = (frame_route, universal_route, candidate_route, draw_route)
+oracle_blocks = cache(oracle_fusion_blocks)  # the routes under U share their inputs
+
+
+def assert_route_matches_the_oracle(route, h, t):
+    """The one check of every fusion route: met with the components, the
+    partition is the oracle's, the frame is the quotient by it, and the
+    route's signal is admissible and has the partition as its level sets.
+    Returns the route's (signal, frame, partition), or None."""
+    found = route(h, t)
+    if found is not None:
+        values, g, part = found
+        met = Partition.from_keys(list(zip(part.class_of, component_roots(h.n_vertices, h.edges))))
+        assert partition_blocks(met.classes) == oracle_blocks(h, t)
+        assert g == quotient(h, part)
+        assert edge_loop_violation(h, _integral_rows(t.entries), values) is None
+        assert Partition.from_keys(list(zip(*values))) == part
+    return found
+
+
+# per arity: most vertices, most edges drawn on top of the connecting ones
+SIZES = {3: (8, 10), 4: (6, 5), 5: (4, 3), 6: (3, 1)}
+
+
+@st.composite
+def small_inputs(draw):
+    """``ell``-uniform input (ell 3-6) small enough for the dense oracle:
+    half of them connected by an edge from each vertex to an earlier one,
+    then random edges, each with its first vertex put 1 to ``ell`` times.
+    So m falls on either side of n, and the input may be disconnected,
+    repeat a vertex, or leave one in no edge."""
+    ell = draw(st.sampled_from((3, 3, 4, 4, 5, 6)))  # the oracle's cost grows as ell!
+    n_max, m_max = SIZES[ell]
+    n = draw(st.integers(1, n_max))
+    vertex = st.integers(0, n - 1)
+    edges = []
+    if draw(st.booleans()):
+        rest = st.lists(vertex, min_size=ell - 2, max_size=ell - 2)
+        edges += [[v, draw(st.integers(0, v - 1)), *draw(rest)] for v in range(1, n)]
+    edge = st.lists(vertex, min_size=ell, max_size=ell)
+    for e, times in draw(st.lists(st.tuples(edge, st.integers(1, ell)), max_size=m_max)):
+        e[1:times] = [e[0]] * (times - 1)
+        edges.append(e)
+    return build(ell, n, edges)
+
+
+PINNED = [
+    # fewer edges than vertices
+    build(3, 6, [(0, 1, 2), (2, 3, 4)]),  # an empty 2-core
+    build(3, 4, [(0, 0, 1), (0, 1, 1), (1, 2, 3)]),  # a 2-core and a peeled row
+    build(3, 5, [(0, 0, 1), (1, 1, 2), (1, 2, 2)]),  # a private vertex twice in its row
+    build(4, 8, [(0, 0, 0, 1), (1, 1, 2, 2), (1, 2, 2, 2), (3, 4, 5, 5)]),  # three times
+    # a path of repeated private vertices off a 2-core whose kernel is not constant
+    build(3, 9, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5), (6, 6, 0), (7, 7, 6), (8, 8, 7)]),
+    # two complete K4s and a vertex in no edge: f alone merges the K4s
+    build(3, 9, [*combinations(range(4), 3), *combinations(range(4, 8), 3)]),
+    *(build(ell, 1, [(0,) * ell]) for ell in (3, 4, 5)),  # one-vertex edges
+    # candidates that decline: too coarse, rank_3 < rank_Q, and discrete besides
+    build(3, 6, [(0, 1, 4), (0, 3, 5), (1, 1, 4), (1, 3, 5), (1, 5, 5), (2, 3, 4)]),
+    build(3, 5, [(0, 0, 1), (0, 2, 3), (1, 2, 3), (1, 3, 4), (3, 3, 3), (4, 4, 4)]),
+    build(3, 3, [(0, 0, 1), (0, 2, 2), (1, 1, 2)]),
+    fan(5),  # m < n, collapsing: the draw on the input
+]
+
+
+def pinned(inputs):
+    """One hypothesis ``example`` per input."""
+
+    def add(test):
+        for h in inputs:
+            test = example(h=h)(test)
+        return test
+
+    return add
+
+
+@pytest.mark.parametrize(
+    "route,kind", ROUTES, ids=[f"{route.__name__[:-6]}-{kind}" for route, kind in ROUTES]
+)
+@given(h=small_inputs())
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@pinned(PINNED)
+def test_fusion_route_matches_the_oracle(route, kind, h):
+    """One differential for every fusion route: ``frame``'s dispatch under
+    U, a rational rank-1 map, C, a rank-2 map, a zero column and the zero
+    map; the candidate modulo 3 when it does not decline; and the draw on
+    the input peeled. The pinned inputs cover empty and nonempty 2-cores,
+    private vertices repeated in their rows, disconnected input,
+    one-vertex edges, and candidates that decline: too coarse, rank
+    deficient modulo 3, and discrete."""
+    assert_route_matches_the_oracle(route, h, MAPS[kind](h.ell))
+
+
+@given(h=small_inputs().filter(lambda h: h.n_edges < h.n_vertices))
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@pinned(PINNED[:5])
+def test_peeled_draw_matches_the_oracle_per_component(h):
+    """With fewer edges than vertices the draw runs on the input peeled:
+    its 2-core eliminated, then each private vertex solved from its own
+    row. The one check holds on the draw and on ``_universal_fusion``."""
+    for route in (universal_route, draw_route):
+        assert_route_matches_the_oracle(route, h, universal_map(h.ell))
+
+
+@pytest.mark.parametrize("ell,m_max,instances", [(4, 4, 12), (5, 3, 6)])
+def test_frame_matches_dense_oracle_at_higher_arity(ell, m_max, instances):
+    """The one check at arity 4 and 5 on seeded inputs with repeated-vertex
+    edges: every route under U, and ``frame`` under U and a random engaged
+    map, whose class map names each class by its first vertex."""
+    rng = random.Random(326 + ell)
+    for _ in range(instances):
+        h = random_multiset_instance(rng, ell, n_max=6, m_max=m_max)
+        for route in U_ROUTES[1:]:
+            assert_route_matches_the_oracle(route, h, universal_map(ell))
+        for t in (universal_map(ell), random_engaged_map(rng, ell)):
+            _, _, part = assert_route_matches_the_oracle(frame_route, h, t)
+            class_map = frame_result_to_json(frame(h, t), h)["class_map"]
+            for x, label in enumerate(h.vertices):
+                assert class_map[label] == h.vertices[part.classes[part.class_of[x]][0]]
+
+
+def differential_instances():
+    rng = random.Random(327)
+    cases = [random_connected_instance(rng, n_max=7, m_max=6) for _ in range(6)]
+    for ell, count in ((3, 6), (4, 6), (5, 2)):
+        cases += [random_multiset_instance(rng, ell, n_max=6, m_max=3) for _ in range(count)]
+    cases += [Hypergraph.build(ell, ["x"], [(0,) * ell]) for ell in (3, 4, 5)]
+    cases += [random_multiset_instance(rng, 6, n_max=3, m_max=2)]
+    return cases
+
+
+DIFFERENTIAL = differential_instances()
+
+
+def random_rational_map(rng, ell):
+    """Random engaged map with rational entries, r in {1, 2}."""
+    rows = random_engaged_map(rng, ell).entries
+    return LinearMap.from_rows([[c / rng.randint(1, 4) for c in row] for row in rows])
+
+
+@pytest.mark.parametrize(
+    "h", DIFFERENTIAL, ids=[f"{i}-ell{h.ell}-n{h.n_vertices}" for i, h in enumerate(DIFFERENTIAL)]
+)
+def test_reduced_fusion_matches_assembly_and_oracle(h):
+    """Three-way check on seeded inputs (ell 3-6, one-vertex edges
+    included): the one check on every route under U, and on ``frame``
+    under every map of the harness, 2U, -U and two random rational maps,
+    whose fusion also equals the level sets of ``signal_space``."""
+    ell = h.ell
+    rng = random.Random(repr(h.edges))
+    maps = [make(ell) for make in MAPS.values()] + [LinearMap.from_rows([[k] * ell]) for k in (2, -1)]
+    for route in U_ROUTES[1:]:
+        assert_route_matches_the_oracle(route, h, universal_map(ell))
+    for t in maps + [random_rational_map(rng, ell) for _ in range(2)]:
+        _, _, part = assert_route_matches_the_oracle(frame_route, h, t)
+        assert part == assembly_fusion(h, t)
 
 
 def disconnected_instance(rng, ell, n):
@@ -910,29 +1020,27 @@ def disconnected_instance(rng, ell, n):
 
 
 def test_universal_fusion_per_component_matches_the_oracle():
-    """``_universal_fusion`` runs on disconnected input as it is: met with
-    the components, its vector's level sets are the U-fusion, as a
-    constant vector solves every component's edge-sum system for any
-    ``C``. Seeded inputs (ell 3-4, n <= 8) cover disconnected input,
-    vertices in no edge, repeated vertices, and both routes (m >= n and
-    m < n). On two disjoint complete 3-uniform K4s and a vertex in no
-    edge, the vector alone merges the two K4s; the meet separates them."""
-    k4s = Hypergraph.build(
-        3, [f"v{i}" for i in range(9)], [*combinations(range(4), 3), *combinations(range(4, 8), 3)]
-    )
+    """``_universal_fusion`` runs on disconnected input as it is, and the
+    one check holds on it and on every route under U (``frame`` raises).
+    Seeded inputs (ell 3-4, n <= 8) cover disconnected input, vertices in
+    no edge, repeated vertices, and both routes (m >= n and m < n). On two
+    disjoint complete 3-uniform K4s and a vertex in no edge, the vector
+    alone merges the two K4s; the meet separates them."""
+    k4s = PINNED[5]
     f = hypersig.signals._universal_fusion(k4s)[0]
     assert partition_blocks(Partition.from_keys(f).classes) == {frozenset(range(8)), frozenset({8})}
     expected = {frozenset(range(4)), frozenset(range(4, 8)), frozenset({8})}
-    assert per_component_fusion(k4s) == oracle_fusion_blocks(k4s, universal_map(3)) == expected
+    assert oracle_blocks(k4s, universal_map(3)) == expected
+    assert_route_matches_the_oracle(universal_route, k4s, universal_map(3))
     rng = random.Random(30)
     seen = Counter()
     for i in range(24):
         ell = 3 + i % 2
         h = disconnected_instance(rng, ell, rng.randint(3, 8))
-        assert per_component_fusion(h) == oracle_fusion_blocks(h, universal_map(ell)), h
-        roots = _component_roots(h.n_vertices, h.edges)
+        for route in U_ROUTES:
+            assert_route_matches_the_oracle(route, h, universal_map(ell))
         seen.update(
-            disconnected=len(set(roots)) > 1,
+            disconnected=len(set(component_roots(h.n_vertices, h.edges))) > 1,
             loose=len({x for e in h.edges for x in e}) < h.n_vertices,
             repeats=any(len(set(e)) < ell for e in h.edges),
             frame_route=h.n_edges >= h.n_vertices,
@@ -940,38 +1048,6 @@ def test_universal_fusion_per_component_matches_the_oracle():
         )
     kinds = ("disconnected", "loose", "repeats", "frame_route", "exact_route")
     assert min(map(seen.__getitem__, kinds)) >= 4, seen
-
-
-@st.composite
-def fewer_edges_than_vertices(draw):
-    """``ell``-uniform input (ell 3-4) on 2-8 vertices with fewer edges
-    than vertices, each edge with its first vertex put 1 to ``ell``
-    times: disconnected inputs and vertices in no edge included."""
-    ell, n = draw(st.integers(3, 4)), draw(st.integers(2, 8))
-    edges = []
-    edge = st.lists(st.integers(0, n - 1), min_size=ell, max_size=ell)
-    for e, times in draw(st.lists(st.tuples(edge, st.integers(1, ell)), max_size=n - 1)):
-        e[1:times] = [e[0]] * (times - 1)
-        edges.append(e)
-    return build(ell, n, edges)
-
-
-@given(fewer_edges_than_vertices())
-@settings(max_examples=150, deadline=None)
-@example(build(3, 6, [(0, 1, 2), (2, 3, 4)]))  # an empty 2-core
-@example(build(3, 4, [(0, 0, 1), (0, 1, 1), (1, 2, 3)]))  # a 2-core and a peeled row
-@example(build(3, 5, [(0, 0, 1), (1, 1, 2), (1, 2, 2)]))  # a private vertex twice in its row
-@example(build(4, 8, [(0, 0, 0, 1), (1, 1, 2, 2), (1, 2, 2, 2), (3, 4, 5, 5)]))  # three times
-@example(  # a path of repeated private vertices off a 2-core whose kernel is not constant
-    build(3, 9, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5), (6, 6, 0), (7, 7, 6), (8, 8, 7)])
-)
-def test_peeled_draw_matches_the_oracle_per_component(h):
-    """With fewer edges than vertices the draw runs on the input peeled:
-    its 2-core eliminated, then each private vertex solved from its own
-    row. The vector solves every edge's sum, and met with the components
-    its level sets are the oracle's U-fusion."""
-    assert h.n_edges < h.n_vertices
-    assert per_component_fusion(h) == oracle_fusion_blocks(h, universal_map(h.ell))
 
 
 def test_is_stable(triangle, fan_five):

@@ -16,10 +16,14 @@ from hypersig import (
     FrameResult,
     Hypergraph,
     Partition,
+    Signal,
     dumps_hypergraph,
     frame_result_to_json,
     hypergraph_to_json,
+    load_signal,
     quotient,
+    save_signal,
+    signal_to_json,
 )
 from hypersig.frames import _classes_text
 
@@ -81,3 +85,14 @@ WRITTEN = sorted(
 def test_dumps_round_trips_every_golden_output_file(path):
     text = path.read_text(encoding="utf-8")
     assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+
+def test_save_signal_writes_the_reference_document(tmp_path):
+    """``save_signal`` writes its document through ``json.dumps``, so
+    labels are escaped to ASCII, lone surrogates included."""
+    h = Hypergraph.build(3, ["é", '%s"', "\ud83d"], [(0, 1, 2)])
+    s = Signal.from_rows([[0, 1, -1]] * 3)
+    path = tmp_path / "s.json"
+    save_signal(h, s, path)
+    assert path.read_text(encoding="ascii") == json.dumps(signal_to_json(h, s), indent=2) + "\n"
+    assert load_signal(path) == (h.vertices, 3, s)

@@ -2,19 +2,24 @@
 ``HypersigError`` subclass, never a bare ``TypeError``, ``ValueError`` or
 ``AttributeError``: hypothesis draws the arity, ids, labels and values
 from ints, bools, floats, strings, ``Fraction``s, ``None`` and lists.
-An edge may be replaced by any of these too; a map's or a signal's rows
-are always sequences, of any values."""
+An edge or a map's or a signal's row may be replaced by any of these
+too, and each whole sequence (vertices, edges, rows, partition keys) by
+``None``, an int or a float."""
 
 import json
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersig import (
+    DomainError,
     Hypergraph,
     HypersigError,
     LinearMap,
+    Partition,
     Signal,
     dumps_hypergraph,
     hypergraph_from_json,
@@ -22,6 +27,7 @@ from hypersig import (
 
 odd = st.one_of(
     st.booleans(),
+    st.integers(),
     st.floats(),
     st.text(max_size=2),
     st.fractions(max_denominator=3),
@@ -51,13 +57,25 @@ def spoiled(clean):
     return st.one_of(lists, lists.map(tuple))
 
 
+def sequence(clean):
+    """Draws of ``clean``, and about one time in four ``None``, an int or
+    a float in place of the whole sequence."""
+    return mostly(clean, st.one_of(st.none(), st.integers(), st.floats()))
+
+
+def spoiled_lists(items, min_size, max_size):
+    """:func:`sequence` of :func:`spoiled` lists of :func:`spoiled` triples
+    of ``items``."""
+    triples = spoiled(st.lists(items, min_size=3, max_size=3))
+    return sequence(spoiled(st.lists(triples, min_size=min_size, max_size=max_size)))
+
+
 arities = mostly(st.sampled_from([3, 3, 3, 4, 2]), odd)
-labels = spoiled(st.lists(st.sampled_from("abcde"), min_size=3, max_size=5, unique=True))
-id_edges = spoiled(st.lists(spoiled(st.lists(st.integers(0, 2), min_size=3, max_size=3)), max_size=4))
-label_edges = spoiled(
-    st.lists(spoiled(st.lists(st.sampled_from("abc"), min_size=3, max_size=3)), max_size=4)
-)
-rows = st.lists(spoiled(st.lists(st.integers(-3, 3), min_size=3, max_size=3)), min_size=1, max_size=3)
+labels = sequence(spoiled(st.lists(st.sampled_from("abcde"), min_size=3, max_size=5, unique=True)))
+id_edges = spoiled_lists(st.integers(0, 2), 0, 4)
+label_edges = spoiled_lists(st.sampled_from("abc"), 0, 4)
+rows = spoiled_lists(st.integers(-3, 3), 1, 3)
+keys = sequence(spoiled(st.lists(st.sampled_from("abc"), max_size=5)))
 
 
 def refused(make, *args):
@@ -76,6 +94,10 @@ def assert_valid(h):
         assert hypergraph_from_json(json.loads(dumps_hypergraph(h))) == h
 
 
+def as_tuple(x):
+    return tuple(x) if isinstance(x, list) else x
+
+
 def canonical(edges):
     """Each edge sorted, the edges sorted and distinct, as tuples; None
     when some id does not sort or hash."""
@@ -91,11 +113,11 @@ def test_hypergraph_constructor_builds_or_refuses(ell, vertices, edges):
     """As drawn, as tuples, and with the edges canonical where they sort,
     so that ids of other types reach the whole-sequence checks."""
     assert_valid(refused(Hypergraph, ell, vertices, edges))
-    as_tuples = tuple(tuple(e) if isinstance(e, list) else e for e in edges)
-    assert_valid(refused(Hypergraph, ell, tuple(vertices), as_tuples))
+    as_tuples = tuple(map(as_tuple, edges)) if isinstance(edges, (list, tuple)) else edges
+    assert_valid(refused(Hypergraph, ell, as_tuple(vertices), as_tuples))
     sorted_edges = canonical(edges)
     if sorted_edges is not None:
-        assert_valid(refused(Hypergraph, ell, tuple(vertices), sorted_edges))
+        assert_valid(refused(Hypergraph, ell, as_tuple(vertices), sorted_edges))
 
 
 @given(arities, labels, id_edges)
@@ -110,9 +132,52 @@ def test_from_labels_builds_or_refuses(ell, vertices, edges):
     assert_valid(refused(Hypergraph.from_labels, ell, vertices, edges))
 
 
-@given(rows)
+@given(rows, arities)
 @settings(max_examples=300, deadline=None)
-def test_map_and_signal_rows_build_or_refuse(drawn):
-    linear_map, signal = refused(LinearMap.from_rows, drawn), refused(Signal.from_rows, drawn)
-    for table in (linear_map and linear_map.entries, signal and signal.values):
-        assert all(type(v) is Fraction for row in table or () for v in row)
+def test_map_and_signal_rows_build_or_refuse(drawn, r):
+    """Through ``from_rows`` and through each constructor, the map's
+    given ``r`` rows, ``r`` drawn as an arity is, of 3 entries."""
+    built = [refused(LinearMap.from_rows, drawn), refused(LinearMap, r, 3, drawn)]
+    built += [refused(Signal.from_rows, drawn), refused(Signal, drawn)]
+    for obj in filter(None, built):
+        table = obj.entries if isinstance(obj, LinearMap) else obj.values
+        assert all(type(v) is Fraction for row in table for v in row)
+
+
+@given(keys)
+@settings(max_examples=100, deadline=None)
+def test_partition_from_keys_builds_or_refuses(drawn):
+    part = refused(Partition.from_keys, drawn)
+    if part is not None:
+        assert sorted(x for block in part.classes for x in block) == list(range(len(drawn)))
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: LinearMap.from_rows(None), "map rows must be a sequence of rows, got NoneType"),
+        (lambda: LinearMap.from_rows([None]), "map row 0 has type NoneType; expected a sequence"),
+        (lambda: Signal.from_rows([[0], 1.5]), "signal row 1 has type float; expected a sequence"),
+        (lambda: Hypergraph.build(3, None, []), "vertices must be a sequence of labels, got NoneType"),
+        (lambda: Hypergraph.from_labels(3, 7, []), "vertices must be a sequence of labels, got int"),
+        (
+            lambda: Hypergraph.from_labels(3, "abc", None),
+            "edges must be a sequence of label sequences, got NoneType",
+        ),
+        (lambda: LinearMap(None, 3, ()), "map dimension r = None has type NoneType; expected int"),
+        (lambda: LinearMap(1, 3.0, ()), "map dimension ell = 3.0 has type float; expected int"),
+        (
+            lambda: Partition.from_keys(None),
+            "keys must be a sequence of hashables, got NoneType: 'NoneType' object is not iterable",
+        ),
+    ],
+    ids=[
+        "map-rows", "map-row", "signal-row", "build-vertices", "from-labels-vertices",
+        "from-labels-edges", "map-r", "map-ell", "partition-keys",
+    ],
+)
+def test_a_sequence_of_the_wrong_type_is_named(build, message):
+    """Each constructor names the argument, or the row, that is not the
+    sequence it takes, and its type."""
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        build()
