@@ -15,7 +15,8 @@ import json
 import logging
 import os
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, permutations, repeat
 from operator import le, lt
 from pathlib import Path
@@ -150,9 +151,11 @@ class Hypergraph:
             raise DomainError(f"edges must be a sequence of label sequences, got {kind}") from None
         id_edges = []
         for e in edges:
+            if not isinstance(e, Iterable):
+                raise DomainError(f"edge {e!r} has type {type(e).__name__}; expected a sequence")
             try:
                 id_edges.append([index[lab] for lab in e])
-            except (KeyError, TypeError):
+            except (KeyError, TypeError):  # an unhashable label is no known label either
                 raise DomainError(f"edge {e!r} references unknown vertex") from None
         return cls.build(ell, vertices, id_edges)
 
@@ -186,31 +189,44 @@ def arrangements(e: Sequence[int]) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class Partition:
-    """Partition of ``{0, ..., n-1}`` into canonical classes.
+    """Partition of ``{0, ..., n-1}``, held as its class map: ``class_of[x]``
+    is the class of ``x``, ids numbered 0, 1, ... in order of first
+    occurrence, so equal partitions are equal maps. Any other map (no
+    tuple, a non-int or bool id, an id out of order) is a ``DomainError``."""
 
-    Classes are sorted member lists; class ids are assigned so that the
-    class containing the smallest uncovered id gets the next id. Two
-    equal partitions therefore have identical encodings.
-    """
+    class_of: tuple[int, ...]
 
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...] = field(compare=False)
+    def __post_init__(self) -> None:
+        c = self.class_of
+        if not isinstance(c, tuple):
+            raise DomainError(f"class map must be a tuple, got {type(c).__name__}")
+        if not set(map(type, c)) <= {int}:
+            x, v = next((x, v) for x, v in enumerate(c) if type(v) is not int)
+            kind = type(v).__name__
+            raise DomainError(f"element {x} has class id {v!r} of type {kind}; expected int")
+        ids = list(dict.fromkeys(c))
+        if ids != list(range(len(ids))):
+            k, v = next((k, v) for k, v in enumerate(ids) if v != k)  # ids[:k] are 0..k-1
+            raise DomainError(f"element {c.index(v)} has class id {v}; expected 0 to {k}")
 
     @classmethod
     def from_keys(cls, keys: Sequence) -> "Partition":
-        """Group elements by equal key; one class per distinct key. Classes
-        in order of first occurrence are already canonical. Keys that do
-        not iterate or do not hash raise ``DomainError``."""
+        """Group elements by equal key, one class per distinct key. Keys that
+        do not iterate or do not hash raise ``DomainError``."""
         ids: dict = {}
         try:
-            class_of = tuple(ids.setdefault(k, len(ids)) for k in keys)
+            return cls(tuple(ids.setdefault(k, len(ids)) for k in keys))
         except TypeError as exc:
             kind = type(keys).__name__
             raise DomainError(f"keys must be a sequence of hashables, got {kind}: {exc}") from None
-        classes: list[list[int]] = [[] for _ in ids]
-        for x, cid in enumerate(class_of):
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The classes in id order, each its members ascending; built once."""
+        classes: list[list[int]] = [[] for _ in range(self.n_classes)]
+        for x, cid in enumerate(self.class_of):
             classes[cid].append(x)
-        return cls(tuple(map(tuple, classes)), class_of)
+        return tuple(map(tuple, classes))
 
     @property
     def n_elements(self) -> int:
@@ -218,7 +234,7 @@ class Partition:
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
+        return max(self.class_of, default=-1) + 1
 
     def is_discrete(self) -> bool:
         return self.n_classes == self.n_elements
@@ -267,11 +283,9 @@ def quotient(h: Hypergraph, p: Partition) -> Hypergraph:
     is a set of orbits). The edges are mapped column by column, the
     ``j``-th vertex of every edge at once, and zipped back into edges.
     """
-    if p.n_elements != h.n_vertices:
-        raise DomainError(
-            f"partition covers {p.n_elements} elements, hypergraph has {h.n_vertices}"
-        )
-    labels = tuple(h.vertices[block[0]] for block in p.classes)
+    if p.n_elements != (n := h.n_vertices):
+        raise DomainError(f"partition covers {p.n_elements} elements, hypergraph has {n}")
+    labels = tuple(h.vertices[block[0]] for block in p.classes)  # built once, kept by p
     get = p.class_of.__getitem__
     return Hypergraph.build(h.ell, labels, zip(*(map(get, c) for c in zip(*h.edges))))
 

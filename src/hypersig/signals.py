@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, islice, repeat
 from math import gcd, lcm
-from operator import add, eq, ne, or_, sub
+from operator import add, eq, mul, ne, or_, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -54,47 +54,45 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Dense ``r x ell`` rational matrix acting on axis space, ``r`` and
-    ``ell`` ints, its entries checked and kept as ``Fraction`` values by
-    :func:`_fraction_rows`."""
+    """Dense ``r x ell`` rational matrix acting on axis space, held as its
+    ``r`` rows of ``ell`` entries, ``r, ell >= 1``, checked and kept as
+    ``Fraction`` values by :func:`_fraction_rows`."""
 
-    r: int
-    ell: int
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        for name, v in (("r", self.r), ("ell", self.ell)):
-            if type(v) is not int:
-                kind = type(v).__name__
-                raise DomainError(f"map dimension {name} = {v!r} has type {kind}; expected int")
-        if self.r < 1 or self.ell < 1:
-            raise DomainError("map dimensions must be positive")
-        entries = _fraction_rows(self.entries, "map", "entry")
-        if len(entries) != self.r or any(len(row) != self.ell for row in entries):
-            raise DomainError("entry matrix shape mismatch")
+        entries = _fraction_rows(self.entries, "map", "entry", nonempty=True)
         object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "LinearMap":
         """The map of the given rows of entries."""
-        ents = _fraction_rows(rows, "map", "entry")
-        return cls(len(ents), len(ents[0]) if ents else 0, ents)
+        return cls(rows)
+
+    @property
+    def r(self) -> int:
+        return len(self.entries)
+
+    @property
+    def ell(self) -> int:
+        return len(self.entries[0])
 
     def column(self, a: int) -> tuple[Fraction, ...]:
         """Image of the ``a``-th standard basis vector of axis space."""
-        return tuple(self.entries[i][a] for i in range(self.r))
+        return tuple(row[a] for row in self.entries)
 
 
 def _fraction_rows(
-    rows: Iterable[Iterable[Fraction | int]], table: str, item: str
+    rows: Iterable[Iterable[Fraction | int]], table: str, item: str, nonempty: bool = False
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows of ``int`` (not ``bool``) and ``Fraction`` values as
-    ``Fraction`` tuples, the one value rule of :class:`LinearMap` and
-    :class:`Signal`. Any other value raises ``DomainError`` naming the
-    ``table``'s ``item``, its ``[row][col]`` and its type: a ``float``
-    would enter as its binary fraction, a string as whatever it parses
-    to. So do rows, or a row, that do not iterate. A row of ``Fraction``
-    values only, as a parsed signal's, is kept as it is."""
+    """Rows of ``int`` (not ``bool``) and ``Fraction`` values, all of row
+    0's length, as ``Fraction`` tuples: the one shape and value rule of
+    :class:`LinearMap` and :class:`Signal`. Any other value raises
+    ``DomainError`` naming the ``table``'s ``item``, its ``[row][col]``
+    and its type (a ``float`` would enter as its binary fraction, a string
+    as whatever it parses to), and so do rows, or a row, that do not
+    iterate, a ragged row and, if ``nonempty``, no rows or an empty row 0.
+    A row of ``Fraction`` values only, as a parsed signal's, is kept."""
     try:
         rows = list(rows)
     except TypeError:
@@ -115,7 +113,11 @@ def _fraction_rows(
                         f"{table} {item} [{i}][{j}] has type {kind}; expected int or Fraction"
                     )
             row = tuple(map(Fraction, row))
+        if out and len(row) != len(out[0]):
+            raise DomainError(f"{table} row {i} has {len(row)} values, row 0 {len(out[0])}")
         out.append(row)
+    if nonempty and not (out and out[0]):
+        raise DomainError(f"{table} row 0 is empty" if out else f"{table} has no rows")
     return tuple(out)
 
 
@@ -154,17 +156,13 @@ def _zero_columns(rows: Sequence[Sequence[Fraction | int]]) -> list[int]:
 class Signal:
     """Rational value table of shape ell x n_vertices; ``values[a][x]`` is
     the signal value of vertex ``x`` on axis ``a``, checked and kept as
-    ``Fraction`` values by :func:`_fraction_rows`. Every row has row 0's
-    length; a ragged table raises ``DomainError``."""
+    ``Fraction`` values by :func:`_fraction_rows`: every row has row 0's
+    length."""
 
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        values = _fraction_rows(self.values, "signal", "value")
-        for a, row in enumerate(values):
-            if len(row) != len(values[0]):
-                raise DomainError(f"signal row {a} has {len(row)} values, row 0 {len(values[0])}")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _fraction_rows(self.values, "signal", "value"))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Fraction | int]]) -> "Signal":
@@ -197,11 +195,8 @@ class SignalSpace:
         return len(self.vectors)
 
     def signals(self) -> list[Signal]:
-        ell, out = self.linear_map.ell, []
-        for v in self.vectors:
-            n = len(v) // ell
-            out.append(Signal(tuple(v[a * n : (a + 1) * n] for a in range(ell))))
-        return out
+        ell = self.linear_map.ell
+        return [Signal(tuple(zip(*[iter(v)] * (len(v) // ell)))) for v in self.vectors]
 
 
 def _check_arity(h: Hypergraph, t: LinearMap) -> None:
@@ -236,10 +231,8 @@ def find_violation(
     """
     _check_arity(h, t)
     if s.ell != h.ell or s.n_vertices != h.n_vertices:
-        raise DomainError(
-            f"signal shape {s.ell}x{s.n_vertices} does not match "
-            f"hypergraph {h.ell}x{h.n_vertices}"
-        )
+        shape = f"{s.ell}x{s.n_vertices}"
+        raise DomainError(f"signal shape {shape} does not match hypergraph {h.ell}x{h.n_vertices}")
     scale = lcm(*{v.denominator for row in s.values for v in row})
     values = [[v.numerator * (scale // v.denominator) for v in row] for row in s.values]
     return _violation(h, _integral_rows(t.entries), values)
@@ -586,13 +579,8 @@ def embed_to_universal(h: Hypergraph, t: LinearMap, s: Signal) -> Signal:
     if not verify_signal(h, t, s):
         raise DomainError("signal is not admissible for the given map")
     w = _search_functional(t)
-    scales = [
-        sum(wi * ci for wi, ci in zip(w, t.column(a)))
-        for a in range(t.ell)
-    ]
-    out = Signal.from_rows(
-        [[scales[a] * v for v in s.values[a]] for a in range(t.ell)]
-    )
+    scales = [sum(map(mul, w, t.column(a))) for a in range(t.ell)]
+    out = Signal([[m * v for v in row] for m, row in zip(scales, s.values)])
     if not verify_signal(h, universal_map(h.ell), out):
         raise HypersigError("internal error: embedded signal fails verification")
     return out
@@ -952,9 +940,7 @@ def _parse_rational(v) -> Fraction:
             raise FormatError(f"invalid rational {v!r}: zero denominator") from None
         except ValueError:  # more digits than int() converts
             raise FormatError(f"invalid rational {v!r}: too many digits") from None
-    raise FormatError(
-        f"invalid rational {v!r}: expected an integer or a string like \"-2/5\""
-    )
+    raise FormatError(f"invalid rational {v!r}: expected an integer or a string like \"-2/5\"")
 
 
 def signal_to_json(h: Hypergraph, s: Signal) -> dict:

@@ -51,6 +51,7 @@ NON_INT_ID = (
     "tests/test_hypergraph.py::test_direct_construction_with_a_non_int_id_is_a_domain_error"
 )
 GOLDEN = "tests/test_golden_cli.py::test_cli_output_matches_golden"
+PARTITION = "tests/test_hypergraph.py::test_partition_names_a_class_map_it_refuses"
 
 MUTANTS = (
     # the peel of the edge-sum system
@@ -225,9 +226,23 @@ MUTANTS = (
     Mutant(
         "Signal accepts a ragged table",
         SIGNALS,
-        "            if len(row) != len(values[0]):\n",
-        "            if False:\n",
+        "        if out and len(row) != len(out[0]):\n",
+        "        if False:\n",
         ("tests/test_signals.py::test_signal_rejects_a_ragged_table",),
+    ),
+    Mutant(
+        "a ragged map row",
+        SIGNALS,
+        "        if out and len(row) != len(out[0]):\n",
+        '        if table == "signal" and out and len(row) != len(out[0]):\n',
+        ("tests/test_signals.py::test_linear_map_shape_messages[short-row]",),
+    ),
+    Mutant(
+        "a map with no rows or an empty row",
+        SIGNALS,
+        "    if nonempty and not (out and out[0]):\n",
+        "    if False:\n",
+        ("tests/test_signals.py::test_linear_map_shape_messages[no-rows]",),
     ),
     # hypergraphs
     Mutant(
@@ -321,13 +336,6 @@ MUTANTS = (
         (f"{NAMED}[map-row]", f"{NAMED}[signal-row]"),
     ),
     Mutant(
-        "no guard on the map's dimensions",
-        SIGNALS,
-        "            if type(v) is not int:\n",
-        "            if False:\n",
-        (f"{NAMED}[map-r]", f"{NAMED}[map-ell]"),
-    ),
-    Mutant(
         "no guard on build's vertices",
         HYPERGRAPH,
         "        try:\n            labels = tuple(vertices)\n        except TypeError:\n",
@@ -345,10 +353,32 @@ MUTANTS = (
         "no guard on partition keys",
         HYPERGRAPH,
         "        try:\n"
-        "            class_of = tuple(ids.setdefault(k, len(ids)) for k in keys)\n"
+        "            return cls(tuple(ids.setdefault(k, len(ids)) for k in keys))\n"
         "        except TypeError as exc:\n",
-        "        class_of = tuple(ids.setdefault(k, len(ids)) for k in keys)\n        if False:\n",
+        "        return cls(tuple(ids.setdefault(k, len(ids)) for k in keys))\n        if False:\n",
         (f"{NAMED}[partition-keys]",),
+    ),
+    Mutant(
+        "no guard on an edge that is no sequence",
+        HYPERGRAPH,
+        "            if not isinstance(e, Iterable):\n",
+        "            if False:\n",
+        (f"{NAMED}[from-labels-edge-none]",),
+    ),
+    # the class map of a partition
+    Mutant(
+        "a class map with a gap",
+        HYPERGRAPH,
+        "        if ids != list(range(len(ids))):\n",
+        "        if ids != sorted(ids):\n",
+        (f"{PARTITION}[gap]",),
+    ),
+    Mutant(
+        "a bool class id",
+        HYPERGRAPH,
+        "        if not set(map(type, c)) <= {int}:\n",
+        "        if not all(map(isinstance, c, repeat(int))):\n",
+        (f"{PARTITION}[bool]",),
     ),
 )
 

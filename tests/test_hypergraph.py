@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import re
@@ -197,6 +198,35 @@ def test_partition_from_keys_matches_from_blocks(keys):
     class_of = tuple(next(i for i, g in enumerate(groups) if x in g) for x in range(len(keys)))
     p = Partition.from_keys(keys)
     assert (p.classes, p.class_of) == (tuple(map(tuple, groups)), class_of)
+
+
+def test_partition_is_its_class_map():
+    p = Partition((0, 0))
+    assert (p.classes, p.n_classes, p.n_elements, p.is_discrete()) == (((0, 1),), 1, 2, False)
+    assert [f.name for f in dataclasses.fields(Partition)] == ["class_of"]
+    assert Partition(()).classes == () and Partition(()).is_discrete()
+
+
+@pytest.mark.parametrize(
+    "class_of,message",
+    [
+        ((0, 2), "element 1 has class id 2; expected 0 to 1"),
+        ((1, 0), "element 0 has class id 1; expected 0 to 0"),
+        ((0, 1, -1), "element 2 has class id -1; expected 0 to 2"),
+        ((0, True), "element 1 has class id True of type bool; expected int"),
+        ((0, 1.0), "element 1 has class id 1.0 of type float; expected int"),
+        ([0, 0], "class map must be a tuple, got list"),
+        (None, "class map must be a tuple, got NoneType"),
+    ],
+    ids=["gap", "late", "negative", "bool", "float", "list", "none"],
+)
+def test_partition_names_a_class_map_it_refuses(fan_five, class_of, message):
+    """Class ids are ints numbered 0, 1, ... in order of first occurrence;
+    anything else is refused before a quotient or a fusion can read it."""
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        Partition(class_of)
+    with pytest.raises(DomainError):
+        quotient(fan_five, Partition(class_of))
 
 
 def test_hypergraph_invariants():

@@ -3,8 +3,9 @@
 ``AttributeError``: hypothesis draws the arity, ids, labels and values
 from ints, bools, floats, strings, ``Fraction``s, ``None`` and lists.
 An edge or a map's or a signal's row may be replaced by any of these
-too, and each whole sequence (vertices, edges, rows, partition keys) by
-``None``, an int or a float."""
+too, and each whole sequence (vertices, edges, rows, partition keys, a
+class map) by ``None``, an int or a float. What a constructor builds
+reads back equal through another way in."""
 
 import json
 import re
@@ -23,7 +24,9 @@ from hypersig import (
     Signal,
     dumps_hypergraph,
     hypergraph_from_json,
+    quotient,
 )
+from oracle import edge_loop_quotient
 
 odd = st.one_of(
     st.booleans(),
@@ -74,8 +77,12 @@ arities = mostly(st.sampled_from([3, 3, 3, 4, 2]), odd)
 labels = sequence(spoiled(st.lists(st.sampled_from("abcde"), min_size=3, max_size=5, unique=True)))
 id_edges = spoiled_lists(st.integers(0, 2), 0, 4)
 label_edges = spoiled_lists(st.sampled_from("abc"), 0, 4)
-rows = spoiled_lists(st.integers(-3, 3), 1, 3)
+rows = spoiled_lists(st.integers(-3, 3), 0, 3)
 keys = sequence(spoiled(st.lists(st.sampled_from("abc"), max_size=5)))
+numbered = st.lists(st.integers(0, 3), max_size=5).map(
+    lambda ks: [list(dict.fromkeys(ks)).index(k) for k in ks]
+)  # class ids in order of first occurrence
+class_maps = sequence(spoiled(st.one_of(numbered, st.lists(st.integers(-1, 3), max_size=5))))
 
 
 def refused(make, *args):
@@ -132,16 +139,20 @@ def test_from_labels_builds_or_refuses(ell, vertices, edges):
     assert_valid(refused(Hypergraph.from_labels, ell, vertices, edges))
 
 
-@given(rows, arities)
+@given(rows)
 @settings(max_examples=300, deadline=None)
-def test_map_and_signal_rows_build_or_refuse(drawn, r):
-    """Through ``from_rows`` and through each constructor, the map's
-    given ``r`` rows, ``r`` drawn as an arity is, of 3 entries."""
-    built = [refused(LinearMap.from_rows, drawn), refused(LinearMap, r, 3, drawn)]
+def test_map_and_signal_rows_build_or_refuse(drawn):
+    """Through ``from_rows`` and through each constructor. A map built
+    is its rows of ``Fraction`` entries, ``r`` of them, each ``ell``
+    long, and ``from_rows`` of them builds it again."""
+    built = [refused(LinearMap.from_rows, drawn), refused(LinearMap, drawn)]
     built += [refused(Signal.from_rows, drawn), refused(Signal, drawn)]
     for obj in filter(None, built):
         table = obj.entries if isinstance(obj, LinearMap) else obj.values
         assert all(type(v) is Fraction for row in table for v in row)
+        if isinstance(obj, LinearMap):
+            assert {len(row) for row in table} == {obj.ell} and len(table) == obj.r >= 1
+            assert LinearMap.from_rows(obj.entries) == obj
 
 
 @given(keys)
@@ -150,6 +161,32 @@ def test_partition_from_keys_builds_or_refuses(drawn):
     part = refused(Partition.from_keys, drawn)
     if part is not None:
         assert sorted(x for block in part.classes for x in block) == list(range(len(drawn)))
+
+
+def wheel(n):
+    """A hypergraph on ``n`` vertices, at least one, with every triple of
+    consecutive ids, cyclically, as an edge."""
+    n = max(n, 1)
+    edges = [(x, (x + 1) % n, (x + 2) % n) for x in range(n)]
+    return Hypergraph.build(3, list("abcdefg"[:n]), edges)
+
+
+@given(class_maps)
+@settings(max_examples=200, deadline=None)
+def test_partition_constructor_builds_or_refuses(drawn):
+    """A partition built is its class map: ``from_keys`` of that map
+    builds it again, and it quotients a hypergraph on as many vertices as
+    the edge loop does, or the quotient is refused with a DomainError."""
+    part = refused(Partition, drawn)
+    if part is not None:
+        assert Partition.from_keys(part.class_of) == part
+        h = wheel(part.n_elements)
+        try:
+            q = quotient(h, part)
+        except DomainError:
+            assert part.n_elements != h.n_vertices
+        else:
+            assert q == edge_loop_quotient(h, part.class_of)
 
 
 @pytest.mark.parametrize(
@@ -164,20 +201,31 @@ def test_partition_from_keys_builds_or_refuses(drawn):
             lambda: Hypergraph.from_labels(3, "abc", None),
             "edges must be a sequence of label sequences, got NoneType",
         ),
-        (lambda: LinearMap(None, 3, ()), "map dimension r = None has type NoneType; expected int"),
-        (lambda: LinearMap(1, 3.0, ()), "map dimension ell = 3.0 has type float; expected int"),
+        (lambda: LinearMap([]), "map has no rows"),
+        (lambda: LinearMap([[]]), "map row 0 is empty"),
         (
             lambda: Partition.from_keys(None),
             "keys must be a sequence of hashables, got NoneType: 'NoneType' object is not iterable",
         ),
+        (
+            lambda: Hypergraph.from_labels(3, ["a"], [None]),
+            "edge None has type NoneType; expected a sequence",
+        ),
+        (lambda: Hypergraph.from_labels(3, ["a"], [5]), "edge 5 has type int; expected a sequence"),
+        (
+            lambda: Hypergraph.from_labels(3, ["a"], [["a", "a", "a"], 2.5]),
+            "edge 2.5 has type float; expected a sequence",
+        ),
     ],
     ids=[
         "map-rows", "map-row", "signal-row", "build-vertices", "from-labels-vertices",
-        "from-labels-edges", "map-r", "map-ell", "partition-keys",
+        "from-labels-edges", "map-r", "map-ell", "partition-keys", "from-labels-edge-none",
+        "from-labels-edge-int", "from-labels-edge-float",
     ],
 )
 def test_a_sequence_of_the_wrong_type_is_named(build, message):
-    """Each constructor names the argument, or the row, that is not the
-    sequence it takes, and its type."""
+    """Each constructor names the argument, the row or the edge that is
+    not the sequence it takes, and its type; a map names its missing rows
+    (``r`` would be 0) and its empty row 0 (``ell`` would be 0)."""
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         build()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -279,7 +280,7 @@ def test_find_violation_matches_dense_fraction_loop():
         t = LinearMap.from_rows([[rational() for _ in range(ell)] for _ in range(r)])
         # signals admissible for the first map row alone make later rows
         # report the witness
-        first_row = LinearMap(1, ell, t.entries[:1])
+        first_row = LinearMap(t.entries[:1])
         bases = [signal_space(h, t).signals(), signal_space(h, first_row).signals()]
         for j in range(4):
             basis = bases[j % 2]
@@ -431,7 +432,7 @@ def test_violation_matches_the_edge_loop_reference():
         for k, e in enumerate(h.edges):
             first_edge.update((x, k) for x in e if x not in first_edge)
         late = [x for x, k in first_edge.items() if k >= m // 2] or list(first_edge)
-        bases = [signal_space(h, t).signals(), signal_space(h, LinearMap(1, ell, t.entries[:1])).signals()]
+        bases = [signal_space(h, t).signals(), signal_space(h, LinearMap(t.entries[:1])).signals()]
         for j in range(4):
             values = [[0] * n for _ in range(ell)]
             for sig in rng.sample(bases[j % 2], min(len(bases[j % 2]), 2)):
@@ -1052,18 +1053,27 @@ def test_signal_json_shape_messages(triangle, field, value, fault):
         signal_from_json(doc)
 
 
+def test_linear_map_is_its_rows():
+    t = LinearMap(((1, 2, 3), (4, 5, Fraction(1, 2))))
+    assert [f.name for f in dataclasses.fields(LinearMap)] == ["entries"]
+    assert (t.r, t.ell, t.column(2)) == (2, 3, (3, Fraction(1, 2)))
+    assert t == LinearMap.from_rows([[1, 2, 3], [4, 5, Fraction(1, 2)]])
+
+
 @pytest.mark.parametrize(
     "build,message",
     [
-        (lambda: LinearMap(0, 3, ()), "map dimensions must be positive"),
-        (lambda: LinearMap(1, 0, ((),)), "map dimensions must be positive"),
-        (lambda: LinearMap.from_rows([]), "map dimensions must be positive"),
-        (lambda: LinearMap(2, 3, ((1, 1, 1),)), "entry matrix shape mismatch"),
-        (lambda: LinearMap(1, 3, ((1, 1),)), "entry matrix shape mismatch"),
+        (lambda: LinearMap(()), "map has no rows"),
+        (lambda: LinearMap(((),)), "map row 0 is empty"),
+        (lambda: LinearMap.from_rows([]), "map has no rows"),
+        (lambda: LinearMap(((1, 1, 1), ())), "map row 1 has 0 values, row 0 3"),
+        (lambda: LinearMap.from_rows([[1, 1, 1], [1, 1]]), "map row 1 has 2 values, row 0 3"),
     ],
     ids=["no-rows", "no-columns", "from-no-rows", "missing-row", "short-row"],
 )
 def test_linear_map_shape_messages(build, message):
+    """A map is at least one row, all of one nonzero length: ``r`` and
+    ``ell`` are read off its rows, so no other shape has them."""
     with pytest.raises(DomainError, match=f"^{message}$"):
         build()
 
