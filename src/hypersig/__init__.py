@@ -45,7 +45,6 @@ from .hypergraph import (
 from .signals import (
     LinearMap,
     Signal,
-    SignalSpace,
     centroid_map,
     component_count_via_C,
     constant_space,

@@ -177,6 +177,17 @@ class SweepConfig:
     density_mode: str = "edges-per-vertex"
 
     def __post_init__(self) -> None:
+        """An ``int`` density becomes a ``Fraction``, so equal densities
+        seed equally. A count, arity or density of any other type (``bool``,
+        or ``float``: it would enter as its binary fraction) is refused."""
+        checks = [("vertex_counts entry", n, (int,)) for n in self.vertex_counts]
+        checks += [("densities entry", d, (int, Fraction)) for d in self.densities]
+        checks += [("runs_per_cell", self.runs_per_cell, (int,)), ("ell", self.ell, (int,))]
+        for field, v, kinds in checks:
+            if isinstance(v, bool) or not isinstance(v, kinds):
+                expected = " or ".join(k.__name__ for k in kinds)
+                raise DomainError(f"{field} {v!r} has type {type(v).__name__}; expected {expected}")
+        object.__setattr__(self, "densities", tuple(map(Fraction, self.densities)))
         if not self.vertex_counts or any(n <= 0 for n in self.vertex_counts):
             raise DomainError("vertex counts must be positive")
         if not self.densities or any(d <= 0 for d in self.densities):

@@ -64,11 +64,6 @@ class LinearMap:
         entries = _fraction_rows(self.entries, "map", "entry", nonempty=True)
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "LinearMap":
-        """The map of the given rows of entries."""
-        return cls(rows)
-
     @property
     def r(self) -> int:
         return len(self.entries)
@@ -125,7 +120,7 @@ def universal_map(ell: int) -> LinearMap:
     """The coordinate-sum map: 1 x ell all-ones matrix."""
     if ell < MIN_ARITY:
         raise DomainError(f"arity must be >= {MIN_ARITY}")
-    return LinearMap.from_rows([[1] * ell])
+    return LinearMap([[1] * ell])
 
 
 def centroid_map(ell: int) -> LinearMap:
@@ -138,7 +133,7 @@ def centroid_map(ell: int) -> LinearMap:
         row = [0] * ell
         row[i], row[i + 1] = 1, -1
         rows.append(row)
-    return LinearMap.from_rows(rows)
+    return LinearMap(rows)
 
 
 def is_engaged(t: LinearMap) -> bool:
@@ -164,11 +159,6 @@ class Signal:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _fraction_rows(self.values, "signal", "value"))
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Fraction | int]]) -> "Signal":
-        """The signal of the given rows of values, one row per axis."""
-        return cls(rows)
-
     @property
     def ell(self) -> int:
         return len(self.values)
@@ -176,27 +166,6 @@ class Signal:
     @property
     def n_vertices(self) -> int:
         return len(self.values[0]) if self.values else 0
-
-
-@dataclass(frozen=True)
-class SignalSpace:
-    """A space of admissible signals: the map and the canonical basis,
-    each vector a signal flattened axis-major. Each vector is 1 at its
-    last nonzero coordinate, its pivot, where every other vector is 0,
-    and the pivots ascend. The layout is fixed, and known here only:
-    coordinate ``(a, x)`` lives at index ``a * n_vertices + x``, so bases
-    are stable across runs; every other signal is a table."""
-
-    linear_map: LinearMap
-    vectors: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
-
-    def signals(self) -> list[Signal]:
-        ell = self.linear_map.ell
-        return [Signal(tuple(zip(*[iter(v)] * (len(v) // ell)))) for v in self.vectors]
 
 
 def _check_arity(h: Hypergraph, t: LinearMap) -> None:
@@ -330,16 +299,16 @@ def verify_signal(h: Hypergraph, t: LinearMap, s: Signal) -> bool:
     return find_violation(h, t, s) is None
 
 
-def signal_space(h: Hypergraph, t: LinearMap) -> SignalSpace:
-    """The space of admissible signals of ``h`` under ``t``, with its
-    canonical basis: each vector 1 at its last nonzero coordinate, its
-    pivot, where every other vector is 0, in ascending pivot order. The
-    basis is solved and re-verified in integers by :func:`_verified_basis`
-    and only then expanded to ``Fraction`` vectors by :func:`_space`.
-    Dividing by the value at the pivot keeps every constraint's zero set,
-    so the emitted signals are the verified ones.
+def signal_space(h: Hypergraph, t: LinearMap) -> tuple[Signal, ...]:
+    """The space of admissible signals of ``h`` under ``t`` as its
+    canonical basis. With the (axis, vertex) pairs in axis-major order,
+    each signal is 1 at its last nonzero pair, its pivot, where every
+    other signal is 0, and the pivots ascend. The basis is solved and
+    re-verified in integers by :func:`_verified_basis`; :func:`_space`
+    then divides each by its value at the pivot, which keeps every
+    constraint's zero set, so the emitted signals are the verified ones.
     """
-    return _space(t, _verified_basis(h, t)[0])
+    return _space(_verified_basis(h, t)[0])
 
 
 # A basis as integer tables: each vector its table ``table[a][x]`` and its
@@ -366,16 +335,16 @@ def _verified_basis(h: Hypergraph, t: LinearMap) -> tuple[_Basis, int]:
     return basis, len(kernel)
 
 
-def _space(t: LinearMap, basis: _Basis) -> SignalSpace:
-    """The space under ``t`` of a basis of integer tables, each flattened
-    to :class:`SignalSpace`'s layout and expanded to ``Fraction(y, d)``:
-    one per distinct ``y``, and one shared zero."""
-    vectors = []
+def _space(basis: _Basis) -> tuple[Signal, ...]:
+    """The signals of a basis of integer tables, each value ``y`` of a
+    table expanded to ``Fraction(y, d)``: one per distinct ``y``, and one
+    shared zero."""
+    signals = []
     for table, d in basis:
         fractions = {y: Fraction(y, d) for y in set(chain.from_iterable(table))}
         fractions[0] = _ZERO  # one shared zero
-        vectors.append(tuple(map(fractions.__getitem__, chain.from_iterable(table))))
-    return SignalSpace(t, tuple(vectors))
+        signals.append(Signal([tuple(map(fractions.__getitem__, row)) for row in table]))
+    return tuple(signals)
 
 
 def _map_kernel(maps: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
@@ -512,14 +481,14 @@ def _check_basis(h: Hypergraph, maps: list[list[int]], tables: Iterable[list[lis
             raise HypersigError(f"internal error: basis signal fails at {witness}")
 
 
-def constant_space(t: LinearMap, n_vertices: int) -> SignalSpace:
+def constant_space(t: LinearMap, n_vertices: int) -> tuple[Signal, ...]:
     """Signals that are constant on every axis, with axis values drawn
-    from the kernel of the map. Admissible for every hypergraph of
-    matching arity."""
+    from the kernel of the map, as a basis in :func:`signal_space`'s
+    canonical form. Admissible for every hypergraph of matching arity."""
     if n_vertices < 1:
         raise DomainError(f"vertex count must be >= 1, got {n_vertices}")
     kernel = _map_kernel(_integral_rows(t.entries))
-    return _space(t, [([[y] * n_vertices for y in lam], lam[f]) for f, lam in kernel])
+    return _space([([[y] * n_vertices for y in lam], lam[f]) for f, lam in kernel])
 
 
 def component_count_via_C(h: Hypergraph) -> int:
@@ -590,7 +559,7 @@ def generating_signal(h: Hypergraph) -> Signal:
     """Single admissible signal for the coordinate-sum map whose level
     sets, on every axis, realize the full fusion partition: the certified,
     re-verified signal of :func:`_certified_signal`."""
-    return Signal.from_rows(_certified_signal(h, universal_map(h.ell))[0])
+    return Signal(_certified_signal(h, universal_map(h.ell))[0])
 
 
 # Seed of the draws of kernel vectors. The certified partition does not
@@ -1037,7 +1006,7 @@ def linear_map_from_json(obj) -> LinearMap:
     width = len(obj[0])
     if any(len(row) != width for row in obj):
         raise FormatError("map rows must all have the same length")
-    return LinearMap.from_rows([[_parse_rational(v) for v in row] for row in obj])
+    return LinearMap([[_parse_rational(v) for v in row] for row in obj])
 
 
 def load_linear_map(path: str | Path) -> LinearMap:

@@ -36,13 +36,13 @@ def folding_free_six() -> Hypergraph:
 @pytest.fixture
 def skew_map() -> LinearMap:
     """1x3 map with kernel spanned by (2,1,0) and (1,0,-1)."""
-    return LinearMap.from_rows([[1, -2, 1]])
+    return LinearMap([[1, -2, 1]])
 
 
 @pytest.fixture
 def skew_signal() -> Signal:
     """Admissible non-constant signal of the triangle under skew_map."""
-    return Signal.from_rows([[0, 0, 2], [1, 1, 0], [0, 0, 2]])
+    return Signal([[0, 0, 2], [1, 1, 0], [0, 0, 2]])
 
 
 def random_connected_instance(rng: random.Random, n_max: int = 12, m_max: int = 14) -> Hypergraph:
@@ -115,7 +115,7 @@ def random_engaged_map(rng: random.Random, ell: int = 3) -> LinearMap:
     while True:
         rows = [[rng.randint(-3, 3) for _ in range(ell)] for _ in range(r)]
         if all(any(rows[i][a] != 0 for i in range(r)) for a in range(ell)):
-            return LinearMap.from_rows(rows)
+            return LinearMap(rows)
 
 
 def random_loose_instance(
@@ -139,7 +139,7 @@ def random_loose_map(rng: random.Random, ell: int) -> LinearMap:
     the zero map."""
     kind = rng.randrange(4)
     if kind == 0:
-        return LinearMap.from_rows([[0] * ell])
+        return LinearMap([[0] * ell])
     rows = [
         [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ell)]
         for _ in range(rng.randint(1, 3))
@@ -148,4 +148,4 @@ def random_loose_map(rng: random.Random, ell: int) -> LinearMap:
         for z in rng.sample(range(ell), rng.randint(1, ell - 1)):
             for row in rows:
                 row[z] = 0
-    return LinearMap.from_rows(rows)
+    return LinearMap(rows)

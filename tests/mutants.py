@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 
 SIGNALS, HYPERGRAPH = "src/hypersig/signals.py", "src/hypersig/hypergraph.py"
 FRAMES, LINALG, CLI = "src/hypersig/frames.py", "src/hypersig/linalg.py", "src/hypersig/cli.py"
+EXPERIMENTS = "src/hypersig/experiments.py"
 ROUTE = "tests/test_frames.py::test_fusion_route_matches_the_oracle"
 NAMED = "tests/test_public_constructors.py::test_a_sequence_of_the_wrong_type_is_named"
 NON_INT_ID = (
@@ -182,11 +183,11 @@ MUTANTS = (
     ),
     # signal spaces and their documents
     Mutant(
-        "_space flattens vertex-major",
+        "_space reads a table with its axes reversed",
         SIGNALS,
-        "chain.from_iterable(table))))",
-        "chain.from_iterable(zip(*table)))))",
-        ("tests/test_acceptance.py::test_criterion_11_exactness_audit",),
+        "for row in table]))",
+        "for row in table[::-1]]))",
+        ("tests/test_signals.py::test_signal_space_matches_full_assembly_at_benchmark_sizes[3-30-24]",),
     ),
     Mutant(
         "_check_basis never raises",
@@ -228,7 +229,7 @@ MUTANTS = (
         SIGNALS,
         "        if out and len(row) != len(out[0]):\n",
         "        if False:\n",
-        ("tests/test_signals.py::test_signal_rejects_a_ragged_table",),
+        ("tests/test_signals.py::test_signal_rejects_a_ragged_table[lists]",),
     ),
     Mutant(
         "a ragged map row",
@@ -379,6 +380,14 @@ MUTANTS = (
         "        if not set(map(type, c)) <= {int}:\n",
         "        if not all(map(isinstance, c, repeat(int))):\n",
         (f"{PARTITION}[bool]",),
+    ),
+    # the sweep configuration
+    Mutant(
+        "an int density kept as an int",
+        EXPERIMENTS,
+        '        object.__setattr__(self, "densities", tuple(map(Fraction, self.densities)))\n',
+        "",
+        ("tests/test_experiments.py::test_int_and_fraction_densities_give_the_same_sweep",),
     ),
 )
 

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, combinations, permutations, product
+from itertools import chain, combinations_with_replacement, combinations, permutations, product
 from typing import NamedTuple, Sequence
 
-from hypersig import Hypergraph, LinearMap
+from hypersig import Hypergraph, LinearMap, Signal
 from hypersig.linalg import _integral_rows, _kernel_basis
 from hypersig.signals import _check_arity, _first_witness
 
@@ -85,6 +85,12 @@ def assemble_constraints(h: Hypergraph, t: LinearMap) -> IntegerRows:
                         row += ((x0 + base, -wa), (x + base, wa))
                     rows[row] = None
     return IntegerRows(t.ell * n, tuple(rows))
+
+
+def flat(s: Signal) -> tuple[Fraction, ...]:
+    """A signal as a vector of the constraint systems here: flattened
+    axis-major, its value at ``(a, x)`` at index ``a * n_vertices + x``."""
+    return tuple(chain.from_iterable(s.values))
 
 
 def sparse_signal_basis(h: Hypergraph, t: LinearMap) -> tuple[tuple[Fraction, ...], ...]:

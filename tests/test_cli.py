@@ -267,7 +267,7 @@ def test_verify_command_pass(tmp_path, triangle, skew_map, skew_signal, capsys):
 def test_verify_command_zero_signal(tmp_path, triangle, capsys):
     hpath = write(tmp_path / "tri.json", triangle)
     spath = tmp_path / "sig.json"
-    save_signal(triangle, Signal.from_rows([[0] * 3] * 3), spath)
+    save_signal(triangle, Signal([[0] * 3] * 3), spath)
     assert main(["verify", "--in", hpath, "--signal", str(spath)]) == 0
     assert capsys.readouterr().out.strip() == "pass"
 
@@ -292,7 +292,7 @@ def test_verify_command_locates_corruption(tmp_path, triangle, skew_map, skew_si
 def test_verify_command_vertex_mismatch(tmp_path, triangle, fan_five, capsys):
     hpath = write(tmp_path / "tri.json", triangle)
     spath = tmp_path / "sig.json"
-    save_signal(fan_five, Signal.from_rows([[0] * 5] * 3), spath)
+    save_signal(fan_five, Signal([[0] * 5] * 3), spath)
     assert main(["verify", "--in", hpath, "--signal", str(spath)]) == 2
     assert "vertices" in capsys.readouterr().err
 
@@ -451,7 +451,7 @@ def test_out_to_a_pipe_writes_through(tmp_path, fan_path, fan_five, capsys):
         assert os.read(reader, 1 << 16) == dumps_hypergraph(fan(1)).encode()
         # the basis file's text comes in chunks, written through in turn
         assert main(["signals", "--in", fan_path, "--out", str(fifo)]) == 0
-        docs = [signal_to_json(fan_five, s) for s in signal_space(fan_five, universal_map(3)).signals()]
+        docs = [signal_to_json(fan_five, s) for s in signal_space(fan_five, universal_map(3))]
         assert os.read(reader, 1 << 16) == (json.dumps(docs, indent=2) + "\n").encode()
     finally:
         os.close(reader)
@@ -661,7 +661,7 @@ def write_argv_files(directory):
         Hypergraph.build(3, list("abcdef"), [(0, 1, 2), (3, 4, 5)]),
         os.path.join(directory, "two.json"),
     )
-    save_signal(h, Signal.from_rows([[0] * h.n_vertices] * h.ell), os.path.join(directory, "s.json"))
+    save_signal(h, Signal([[0] * h.n_vertices] * h.ell), os.path.join(directory, "s.json"))
     with open(os.path.join(directory, "t.json"), "w", encoding="utf-8") as f:
         f.write('[["1", "-2", "1"]]')
     with open(os.path.join(directory, "bad.json"), "w", encoding="utf-8") as f:
@@ -704,8 +704,8 @@ def test_process_entry_point_exits_with_the_command_code(tmp_path, fan_path, fan
     assert missing.returncode == 2
     assert missing.stderr.startswith("error: ")
     admissible, failing = tmp_path / "admissible.json", tmp_path / "failing.json"
-    save_signal(fan_five, Signal.from_rows([[1] * 5, [-1] * 5, [0] * 5]), admissible)
-    save_signal(fan_five, Signal.from_rows([[1, 0, 0, 0, 0], [0] * 5, [0] * 5]), failing)
+    save_signal(fan_five, Signal([[1] * 5, [-1] * 5, [0] * 5]), admissible)
+    save_signal(fan_five, Signal([[1, 0, 0, 0, 0], [0] * 5, [0] * 5]), failing)
     passed = run_module("verify", "--in", fan_path, "--signal", str(admissible))
     assert (passed.returncode, passed.stdout, passed.stderr) == (0, "pass\n", "")
     failed = run_module("verify", "--in", fan_path, "--signal", str(failing))

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -144,6 +145,35 @@ def test_sweep_config_validation():
         SweepConfig((5,), (Fraction(1),), 0, 0)
     with pytest.raises(DomainError):
         SweepConfig((5,), (Fraction(1),), 1, 0, density_mode="nope")
+
+
+def test_int_and_fraction_densities_give_the_same_sweep():
+    """An ``int`` density is the ``Fraction`` it equals, so it seeds the
+    same instances."""
+    rows = [run_sweep(SweepConfig((30,), (d,), 3, 0)) for d in (1, Fraction(1))]
+    assert rows_to_csv(rows[0]) == rows_to_csv(rows[1])
+    assert type(rows[0][0].density) is Fraction
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("densities", (0.1,), "densities entry 0.1 has type float; expected int or Fraction"),
+        ("densities", (True,), "densities entry True has type bool; expected int or Fraction"),
+        ("densities", ("1",), "densities entry '1' has type str; expected int or Fraction"),
+        ("vertex_counts", (30, 3.0), "vertex_counts entry 3.0 has type float; expected int"),
+        ("runs_per_cell", 1.5, "runs_per_cell 1.5 has type float; expected int"),
+        ("ell", 3.0, "ell 3.0 has type float; expected int"),
+    ],
+    ids=["float-density", "bool-density", "str-density", "float-count", "float-runs", "float-ell"],
+)
+def test_sweep_config_refuses_a_value_of_the_wrong_type(field, value, message):
+    """A float would enter a density as its binary fraction, and as a
+    count end in a bare ``TypeError`` from ``range``; the message names
+    the field, the value and its type."""
+    fields = {"vertex_counts": (30,), "densities": (1,), "runs_per_cell": 3, "seed": 0}
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        SweepConfig(**{**fields, field: value})
 
 
 def test_sweep_config_rejects_density_beyond_float_range():

@@ -138,7 +138,7 @@ def test_frame_general_centroid_collapses_to_point(fan_five):
 def assembly_fusion(h, t):
     """Fusion read off the full constraint assembly: the level sets of
     every basis signal of ``signal_space`` on every axis."""
-    sigs = signal_space(h, t).signals()
+    sigs = signal_space(h, t)
     return Partition.from_keys(
         [tuple(s.values[a][x] for s in sigs for a in range(h.ell)) for x in range(h.n_vertices)]
     )
@@ -483,12 +483,12 @@ def test_rank_one_lift_on_the_frame_route(h, rows, monkeypatch):
     map, its level sets U's partition."""
     outcomes = record_frame_route(monkeypatch)
     u_values, _, u_part = hypersig.signals._certified_signal(h, universal_map(3))
-    t = LinearMap.from_rows(rows)
+    t = LinearMap(rows)
     values, g, part = hypersig.signals._certified_signal(h, t)
     assert len(outcomes) == 2 and None not in outcomes
     assert part == u_part
     assert g == quotient(h, part)
-    assert find_violation(h, t, Signal.from_rows(values)) is None
+    assert find_violation(h, t, Signal(values)) is None
     assert Partition.from_keys(list(zip(*values))) == part
     scale = lcm(*rows[0])
     assert values == [[x * (scale // v) for x in row] for v, row in zip(rows[0], u_values)]
@@ -527,7 +527,7 @@ def test_certified_signal_pin():
     leave out the private vertices; ``_check_basis`` re-verifies them."""
     digest = hashlib.sha256()
     for h in certified_signal_pin_inputs():
-        for t in (universal_map(h.ell), LinearMap.from_rows([list(range(1, h.ell + 1))])):
+        for t in (universal_map(h.ell), LinearMap([list(range(1, h.ell + 1))])):
             values, g, part = hypersig.signals._certified_signal(h, t)
             digest.update(repr((values, g.edges, part.classes)).encode())
     assert digest.hexdigest() == (
@@ -542,7 +542,7 @@ def test_certified_partition_pin():
     the certified partition and frame are these."""
     digest = hashlib.sha256()
     for h in certified_signal_pin_inputs():
-        for t in (universal_map(h.ell), LinearMap.from_rows([list(range(1, h.ell + 1))])):
+        for t in (universal_map(h.ell), LinearMap([list(range(1, h.ell + 1))])):
             _, g, part = hypersig.signals._certified_signal(h, t)
             digest.update(repr((g.edges, part.classes)).encode())
     assert digest.hexdigest() == (
@@ -574,7 +574,7 @@ def test_certificate_rejects_a_draw_that_merges_too_much(fan_five, monkeypatch):
     assert Partition.from_keys(delta.values[0]) == part
     assert verify_signal(fan_five, universal_map(3), delta)
     # the same under a rank-1 map other than U, which fuses as U does
-    h, t = fan(5), LinearMap.from_rows([[1, 2, 3]])
+    h, t = fan(5), LinearMap([[1, 2, 3]])
     draws.clear()
     part = fusion(h, t)
     assert len(draws) == 2
@@ -592,7 +592,7 @@ def test_certificate_never_accepts_a_wrong_candidate(fan_five, monkeypatch):
     with pytest.raises(HypersigError, match="no fusion certified"):
         fusion(fan_five, universal_map(3))
     with pytest.raises(HypersigError, match="no fusion certified"):
-        fusion(fan(5), LinearMap.from_rows([[1, 2, 3]]))
+        fusion(fan(5), LinearMap([[1, 2, 3]]))
 
 
 NO_FUSION = "internal error: no fusion certified in 64 draws"
@@ -650,7 +650,7 @@ def test_frame_builds_its_quotient_once(fan_five, monkeypatch):
     for module in (hypersig.hypergraph, hypersig.signals, hypersig.frames):
         if hasattr(module, "quotient"):
             monkeypatch.setattr(module, "quotient", counting)
-    zero_column = LinearMap.from_rows([[1, 1, 0]])
+    zero_column = LinearMap([[1, 1, 0]])
     for h in (fan_five, random_hypergraph(60, 60, 3, 0), random_hypergraph(300, 300, 3, 1)):
         for t in (None, centroid_map(3), zero_column):
             calls.clear()
@@ -660,7 +660,7 @@ def test_frame_builds_its_quotient_once(fan_five, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "t", [universal_map(3), LinearMap.from_rows([[1, 2, 3]])], ids=["U", "[[1,2,3]]"]
+    "t", [universal_map(3), LinearMap([[1, 2, 3]])], ids=["U", "[[1,2,3]]"]
 )
 def test_fusion_fails_when_the_elimination_drops_a_pivot_row(t, monkeypatch):
     """An elimination that loses its highest pivot row yields kernel
@@ -681,7 +681,7 @@ def test_fusion_fails_when_the_elimination_drops_a_pivot_row(t, monkeypatch):
 
 @pytest.mark.parametrize(
     "t,classes",
-    [(centroid_map(3), 1), (LinearMap.from_rows([[1, 1, 0]]), 60)],
+    [(centroid_map(3), 1), (LinearMap([[1, 1, 0]]), 60)],
     ids=["C", "[[1,1,0]]"],
 )
 def test_fusion_decided_by_the_map_runs_no_elimination(t, classes, monkeypatch):
@@ -698,7 +698,7 @@ def test_fusion_decided_by_the_map_runs_no_elimination(t, classes, monkeypatch):
 
 @pytest.mark.parametrize(
     "t",
-    [universal_map(3), centroid_map(3), LinearMap.from_rows([[1, -2, 1]])],
+    [universal_map(3), centroid_map(3), LinearMap([[1, -2, 1]])],
     ids=["U", "C", "skew"],
 )
 def test_signal_space_fails_when_the_echelon_loses_a_pivot_row(t, monkeypatch):
@@ -827,13 +827,13 @@ def frame_route(h, t):
 def rank_one(ell):
     """A zero row and two rational multiples of one row, one negative."""
     half = [Fraction(1, 2), *range(2, ell + 1)]
-    return LinearMap.from_rows([[0] * ell, half, [-2 * c for c in half]])
+    return LinearMap([[0] * ell, half, [-2 * c for c in half]])
 
 
 def rank_two(ell):
     """Three rows of rank 2, the first with a zero."""
     first = [0] + [1] * (ell - 1)
-    return LinearMap.from_rows([first, [1] + [0] * (ell - 1), [1] * ell])
+    return LinearMap([first, [1] + [0] * (ell - 1), [1] * ell])
 
 
 MAPS = {
@@ -841,8 +841,8 @@ MAPS = {
     "rank1": rank_one,
     "C": centroid_map,
     "rank2": rank_two,
-    "zero-column": lambda ell: LinearMap.from_rows([[1] * (ell - 1) + [0]]),
-    "zero-map": lambda ell: LinearMap.from_rows([[0] * ell]),
+    "zero-column": lambda ell: LinearMap([[1] * (ell - 1) + [0]]),
+    "zero-map": lambda ell: LinearMap([[0] * ell]),
 }
 ROUTES = [(frame_route, kind) for kind in MAPS] + [(candidate_route, "U"), (draw_route, "U")]
 U_ROUTES = (frame_route, universal_route, candidate_route, draw_route)
@@ -982,7 +982,7 @@ DIFFERENTIAL = differential_instances()
 def random_rational_map(rng, ell):
     """Random engaged map with rational entries, r in {1, 2}."""
     rows = random_engaged_map(rng, ell).entries
-    return LinearMap.from_rows([[c / rng.randint(1, 4) for c in row] for row in rows])
+    return LinearMap([[c / rng.randint(1, 4) for c in row] for row in rows])
 
 
 @pytest.mark.parametrize(
@@ -995,7 +995,7 @@ def test_reduced_fusion_matches_assembly_and_oracle(h):
     whose fusion also equals the level sets of ``signal_space``."""
     ell = h.ell
     rng = random.Random(repr(h.edges))
-    maps = [make(ell) for make in MAPS.values()] + [LinearMap.from_rows([[k] * ell]) for k in (2, -1)]
+    maps = [make(ell) for make in MAPS.values()] + [LinearMap([[k] * ell]) for k in (2, -1)]
     for route in U_ROUTES[1:]:
         assert_route_matches_the_oracle(route, h, universal_map(ell))
     for t in maps + [random_rational_map(rng, ell) for _ in range(2)]:

@@ -91,7 +91,7 @@ def test_save_signal_writes_the_reference_document(tmp_path):
     """``save_signal`` writes its document through ``json.dumps``, so
     labels are escaped to ASCII, lone surrogates included."""
     h = Hypergraph.build(3, ["é", '%s"', "\ud83d"], [(0, 1, 2)])
-    s = Signal.from_rows([[0, 1, -1]] * 3)
+    s = Signal([[0, 1, -1]] * 3)
     path = tmp_path / "s.json"
     save_signal(h, s, path)
     assert path.read_text(encoding="ascii") == json.dumps(signal_to_json(h, s), indent=2) + "\n"

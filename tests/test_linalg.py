@@ -61,7 +61,7 @@ def test_nullspace_rank_one_row():
 def test_dedupe_collapses_identical_rows():
     # a map with two equal rows yields each of the five triangle rows once
     h = Hypergraph.build(3, ["u", "v", "w"], [(0, 1, 2)])
-    m = assemble_constraints(h, LinearMap.from_rows([[1, 1, 1], [1, 1, 1]]))
+    m = assemble_constraints(h, LinearMap([[1, 1, 1], [1, 1, 1]]))
     assert m.nrows == 5
     assert len(set(m.rows)) == 5
 
@@ -70,7 +70,7 @@ def test_dedupe_keeps_distinct_rows():
     # C at ell 3: each map row gives its trace and four minors, and none of
     # the ten rows repeats another
     h = Hypergraph.build(3, ["u", "v", "w"], [(0, 1, 2)])
-    m = assemble_constraints(h, LinearMap.from_rows([[1, -1, 0], [0, 1, -1]]))
+    m = assemble_constraints(h, LinearMap([[1, -1, 0], [0, 1, -1]]))
     assert m.nrows == 10
     assert len(set(m.rows)) == 10
 
@@ -80,7 +80,7 @@ def test_assembly_keeps_first_seen_row_order_and_the_empty_row():
     # 2a + x. Map row 2 repeats row 0, and the zero row 1 gives one empty
     # row, kept where it first appears rather than sorted to the front.
     h = Hypergraph.build(3, ["u", "v"], [(0, 0, 1)])
-    t = LinearMap.from_rows([[0, 1, 2], [0, 0, 0], [0, 1, 2], [1, 0, 0]])
+    t = LinearMap([[0, 1, 2], [0, 0, 0], [0, 1, 2], [1, 0, 0]])
     m = assemble_constraints(h, t)
     assert m.nrows == 6
     assert m.rows == (
@@ -109,7 +109,7 @@ def _maps_with_duplicate_zero_and_rational_rows(rng, ell):
     rows = [list(row) for row in random_engaged_map(rng, ell).entries]
     rows += [rows[0], [0] * ell, [Fraction(v, rng.randint(1, 4)) for v in rows[-1]]]
     rng.shuffle(rows)
-    return LinearMap.from_rows(rows)
+    return LinearMap(rows)
 
 
 def test_assembly_rows_are_the_distinct_oracle_rows():

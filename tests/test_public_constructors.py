@@ -142,17 +142,15 @@ def test_from_labels_builds_or_refuses(ell, vertices, edges):
 @given(rows)
 @settings(max_examples=300, deadline=None)
 def test_map_and_signal_rows_build_or_refuse(drawn):
-    """Through ``from_rows`` and through each constructor. A map built
-    is its rows of ``Fraction`` entries, ``r`` of them, each ``ell``
-    long, and ``from_rows`` of them builds it again."""
-    built = [refused(LinearMap.from_rows, drawn), refused(LinearMap, drawn)]
-    built += [refused(Signal.from_rows, drawn), refused(Signal, drawn)]
+    """Through each constructor. A map built is its rows of ``Fraction``
+    entries, ``r`` of them, each ``ell`` long, and they build it again."""
+    built = [refused(LinearMap, drawn), refused(Signal, drawn)]
     for obj in filter(None, built):
         table = obj.entries if isinstance(obj, LinearMap) else obj.values
         assert all(type(v) is Fraction for row in table for v in row)
         if isinstance(obj, LinearMap):
             assert {len(row) for row in table} == {obj.ell} and len(table) == obj.r >= 1
-            assert LinearMap.from_rows(obj.entries) == obj
+            assert LinearMap(obj.entries) == obj
 
 
 @given(keys)
@@ -192,9 +190,9 @@ def test_partition_constructor_builds_or_refuses(drawn):
 @pytest.mark.parametrize(
     "build,message",
     [
-        (lambda: LinearMap.from_rows(None), "map rows must be a sequence of rows, got NoneType"),
-        (lambda: LinearMap.from_rows([None]), "map row 0 has type NoneType; expected a sequence"),
-        (lambda: Signal.from_rows([[0], 1.5]), "signal row 1 has type float; expected a sequence"),
+        (lambda: LinearMap(None), "map rows must be a sequence of rows, got NoneType"),
+        (lambda: LinearMap([None]), "map row 0 has type NoneType; expected a sequence"),
+        (lambda: Signal([[0], 1.5]), "signal row 1 has type float; expected a sequence"),
         (lambda: Hypergraph.build(3, None, []), "vertices must be a sequence of labels, got NoneType"),
         (lambda: Hypergraph.from_labels(3, 7, []), "vertices must be a sequence of labels, got int"),
         (
