@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, InfeasibleError
 from .frames import frame
-from .hypergraph import Hypergraph, _component_roots
+from .hypergraph import MIN_ARITY, Hypergraph, _component_roots, _integer
 
 log = logging.getLogger(__name__)
 
@@ -106,11 +106,11 @@ def random_hypergraph(n: int, m: int, ell: int, seed: int) -> Hypergraph:
     to a randomly chained spanning skeleton whose bridge edges count
     toward ``m``. Deterministic per (n, m, ell, seed).
     """
-    if ell < 3:
-        raise DomainError("arity must be >= 3")
-    if n < ell:
+    _integer("arity", ell, MIN_ARITY)
+    _integer("seed", seed)
+    if _integer("n", n) < ell:
         raise InfeasibleError(f"need at least {ell} vertices, got {n}")
-    if m < 1:
+    if _integer("m", m) < 1:
         raise InfeasibleError("need at least one edge")
     bridges_needed = -((n - 1) // -(ell - 1))  # ceil
     if m < bridges_needed:
@@ -178,15 +178,15 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         """An ``int`` density becomes a ``Fraction``, so equal densities
-        seed equally. A count, arity or density of any other type (``bool``,
-        or ``float``: it would enter as its binary fraction) is refused."""
-        checks = [("vertex_counts entry", n, (int,)) for n in self.vertex_counts]
-        checks += [("densities entry", d, (int, Fraction)) for d in self.densities]
-        checks += [("runs_per_cell", self.runs_per_cell, (int,)), ("ell", self.ell, (int,))]
-        for field, v, kinds in checks:
-            if isinstance(v, bool) or not isinstance(v, kinds):
-                expected = " or ".join(k.__name__ for k in kinds)
-                raise DomainError(f"{field} {v!r} has type {type(v).__name__}; expected {expected}")
+        seed equally. A count, seed, arity or density of any other type
+        (``bool``, or ``float``: it would enter as its binary fraction) is refused."""
+        counts = [("vertex_counts entry", n) for n in self.vertex_counts]
+        for field, v in counts + [(f, getattr(self, f)) for f in ("runs_per_cell", "seed", "ell")]:
+            _integer(field, v)
+        for d in self.densities:
+            if isinstance(d, bool) or not isinstance(d, (int, Fraction)):
+                kind = type(d).__name__
+                raise DomainError(f"densities entry {d!r} has type {kind}; expected int or Fraction")
         object.__setattr__(self, "densities", tuple(map(Fraction, self.densities)))
         if not self.vertex_counts or any(n <= 0 for n in self.vertex_counts):
             raise DomainError("vertex counts must be positive")

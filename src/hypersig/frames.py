@@ -19,7 +19,7 @@ from itertools import chain, combinations
 from typing import Sequence
 
 from .errors import DomainError
-from .hypergraph import Hypergraph, Partition, _encode, _rows_text, hypergraph_to_json
+from .hypergraph import Hypergraph, Partition, _encode, _integer, _rows_text, hypergraph_to_json
 from .signals import LinearMap, _certified_signal, universal_map
 
 
@@ -89,7 +89,11 @@ def attach_simplex(
     """Glue one fresh edge onto vertex ``z``: the edge contains ``z`` and
     ``ell - 1`` brand new vertices. Preserves stability of the input."""
     z_id = h.vertex_id(z)
-    labels = list(new_labels)
+    try:
+        labels = list(new_labels)
+    except TypeError:
+        kind = type(new_labels).__name__
+        raise DomainError(f"new labels must be a sequence of labels, got {kind}") from None
     if len(labels) != h.ell - 1:
         raise DomainError(f"need exactly {h.ell - 1} new labels, got {len(labels)}")
     if len(set(labels)) != len(labels):
@@ -105,7 +109,7 @@ def attach_simplex(
 def fan(n: int) -> Hypergraph:
     """Fan with ``n`` segments: apex ``u``, rim ``v0..vn``, one edge per
     consecutive rim pair. 3-uniform, connected, n+2 vertices, n edges."""
-    if n < 1:
+    if _integer("n", n) < 1:
         raise DomainError("fan needs at least one segment")
     vertices = ["u"] + [f"v{i}" for i in range(n + 1)]
     edges = [(0, i, i + 1) for i in range(1, n + 1)]
@@ -116,7 +120,7 @@ def mountain_range(n: int) -> Hypergraph:
     """Chain of ``n`` triangles: bases ``b0..bn``, peaks ``p1..pn``, edge
     (b_{i-1}, p_i, b_i) for each i. 3-uniform, connected, 2n+1 vertices,
     n edges, and stable under the frame operator."""
-    if n < 1:
+    if _integer("n", n) < 1:
         raise DomainError("mountain range needs at least one peak")
     vertices = [f"b{i}" for i in range(n + 1)] + [f"p{i}" for i in range(1, n + 1)]
     edges = [(i - 1, i, n + i) for i in range(1, n + 1)]

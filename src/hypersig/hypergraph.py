@@ -30,6 +30,15 @@ _encode = json.encoder.encode_basestring_ascii
 MIN_ARITY = 3
 
 
+def _integer(name: str, value, least: int | None = None) -> int:
+    """``value`` if it is an ``int`` itself, at least ``least``; else a ``DomainError``."""
+    if type(value) is not int:
+        raise DomainError(f"{name} {value!r} has type {type(value).__name__}; expected int")
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Immutable ``ell``-uniform hypergraph.
@@ -48,11 +57,7 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        ell, vertices, edges = self.ell, self.vertices, self.edges
-        if type(ell) is not int:
-            raise DomainError(f"arity {ell!r} has type {type(ell).__name__}; expected int")
-        if ell < MIN_ARITY:
-            raise DomainError(f"arity must be >= {MIN_ARITY}, got {ell}")
+        ell, vertices, edges = _integer("arity", self.ell, MIN_ARITY), self.vertices, self.edges
         if not isinstance(vertices, tuple):
             raise DomainError(f"vertices must be a tuple, got {type(vertices).__name__}")
         if not all(map(isinstance, vertices, repeat(str))):

@@ -42,6 +42,7 @@ from .hypergraph import (
     Partition,
     _component_roots,
     _encode,
+    _integer,
     _read_json,
     _write_texts,
     is_connected,
@@ -118,18 +119,14 @@ def _fraction_rows(
 
 def universal_map(ell: int) -> LinearMap:
     """The coordinate-sum map: 1 x ell all-ones matrix."""
-    if ell < MIN_ARITY:
-        raise DomainError(f"arity must be >= {MIN_ARITY}")
-    return LinearMap([[1] * ell])
+    return LinearMap([[1] * _integer("arity", ell, MIN_ARITY)])
 
 
 def centroid_map(ell: int) -> LinearMap:
     """The consecutive-difference map: (ell-1) x ell matrix with rows
     (..., 1, -1, ...); its kernel is the line of constant vectors."""
-    if ell < MIN_ARITY:
-        raise DomainError(f"arity must be >= {MIN_ARITY}")
     rows = []
-    for i in range(ell - 1):
+    for i in range(_integer("arity", ell, MIN_ARITY) - 1):
         row = [0] * ell
         row[i], row[i + 1] = 1, -1
         rows.append(row)
@@ -485,8 +482,7 @@ def constant_space(t: LinearMap, n_vertices: int) -> tuple[Signal, ...]:
     """Signals that are constant on every axis, with axis values drawn
     from the kernel of the map, as a basis in :func:`signal_space`'s
     canonical form. Admissible for every hypergraph of matching arity."""
-    if n_vertices < 1:
-        raise DomainError(f"vertex count must be >= 1, got {n_vertices}")
+    _integer("vertex count", n_vertices, 1)
     kernel = _map_kernel(_integral_rows(t.entries))
     return _space([([[y] * n_vertices for y in lam], lam[f]) for f, lam in kernel])
 

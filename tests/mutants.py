@@ -53,6 +53,7 @@ NON_INT_ID = (
 )
 GOLDEN = "tests/test_golden_cli.py::test_cli_output_matches_golden"
 PARTITION = "tests/test_hypergraph.py::test_partition_names_a_class_map_it_refuses"
+INTEGER = "tests/test_public_constructors.py::test_a_count_arity_or_seed_that_is_no_int_is_named"
 
 MUTANTS = (
     # the peel of the edge-sum system
@@ -380,6 +381,28 @@ MUTANTS = (
         "        if not set(map(type, c)) <= {int}:\n",
         "        if not all(map(isinstance, c, repeat(int))):\n",
         (f"{PARTITION}[bool]",),
+    ),
+    # the integer rule of the public entries
+    Mutant(
+        "the integer rule lets an int subclass through",
+        HYPERGRAPH,
+        "    if type(value) is not int:\n",
+        "    if not isinstance(value, int):\n",
+        (f"{INTEGER}[fan-n-True]",),
+    ),
+    Mutant(
+        "the integer rule ignores its bound",
+        HYPERGRAPH,
+        "    if least is not None and value < least:\n",
+        "    if False:\n",
+        ("tests/test_experiments.py::test_random_hypergraph_rejects_arity_two",),
+    ),
+    Mutant(
+        "random_hypergraph takes any seed",
+        EXPERIMENTS,
+        '    _integer("seed", seed)\n',
+        "",
+        ("tests/test_experiments.py::test_random_hypergraph_refuses_a_seed_that_is_no_int[float]",),
     ),
     # the sweep configuration
     Mutant(

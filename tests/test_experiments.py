@@ -111,8 +111,17 @@ def test_random_hypergraph_infeasible(n, m, ell):
 
 
 def test_random_hypergraph_rejects_arity_two():
-    with pytest.raises(DomainError, match="^arity must be >= 3$"):
+    with pytest.raises(DomainError, match="^arity must be >= 3, got 2$"):
         random_hypergraph(5, 2, 2, seed=0)
+
+
+@pytest.mark.parametrize("seed", [1.0, True, "1"], ids=["float", "bool", "str"])
+def test_random_hypergraph_refuses_a_seed_that_is_no_int(seed):
+    """``stable_seed`` folds a seed in by its ``repr``, so ``1.0`` or
+    ``True`` would draw another instance than ``1`` does."""
+    message = f"seed {seed!r} has type {type(seed).__name__}; expected int"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        random_hypergraph(10, 5, 3, seed)
 
 
 def test_reduction_proportion_examples(triangle, fan_five, folding_free_six):
@@ -155,6 +164,10 @@ def test_int_and_fraction_densities_give_the_same_sweep():
     assert type(rows[0][0].density) is Fraction
 
 
+class Count(int):
+    """An int subclass, refused where an int is asked for."""
+
+
 @pytest.mark.parametrize(
     "field,value,message",
     [
@@ -164,13 +177,21 @@ def test_int_and_fraction_densities_give_the_same_sweep():
         ("vertex_counts", (30, 3.0), "vertex_counts entry 3.0 has type float; expected int"),
         ("runs_per_cell", 1.5, "runs_per_cell 1.5 has type float; expected int"),
         ("ell", 3.0, "ell 3.0 has type float; expected int"),
+        ("seed", 1.0, "seed 1.0 has type float; expected int"),
+        ("seed", True, "seed True has type bool; expected int"),
+        ("runs_per_cell", Count(3), "runs_per_cell 3 has type Count; expected int"),
     ],
-    ids=["float-density", "bool-density", "str-density", "float-count", "float-runs", "float-ell"],
+    ids=[
+        "float-density", "bool-density", "str-density", "float-count", "float-runs", "float-ell",
+        "float-seed", "bool-seed", "int-subclass-runs",
+    ],
 )
 def test_sweep_config_refuses_a_value_of_the_wrong_type(field, value, message):
-    """A float would enter a density as its binary fraction, and as a
-    count end in a bare ``TypeError`` from ``range``; the message names
-    the field, the value and its type."""
+    """A float would enter a density as its binary fraction, as a count
+    end in a bare ``TypeError`` from ``range``, and as a seed hash to
+    other instances than the int it equals; the message names the field,
+    the value and its type. An int subclass is refused too, as
+    ``Hypergraph`` refuses it."""
     fields = {"vertex_counts": (30,), "densities": (1,), "runs_per_cell": 3, "seed": 0}
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         SweepConfig(**{**fields, field: value})

@@ -22,9 +22,17 @@ from hypersig import (
     LinearMap,
     Partition,
     Signal,
+    SweepConfig,
+    attach_simplex,
+    centroid_map,
+    constant_space,
     dumps_hypergraph,
+    fan,
     hypergraph_from_json,
+    mountain_range,
     quotient,
+    random_hypergraph,
+    universal_map,
 )
 from oracle import edge_loop_quotient
 
@@ -214,11 +222,15 @@ def test_partition_constructor_builds_or_refuses(drawn):
             lambda: Hypergraph.from_labels(3, ["a"], [["a", "a", "a"], 2.5]),
             "edge 2.5 has type float; expected a sequence",
         ),
+        (
+            lambda: attach_simplex(Hypergraph.build(3, "abc", [(0, 1, 2)]), "a", None),
+            "new labels must be a sequence of labels, got NoneType",
+        ),
     ],
     ids=[
         "map-rows", "map-row", "signal-row", "build-vertices", "from-labels-vertices",
         "from-labels-edges", "map-r", "map-ell", "partition-keys", "from-labels-edge-none",
-        "from-labels-edge-int", "from-labels-edge-float",
+        "from-labels-edge-int", "from-labels-edge-float", "attach-simplex-labels",
     ],
 )
 def test_a_sequence_of_the_wrong_type_is_named(build, message):
@@ -227,3 +239,37 @@ def test_a_sequence_of_the_wrong_type_is_named(build, message):
     (``r`` would be 0) and its empty row 0 (``ell`` would be 0)."""
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         build()
+
+
+INTEGER_ENTRIES = {  # id: (call with one argument replaced, that argument's name, a valid int)
+    "hypergraph-arity": (lambda v: Hypergraph(v, ("a", "b", "c"), ((0, 1, 2),)), "arity", 3),
+    "build-arity": (lambda v: Hypergraph.build(v, "abc", [(2, 1, 0)]), "arity", 3),
+    "from-labels-arity": (lambda v: Hypergraph.from_labels(v, "abc", ["cba"]), "arity", 3),
+    "universal-map-arity": (universal_map, "arity", 3),
+    "centroid-map-arity": (centroid_map, "arity", 4),
+    "constant-space-count": (lambda v: constant_space(universal_map(3), v), "vertex count", 3),
+    "fan-n": (fan, "n", 3),
+    "mountain-range-n": (mountain_range, "n", 3),
+    "random-n": (lambda v: random_hypergraph(v, 5, 3, 1), "n", 10),
+    "random-m": (lambda v: random_hypergraph(10, v, 3, 1), "m", 5),
+    "random-arity": (lambda v: random_hypergraph(10, 5, v, 1), "arity", 3),
+    "random-seed": (lambda v: random_hypergraph(10, 5, 3, v), "seed", 1),
+    "sweep-count": (lambda v: SweepConfig((v,), (1,), 1, 0), "vertex_counts entry", 30),
+    "sweep-runs": (lambda v: SweepConfig((30,), (1,), v, 0), "runs_per_cell", 3),
+    "sweep-seed": (lambda v: SweepConfig((30,), (1,), 1, v), "seed", 0),
+    "sweep-arity": (lambda v: SweepConfig((30,), (1,), 1, 0, ell=v), "ell", 3),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, None, "3"], ids=repr)
+@pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+def test_a_count_arity_or_seed_that_is_no_int_is_named(entry, value):
+    """Every public function that takes a count, an arity or a seed takes
+    an ``int`` and nothing else: a ``float`` equal to an int, a ``bool``
+    (an int subclass), ``None`` or a string raises a ``DomainError``
+    naming the argument, the value and its type. The valid int builds."""
+    make, name, valid = INTEGER_ENTRIES[entry]
+    make(valid)
+    message = f"{name} {value!r} has type {type(value).__name__}; expected int"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        make(value)
