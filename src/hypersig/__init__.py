@@ -24,7 +24,6 @@ from .frames import (
     fan,
     fold_pairs,
     frame,
-    frame_result_to_json,
     fusion,
     is_stable,
     mountain_range,
@@ -36,7 +35,6 @@ from .hypergraph import (
     components,
     dumps_hypergraph,
     hypergraph_from_json,
-    hypergraph_to_json,
     is_connected,
     load_hypergraph,
     quotient,
@@ -58,7 +56,6 @@ from .signals import (
     save_signal,
     signal_from_json,
     signal_space,
-    signal_to_json,
     universal_map,
     verify_signal,
 )

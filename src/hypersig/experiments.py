@@ -179,7 +179,15 @@ class SweepConfig:
     def __post_init__(self) -> None:
         """An ``int`` density becomes a ``Fraction``, so equal densities
         seed equally. A count, seed, arity or density of any other type
-        (``bool``, or ``float``: it would enter as its binary fraction) is refused."""
+        (``bool``, or ``float``: it would enter as its binary fraction) is refused,
+        and so are vertex counts or densities that are no sequence; each is kept
+        as a tuple."""
+        for field, kind in (("vertex_counts", "ints"), ("densities", "ints or Fractions")):
+            try:
+                object.__setattr__(self, field, tuple(getattr(self, field)))
+            except TypeError:
+                got = type(getattr(self, field)).__name__
+                raise DomainError(f"{field} must be a sequence of {kind}, got {got}") from None
         counts = [("vertex_counts entry", n) for n in self.vertex_counts]
         for field, v in counts + [(f, getattr(self, f)) for f in ("runs_per_cell", "seed", "ell")]:
             _integer(field, v)

@@ -19,7 +19,7 @@ from itertools import chain, combinations
 from typing import Sequence
 
 from .errors import DomainError
-from .hypergraph import Hypergraph, Partition, _encode, _integer, _rows_text, hypergraph_to_json
+from .hypergraph import Hypergraph, Partition, _encode, _integer, _rows_text
 from .signals import LinearMap, _certified_signal, universal_map
 
 
@@ -132,26 +132,13 @@ def mountain_range(n: int) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
-def frame_result_to_json(result: FrameResult, source: Hypergraph) -> dict:
-    """The frame, the fusion classes and the label map from original to
-    frame vertices, read off the classes: :func:`quotient` labels each
-    class by its smallest member."""
-    frame_labels, class_of = result.frame.vertices, result.fusion.class_of
-    return {
-        "frame": hypergraph_to_json(result.frame),
-        "classes": [[source.vertices[v] for v in block] for block in result.fusion.classes],
-        "class_map": {x: frame_labels[c] for x, c in zip(source.vertices, class_of)},
-    }
-
-
 def _classes_text(result: FrameResult, source: Hypergraph, frame_text: str) -> str:
-    """Byte for byte ``json.dumps(frame_result_to_json(result, source),
-    indent=2)`` plus a newline, given ``frame_text``, the
-    :func:`dumps_hypergraph` of ``result.frame``. The frame is nested by
-    re-indenting that text, which is safe because every label is encoded
-    with its newlines escaped. Each source label is encoded once: the
-    classes fill :func:`_rows_text`, and each frame label is the encoding
-    of its class's smallest member."""
+    """The frame classes file of ``result`` (README, "File formats"),
+    given ``frame_text``, the :func:`dumps_hypergraph` of ``result.frame``.
+    The frame is nested by re-indenting that text, which is safe because
+    every label is encoded with its newlines escaped. Each source label is
+    encoded once: the classes fill :func:`_rows_text`, and each frame label
+    is the encoding of its class's smallest member."""
     classes = result.fusion.classes
     enc = list(map(_encode, source.vertices))
     frame_enc = [enc[block[0]] for block in classes]

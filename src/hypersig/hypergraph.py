@@ -299,18 +299,8 @@ def quotient(h: Hypergraph, p: Partition) -> Hypergraph:
 # JSON serialization
 # ---------------------------------------------------------------------------
 #
-# Schema shared by every CLI command:
-#   {"ell": int, "vertices": [str, ...], "edges": [[str, ...], ...]}
-# Edge member order is irrelevant; edges are canonicalized on load and
-# duplicate orbits are collapsed with a logged warning.
-
-
-def hypergraph_to_json(h: Hypergraph) -> dict:
-    return {
-        "ell": h.ell,
-        "vertices": list(h.vertices),
-        "edges": [list(h.edge_labels(e)) for e in h.edges],
-    }
+# The hypergraph file, shared by every CLI command, is stated once, in
+# README's "File formats" section.
 
 
 def hypergraph_from_json(obj) -> Hypergraph:
@@ -346,10 +336,9 @@ def hypergraph_from_json(obj) -> Hypergraph:
 
 
 def dumps_hypergraph(h: Hypergraph) -> str:
-    """Byte for byte ``json.dumps(hypergraph_to_json(h), indent=2)`` plus a
-    newline, rendered from the integer edges without the document: each
-    vertex label is encoded once, and the edge block is filled from those
-    encodings by :func:`_rows_text`."""
+    """The hypergraph file of ``h`` (README, "File formats"), rendered from
+    the integer edges: each vertex label is encoded once, and the edge
+    block is filled from those encodings by :func:`_rows_text`."""
     enc = list(map(_encode, h.vertices))
     cells = tuple(map(enc.__getitem__, chain.from_iterable(h.edges)))
     sep = ",\n    "

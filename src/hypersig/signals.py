@@ -23,7 +23,6 @@ and every basis and fusion signal is re-verified.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from collections import Counter
@@ -170,6 +169,17 @@ def _check_arity(h: Hypergraph, t: LinearMap) -> None:
         raise DomainError(f"map arity {t.ell} != hypergraph arity {h.ell}")
 
 
+def _integer_table(h: Hypergraph, s: Signal) -> tuple[list[list[int]], int]:
+    """``s`` as an integer table ``table[a][x]`` and the lcm ``d`` of its
+    value denominators, ``s`` being ``table / d``; a signal whose shape
+    is not ``h``'s raises ``DomainError``."""
+    if s.ell != h.ell or s.n_vertices != h.n_vertices:
+        shape = f"{s.ell}x{s.n_vertices}"
+        raise DomainError(f"signal shape {shape} does not match hypergraph {h.ell}x{h.n_vertices}")
+    d = lcm(*{v.denominator for row in s.values for v in row})
+    return [[v.numerator * (d // v.denominator) for v in row] for row in s.values], d
+
+
 def find_violation(
     h: Hypergraph, t: LinearMap, s: Signal
 ) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
@@ -196,12 +206,7 @@ def find_violation(
     every constraint's zero set, and :func:`_violation` checks these.
     """
     _check_arity(h, t)
-    if s.ell != h.ell or s.n_vertices != h.n_vertices:
-        shape = f"{s.ell}x{s.n_vertices}"
-        raise DomainError(f"signal shape {shape} does not match hypergraph {h.ell}x{h.n_vertices}")
-    scale = lcm(*{v.denominator for row in s.values for v in row})
-    values = [[v.numerator * (scale // v.denominator) for v in row] for row in s.values]
-    return _violation(h, _integral_rows(t.entries), values)
+    return _violation(h, _integral_rows(t.entries), _integer_table(h, s)[0])
 
 
 def _violation(
@@ -881,13 +886,8 @@ def _solve_peeled(
 # File formats
 # ---------------------------------------------------------------------------
 #
-# Signal files:
-#   {"vertices": [str, ...], "ell": int, "values": [[rational-str, ...], ...]}
-# with one value array per axis, aligned with the vertex order. Rationals
-# are strings like "3" or "-2/5" (or JSON integers); floats, bools, signs
-# other than a leading "-", spaces and non-ASCII digits are rejected.
-#
-# Linear map files: JSON array of arrays of rational strings.
+# The signal and linear map files are stated once, in README's "File
+# formats" section.
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -908,21 +908,10 @@ def _parse_rational(v) -> Fraction:
     raise FormatError(f"invalid rational {v!r}: expected an integer or a string like \"-2/5\"")
 
 
-def signal_to_json(h: Hypergraph, s: Signal) -> dict:
-    if s.ell != h.ell or s.n_vertices != h.n_vertices:
-        raise DomainError("signal shape does not match hypergraph")
-    return {
-        "vertices": list(h.vertices),
-        "ell": h.ell,
-        "values": [[str(v) for v in row] for row in s.values],
-    }
-
-
 def _basis_chunks(h: Hypergraph, basis: _Basis) -> Iterator[str]:
     """The text of ``signals --out`` for a verified basis of integer
-    tables, each table row rendered as one value array: byte for byte
-    ``json.dumps(docs, indent=2)`` plus a newline, for ``docs`` the
-    :func:`signal_to_json` documents of its signals, one chunk per
+    tables: an array of signal documents (README, "File formats"), one
+    per vector, each table row rendered as one value array, one chunk per
     document and the closing bracket last, so a file can take each
     document as it is rendered. The vertex-label block is rendered
     once for all of them. Each distinct ``y`` of a vector is rendered
@@ -985,7 +974,13 @@ def signal_from_json(obj) -> tuple[tuple[str, ...], int, Signal]:
 
 
 def save_signal(h: Hypergraph, s: Signal, path: str | Path) -> None:
-    _write_texts([(path, json.dumps(signal_to_json(h, s), indent=2) + "\n")])
+    """Write ``s`` as a signal file: :func:`_basis_chunks` of the one
+    vector ``s``, its array removed by cutting the brackets and one level
+    of indent, which cannot touch a label, as every label is encoded with
+    its newlines escaped. A shape unlike ``h``'s is refused before any
+    file is touched."""
+    text = "".join(_basis_chunks(h, [_integer_table(h, s)]))
+    _write_texts([(path, text[4:-3].replace("\n  ", "\n") + "\n")])
 
 
 def load_signal(path: str | Path) -> tuple[tuple[str, ...], int, Signal]:

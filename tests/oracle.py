@@ -16,6 +16,12 @@ references check it in turn. :func:`edge_loop_violation` runs the
 verifier's sum-matrix test edge by edge in plain Python, the
 differential reference for its columnar passes; it shares the witness
 locator with the library.
+
+The documents the library writes are references too:
+:func:`hypergraph_to_json`, :func:`frame_result_to_json` and
+:func:`signal_to_json` build them as dicts, and each written file is
+``json.dumps(doc, indent=2)`` of one of them plus a newline, byte for
+byte (README, "File formats").
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from fractions import Fraction
 from itertools import chain, combinations_with_replacement, combinations, permutations, product
 from typing import NamedTuple, Sequence
 
-from hypersig import Hypergraph, LinearMap, Signal
+from hypersig import FrameResult, Hypergraph, LinearMap, Signal
 from hypersig.linalg import _integral_rows, _kernel_basis
 from hypersig.signals import _check_arity, _first_witness
 
@@ -335,3 +341,35 @@ def enumerate_small_connected(cap: int = 1000) -> list[Hypergraph]:
             out.append(Hypergraph.build(3, labels, combo))
             taken += 1
     return out[:cap]
+
+
+def hypergraph_to_json(h: Hypergraph) -> dict:
+    """The hypergraph document of ``h``: the text of ``dumps_hypergraph``."""
+    return {
+        "ell": h.ell,
+        "vertices": list(h.vertices),
+        "edges": [list(h.edge_labels(e)) for e in h.edges],
+    }
+
+
+def frame_result_to_json(result: FrameResult, source: Hypergraph) -> dict:
+    """The frame classes document: the frame, the fusion classes and the
+    label map from original to frame vertices, each frame vertex labelled
+    by the smallest member of its class."""
+    frame_labels, class_of = result.frame.vertices, result.fusion.class_of
+    return {
+        "frame": hypergraph_to_json(result.frame),
+        "classes": [[source.vertices[v] for v in block] for block in result.fusion.classes],
+        "class_map": {x: frame_labels[c] for x, c in zip(source.vertices, class_of)},
+    }
+
+
+def signal_to_json(h: Hypergraph, s: Signal) -> dict:
+    """The signal document of ``s`` on ``h``'s vertices, each value as
+    ``str`` of its ``Fraction``: the text of ``save_signal``, and one item
+    of ``signals --out``."""
+    return {
+        "vertices": list(h.vertices),
+        "ell": h.ell,
+        "values": [[str(v) for v in row] for row in s.values],
+    }

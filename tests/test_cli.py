@@ -26,7 +26,6 @@ from hypersig import (
     universal_map,
     signal_from_json,
     signal_space,
-    signal_to_json,
     Hypergraph,
 )
 import hypersig.linalg
@@ -34,6 +33,7 @@ import hypersig.signals
 from hypersig import cli
 from hypersig.cli import main, to_dot
 from hypersig.linalg import _integral_rows
+from oracle import signal_to_json
 
 
 def write(path, h):

@@ -180,10 +180,14 @@ class Count(int):
         ("seed", 1.0, "seed 1.0 has type float; expected int"),
         ("seed", True, "seed True has type bool; expected int"),
         ("runs_per_cell", Count(3), "runs_per_cell 3 has type Count; expected int"),
+        ("vertex_counts", None, "vertex_counts must be a sequence of ints, got NoneType"),
+        ("densities", None, "densities must be a sequence of ints or Fractions, got NoneType"),
+        ("densities", 1, "densities must be a sequence of ints or Fractions, got int"),
     ],
     ids=[
         "float-density", "bool-density", "str-density", "float-count", "float-runs", "float-ell",
-        "float-seed", "bool-seed", "int-subclass-runs",
+        "float-seed", "bool-seed", "int-subclass-runs", "no-count-sequence",
+        "no-density-sequence", "int-densities",
     ],
 )
 def test_sweep_config_refuses_a_value_of_the_wrong_type(field, value, message):

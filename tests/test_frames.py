@@ -1,5 +1,6 @@
 import hashlib
 import random
+import signal
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -32,7 +33,6 @@ from hypersig import (
     find_violation,
     fold_pairs,
     frame,
-    frame_result_to_json,
     fusion,
     generating_signal,
     is_stable,
@@ -51,6 +51,7 @@ from oracle import (
     edge_loop_violation,
     edge_sum_rows,
     edges_connected,
+    frame_result_to_json,
     oracle_fusion_blocks,
     partition_blocks,
 )
@@ -268,6 +269,32 @@ def test_peeled_draw_work_stays_within_its_guard(kind, touched, ops, bits, class
     assert sum(entries) == touched
     assert max(abs(x).bit_length() for x in [*f, c]) == bits
     assert counted[0] == ops
+
+
+def test_frame_returns_within_a_few_seconds():
+    """``frame`` returns at once on these inputs, so a peel or GF(3)
+    elimination loop that cannot end (a count left undecremented, a wrong
+    sign) fails here within the bound and names this test, rather than
+    outliving the run. The bound is the test's own: the library's loops
+    run unguarded. The failure is asserted outside the interrupted frames,
+    whose traceback pytest cannot always render."""
+
+    def expire(signum, stack):
+        raise TimeoutError
+
+    hung = None
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        for hung in (fan(5), random_hypergraph(30, 30, 3, 1)):
+            frame(hung)
+        hung = None
+    except TimeoutError:
+        pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert hung is None, f"frame() did not return within 5 s on {hung}"
 
 
 def record_eliminations(monkeypatch) -> list[int]:

@@ -1,11 +1,13 @@
 """Every file is written as ``json.dumps(doc, indent=2)`` plus a newline.
 Each written document has one renderer that builds that text from the
 integer structure, without the document and the pure-Python encoder, so
-these tests hold the ``frame`` documents' renderers to ``json.dumps`` of
-the reference documents byte for byte, and every golden output file to
-``json.dumps`` of its parsed document."""
+these tests hold the ``frame`` documents' renderers and ``save_signal``
+to ``json.dumps`` of the reference documents of ``tests/oracle.py`` byte
+for byte, and every golden output file to ``json.dumps`` of its parsed
+document."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,14 +20,12 @@ from hypersig import (
     Partition,
     Signal,
     dumps_hypergraph,
-    frame_result_to_json,
-    hypergraph_to_json,
     load_signal,
     quotient,
     save_signal,
-    signal_to_json,
 )
 from hypersig.frames import _classes_text
+from oracle import frame_result_to_json, hypergraph_to_json, signal_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -88,10 +88,12 @@ def test_dumps_round_trips_every_golden_output_file(path):
 
 
 def test_save_signal_writes_the_reference_document(tmp_path):
-    """``save_signal`` writes its document through ``json.dumps``, so
-    labels are escaped to ASCII, lone surrogates included."""
-    h = Hypergraph.build(3, ["é", '%s"', "\ud83d"], [(0, 1, 2)])
-    s = Signal([[0, 1, -1]] * 3)
+    """``save_signal`` writes the reference document byte for byte, not
+    nested in an array: labels are escaped to ASCII, lone surrogates
+    included, and a newline followed by the indent it would be cut by
+    stays in its label."""
+    h = Hypergraph.build(3, ["é", '%s"', "\ud83d", "a\n  b"], [(0, 1, 2), (1, 2, 3)])
+    s = Signal([[0, 1, -1, Fraction(-1, 2)]] * 3)
     path = tmp_path / "s.json"
     save_signal(h, s, path)
     assert path.read_text(encoding="ascii") == json.dumps(signal_to_json(h, s), indent=2) + "\n"

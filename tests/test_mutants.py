@@ -14,10 +14,12 @@ def test_each_mutant_applies_once_and_names_tests_that_exist():
         assert m.path.startswith("src/") and m.text != m.replacement, m.name
         assert (ROOT / m.path).read_text(encoding="utf-8").count(m.text) == 1, m.name
     ids = sorted({k for m in MUTANTS for k in m.kills})
+    # src/ goes first; the caller's path stays, as it may be where pytest is
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *ids],
         cwd=ROOT,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=300,

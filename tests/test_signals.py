@@ -2,10 +2,12 @@ import dataclasses
 import json
 import random
 import re
+import tempfile
 import time
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -49,7 +51,6 @@ from hypersig import (
     save_signal,
     signal_from_json,
     signal_space,
-    signal_to_json,
     universal_map,
     verify_signal,
 )
@@ -69,6 +70,7 @@ from oracle import (
     grid_search_functional,
     oracle_signal_basis,
     oracle_signal_dimension,
+    signal_to_json,
     sparse_signal_basis,
 )
 from test_json_render import texts
@@ -962,11 +964,18 @@ def test_basis_chunks_match_the_rendered_signal_documents(problem):
     """The streamed ``signals --out`` text equals ``json.dumps`` at indent
     2, plus a newline, of the :func:`signal_to_json` documents of the
     space's ``Fraction`` signals, whatever the sign of the pivot values and
-    the dimension, 0 included."""
+    the dimension, 0 included; ``save_signal`` writes each of them as its
+    own file."""
     h, t = problem
     text = "".join(_basis_chunks(h, _verified_basis(h, t)[0]))
-    docs = [signal_to_json(h, s) for s in signal_space(h, t)]
+    space = signal_space(h, t)
+    docs = [signal_to_json(h, s) for s in space]
     assert text == json.dumps(docs, indent=2) + "\n"
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "s.json"
+        for s, doc in zip(space, docs):
+            save_signal(h, s, path)
+            assert path.read_text(encoding="ascii") == json.dumps(doc, indent=2) + "\n"
 
 
 def test_basis_chunks_are_one_per_document():
@@ -1134,9 +1143,16 @@ def test_from_rows_keeps_ints_and_fractions():
 
 
 @pytest.mark.parametrize("ell,n", [(3, 4), (2, 3)], ids=["long", "two-axes"])
-def test_signal_to_json_shape_message(triangle, ell, n):
-    with pytest.raises(DomainError, match="^signal shape does not match hypergraph$"):
-        signal_to_json(triangle, Signal([[0] * n] * ell))
+def test_save_signal_shape_message(tmp_path, triangle, ell, n):
+    """One shape rule, one message: ``save_signal`` refuses the signal
+    before any file is touched, and the verifier refuses it alike."""
+    s, path = Signal([[0] * n] * ell), tmp_path / "s.json"
+    message = f"^signal shape {ell}x{n} does not match hypergraph 3x3$"
+    with pytest.raises(DomainError, match=message):
+        save_signal(triangle, s, path)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(DomainError, match=message):
+        find_violation(triangle, universal_map(3), s)
 
 
 def test_linear_map_json():
