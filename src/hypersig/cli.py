@@ -76,9 +76,9 @@ def cmd_signals(args: argparse.Namespace) -> int:
             "the corresponding axis is unconstrained",
             file=sys.stderr,
         )
-    print(f"dim {len(basis)}, constant {constant}")
     if args.out:
         _write_texts([(args.out, _basis_chunks(h, basis))])
+    print(f"dim {len(basis)}, constant {constant}")
     return EXIT_OK
 
 
@@ -95,16 +95,16 @@ def cmd_frame(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_DOMAIN
-    if h.n_edges:
-        print(f"reduction proportion: {Fraction(result.frame.n_edges, h.n_edges)}")
     frame_text = dumps_hypergraph(result.frame)
     files = [(args.out, frame_text)] if args.out else []
     classes = args.classes or (args.out and _default_classes_path(args.out))
     if classes:
         files.append((classes, _classes_text(result, h, frame_text)))
+    _write_texts(files)  # before any print: a failed write leaves stdout empty
+    if h.n_edges:
+        print(f"reduction proportion: {Fraction(result.frame.n_edges, h.n_edges)}")
     if not args.out:
         sys.stdout.write(frame_text)
-    _write_texts(files)
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, InfeasibleError
 from .frames import frame
-from .hypergraph import MIN_ARITY, Hypergraph, _component_roots, _integer
+from .hypergraph import MIN_ARITY, Hypergraph, _component_roots, _integer, _sequence
 
 log = logging.getLogger(__name__)
 
@@ -177,28 +177,26 @@ class SweepConfig:
     density_mode: str = "edges-per-vertex"
 
     def __post_init__(self) -> None:
-        """An ``int`` density becomes a ``Fraction``, so equal densities
-        seed equally. A count, seed, arity or density of any other type
-        (``bool``, or ``float``: it would enter as its binary fraction) is refused,
-        and so are vertex counts or densities that are no sequence; each is kept
-        as a tuple."""
+        """The vertex counts and densities, read by :func:`_sequence`, must
+        not be empty; an ``int`` density becomes a ``Fraction``, so equal
+        densities seed equally. A count, seed, arity or density of another
+        type (a ``float`` is a binary fraction) is refused, as is an arity < 3."""
         for field, kind in (("vertex_counts", "ints"), ("densities", "ints or Fractions")):
-            try:
-                object.__setattr__(self, field, tuple(getattr(self, field)))
-            except TypeError:
-                got = type(getattr(self, field)).__name__
-                raise DomainError(f"{field} must be a sequence of {kind}, got {got}") from None
+            object.__setattr__(self, field, _sequence(field, getattr(self, field), kind))
+            if not getattr(self, field):
+                raise DomainError(f"{field} must not be empty")
         counts = [("vertex_counts entry", n) for n in self.vertex_counts]
-        for field, v in counts + [(f, getattr(self, f)) for f in ("runs_per_cell", "seed", "ell")]:
+        for field, v in counts + [("runs_per_cell", self.runs_per_cell), ("seed", self.seed)]:
             _integer(field, v)
+        _integer("ell", self.ell, MIN_ARITY)
         for d in self.densities:
             if isinstance(d, bool) or not isinstance(d, (int, Fraction)):
                 kind = type(d).__name__
                 raise DomainError(f"densities entry {d!r} has type {kind}; expected int or Fraction")
         object.__setattr__(self, "densities", tuple(map(Fraction, self.densities)))
-        if not self.vertex_counts or any(n <= 0 for n in self.vertex_counts):
+        if any(n <= 0 for n in self.vertex_counts):
             raise DomainError("vertex counts must be positive")
-        if not self.densities or any(d <= 0 for d in self.densities):
+        if any(d <= 0 for d in self.densities):
             raise DomainError("densities must be positive")
         for d in self.densities:
             try:

@@ -19,7 +19,7 @@ from itertools import chain, combinations
 from typing import Sequence
 
 from .errors import DomainError
-from .hypergraph import Hypergraph, Partition, _encode, _integer, _rows_text
+from .hypergraph import Hypergraph, Partition, _encode, _integer, _rows_text, _sequence
 from .signals import LinearMap, _certified_signal, universal_map
 
 
@@ -87,13 +87,9 @@ def attach_simplex(
     h: Hypergraph, z: str, new_labels: Sequence[str]
 ) -> Hypergraph:
     """Glue one fresh edge onto vertex ``z``: the edge contains ``z`` and
-    ``ell - 1`` brand new vertices. Preserves stability of the input."""
+    ``ell - 1`` new vertices, read by :func:`_sequence`. Preserves stability of the input."""
     z_id = h.vertex_id(z)
-    try:
-        labels = list(new_labels)
-    except TypeError:
-        kind = type(new_labels).__name__
-        raise DomainError(f"new labels must be a sequence of labels, got {kind}") from None
+    labels = _sequence("new labels", new_labels, "labels")
     if len(labels) != h.ell - 1:
         raise DomainError(f"need exactly {h.ell - 1} new labels, got {len(labels)}")
     if len(set(labels)) != len(labels):
@@ -103,7 +99,7 @@ def attach_simplex(
         raise DomainError(f"labels already present: {sorted(clash)}")
     n = h.n_vertices
     new_edge = (z_id, *range(n, n + len(labels)))
-    return Hypergraph.build(h.ell, h.vertices + tuple(labels), h.edges + (new_edge,))
+    return Hypergraph.build(h.ell, h.vertices + labels, h.edges + (new_edge,))
 
 
 def fan(n: int) -> Hypergraph:

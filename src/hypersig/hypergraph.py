@@ -14,6 +14,7 @@ import errno
 import json
 import logging
 import os
+from collections.abc import Mapping, Set
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,6 +38,22 @@ def _integer(name: str, value, least: int | None = None) -> int:
     if least is not None and value < least:
         raise DomainError(f"{name} must be >= {least}, got {value}")
     return value
+
+
+def _sequence(name: str, value, of: str) -> tuple:
+    """``value`` read once into a tuple: a ``list``, ``tuple``, ``range`` or
+    other iterable, but no ``str`` or ``bytes`` (its characters), set (its
+    hash order) or mapping (its keys); anything else is a ``DomainError``."""
+    if type(value) in (list, tuple, range):  # exact types first: the ABC checks cost more
+        return tuple(value)
+    try:
+        if isinstance(value, (str, bytes, Set, Mapping)):
+            raise TypeError  # iterable, but not as the items it holds
+        items = iter(value)
+    except TypeError:
+        kind = type(value).__name__
+        raise DomainError(f"{name} must be a sequence of {of}, got {kind}") from None
+    return tuple(items)
 
 
 @dataclass(frozen=True)
@@ -107,14 +124,10 @@ class Hypergraph:
         edges: Iterable[Sequence[int]] = (),
     ) -> "Hypergraph":
         """Construct from arbitrary edge tuples, canonicalizing and
-        collapsing duplicate orbits silently. Vertices that do not iterate,
-        and edges that do not sort, as with a ``None`` id, raise
-        ``DomainError`` before the constructor sees them."""
-        try:
-            labels = tuple(vertices)
-        except TypeError:
-            kind = type(vertices).__name__
-            raise DomainError(f"vertices must be a sequence of labels, got {kind}") from None
+        collapsing duplicate orbits silently. The vertices are read by
+        :func:`_sequence`, the edges may be any iterable, and edges that do
+        not sort, as with a ``None`` id, raise ``DomainError`` here."""
+        labels = _sequence("vertices", vertices, "labels")
         try:
             canon = sorted(set(map(tuple, map(sorted, edges))))
         except TypeError as exc:
@@ -128,27 +141,28 @@ class Hypergraph:
         vertices: Sequence[str],
         edges: Iterable[Sequence[str]] = (),
     ) -> "Hypergraph":
-        """Construct from edges given as label sequences. When every edge
-        has the same number of labels, all known, the ids are regrouped and
-        tried as they come: ``__post_init__``'s whole-sequence checks
-        accept edges that are already canonical, as every document this
-        package writes holds them, with no sort. Edges those checks reject
-        go through :meth:`build`, which canonicalizes them, collapses
-        duplicate orbits and words every other fault."""
+        """Construct from any iterable of edges given as label sequences,
+        each edge and the vertices read by :func:`_sequence`. When every
+        edge is a list or tuple of k labels, all known, the ids are tried
+        as they come: ``__post_init__`` accepts edges already canonical, as
+        every document this package writes holds, with no sort. Edges it
+        rejects go through :meth:`build`, which canonicalizes them,
+        collapses duplicate orbits and words every other fault."""
+        labels = _sequence("vertices", vertices, "labels")
         try:
-            index = {lab: i for i, lab in enumerate(vertices)}
-        except TypeError:  # vertices that do not iterate, or an unhashable label: both named
-            return cls.build(ell, vertices)
+            index = {lab: i for i, lab in enumerate(labels)}
+        except TypeError:  # an unhashable label: the constructor names it
+            return cls.build(ell, labels)
         ids = None
-        if isinstance(edges, (list, tuple)):
+        if isinstance(edges, (list, tuple)) and set(map(type, edges)) <= {list, tuple}:
             with suppress(KeyError, TypeError, ValueError):  # the loop below words the fault
                 (k,) = set(map(len, edges))
                 ids = list(map(index.__getitem__, chain.from_iterable(edges)))
         if ids:  # every edge has k labels, all known
             id_edges = tuple(zip(*[iter(ids)] * k))
             with suppress(DomainError):
-                return cls(ell, tuple(vertices), id_edges)
-            return cls.build(ell, vertices, id_edges)
+                return cls(ell, labels, id_edges)
+            return cls.build(ell, labels, id_edges)
         try:
             edges = iter(edges)
         except TypeError:
@@ -156,13 +170,11 @@ class Hypergraph:
             raise DomainError(f"edges must be a sequence of label sequences, got {kind}") from None
         id_edges = []
         for e in edges:
-            if not isinstance(e, Iterable):
-                raise DomainError(f"edge {e!r} has type {type(e).__name__}; expected a sequence")
             try:
-                id_edges.append([index[lab] for lab in e])
+                id_edges.append([index[lab] for lab in _sequence(f"edge {e!r}", e, "labels")])
             except (KeyError, TypeError):  # an unhashable label is no known label either
                 raise DomainError(f"edge {e!r} references unknown vertex") from None
-        return cls.build(ell, vertices, id_edges)
+        return cls.build(ell, labels, id_edges)
 
     @property
     def n_vertices(self) -> int:
@@ -216,14 +228,14 @@ class Partition:
 
     @classmethod
     def from_keys(cls, keys: Sequence) -> "Partition":
-        """Group elements by equal key, one class per distinct key. Keys that
-        do not iterate or do not hash raise ``DomainError``."""
-        ids: dict = {}
+        """Group elements by equal key, one class per distinct key. The
+        keys are read by :func:`_sequence`; a key that does not hash
+        raises ``DomainError``."""
+        keys, ids = _sequence("keys", keys, "hashables"), {}
         try:
             return cls(tuple(ids.setdefault(k, len(ids)) for k in keys))
-        except TypeError as exc:
-            kind = type(keys).__name__
-            raise DomainError(f"keys must be a sequence of hashables, got {kind}: {exc}") from None
+        except TypeError as exc:  # an unhashable key
+            raise DomainError(f"keys must be hashable: {exc}") from None
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:

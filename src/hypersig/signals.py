@@ -43,6 +43,7 @@ from .hypergraph import (
     _encode,
     _integer,
     _read_json,
+    _sequence,
     _write_texts,
     is_connected,
     quotient,
@@ -61,7 +62,7 @@ class LinearMap:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        entries = _fraction_rows(self.entries, "map", "entry", nonempty=True)
+        entries = _fraction_rows(self.entries, "map", "entry", "entries", nonempty=True)
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -78,28 +79,20 @@ class LinearMap:
 
 
 def _fraction_rows(
-    rows: Iterable[Iterable[Fraction | int]], table: str, item: str, nonempty: bool = False
+    rows: Iterable[Iterable[Fraction | int]], table: str, item: str, items: str, nonempty=False
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Rows of ``int`` (not ``bool``) and ``Fraction`` values, all of row
     0's length, as ``Fraction`` tuples: the one shape and value rule of
-    :class:`LinearMap` and :class:`Signal`. Any other value raises
+    :class:`LinearMap` and :class:`Signal`. The rows, and each row of
+    ``items``, are read by :func:`_sequence`. Any other value raises
     ``DomainError`` naming the ``table``'s ``item``, its ``[row][col]``
     and its type (a ``float`` would enter as its binary fraction, a string
-    as whatever it parses to), and so do rows, or a row, that do not
-    iterate, a ragged row and, if ``nonempty``, no rows or an empty row 0.
-    A row of ``Fraction`` values only, as a parsed signal's, is kept."""
-    try:
-        rows = list(rows)
-    except TypeError:
-        kind = type(rows).__name__
-        raise DomainError(f"{table} rows must be a sequence of rows, got {kind}") from None
+    as whatever it parses to), and so do a ragged row and, if
+    ``nonempty``, no rows or an empty row 0. A row of ``Fraction`` values
+    only, as a parsed signal's, is kept."""
     out = []
-    for i, row in enumerate(rows):
-        try:
-            row = tuple(row)
-        except TypeError:
-            kind = type(row).__name__
-            raise DomainError(f"{table} row {i} has type {kind}; expected a sequence") from None
+    for i, row in enumerate(_sequence(f"{table} rows", rows, "rows")):
+        row = _sequence(f"{table} row {i}", row, items)
         if set(map(type, row)) != {Fraction}:
             for j, v in enumerate(row):
                 if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
@@ -153,7 +146,7 @@ class Signal:
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _fraction_rows(self.values, "signal", "value"))
+        object.__setattr__(self, "values", _fraction_rows(self.values, "signal", "value", "values"))
 
     @property
     def ell(self) -> int:

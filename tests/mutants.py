@@ -50,6 +50,7 @@ FRAMES, LINALG, CLI = "src/hypersig/frames.py", "src/hypersig/linalg.py", "src/h
 EXPERIMENTS = "src/hypersig/experiments.py"
 ROUTE = "tests/test_frames.py::test_fusion_route_matches_the_oracle"
 NAMED = "tests/test_public_constructors.py::test_a_sequence_of_the_wrong_type_is_named"
+ONE_SHOT = "tests/test_public_constructors.py::test_a_sequence_entry_reads_a_one_shot_iterator_once"
 NON_INT_ID = (
     "tests/test_hypergraph.py::test_direct_construction_with_a_non_int_id_is_a_domain_error"
 )
@@ -57,7 +58,6 @@ GOLDEN = "tests/test_golden_cli.py::test_cli_output_matches_golden"
 PARTITION = "tests/test_hypergraph.py::test_partition_names_a_class_map_it_refuses"
 INTEGER = "tests/test_public_constructors.py::test_a_count_arity_or_seed_that_is_no_int_is_named"
 HANG = "tests/test_frames.py::test_frame_returns_within_a_few_seconds"
-SWEEP_TYPES = "tests/test_experiments.py::test_sweep_config_refuses_a_value_of_the_wrong_type"
 SAVE_SIGNAL = "tests/test_json_render.py::test_save_signal_writes_the_reference_document"
 
 MUTANTS = (
@@ -294,15 +294,15 @@ MUTANTS = (
         "from_labels always builds",
         HYPERGRAPH,
         "            with suppress(DomainError):\n"
-        "                return cls(ell, tuple(vertices), id_edges)\n",
+        "                return cls(ell, labels, id_edges)\n",
         "",
         ("tests/test_hypergraph.py::test_a_canonical_document_is_read_without_a_build",),
     ),
     Mutant(
         "from_labels does not fall back to build",
         HYPERGRAPH,
-        "            return cls.build(ell, vertices, id_edges)\n        try:",
-        "            return cls(ell, tuple(vertices), id_edges)\n        try:",
+        "            return cls.build(ell, labels, id_edges)\n        try:",
+        "            return cls(ell, labels, id_edges)\n        try:",
         ("tests/test_hypergraph.py::test_non_canonical_documents_build_once",),
     ),
     Mutant(
@@ -334,27 +334,41 @@ MUTANTS = (
         "    main()\n",
         ("tests/test_cli.py::test_process_entry_point_exits_with_the_command_code",),
     ),
-    # guards that name a sequence of the wrong type
+    # the sequence rule of the public entries
     Mutant(
-        "no guard on map or signal rows",
-        SIGNALS,
-        "    try:\n        rows = list(rows)\n    except TypeError:\n",
-        "    rows = list(rows)\n    if False:\n",
-        (f"{NAMED}[map-rows]",),
-    ),
-    Mutant(
-        "no guard on a map or signal row",
-        SIGNALS,
-        "        try:\n            row = tuple(row)\n        except TypeError:\n",
-        "        row = tuple(row)\n        if False:\n",
-        (f"{NAMED}[map-row]", f"{NAMED}[signal-row]"),
-    ),
-    Mutant(
-        "no guard on build's vertices",
+        "the sequence rule lets a set through",
         HYPERGRAPH,
-        "        try:\n            labels = tuple(vertices)\n        except TypeError:\n",
-        "        labels = tuple(vertices)\n        if False:\n",
-        (f"{NAMED}[build-vertices]", f"{NAMED}[from-labels-vertices]"),
+        "(str, bytes, Set, Mapping)",
+        "(str, bytes, Mapping)",
+        (f"{NAMED}[from-labels-vertices-set]",),
+    ),
+    Mutant(
+        "the sequence rule lets a mapping through",
+        HYPERGRAPH,
+        "(str, bytes, Set, Mapping)",
+        "(str, bytes, Set)",
+        (f"{NAMED}[map-rows-dict]",),
+    ),
+    Mutant(
+        "the sequence rule lets a string through",
+        HYPERGRAPH,
+        "(str, bytes, Set, Mapping)",
+        "(bytes, Set, Mapping)",
+        (f"{NAMED}[build-vertices-str]",),
+    ),
+    Mutant(
+        "from_labels indexes the caller's vertices, not the tuple it read",
+        HYPERGRAPH,
+        "enumerate(labels)}",
+        "enumerate(vertices)}",
+        (f"{ONE_SHOT}[from-labels-vertices]",),
+    ),
+    Mutant(
+        "the fast path of from_labels takes an edge of any type",
+        HYPERGRAPH,
+        " and set(map(type, edges)) <= {list, tuple}",
+        "",
+        (f"{NAMED}[from-labels-edge-str]",),
     ),
     Mutant(
         "no guard on from_labels' edges",
@@ -362,22 +376,6 @@ MUTANTS = (
         "        try:\n            edges = iter(edges)\n        except TypeError:\n",
         "        if False:\n",
         (f"{NAMED}[from-labels-edges]",),
-    ),
-    Mutant(
-        "no guard on partition keys",
-        HYPERGRAPH,
-        "        try:\n"
-        "            return cls(tuple(ids.setdefault(k, len(ids)) for k in keys))\n"
-        "        except TypeError as exc:\n",
-        "        return cls(tuple(ids.setdefault(k, len(ids)) for k in keys))\n        if False:\n",
-        (f"{NAMED}[partition-keys]",),
-    ),
-    Mutant(
-        "no guard on an edge that is no sequence",
-        HYPERGRAPH,
-        "            if not isinstance(e, Iterable):\n",
-        "            if False:\n",
-        (f"{NAMED}[from-labels-edge-none]",),
     ),
     # the class map of a partition
     Mutant(
@@ -418,13 +416,18 @@ MUTANTS = (
     ),
     # the sweep configuration
     Mutant(
-        "no guard on a sweep field that is no sequence",
+        "a sweep field with no items passes",
         EXPERIMENTS,
-        "                object.__setattr__(self, field, tuple(getattr(self, field)))\n"
-        "            except TypeError:\n",
-        "                object.__setattr__(self, field, tuple(getattr(self, field)))\n"
-        "            except ValueError:\n",
-        (f"{SWEEP_TYPES}[no-count-sequence]", f"{SWEEP_TYPES}[int-densities]"),
+        "            if not getattr(self, field):\n",
+        "            if False:\n",
+        ("tests/test_cli.py::test_sweep_rejects_bad_lists[--sizes-,-1]",),
+    ),
+    Mutant(
+        "a sweep takes an arity below 3",
+        EXPERIMENTS,
+        '        _integer("ell", self.ell, MIN_ARITY)\n',
+        '        _integer("ell", self.ell)\n',
+        ("tests/test_cli.py::test_sweep_refuses_an_arity_below_three[avg-degree]",),
     ),
     Mutant(
         "an int density kept as an int",

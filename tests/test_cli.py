@@ -235,16 +235,28 @@ def test_sweep_command(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag, value, code",
     [("--sizes", "abc", 2), ("--densities", "x", 2), ("--densities", "1/0", 2),
-     ("--sizes", "0", 1), ("--densities", "-1", 1)],
+     ("--sizes", "0", 1), ("--densities", "-1", 1), ("--sizes", ",", 1), ("--densities", "", 1)],
 )
 def test_sweep_rejects_bad_lists(flag, value, code, capsys):
-    # unparsable items are format errors; parsed but invalid ones stay
-    # domain errors
+    # unparsable items are format errors; parsed but invalid ones, and
+    # lists with no items, stay domain errors
     assert main(["sweep", "--runs", "1", flag, value]) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    if code == 2:
-        assert err == f"error: invalid value {value!r} for {flag}\n"
+    message = {
+        ("--sizes", "0"): "vertex counts must be positive",
+        ("--densities", "-1"): "densities must be positive",
+        ("--sizes", ","): "vertex_counts must not be empty",
+        ("--densities", ""): "densities must not be empty",
+    }.get((flag, value), f"invalid value {value!r} for {flag}")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["avg-degree", "edges-per-vertex"])
+def test_sweep_refuses_an_arity_below_three(mode, capsys):
+    """An arity below 3 is refused before any cell runs: ``avg-degree``
+    would divide by an arity of 0."""
+    argv = ["sweep", "--sizes", "5", "--runs", "1", "--ell", "0", "--density-mode", mode]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: ell must be >= 3, got 0\n")
 
 
 def test_sweep_rejects_density_too_large_for_csv(capsys):
@@ -397,6 +409,22 @@ def test_frame_out_keeps_old_file_when_classes_target_fails(tmp_path, fan_path, 
     assert out.read_bytes() == b"old\n"
     assert sorted(p.name for p in tmp_path.rglob("*")) == names
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["frame", "--out"], ["frame", "--classes"], ["signals", "--out"]],
+    ids=["frame-out", "frame-classes", "signals-out"],
+)
+def test_a_failed_write_prints_nothing(tmp_path, fan_path, argv, capsys):
+    """A command whose output file cannot be written exits 2 with the
+    error alone: the proportion, the frame and ``dim`` are printed after
+    the write."""
+    command, flag = argv
+    assert main([command, "--in", fan_path, flag, str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno {errno.EISDIR}] Is a directory: '{tmp_path}'\n"
 
 
 def test_frame_out_second_replace_failure_leaves_frame_new_and_classes_old(

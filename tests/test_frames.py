@@ -1117,7 +1117,7 @@ def defined_fold_pairs(h):
 def test_fold_pairs_match_the_definition_on_repeated_vertices():
     """An edge that repeats a vertex gives that vertex's residual once,
     and the pairs are the definition's."""
-    pinned = Hypergraph.build(3, "abcd", [(0, 0, 1), (0, 0, 2), (0, 1, 1), (3, 3, 3)])
+    pinned = Hypergraph.build(3, tuple("abcd"), [(0, 0, 1), (0, 0, 2), (0, 1, 1), (3, 3, 3)])
     assert fold_pairs(pinned) == defined_fold_pairs(pinned) == {(0, 1), (1, 2)}
     rng = random.Random(31)
     for i in range(30):

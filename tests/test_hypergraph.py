@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -301,15 +305,36 @@ def test_direct_construction_names_a_label_or_arity_of_the_wrong_type(ell, verti
         Hypergraph(ell, vertices, ())
 
 
+@pytest.mark.parametrize("seed", ["0", "2"])
+def test_a_set_of_labels_is_refused_under_every_hash_seed(seed):
+    """A set would number the vertices in its hash order, which changes the
+    frame's class map with ``PYTHONHASHSEED``; it is refused under each."""
+    code = (
+        "from hypersig import DomainError, Hypergraph\n"
+        "try:\n"
+        "    Hypergraph.from_labels(3, {'u', 'v', 'w', 'x'}, [('u', 'v', 'w'), ('v', 'w', 'x')])\n"
+        "except DomainError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (
+        0, "vertices must be a sequence of labels, got set\n", ""
+    )
+
+
 def test_build_and_from_labels_refuse_what_they_cannot_sort_or_hash():
     """``build`` sorts each edge before the constructor sees it, and
     ``from_labels`` indexes the labels first: an id that sorts against no
     int, and a label that does not hash, are refused there by name."""
     with pytest.raises(DomainError, match="^edges must be sequences of int vertex ids: "):
-        Hypergraph.build(3, "abc", [(0, 1, None)])
+        Hypergraph.build(3, tuple("abc"), [(0, 1, None)])
     message = "edge (0, 1, 2.0) has vertex id 2.0 of type float; expected int"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        Hypergraph.build(3, "abc", [(2.0, 1, 0)])
+        Hypergraph.build(3, tuple("abc"), [(2.0, 1, 0)])
     message = "vertex 1 has label ['b'] of type list; expected str"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         Hypergraph.from_labels(3, ["a", ["b"], "c"], [["a", "a", "c"]])

@@ -284,7 +284,7 @@ def test_edge_sum_echelon_rows_match_the_counter_reference():
     and on quotients of them, where more vertices repeat, as on a frame.
     Each quotient equals the one mapped edge by edge, the edge-free one
     too."""
-    h = Hypergraph.build(3, "abcd", [(0, 1, 2), (0, 1, 3), (0, 2, 3), (2, 2, 3)])
+    h = Hypergraph.build(3, tuple("abcd"), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (2, 2, 3)])
     rows, echelon, col = _edge_sum_system(h)
     assert col == [1, 0, 3, 2]
     assert rows == [
@@ -293,7 +293,7 @@ def test_edge_sum_echelon_rows_match_the_counter_reference():
         ((1, 1), (2, 1), (3, 1), (4, 1)),
         ((2, 1), (3, 2), (4, 1)),
     ]
-    assert _edge_sum_gf3_rows(Hypergraph.build(3, "ab", [(0, 0, 0), (0, 0, 1)]), [0, 1]) == [
+    assert _edge_sum_gf3_rows(Hypergraph.build(3, tuple("ab"), [(0, 0, 0), (0, 0, 1)]), [0, 1]) == [
         (0b100, 0b000),  # three times vanishes modulo 3: C alone
         (0b110, 0b001),
     ]
@@ -305,7 +305,7 @@ def test_edge_sum_echelon_rows_match_the_counter_reference():
         g = _quotient_matches_the_edge_loop(h, Partition.from_keys([0, 0, *range(1, ell - 1)]))
         assert any(e[0] == e[1] for e in g.edges)
         _assert_edge_sum_rows_match_the_counter_reference(g)
-    edge_free = Hypergraph.build(3, "abc")
+    edge_free = Hypergraph.build(3, tuple("abc"))
     assert _edge_sum_gf3_rows(edge_free, [0, 1, 2]) == []
     _quotient_matches_the_edge_loop(edge_free, Partition.from_keys([0, 1, 0]))
     rng = random.Random(14)
@@ -367,8 +367,8 @@ def test_edge_sum_rank_matches_the_echelon_and_the_dense_oracle(system):
 @pytest.mark.parametrize(
     "h",
     [
-        Hypergraph.build(3, "ab"),
-        Hypergraph.build(3, "abcd", [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]),  # a 2-core
+        Hypergraph.build(3, tuple("ab")),
+        Hypergraph.build(3, tuple("abcd"), [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]),  # a 2-core
         repeats_at_every_position_pair(4),
         repeats_at_every_position_pair(6),
     ],

@@ -195,56 +195,135 @@ def test_partition_constructor_builds_or_refuses(drawn):
             assert q == edge_loop_quotient(h, part.class_of)
 
 
+TRIANGLE = Hypergraph.build(3, ("a", "b", "c"), [(0, 1, 2)])
+
+# id: (call with one sequence replaced, its name, with "{!r}" the value, what it holds, and
+# valid items)
+SEQUENCE_ENTRIES = {
+    "map-rows": (LinearMap, "map rows", "rows", ((1, 2, 3),)),
+    "signal-rows": (Signal, "signal rows", "rows", ((0, 1),)),
+    "map-row": (lambda v: LinearMap([v]), "map row 0", "entries", (1, 2, 3)),
+    "signal-row": (lambda v: Signal([[0], v]), "signal row 1", "values", (1,)),
+    "build-vertices": (lambda v: Hypergraph.build(3, v), "vertices", "labels", tuple("abc")),
+    "from-labels-vertices": (
+        lambda v: Hypergraph.from_labels(3, v, [tuple("cba")]), "vertices", "labels", tuple("abc")
+    ),
+    "from-labels-edge": (
+        lambda v: Hypergraph.from_labels(3, tuple("abc"), [v]), "edge {!r}", "labels", tuple("abc")
+    ),
+    "partition-keys": (Partition.from_keys, "keys", "hashables", tuple("ab")),
+    "attach-simplex-labels": (
+        lambda v: attach_simplex(TRIANGLE, "a", v), "new labels", "labels", tuple("xy")
+    ),
+    "sweep-counts": (lambda v: SweepConfig(v, (1,), 1, 0), "vertex_counts", "ints", (30,)),
+    "sweep-densities": (
+        lambda v: SweepConfig((30,), v, 1, 0), "densities", "ints or Fractions", (1,)
+    ),
+}
+READ_AS_ITEMS = {  # the valid items as a str, a set and a dict: each iterates, as no sequence
+    "str": lambda items: "".join(map(str, items)),
+    "set": set,
+    "dict": dict.fromkeys,
+}
+
+
+def read_as_items(entry, kind):
+    """A row of :func:`test_a_sequence_of_the_wrong_type_is_named`: the
+    entry given its valid items as a ``str``, a set or a dict."""
+    make, name, of, items = SEQUENCE_ENTRIES[entry]
+    value = READ_AS_ITEMS[kind](items)
+    message = f"{name.format(value)} must be a sequence of {of}, got {type(value).__name__}"
+    return pytest.param(lambda: make(value), message, id=f"{entry}-{kind}")
+
+
 @pytest.mark.parametrize(
     "build,message",
     [
-        (lambda: LinearMap(None), "map rows must be a sequence of rows, got NoneType"),
-        (lambda: LinearMap([None]), "map row 0 has type NoneType; expected a sequence"),
-        (lambda: Signal([[0], 1.5]), "signal row 1 has type float; expected a sequence"),
-        (lambda: Hypergraph.build(3, None, []), "vertices must be a sequence of labels, got NoneType"),
-        (lambda: Hypergraph.from_labels(3, 7, []), "vertices must be a sequence of labels, got int"),
-        (
-            lambda: Hypergraph.from_labels(3, "abc", None),
+        pytest.param(
+            lambda: LinearMap(None), "map rows must be a sequence of rows, got NoneType",
+            id="map-rows",
+        ),
+        pytest.param(
+            lambda: LinearMap([None]), "map row 0 must be a sequence of entries, got NoneType",
+            id="map-row",
+        ),
+        pytest.param(
+            lambda: Signal([[0], 1.5]), "signal row 1 must be a sequence of values, got float",
+            id="signal-row",
+        ),
+        pytest.param(
+            lambda: Hypergraph.build(3, None, []),
+            "vertices must be a sequence of labels, got NoneType",
+            id="build-vertices",
+        ),
+        pytest.param(
+            lambda: Hypergraph.from_labels(3, 7, []),
+            "vertices must be a sequence of labels, got int",
+            id="from-labels-vertices",
+        ),
+        pytest.param(
+            lambda: Hypergraph.from_labels(3, tuple("abc"), None),
             "edges must be a sequence of label sequences, got NoneType",
+            id="from-labels-edges",
         ),
-        (lambda: LinearMap([]), "map has no rows"),
-        (lambda: LinearMap([[]]), "map row 0 is empty"),
-        (
-            lambda: Partition.from_keys(None),
-            "keys must be a sequence of hashables, got NoneType: 'NoneType' object is not iterable",
+        pytest.param(lambda: LinearMap([]), "map has no rows", id="map-r"),
+        pytest.param(lambda: LinearMap([[]]), "map row 0 is empty", id="map-ell"),
+        pytest.param(
+            lambda: Partition.from_keys(None), "keys must be a sequence of hashables, got NoneType",
+            id="partition-keys",
         ),
-        (
+        pytest.param(
+            lambda: Partition.from_keys(["a", ["b"]]),
+            "keys must be hashable: unhashable type: 'list'",
+            id="partition-unhashable-key",
+        ),
+        pytest.param(
             lambda: Hypergraph.from_labels(3, ["a"], [None]),
-            "edge None has type NoneType; expected a sequence",
+            "edge None must be a sequence of labels, got NoneType",
+            id="from-labels-edge-none",
         ),
-        (lambda: Hypergraph.from_labels(3, ["a"], [5]), "edge 5 has type int; expected a sequence"),
-        (
+        pytest.param(
+            lambda: Hypergraph.from_labels(3, ["a"], [5]),
+            "edge 5 must be a sequence of labels, got int",
+            id="from-labels-edge-int",
+        ),
+        pytest.param(
             lambda: Hypergraph.from_labels(3, ["a"], [["a", "a", "a"], 2.5]),
-            "edge 2.5 has type float; expected a sequence",
+            "edge 2.5 must be a sequence of labels, got float",
+            id="from-labels-edge-float",
         ),
-        (
-            lambda: attach_simplex(Hypergraph.build(3, "abc", [(0, 1, 2)]), "a", None),
+        pytest.param(
+            lambda: attach_simplex(TRIANGLE, "a", None),
             "new labels must be a sequence of labels, got NoneType",
+            id="attach-simplex-labels",
         ),
-    ],
-    ids=[
-        "map-rows", "map-row", "signal-row", "build-vertices", "from-labels-vertices",
-        "from-labels-edges", "map-r", "map-ell", "partition-keys", "from-labels-edge-none",
-        "from-labels-edge-int", "from-labels-edge-float", "attach-simplex-labels",
+        *(read_as_items(entry, kind) for entry in SEQUENCE_ENTRIES for kind in READ_AS_ITEMS),
     ],
 )
 def test_a_sequence_of_the_wrong_type_is_named(build, message):
     """Each constructor names the argument, the row or the edge that is
     not the sequence it takes, and its type; a map names its missing rows
-    (``r`` would be 0) and its empty row 0 (``ell`` would be 0)."""
+    (``r`` would be 0) and its empty row 0 (``ell`` would be 0). A
+    ``str``, a set or a mapping is no sequence of items either, though it
+    iterates: as its characters, in hash order, or as its keys."""
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         build()
 
 
+@pytest.mark.parametrize("entry", SEQUENCE_ENTRIES)
+def test_a_sequence_entry_reads_a_one_shot_iterator_once(entry):
+    """Each sequence entry builds from its valid items as a tuple, a list
+    and a one-shot iterator alike: every entry reads its argument once."""
+    make, _, _, items = SEQUENCE_ENTRIES[entry]
+    assert make(list(items)) == make(iter(items)) == make(items)
+
+
 INTEGER_ENTRIES = {  # id: (call with one argument replaced, that argument's name, a valid int)
     "hypergraph-arity": (lambda v: Hypergraph(v, ("a", "b", "c"), ((0, 1, 2),)), "arity", 3),
-    "build-arity": (lambda v: Hypergraph.build(v, "abc", [(2, 1, 0)]), "arity", 3),
-    "from-labels-arity": (lambda v: Hypergraph.from_labels(v, "abc", ["cba"]), "arity", 3),
+    "build-arity": (lambda v: Hypergraph.build(v, tuple("abc"), [(2, 1, 0)]), "arity", 3),
+    "from-labels-arity": (
+        lambda v: Hypergraph.from_labels(v, tuple("abc"), [tuple("cba")]), "arity", 3
+    ),
     "universal-map-arity": (universal_map, "arity", 3),
     "centroid-map-arity": (centroid_map, "arity", 4),
     "constant-space-count": (lambda v: constant_space(universal_map(3), v), "vertex count", 3),

@@ -544,7 +544,7 @@ def test_component_count_reads_the_verified_basis(monkeypatch):
         raise AssertionError("component_count_via_C built Fraction signals")
 
     monkeypatch.setattr(hypersig.signals, "_space", no_space)
-    h = Hypergraph.build(3, "abcdefgh", [(0, 1, 2), (2, 3, 4), (5, 6, 7)])
+    h = Hypergraph.build(3, tuple("abcdefgh"), [(0, 1, 2), (2, 3, 4), (5, 6, 7)])
     assert component_count_via_C(h) == 2
     basis = hypersig.signals._closed_form_basis
 
@@ -713,13 +713,13 @@ def test_sparse_dimension_matches_dense_oracle_on_random_maps():
             t = LinearMap([[Fraction(v, rng.randint(2, 5)) for v in row] for row in t.entries])
         assert [list(flat(s)) for s in signal_space(h, t)] == oracle_signal_basis(h, t)
     loose = [
-        (Hypergraph.build(3, "abcdef", [(0, 1, 2), (3, 4, 5)]), universal_map(3)),
-        (Hypergraph.build(3, "abcde", [(0, 1, 2), (1, 2, 3)]), centroid_map(3)),
-        (Hypergraph.build(3, "abcd", [(0, 0, 0), (0, 1, 2)]), LinearMap([[1, -2, 1]])),
-        (Hypergraph.build(4, "abcde", [(1, 1, 1, 1), (0, 2, 3, 3)]), universal_map(4)),
-        (Hypergraph.build(3, "abcde", [(0, 1, 2), (2, 3, 4)]), LinearMap([[1, 2, 0]])),
-        (Hypergraph.build(4, "abcde", [(0, 0, 1, 2)]), LinearMap([[0, 1, -1, 0]])),
-        (Hypergraph.build(3, "abcd", [(0, 1, 1)]), LinearMap([[0, 0, 0]])),
+        (Hypergraph.build(3, tuple("abcdef"), [(0, 1, 2), (3, 4, 5)]), universal_map(3)),
+        (Hypergraph.build(3, tuple("abcde"), [(0, 1, 2), (1, 2, 3)]), centroid_map(3)),
+        (Hypergraph.build(3, tuple("abcd"), [(0, 0, 0), (0, 1, 2)]), LinearMap([[1, -2, 1]])),
+        (Hypergraph.build(4, tuple("abcde"), [(1, 1, 1, 1), (0, 2, 3, 3)]), universal_map(4)),
+        (Hypergraph.build(3, tuple("abcde"), [(0, 1, 2), (2, 3, 4)]), LinearMap([[1, 2, 0]])),
+        (Hypergraph.build(4, tuple("abcde"), [(0, 0, 1, 2)]), LinearMap([[0, 1, -1, 0]])),
+        (Hypergraph.build(3, tuple("abcd"), [(0, 1, 1)]), LinearMap([[0, 0, 0]])),
     ]
     for ell in (3,) * 20 + (4,) * 8 + (5,) * 3:
         h = random_loose_instance(rng, ell, n_max=6 if ell < 5 else 4, m_max=4 if ell < 5 else 2)
@@ -784,7 +784,7 @@ def test_signal_space_solves_no_vertex_system_outside_rank_one(monkeypatch):
             if len(dense_kernel(rows, ell)) == ell - 3:
                 break
         cases += [(h, centroid_map(ell)), (h, skew), (h, LinearMap(rows))]
-    split = Hypergraph.build(4, "abcdefgh", [(0, 0, 1, 2), (1, 2, 2, 3), (5, 6, 7, 7), (5, 5, 6, 7)])
+    split = Hypergraph.build(4, tuple("abcdefgh"), [(0, 0, 1, 2), (1, 2, 2, 3), (5, 6, 7, 7), (5, 5, 6, 7)])
     cases += [(split, centroid_map(4)), (split, LinearMap([[1, -2, 1, 0], [0, 1, -1, 3]]))]
     expected = [sparse_signal_basis(h, t) for h, t in cases]
     allowed = {
