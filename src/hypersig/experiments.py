@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from math import ceil, comb, sqrt
 from math import log as _log
 from typing import Iterable, Sequence
@@ -46,8 +47,9 @@ def stable_seed(*parts) -> int:
 
 def _sample_simple_edges(
     rng: random.Random, n: int, m: int, ell: int, start: Iterable[tuple[int, ...]] = ()
-) -> set[tuple[int, ...]]:
-    """``start`` topped up with random simple edges until ``m`` are distinct.
+) -> tuple[set[tuple[int, ...]], bool]:
+    """``start`` topped up with random simple edges until ``m`` are distinct,
+    and whether those edges cover every vertex.
 
     Each draw equals ``tuple(sorted(Random.sample(range(n), ell)))``: that
     call when ``n`` is at most ``sample``'s set-size threshold. Above it,
@@ -57,17 +59,27 @@ def _sample_simple_edges(
     ``ell == 3`` (the sweep's arity) those draws are written out as
     ``a``, ``b``, ``c`` and three comparisons pick the sorted tuple, with
     no per-edge list, sort or ``tuple`` call.
+
+    Every branch marks each vertex it draws, and each of ``start``'s, in
+    one ``bytearray``: the marks read no RNG, and a redrawn duplicate edge
+    covers nothing new, so the coverage flag costs no union of the edges.
     """
     getrandbits = rng.getrandbits
     edges = set(start)
     add = edges.add
+    hit = bytearray(n)
+    for x in chain.from_iterable(edges):
+        hit[x] = 1
     setsize = 21
     if ell > 5:
         setsize += 4 ** ceil(_log(ell * 3, 4))
     k = n.bit_length()
     if n <= setsize:
         while len(edges) < m:
-            add(tuple(sorted(rng.sample(range(n), ell))))
+            edge = tuple(sorted(rng.sample(range(n), ell)))
+            add(edge)
+            for x in edge:
+                hit[x] = 1
     elif ell == 3:
         while len(edges) < m:
             a = getrandbits(k)
@@ -79,6 +91,7 @@ def _sample_simple_edges(
             c = getrandbits(k)
             while c >= n or c == a or c == b:
                 c = getrandbits(k)
+            hit[a] = hit[b] = hit[c] = 1
             if a < b:
                 add((a, b, c) if b < c else (a, c, b) if a < c else (c, a, b))
             else:
@@ -92,9 +105,10 @@ def _sample_simple_edges(
                 while j >= n or j in edge:
                     j = getrandbits(k)
                 edge.append(j)
+                hit[j] = 1
             edge.sort()
             add(tuple(edge))
-    return edges
+    return edges, 0 not in hit
 
 
 def random_hypergraph(n: int, m: int, ell: int, seed: int) -> Hypergraph:
@@ -105,6 +119,10 @@ def random_hypergraph(n: int, m: int, ell: int, seed: int) -> Hypergraph:
     budget; if every draw comes out disconnected, the instance falls back
     to a randomly chained spanning skeleton whose bridge edges count
     toward ``m``. Deterministic per (n, m, ell, seed).
+
+    A draw that leaves a vertex uncovered, by the flag the sampler marks
+    as it draws (:func:`_sample_simple_edges`), is rejected before the
+    union-find: that vertex is a component of its own.
     """
     _integer("arity", ell, MIN_ARITY)
     _integer("seed", seed)
@@ -123,10 +141,8 @@ def random_hypergraph(n: int, m: int, ell: int, seed: int) -> Hypergraph:
         )
     rng = random.Random(stable_seed("hypergraph", n, m, ell, seed))
     for _ in range(_REJECTION_RETRIES):
-        edges = _sample_simple_edges(rng, n, m, ell)
-        # An uncovered vertex is a component of its own: reject before
-        # the union-find.
-        if len(set().union(*edges)) == n and len(set(_component_roots(n, edges))) == 1:
+        edges, covered = _sample_simple_edges(rng, n, m, ell)
+        if covered and len(set(_component_roots(n, edges))) == 1:
             break
     else:
         edges = _chained_instance(rng, n, m, ell)
@@ -155,7 +171,7 @@ def _chained_instance(
         base = rng.sample(covered, ell - len(fresh))
         edges.add(tuple(sorted(base + fresh)))
         covered.extend(fresh)
-    return _sample_simple_edges(rng, n, m, ell, edges)
+    return _sample_simple_edges(rng, n, m, ell, edges)[0]
 
 
 def reduction_proportion(h: Hypergraph) -> Fraction:

@@ -19,7 +19,15 @@ from itertools import chain, combinations
 from typing import Sequence
 
 from .errors import DomainError
-from .hypergraph import Hypergraph, Partition, _encode, _integer, _rows_text, _sequence
+from .hypergraph import (
+    Hypergraph,
+    Partition,
+    _encode,
+    _integer,
+    _rows_text,
+    _sequence,
+    _string_labels,
+)
 from .signals import LinearMap, _certified_signal, universal_map
 
 
@@ -92,6 +100,7 @@ def attach_simplex(
     labels = _sequence("new labels", new_labels, "labels")
     if len(labels) != h.ell - 1:
         raise DomainError(f"need exactly {h.ell - 1} new labels, got {len(labels)}")
+    vertices = _string_labels(h.vertices + labels)
     if len(set(labels)) != len(labels):
         raise DomainError("new labels must be distinct")
     clash = set(labels) & set(h.vertices)
@@ -99,7 +108,7 @@ def attach_simplex(
         raise DomainError(f"labels already present: {sorted(clash)}")
     n = h.n_vertices
     new_edge = (z_id, *range(n, n + len(labels)))
-    return Hypergraph.build(h.ell, h.vertices + labels, h.edges + (new_edge,))
+    return Hypergraph.build(h.ell, vertices, h.edges + (new_edge,))
 
 
 def fan(n: int) -> Hypergraph:

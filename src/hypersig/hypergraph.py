@@ -56,6 +56,16 @@ def _sequence(name: str, value, of: str) -> tuple:
     return tuple(items)
 
 
+def _string_labels(vertices: tuple) -> tuple:
+    """``vertices`` if every label is a ``str``; else a ``DomainError``
+    naming the first that is not, before anything hashes it."""
+    if not all(map(isinstance, vertices, repeat(str))):
+        i, x = next((i, x) for i, x in enumerate(vertices) if not isinstance(x, str))
+        kind = type(x).__name__
+        raise DomainError(f"vertex {i} has label {x!r} of type {kind}; expected str")
+    return vertices
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Immutable ``ell``-uniform hypergraph.
@@ -77,10 +87,7 @@ class Hypergraph:
         ell, vertices, edges = _integer("arity", self.ell, MIN_ARITY), self.vertices, self.edges
         if not isinstance(vertices, tuple):
             raise DomainError(f"vertices must be a tuple, got {type(vertices).__name__}")
-        if not all(map(isinstance, vertices, repeat(str))):
-            i, x = next((i, x) for i, x in enumerate(vertices) if not isinstance(x, str))
-            kind = type(x).__name__
-            raise DomainError(f"vertex {i} has label {x!r} of type {kind}; expected str")
+        _string_labels(vertices)
         if not vertices:
             raise DomainError("vertex set must be nonempty")
         if len(set(vertices)) != len(vertices):
@@ -302,7 +309,9 @@ def quotient(h: Hypergraph, p: Partition) -> Hypergraph:
     """
     if p.n_elements != (n := h.n_vertices):
         raise DomainError(f"partition covers {p.n_elements} elements, hypergraph has {n}")
-    labels = tuple(h.vertices[block[0]] for block in p.classes)  # built once, kept by p
+    # the class map read backwards: each class's last write is its smallest member's label
+    first = dict(zip(reversed(p.class_of), reversed(h.vertices)))
+    labels = tuple(map(first.__getitem__, range(len(first))))
     get = p.class_of.__getitem__
     return Hypergraph.build(h.ell, labels, zip(*(map(get, c) for c in zip(*h.edges))))
 

@@ -752,11 +752,11 @@ def _universal_fusion(h: Hypergraph) -> tuple[list[int], int, Hypergraph, Partit
 
 def _certified_frame(
     h: Hypergraph, part: Partition, nullity: int
-) -> tuple[Hypergraph, _Peeled] | None:
-    """The certificate of fusion under ``U``: the frame ``g = h/P`` of a
-    candidate ``P`` and its peeled edge-sum system (:func:`_edge_sum_peel`)
-    when its nullity, ``g``'s columns less its peeled rows and 2-core
-    pivots, equals the bound ``nullity``; else None.
+) -> tuple[Hypergraph, _Peeled | None] | None:
+    """The certificate of fusion under ``U``: when the nullity of the frame
+    ``g = h/P`` of a candidate ``P`` equals the bound ``nullity``, ``g``
+    and its peeled edge-sum system (:func:`_edge_sum_peel`), or ``g`` and
+    None when its counts decided with no peel; else None.
 
     The edge-sum system of ``g`` is that of ``h`` with the columns of each
     block summed, each distinct row once, so its kernel vectors lift
@@ -777,8 +777,19 @@ def _certified_frame(
       nullity(h) = nullity_3(h) and is the whole kernel modulo 3, and a
       pair no rational kernel vector separates is not separated modulo 3
       either.
+
+    The count decides first. The rank of ``g`` is at most its number of
+    rows, one per edge, so nullity(g) >= n_g + 1 - m_g, and with
+    nullity(g) <= ``nullity`` above, n_g + 1 - m_g == ``nullity`` is
+    equality: ``P`` is certified and ``g`` is not peeled. Only another
+    count leaves it to the peel, where nullity(g) is ``g``'s columns less
+    its peeled rows and 2-core pivots. The count must equal the bound,
+    not exceed it: a count above it, which only a wrong quotient gives,
+    is left to the peel.
     """
     g = quotient(h, part)
+    if g.n_vertices + 1 - g.n_edges == nullity:
+        return g, None
     order, echelon, _ = peeled = _edge_sum_peel(g)
     if g.n_vertices + 1 - len(order) - len(echelon) == nullity:
         return g, peeled
@@ -798,7 +809,10 @@ def _frame_fusion(h: Hypergraph) -> tuple[Partition, Hypergraph, _Peeled] | None
     rank, packed = _gf3_kernel(_edge_sum_gf3_rows(h, col), n + 1)
     p = Partition.from_keys([packed[c] for c in col])
     found = None if p.is_discrete() else _certified_frame(h, p, n + 1 - rank)
-    return found and (p, *found)
+    if found is None:
+        return None
+    g, peeled = found
+    return p, g, peeled or _edge_sum_peel(g)  # the draw on the frame needs its peel
 
 
 def _certified_draw(h: Hypergraph, peeled: _Peeled) -> tuple[list[int], int, Hypergraph, Partition]:

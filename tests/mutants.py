@@ -59,6 +59,9 @@ PARTITION = "tests/test_hypergraph.py::test_partition_names_a_class_map_it_refus
 INTEGER = "tests/test_public_constructors.py::test_a_count_arity_or_seed_that_is_no_int_is_named"
 HANG = "tests/test_frames.py::test_frame_returns_within_a_few_seconds"
 SAVE_SIGNAL = "tests/test_json_render.py::test_save_signal_writes_the_reference_document"
+CERTIFIED_FUSION = "tests/test_frames.py::test_certified_fusion_matches_edge_sum_nullspace"
+COUNT_DIFFERENTIAL = "tests/test_frames.py::test_the_edge_count_certifies_exactly_what_the_peel_does"
+SAMPLER = "tests/test_experiments.py::test_sampler_draws_exactly_as_random_sample"
 
 MUTANTS = (
     # the peel of the edge-sum system
@@ -149,7 +152,21 @@ MUTANTS = (
         SIGNALS,
         "if g.n_vertices + 1 - len(order) - len(echelon) == nullity:",
         "if g.n_vertices - len(order) - len(echelon) == nullity:",
-        ("tests/test_acceptance.py::test_criterion_01_worked_example", f"{ROUTE}[frame-U]"),
+        (CERTIFIED_FUSION, COUNT_DIFFERENTIAL),
+    ),
+    Mutant(
+        "the frame's edge count compared with >=",
+        SIGNALS,
+        "    if g.n_vertices + 1 - g.n_edges == nullity:\n",
+        "    if g.n_vertices + 1 - g.n_edges >= nullity:\n",
+        ("tests/test_frames.py::test_certificate_runs_on_the_frame[fan5]",),
+    ),
+    Mutant(
+        "the input's edge count in place of the frame's",
+        SIGNALS,
+        "    if g.n_vertices + 1 - g.n_edges == nullity:\n",
+        "    if g.n_vertices + 1 - h.n_edges == nullity:\n",
+        ("tests/test_frames.py::test_certifying_an_empty_core_frame_eliminates_no_frame",),
     ),
     Mutant(
         "candidate accepted without the certificate",
@@ -377,6 +394,13 @@ MUTANTS = (
         "        if False:\n",
         (f"{NAMED}[from-labels-edges]",),
     ),
+    Mutant(
+        "attach_simplex hashes a new label before its type is checked",
+        FRAMES,
+        "    vertices = _string_labels(h.vertices + labels)\n",
+        "    vertices = h.vertices + labels\n",
+        (f"{NAMED}[attach-simplex-unhashable-label]",),
+    ),
     # the class map of a partition
     Mutant(
         "a class map with a gap",
@@ -413,6 +437,21 @@ MUTANTS = (
         '    _integer("seed", seed)\n',
         "",
         ("tests/test_experiments.py::test_random_hypergraph_refuses_a_seed_that_is_no_int[float]",),
+    ),
+    # the coverage marked while drawing
+    Mutant(
+        "one mark of an ell = 3 draw dropped",
+        EXPERIMENTS,
+        "            hit[a] = hit[b] = hit[c] = 1\n",
+        "            hit[a] = hit[b] = 1\n",
+        (f"{SAMPLER}[3]",),
+    ),
+    Mutant(
+        "coverage off by one",
+        EXPERIMENTS,
+        "    return edges, 0 not in hit\n",
+        "    return edges, hit.count(0) <= 1\n",
+        (f"{SAMPLER}[3]",),
     ),
     # the sweep configuration
     Mutant(

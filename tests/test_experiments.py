@@ -58,16 +58,24 @@ def test_sampler_draws_exactly_as_random_sample(ell):
         for n in [*range(ell, 31), 50, 84, 85, 86, 300]
         for seed in range(3)
     ]
-    if ell == 3:  # sweep-sized m: duplicate edges get redrawn, every order gets sorted
-        cases += [(n, m, seed) for n, m in ((50, 38), (50, 50), (300, 300)) for seed in range(3)]
+    if ell == 3:  # sweep-sized m: duplicate edges get redrawn, every order gets sorted;
+        # at (50, 100) most draws cover every vertex, some vertex only as a third pick
+        sizes = ((50, 38), (50, 50), (300, 300), (50, 100))
+        cases += [(n, m, seed) for n, m in sizes for seed in range(3)]
+    # the coverage flag marked while drawing is the union's, with and without start
+    covers = set()
     for n, m, seed in cases:
         start = {tuple(range(ell))} if seed == 2 else set()
         ours, theirs = random.Random(seed), random.Random(seed)
         expected = set(start)
         while len(expected) < m:
             expected.add(tuple(sorted(theirs.sample(range(n), ell))))
-        assert _sample_simple_edges(ours, n, m, ell, start) == expected, (n, m, seed)
+        edges, covered = _sample_simple_edges(ours, n, m, ell, start)
+        assert edges == expected, (n, m, seed)
+        assert covered == (set().union(*expected) == set(range(n))), (n, m, seed)
         assert ours.getstate() == theirs.getstate(), (n, m, seed)
+        covers.add((covered, bool(start)))
+    assert covers == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_random_hypergraph_draws_are_pinned_at_ell_6():

@@ -315,7 +315,8 @@ def record_eliminations(monkeypatch) -> list[int]:
 def record_peels(monkeypatch) -> list[int]:
     """The vertex count of every hypergraph whose edge-sum system is
     peeled (``_edge_sum_peel``), in order: the input or the candidate
-    frame a draw runs on, and each frame whose rank a certificate takes."""
+    frame a draw runs on, and each frame whose rank a certificate takes
+    by its peel, when its edge count does not decide."""
     sizes = []
     real = hypersig.signals._edge_sum_peel
 
@@ -330,8 +331,9 @@ def record_peels(monkeypatch) -> list[int]:
 def record_certificates(monkeypatch) -> list[int]:
     """The vertex count of every candidate frame whose nullity the
     certificate (``_certified_frame``) compares, in order, on either
-    route. The frame is peeled; only a nonempty 2-core is then
-    eliminated exactly, and shows up in :func:`record_eliminations` too."""
+    route. Unless its edge count decides, the frame is peeled; only a
+    nonempty 2-core is then eliminated exactly, and shows up in
+    :func:`record_eliminations` too."""
     sizes = []
     real = hypersig.signals._certified_frame
 
@@ -371,10 +373,11 @@ def test_collapsing_fusion_eliminates_only_the_frame_exactly(monkeypatch):
 
 
 def test_certifying_an_empty_core_frame_eliminates_no_frame(monkeypatch):
-    """Near discrete, the input and the certified frame both peel away to
-    an empty 2-core: the draw solves every vertex from its own row and
-    the certificate takes the frame's rank, and nothing is eliminated
-    exactly, neither the input nor the frame."""
+    """Near discrete, the input peels away to an empty 2-core: the draw
+    solves every vertex from its own row. The frame's 195 vertices and 168
+    edges count to the bound, the input's nullity 201 - 173 = 28, so the
+    certificate accepts it unpeeled, and nothing is eliminated exactly,
+    neither the input nor the frame."""
     h = random_hypergraph(200, 173, 3, 3)
     order, echelon, _ = hypersig.signals._edge_sum_peel(h)
     assert (len(order), echelon) == (173, {})
@@ -382,9 +385,71 @@ def test_certifying_an_empty_core_frame_eliminates_no_frame(monkeypatch):
     certified, peels = record_certificates(monkeypatch), record_peels(monkeypatch)
     result = frame(h)
     assert result.fusion.n_classes == 195
-    assert (peels, sizes, certified) == ([200, 195], [], [195])
+    assert (peels, sizes, certified) == ([200], [], [195])
     assert sum(touched) == 0
     assert_fusion_is_the_oracles(h, result)
+
+
+def peel_certifies(h, part, nullity):
+    """The frame certificate by its peel alone: the nullity of ``h/P``,
+    its columns less its peeled rows and 2-core pivots, is the bound."""
+    g = quotient(h, part)
+    order, echelon, _ = hypersig.signals._edge_sum_peel(g)
+    return g.n_vertices + 1 - len(order) - len(echelon) == nullity
+
+
+def merged_across(h, part):
+    """``part`` with the classes of two vertices adjacent in an edge merged,
+    a wrong candidate, or None when every edge lies in one class."""
+    c = part.class_of
+    pair = next(((x, y) for e in h.edges for x, y in zip(e, e[1:]) if c[x] != c[y]), None)
+    if pair is None:
+        return None
+    a, b = (c[x] for x in pair)
+    return Partition.from_keys([a if k == b else k for k in c])
+
+
+def test_the_edge_count_certifies_exactly_what_the_peel_does():
+    """``_certified_frame`` accepts a frame unpeeled when its edge count
+    reaches the bound, and accepts exactly the candidates the peel alone
+    accepts, with the same frame. Candidates: the fusion, the discrete
+    partition, one class, the candidate modulo 3, and the fusion with two
+    adjacent vertices of different classes merged, which is refused;
+    bounds: nullity(h) and nullity_3(h). Both deciders occur, and on the
+    49-vertex frame of ``random_hypergraph(60, 52, 3, 3)``, whose rows are
+    dependent, the count differs and the peel decides."""
+    inputs = [*PINNED, *sweep_shaped_instances(), random_hypergraph(60, 52, 3, 3)]
+    inputs += [random_hypergraph(50, 50, 3, 5), random_hypergraph(200, 173, 3, 3)]
+    by_count = by_peel = 0
+    for h in inputs:
+        n = h.n_vertices
+        order, echelon, _ = hypersig.signals._edge_sum_peel(h)
+        nullity = n + 1 - len(order) - len(echelon)
+        fused = hypersig.signals._universal_fusion(h)[3]
+        mod_3, rank_3, _ = candidate_mod_3(h)
+        wrong = merged_across(h, fused)
+        if wrong is not None:
+            assert not peel_certifies(h, wrong, nullity)
+            assert hypersig.signals._certified_frame(h, wrong, nullity) is None
+        candidates = (fused, Partition(tuple(range(n))), Partition((0,) * n), mod_3, wrong)
+        for part in filter(None, candidates):
+            for bound in (nullity, n + 1 - rank_3):
+                found = hypersig.signals._certified_frame(h, part, bound)
+                assert (found is not None) == peel_certifies(h, part, bound), h
+                if found is not None:
+                    g, peeled = found
+                    assert g == quotient(h, part)
+                    assert peeled in (None, hypersig.signals._edge_sum_peel(g))
+                    by_count += peeled is None
+                    by_peel += peeled is not None
+    assert by_count and by_peel
+    h = random_hypergraph(60, 52, 3, 3)
+    order, echelon, _ = hypersig.signals._edge_sum_peel(h)
+    nullity = 61 - len(order) - len(echelon)
+    part = fusion(h, universal_map(3))
+    g, peeled = hypersig.signals._certified_frame(h, part, nullity)
+    assert g.n_vertices == 49 and g.n_vertices + 1 - g.n_edges != nullity
+    assert peeled is not None
 
 
 def record_frame_route(monkeypatch) -> list:

@@ -297,6 +297,11 @@ def read_as_items(entry, kind):
             "new labels must be a sequence of labels, got NoneType",
             id="attach-simplex-labels",
         ),
+        pytest.param(
+            lambda: attach_simplex(TRIANGLE, "a", [["x"], "y"]),
+            "vertex 3 has label ['x'] of type list; expected str",
+            id="attach-simplex-unhashable-label",
+        ),
         *(read_as_items(entry, kind) for entry in SEQUENCE_ENTRIES for kind in READ_AS_ITEMS),
     ],
 )
@@ -305,7 +310,9 @@ def test_a_sequence_of_the_wrong_type_is_named(build, message):
     not the sequence it takes, and its type; a map names its missing rows
     (``r`` would be 0) and its empty row 0 (``ell`` would be 0). A
     ``str``, a set or a mapping is no sequence of items either, though it
-    iterates: as its characters, in hash order, or as its keys."""
+    iterates: as its characters, in hash order, or as its keys. A new
+    label that is no string is named as the constructor names it, before
+    ``attach_simplex`` hashes it."""
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         build()
 
